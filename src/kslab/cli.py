@@ -23,7 +23,7 @@ import numpy as np
 from . import norms as _norms
 from .data import cosine_mode_field, gaussian_field, smoothed_stripe_field
 from .duhamel import QuadratureScheme
-from .fields import Grid2D, ScalarField, load_field
+from .fields import Grid2D, ScalarField, fft2, load_field
 from .inequality_lab import (
     LabSetup,
     besov_equivalence_samples,
@@ -129,36 +129,12 @@ class ExperimentConfig:
     variant_remark_ii: bool = False
 
 
-_CASTERS = {
-    "grid.n": int,
-    "grid.l": float,
-    "time.t_min": float,
-    "time.t_max": float,
-    "time.k": int,
-    "time.spacing": str,
-    "picard.c": _parse_c,
-    "picard.max_iter": int,
-    "picard.tol": float,
-    "picard.mode": str,
-    "picard.quadrature": str,
-    "picard.substeps": int,
-    "data.kind": str,
-    "data.mass": float,
-    "data.width": float,
-    "data.amplitude": float,
-    "data.wavevector": _parse_wavevector,
-    "data.v_mass": float,
-    "data.v_width": float,
-    "data.v_amplitude": float,
-    "data.stripe_smoothing": float,
-    "data.u_path": str,
-    "data.v_path": str,
-    "output.dir": str,
-    "output.dump_fields": _parse_bool,
-    "variant.remark_ii": _parse_bool,
-}
+# Keys are "<section>.<name>" for each field "<section>_<name>", parsed by the
+# field's annotation; picard.c is the one "object" field ('auto' or a number).
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple": _parse_wavevector, "object": _parse_c}
+_CASTERS = {f.name.replace("_", ".", 1): _PARSERS[f.type] for f in dataclass_fields(ExperimentConfig)}
 _KEY_TO_FIELD = {key: key.replace(".", "_") for key in _CASTERS}
-assert set(_KEY_TO_FIELD.values()) == {f.name for f in dataclass_fields(ExperimentConfig)}
 
 
 def apply_setting(cfg: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
@@ -194,27 +170,13 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    n = cfg.grid_n
-    if n < 16 or (n & (n - 1)) != 0:
-        raise ConfigError(f"grid.n must be a power of two >= 16, got {n}")
-    if not cfg.grid_l > 0:
-        raise ConfigError("grid.l must be positive")
-    if not 0 < cfg.time_t_min < cfg.time_t_max:
-        raise ConfigError("need 0 < time.t_min < time.t_max")
-    if cfg.time_k < 2:
-        raise ConfigError("time.k must be >= 2")
-    if cfg.time_spacing not in ("geometric", "uniform"):
-        raise ConfigError(f"unknown time.spacing {cfg.time_spacing!r}")
-    if cfg.picard_mode not in ("thm1_L1Linf", "thm2_H1bH1"):
-        raise ConfigError(f"unknown picard.mode {cfg.picard_mode!r}")
-    if cfg.picard_quadrature not in ("etd_piecewise_linear", "etd_piecewise_constant"):
-        raise ConfigError(f"unknown picard.quadrature {cfg.picard_quadrature!r}")
-    if cfg.picard_substeps < 1:
-        raise ConfigError("picard.substeps must be >= 1")
-    if not cfg.picard_tol > 0:
-        raise ConfigError("picard.tol must be positive")
-    if cfg.picard_max_iter < 1:
-        raise ConfigError("picard.max_iter must be >= 1")
+    """Grid, time and picard keys are checked by building the solver objects."""
+    try:
+        scfg = make_solver_config(cfg)
+        scfg.make_grid()
+        scfg.make_timegrid()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.data_kind not in ("gaussian", "mode", "stripe", "file"):
         raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
     if cfg.data_kind in ("gaussian", "stripe") and not cfg.data_width > 0:
@@ -328,9 +290,10 @@ def _norm_csv_rows(report) -> list[list]:
     cell = u.grid.cell_area
     u_l1 = _norms._batch_lp(u.stacked, 1.0, cell)
     u_linf = _norms._batch_lp(u.stacked, np.inf, cell)
-    gv = _norms._batch_grad_linf(v)
-    u_h1 = _norms._h1_nodes(u)
-    v_h1 = _norms._h1_nodes(v)
+    v_coeffs = fft2(v.stacked)
+    gv = _norms._batch_grad_linf(v.grid, v_coeffs)
+    u_h1 = _norms._batch_hs(u.grid, fft2(u.stacked), 1.0)
+    v_h1 = _norms._batch_hs(v.grid, v_coeffs, 1.0)
     sig = _norms.sigma(times)
     rows = []
     for j, t in enumerate(times):
@@ -553,12 +516,7 @@ def run_norms(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError(f"no trajectory dumps found under {out_dir}")
     u = load_trajectory(u_path)
     v = load_trajectory(v_path)
-    if cfg.picard_c == "auto":
-        from .inequality_lab import default_constants
-
-        c = default_constants().c
-    else:
-        c = float(cfg.picard_c)
+    c = make_solver_config(cfg).resolve_c()
     w = (1.0 / (4.0 * c)) * v
     _norms.xy_norms_thm1(u, w).to_json(out_dir / "norms_thm1.json")
     _norms.xy_norms_thm2(u, w).to_json(out_dir / "norms_thm2.json")

@@ -9,6 +9,11 @@ semigroup factorises exactly, so marching equals the full sum per mode).
 The apparently singular kernels of the underlying estimates stay benign
 here: the differentiation sits inside the exactly integrated multiplier.
 
+``etd_convolve`` is the general operator; ``linear_L`` and ``maximal_reg_T``
+are symbol choices over it, (lam, prefactor) = (|xi|^2 + 1 or |xi|^2, none)
+and (|xi|^2, -|xi|^2).  ``bilinear_B`` builds its own spectral integrand and
+shares the same tail: march, inverse transform, non-finite check, trajectory.
+
 Interval handling near t = 0: when the input trajectories carry an initial
 datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
 ETD interval; otherwise the head is dropped and its size is estimated in the
@@ -36,10 +41,16 @@ class TrajectoryOverflowError(RuntimeError):
         super().__init__(f"integral-operator output is non-finite at node {node_index}")
 
 
+def _first_nonfinite_node(values: np.ndarray) -> int | None:
+    """Index of the first (K, n, n) node holding a NaN or infinity, if any."""
+    bad = ~np.all(np.isfinite(values), axis=(1, 2))
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def _finite_trajectory_values(values: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise TrajectoryOverflowError(int(np.argwhere(bad.any(axis=(1, 2)))[0][0]))
+    j = _first_nonfinite_node(values)
+    if j is not None:
+        raise TrajectoryOverflowError(j)
     return values
 
 
@@ -84,22 +95,20 @@ def _poly(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _w_left(z: np.ndarray) -> np.ndarray:
+def _series_or_closed(z: np.ndarray, coeffs: np.ndarray, closed) -> np.ndarray:
     small = z < _SERIES_CUT
     out = np.empty_like(z)
-    out[small] = _poly(z[small], _WL_COEFFS)
-    zl = z[~small]
-    out[~small] = (-np.expm1(-zl) / zl - np.exp(-zl)) / zl
+    out[small] = _poly(z[small], coeffs)
+    out[~small] = closed(z[~small])
     return out
+
+
+def _w_left(z: np.ndarray) -> np.ndarray:
+    return _series_or_closed(z, _WL_COEFFS, lambda zl: (-np.expm1(-zl) / zl - np.exp(-zl)) / zl)
 
 
 def _w_right(z: np.ndarray) -> np.ndarray:
-    small = z < _SERIES_CUT
-    out = np.empty_like(z)
-    out[small] = _poly(z[small], _WR_COEFFS)
-    zl = z[~small]
-    out[~small] = (1.0 + np.expm1(-zl) / zl) / zl
-    return out
+    return _series_or_closed(z, _WR_COEFFS, lambda zl: (1.0 + np.expm1(-zl) / zl) / zl)
 
 
 def _etd_march(
@@ -180,6 +189,14 @@ def _div_u_grad_v(grid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
     return mask * (1j * grid.kx * p1 + 1j * grid.ky * p2)
 
 
+def _convolve(g: Trajectory, ghat: np.ndarray, g0hat: np.ndarray | None, lam: np.ndarray,
+              scheme: QuadratureScheme) -> Trajectory:
+    """Shared tail: march the spectra, return to real space, reject overflow."""
+    out_hat, meta = _etd_march(ghat, g.tgrid.times, lam, g0hat, scheme)
+    values = _finite_trajectory_values(ifft2(out_hat).real)
+    return Trajectory.from_values(g.grid, g.tgrid, values, initial=ScalarField.zero(g.grid), meta=meta)
+
+
 def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} div(u grad v) dtau on the shared time grid.
 
@@ -192,30 +209,17 @@ def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_
     g0hat = None
     if u.initial is not None and v.initial is not None:
         g0hat = _div_u_grad_v(grid, fft2(u.initial.values), fft2(v.initial.values))
-    out_hat, meta = _etd_march(ghat, u.tgrid.times, grid.k2, g0hat, scheme)
-    values = _finite_trajectory_values(ifft2(out_hat).real)
-    return Trajectory.from_values(grid, u.tgrid, values, initial=ScalarField.zero(grid), meta=meta)
+    return _convolve(u, ghat, g0hat, grid.k2, scheme)
 
 
 def linear_L(u: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME, damped: bool = True) -> Trajectory:
     """int_0^t e^{(t-tau)(Lap - 1)} u dtau; ``damped=False`` drops the -1."""
-    grid = u.grid
-    lam = grid.k2 + (1.0 if damped else 0.0)
-    ghat = fft2(u.stacked)
-    g0hat = None if u.initial is None else fft2(u.initial.values)
-    out_hat, meta = _etd_march(ghat, u.tgrid.times, lam, g0hat, scheme)
-    values = _finite_trajectory_values(ifft2(out_hat).real)
-    return Trajectory.from_values(grid, u.tgrid, values, initial=ScalarField.zero(grid), meta=meta)
+    return etd_convolve(u, u.grid.k2 + (1.0 if damped else 0.0), scheme=scheme)
 
 
 def maximal_reg_T(g: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} Lap g dtau: the maximal-regularity operator."""
-    grid = g.grid
-    ghat = (-grid.k2) * fft2(g.stacked)
-    g0hat = None if g.initial is None else (-grid.k2) * fft2(g.initial.values)
-    out_hat, meta = _etd_march(ghat, g.tgrid.times, grid.k2, g0hat, scheme)
-    values = _finite_trajectory_values(ifft2(out_hat).real)
-    return Trajectory.from_values(grid, g.tgrid, values, initial=ScalarField.zero(grid), meta=meta)
+    return etd_convolve(g, g.grid.k2, -g.grid.k2, scheme)
 
 
 def etd_convolve(
@@ -242,6 +246,4 @@ def etd_convolve(
         ghat = prefactor * ghat
         if g0hat is not None:
             g0hat = prefactor * g0hat
-    out_hat, meta = _etd_march(ghat, g.tgrid.times, lam, g0hat, scheme)
-    values = _finite_trajectory_values(ifft2(out_hat).real)
-    return Trajectory.from_values(grid, g.tgrid, values, initial=ScalarField.zero(grid), meta=meta)
+    return _convolve(g, ghat, g0hat, lam, scheme)

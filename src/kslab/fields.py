@@ -51,6 +51,11 @@ def irfft2(a: np.ndarray, n: int) -> np.ndarray:
     return _sfft.irfft2(a, s=(n, n), axes=(-2, -1), workers=worker_count())
 
 
+def _check_grid_size(n: int) -> None:
+    if n < 16 or (n & (n - 1)) != 0:
+        raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform discretisation of the periodic square ``[-l/2, l/2)^2``.
@@ -65,8 +70,7 @@ class Grid2D:
 
     def __post_init__(self) -> None:
         n, l = self.n, float(self.l)
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+        _check_grid_size(n)
         if not l > 0:
             raise ValueError(f"side length must be positive, got {l}")
         object.__setattr__(self, "l", l)
@@ -300,11 +304,14 @@ def pointwise_product(f: ScalarField, g: ScalarField) -> ScalarField:
     return ScalarField(f.grid, ifft2(mask * fft2(fd * gd)).real)
 
 
+def _grad_values(grid: Grid2D, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real-space gradient components of spectra batched over the leading axes."""
+    return ifft2(1j * grid.kx * coeffs).real, ifft2(1j * grid.ky * coeffs).real
+
+
 def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Spectral gradient (i*xi multipliers)."""
-    c = fft2(f.values)
-    g1 = ifft2(1j * f.grid.kx * c).real
-    g2 = ifft2(1j * f.grid.ky * c).real
+    g1, g2 = _grad_values(f.grid, fft2(f.values))
     return ScalarField(f.grid, g1), ScalarField(f.grid, g2)
 
 
@@ -331,16 +338,29 @@ def write_snapshot(fh: BinaryIO, field: ScalarField, t: float) -> None:
 
 
 def read_snapshot(fh: BinaryIO) -> tuple[ScalarField, float]:
-    """Read one KSF1 snapshot; raises ValueError on bad magic or truncation."""
+    """Read one KSF1 snapshot from a seekable stream.
+
+    Raises ValueError on bad magic, a header grid size that breaks the Grid2D
+    rule, or a payload shorter than the header claims; the size checks run
+    before any payload is read.
+    """
     header = fh.read(_KSF1_HEADER.size)
     if len(header) != _KSF1_HEADER.size:
         raise ValueError("truncated KSF1 header")
     magic, n, l, t = _KSF1_HEADER.unpack(header)
     if magic != KSF1_MAGIC:
         raise ValueError(f"bad KSF1 magic: {magic!r}")
-    raw = fh.read(8 * n * n)
-    if len(raw) != 8 * n * n:
-        raise ValueError("truncated KSF1 payload")
+    try:
+        _check_grid_size(n)
+    except ValueError as exc:
+        raise ValueError(f"bad KSF1 header: {exc}") from exc
+    need = 8 * n * n
+    here = fh.tell()
+    remaining = fh.seek(0, os.SEEK_END) - here
+    fh.seek(here)
+    if remaining < need:
+        raise ValueError(f"truncated KSF1 payload: header n={n} needs {need} bytes, {remaining} remain")
+    raw = fh.read(need)
     values = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
     return ScalarField(Grid2D(int(n), float(l)), values), float(t)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,8 +31,12 @@ from .data import (
 from .duhamel import DEFAULT_SCHEME, bilinear_B, etd_convolve, linear_L, maximal_reg_T
 from .fields import GradComponent, Grid2D, ScalarField, fft2, multiplier_apply
 from .norms import (
+    _batch_hs,
     _batch_lp,
-    _parseval_factor,
+    _l2t_grad,
+    _spectrum,
+    _weighted_heat_sup,
+    grad_besov_sup,
     hs_norm,
     lp_norm,
     trapezoid,
@@ -79,7 +84,10 @@ class RatioSample:
     params: tuple
     lhs: float
     rhs: float
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return self.lhs / self.rhs
 
 
 @dataclass(frozen=True)
@@ -125,19 +133,6 @@ def _time_lp(times: np.ndarray, values: np.ndarray, p: float, v0: float | None =
     return float(body ** (1.0 / p))
 
 
-def _hs_nodes(grid: Grid2D, coeffs: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
-    """Sobolev norms per node from batched spectral coefficients (K, n, n)."""
-    if homogeneous:
-        if s == 0:
-            w = np.ones_like(grid.k2)
-        else:
-            w = np.where(grid.k2 > 0, grid.k2, 1.0) ** s
-            w[grid.k2 == 0] = 0.0
-    else:
-        w = (1.0 + grid.k2) ** s
-    return np.sqrt(_parseval_factor(grid) * np.sum(w * np.abs(coeffs) ** 2, axis=(-2, -1)))
-
-
 _SWEEP_MODES = (1, 2, 3, 4, 6, 8, 12, 16)
 
 
@@ -180,8 +175,8 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
         for mname, sym in syms.items():
             applied = sym * vhat
             for s in (0.0, 1.0):
-                hs_f = _hs_nodes(grid, vhat[None], s, homogeneous=False)[0]
-                lhs_nodes = _hs_nodes(grid, applied, s, homogeneous=False)
+                hs_f = _batch_hs(grid, vhat, s)
+                lhs_nodes = _batch_hs(grid, applied, s)
                 sup_xi = np.max(np.abs(sym), axis=(1, 2))
                 for r in (np.inf, 2.0):
                     lhs = _time_lp(times, lhs_nodes, r)
@@ -192,17 +187,17 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
                         RatioSample(
                             f"formA[r={'inf' if np.isinf(r) else int(r)},s={int(s)}]",
                             (("multiplier", mname), ("field", fname)),
-                            lhs, rhs, lhs / rhs,
+                            lhs, rhs,
                         )
                     )
                 # Form B with |xi|^delta weights, rho = 2
                 for delta in (0.0, 1.0):
                     msym = sym * np.sqrt(k2)[None] ** delta if delta else sym
                     per_xi = np.sqrt(
-                        np.maximum(trapezoid_axis(times, np.abs(msym) ** 2), 0.0)
+                        np.maximum(trapezoid(times, np.abs(msym) ** 2), 0.0)
                     )
                     rhs = float(np.max(per_xi)) * hs_f
-                    lhs_nodes_b = _hs_nodes(grid, msym * vhat, s, homogeneous=False)
+                    lhs_nodes_b = _batch_hs(grid, msym * vhat, s)
                     lhs = _time_lp(times, lhs_nodes_b, 2.0)
                     if rhs == 0:
                         continue
@@ -210,18 +205,11 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
                         RatioSample(
                             f"formB[rho=2,delta={int(delta)},s={int(s)}]",
                             (("multiplier", mname), ("field", fname)),
-                            lhs, rhs, lhs / rhs,
+                            lhs, rhs,
                         )
                     )
 
-    meta = {"n": setup.n, "K": setup.num_times, "T": setup.t_max, "seed": seed}
-    return InequalityReport("multiplier_lemma", tuple(samples), meta)
-
-
-def trapezoid_axis(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Trapezoid along axis 0 for (K, ...) arrays."""
-    gaps = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
-    return np.sum(0.5 * gaps * (values[1:] + values[:-1]), axis=0)
+    return InequalityReport("multiplier_lemma", tuple(samples), _meta(setup, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +220,19 @@ _EQ27_TUPLES = ((0.0, np.inf, np.inf), (1.0, 2.0, 2.0), (0.0, 2.0, 2.0), (1.0, n
 _EQ26_TUPLES = ((np.inf, 2.0), (np.inf, np.inf), (2.0, 2.0))
 
 
+_PROFILES = {
+    "const": lambda t: np.ones_like(np.asarray(t, dtype=float)),
+    "decay": lambda t: np.exp(-np.asarray(t, dtype=float)),
+}
+
+
 def _profile_trajectory(grid: Grid2D, tgrid: TimeGrid, f: ScalarField, profile) -> Trajectory:
     vals = profile(tgrid.times)[:, None, None] * f.values[None]
     return Trajectory.from_values(grid, tgrid, vals, initial=float(profile(0.0)) * f)
+
+
+def _meta(setup: LabSetup, seed: int, **extra) -> dict:
+    return {"n": setup.n, "K": setup.num_times, "T": setup.t_max, "seed": seed, **extra}
 
 
 def _fmt(x: float) -> str:
@@ -255,7 +253,6 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     times = tgrid.times
     k2 = grid.k2
 
-    profiles = {"const": lambda t: np.ones_like(np.asarray(t, dtype=float)), "decay": lambda t: np.exp(-np.asarray(t, dtype=float))}
     modes = [m for m in _SWEEP_MODES if m <= setup.effective_mode_cap()]
     field_samples: list[tuple[str, tuple, ScalarField]] = [
         (f"mode{m}", (("mode", m),), cosine_mode_field(grid, (m, 0))) for m in modes
@@ -265,21 +262,23 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     samples: list[RatioSample] = []
     uniformity: dict = {}
 
+    def convolved(f: ScalarField, prof, lam: np.ndarray, pre: np.ndarray, p_out: float,
+                  s: float, homogeneous: bool) -> tuple[float, float]:
+        """L^p_out-in-time norm of the convolution of prof(t) f, and the H^s norm of f."""
+        out = etd_convolve(_profile_trajectory(grid, tgrid, f, prof), lam, prefactor=pre, scheme=DEFAULT_SCHEME)
+        lhs = _time_lp(times, _batch_hs(grid, fft2(out.stacked), s, homogeneous), p_out, v0=0.0)
+        return lhs, _batch_hs(grid, fft2(f.values), s, homogeneous)
+
     def run_case(group: str, lam: np.ndarray, pre: np.ndarray, p_out: float, r_in: float,
                  s: float, homogeneous: bool) -> None:
         for fname, fparams, f in field_samples:
-            for pname, prof in profiles.items():
-                traj = _profile_trajectory(grid, tgrid, f, prof)
-                out = etd_convolve(traj, lam, prefactor=pre, scheme=DEFAULT_SCHEME)
-                lhs_nodes = _hs_nodes(grid, fft2(out.stacked), s, homogeneous)
-                lhs = _time_lp(times, lhs_nodes, p_out, v0=0.0)
-                f_norm = _hs_nodes(grid, fft2(f.values)[None], s, homogeneous)[0]
-                rhs_nodes = prof(times) * f_norm
-                rhs = _time_lp(times, rhs_nodes, r_in, v0=float(prof(0.0)) * f_norm)
+            for pname, prof in _PROFILES.items():
+                lhs, f_norm = convolved(f, prof, lam, pre, p_out, s, homogeneous)
+                rhs = _time_lp(times, prof(times) * f_norm, r_in, v0=float(prof(0.0)) * f_norm)
                 if rhs == 0:
                     continue
                 samples.append(
-                    RatioSample(group, fparams + (("field", fname), ("profile", pname)), lhs, rhs, lhs / rhs)
+                    RatioSample(group, fparams + (("field", fname), ("profile", pname)), lhs, rhs)
                 )
 
     for theta, p1, r in _EQ27_TUPLES:
@@ -302,17 +301,14 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     # Uniformity sweep: per tuple, compare max ratio over low modes with the
     # max over the full swept range (constant-profile, s = 0).
     sweep_modes = list(range(1, setup.effective_mode_cap() + 1))
-    for label, lam, pre_fn, p_out, r_in, homog in (
-        ("damped[theta=0,p1=inf,r=inf,s=0]", 1.0 + k2, lambda: np.ones_like(k2), np.inf, np.inf, True),
-        ("plain[p=inf,r=inf,s=0]", k2, lambda: np.sqrt(k2) ** 2.0, np.inf, np.inf, False),
+    for label, lam, pre_fn, homog in (
+        ("damped[theta=0,p1=inf,r=inf,s=0]", 1.0 + k2, lambda: np.ones_like(k2), True),
+        ("plain[p=inf,r=inf,s=0]", k2, lambda: np.sqrt(k2) ** 2.0, False),
     ):
         ratios = []
         for m in sweep_modes:
             f = cosine_mode_field(grid, (m, 0))
-            traj = _profile_trajectory(grid, tgrid, f, profiles["const"])
-            out = etd_convolve(traj, lam, prefactor=pre_fn(), scheme=DEFAULT_SCHEME)
-            lhs = _time_lp(times, _hs_nodes(grid, fft2(out.stacked), 0.0, homog), p_out, v0=0.0)
-            f_norm = _hs_nodes(grid, fft2(f.values)[None], 0.0, homog)[0]
+            lhs, f_norm = convolved(f, _PROFILES["const"], lam, pre_fn(), np.inf, 0.0, homog)
             ratios.append(lhs / f_norm)
         ratios = np.array(ratios)
         low = float(np.max(ratios[: max(1, len(sweep_modes) // 2)]))
@@ -320,9 +316,7 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
         uniformity[label] = {"low_modes_max": low, "full_sweep_max": full,
                              "gap": abs(full - low) / full if full > 0 else 0.0}
 
-    meta = {"n": setup.n, "K": setup.num_times, "T": setup.t_max, "seed": seed,
-            "uniformity": uniformity}
-    return InequalityReport("bilinear_convolution", tuple(samples), meta)
+    return InequalityReport("bilinear_convolution", tuple(samples), _meta(setup, seed, uniformity=uniformity))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +340,7 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
         t = np.asarray(t, dtype=float)
         return (np.floor(2.0 * t) % 2 == 0).astype(float)
 
-    profiles = {
-        "const": lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        "decay": lambda t: np.exp(-np.asarray(t, dtype=float)),
-        "square": square_profile,
-    }
+    profiles = {**_PROFILES, "square": square_profile}
 
     samples: list[RatioSample] = []
     for m in modes:
@@ -369,7 +359,7 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
             if rhs == 0:
                 continue
             samples.append(
-                RatioSample("maxreg[p=q=2]", (("mode", m), ("profile", pname)), lhs, rhs, lhs / rhs)
+                RatioSample("maxreg[p=q=2]", (("mode", m), ("profile", pname)), lhs, rhs)
             )
 
     by_subset = {
@@ -377,8 +367,7 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
         "low_modes": max(s.ratio for s in samples if dict(s.params)["mode"] <= max(1, setup.effective_mode_cap() // 2)),
         "const_only": max(s.ratio for s in samples if dict(s.params)["profile"] == "const"),
     }
-    meta = {"n": setup.n, "K": setup.num_times, "T": setup.t_max, "seed": seed, "subsets": by_subset}
-    return InequalityReport("maximal_regularity", tuple(samples), meta)
+    return InequalityReport("maximal_regularity", tuple(samples), _meta(setup, seed, subsets=by_subset))
 
 
 def verify_l4_interpolation(setup: LabSetup = LabSetup(), seed: int = 0) -> InequalityReport:
@@ -391,20 +380,17 @@ def verify_l4_interpolation(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     tgrid = setup.make_timegrid()
     times = tgrid.times
     samples: list[RatioSample] = []
-    from .norms import _l2t_grad_h1
-
     for fname, f in _lab_fields(grid, seed):
         traj = heat_trajectory(f, tgrid)
         l4 = _batch_lp(traj.stacked, 4.0, grid.cell_area)
         lhs = float(np.sqrt(trapezoid(times, l4**4) + times[0] * lp_norm(f, 4.0) ** 4))
         sup_l2 = max(float(np.max(_batch_lp(traj.stacked, 2.0, grid.cell_area))), lp_norm(f, 2.0))
-        grad_l2t, _ = _l2t_grad_h1(traj, damped=False)
+        grad_l2t, _ = _l2t_grad(traj, _spectrum(traj)[1], damped=False)
         rhs = sup_l2 * grad_l2t
         if rhs == 0:
             continue
-        samples.append(RatioSample("l4_interpolation", (("field", fname),), lhs, rhs, lhs / rhs))
-    meta = {"n": setup.n, "K": setup.num_times, "T": setup.t_max, "seed": seed}
-    return InequalityReport("l4_interpolation", tuple(samples), meta)
+        samples.append(RatioSample("l4_interpolation", (("field", fname),), lhs, rhs))
+    return InequalityReport("l4_interpolation", tuple(samples), _meta(setup, seed))
 
 
 def besov_equivalence_samples(setup: LabSetup = LabSetup(), seed: int = 0) -> InequalityReport:
@@ -415,27 +401,16 @@ def besov_equivalence_samples(setup: LabSetup = LabSetup(), seed: int = 0) -> In
     """
     grid = setup.make_grid()
     probe = TimeGrid.geometric(setup.t_max * 1e-6 / 1.1, setup.t_max, 48)
-    from .fields import ifft2
-    from .norms import grad_besov_sup
 
     samples: list[RatioSample] = []
     for fname, f in _lab_fields(grid, seed):
-        coeffs = fft2(f.values)
-        sup0 = 0.0
-        for t in probe.times:
-            flowed = ifft2(np.exp(-t * grid.k2) * coeffs).real
-            sup0 = max(sup0, float(np.max(np.abs(flowed))))
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sup0 = _weighted_heat_sup(f, probe, 0.0, np.inf, grad=False).value
             grad_est = grad_besov_sup(f, probe)
         if grad_est.value == 0:
             continue
-        samples.append(
-            RatioSample("besov_equivalence", (("field", fname),), sup0, grad_est.value,
-                        sup0 / grad_est.value)
-        )
+        samples.append(RatioSample("besov_equivalence", (("field", fname),), sup0, grad_est.value))
     meta = {"n": setup.n, "probe_T": setup.t_max, "seed": seed}
     return InequalityReport("besov_equivalence", tuple(samples), meta)
 
@@ -547,23 +522,18 @@ def estimate_constants(
         h1 = hs_norm(f, 1.0)
         h1b = h1 + linf
         if l1 > 0:
-            samples.append(RatioSample("c1[free_u_mass]", (("data", name),),
-                                       norms_u1.value("x_norm"), l1, norms_u1.value("x_norm") / l1))
+            samples.append(RatioSample("c1[free_u_mass]", (("data", name),), norms_u1.value("x_norm"), l1))
         else:
             skipped.append(f"{name}: zero L1 norm")
         if linf > 0:
-            samples.append(RatioSample("c1[free_w_grad]", (("data", name),),
-                                       norms_w1.value("y_norm"), linf, norms_w1.value("y_norm") / linf))
+            samples.append(RatioSample("c1[free_w_grad]", (("data", name),), norms_w1.value("y_norm"), linf))
         if h1b > 0:
-            samples.append(RatioSample("c1[free_u_sobolev]", (("data", name),),
-                                       norms_u2.value("x_norm"), h1b, norms_u2.value("x_norm") / h1b))
+            samples.append(RatioSample("c1[free_u_sobolev]", (("data", name),), norms_u2.value("x_norm"), h1b))
         if h1 > 0:
             h1_part = norms_w2.value("w_sup_h1") + norms_w2.value("w_grad_l2t_h1")
-            samples.append(RatioSample("c1[free_w_sobolev]", (("data", name),),
-                                       h1_part, h1, h1_part / h1))
+            samples.append(RatioSample("c1[free_w_sobolev]", (("data", name),), h1_part, h1))
             sig_part = norms_w2.value("w_sigma_grad_linf")
-            samples.append(RatioSample("c1[free_w_sigma]", (("data", name),),
-                                       sig_part, h1, sig_part / h1))
+            samples.append(RatioSample("c1[free_w_sigma]", (("data", name),), sig_part, h1))
 
     for uname, utraj, unorm in free_u:
         # c3: chemical response of the density trajectory
@@ -571,21 +541,19 @@ def estimate_constants(
         y1 = xy_norms_thm1(lu, lu).value("y_norm")
         y2 = xy_norms_thm2(lu, lu).value("y_norm")
         if unorm["x1"] > 0:
-            samples.append(RatioSample("c3[thm1]", (("u", uname),), y1, unorm["x1"], y1 / unorm["x1"]))
+            samples.append(RatioSample("c3[thm1]", (("u", uname),), y1, unorm["x1"]))
         if unorm["x2"] > 0:
-            samples.append(RatioSample("c3[thm2]", (("u", uname),), y2, unorm["x2"], y2 / unorm["x2"]))
+            samples.append(RatioSample("c3[thm2]", (("u", uname),), y2, unorm["x2"]))
         for wname, wtraj, wnorm in free_w:
             b = bilinear_B(utraj, wtraj, DEFAULT_SCHEME)
             bx1 = xy_norms_thm1(b, b).value("x_norm")
             bx2 = xy_norms_thm2(b, b).value("x_norm")
             if unorm["x1"] * wnorm["y1"] > 0:
                 samples.append(RatioSample("c2[thm1]", (("u", uname), ("w", wname)),
-                                           bx1, unorm["x1"] * wnorm["y1"],
-                                           bx1 / (unorm["x1"] * wnorm["y1"])))
+                                           bx1, unorm["x1"] * wnorm["y1"]))
             if unorm["x2"] * wnorm["y2"] > 0:
                 samples.append(RatioSample("c2[thm2]", (("u", uname), ("w", wname)),
-                                           bx2, unorm["x2"] * wnorm["y2"],
-                                           bx2 / (unorm["x2"] * wnorm["y2"])))
+                                           bx2, unorm["x2"] * wnorm["y2"]))
 
     c1 = max(s.ratio for s in samples if s.family.startswith("c1"))
     c2 = max(s.ratio for s in samples if s.family.startswith("c2"))

@@ -11,6 +11,19 @@ Conventions:
   dropped (with a note) otherwise.
 * The spatial ``L^inf`` norm is the grid maximum; gradient suprema use the
   Euclidean magnitude of the two components.
+
+Each quantity has one kernel, batched over the leading axes of ``(..., n, n)``
+arrays; the single-field norms are calls into it:
+
+* ``_batch_lp`` for L^p (with the exponent check of ``_check_p``);
+* ``_batch_grad_linf`` for the gradient supremum, from spectra;
+* ``_parseval_sum`` with the weight rule ``_hs_weight`` for every Sobolev
+  quantity (``_batch_hs``, the H^1 and grad-H^s node sums, the closed-form
+  head of the time integrals);
+* ``semigroup._free_flow`` for the heat flow inside the Besov suprema.
+
+The reports take the spectrum once per trajectory per report and reuse it
+for every term.
 """
 
 from __future__ import annotations
@@ -21,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, fft2, ifft2
+from .fields import Grid2D, ScalarField, _grad_values, fft2, ifft2
+from .semigroup import _free_flow
 from .trajectories import TimeGrid, Trajectory
 
 BESOV_MIN_DECADES = 6.0
@@ -43,50 +57,76 @@ def _check_p(p: float) -> float:
     return p
 
 
-def lp_norm(f: ScalarField, p: float) -> float:
-    """Discrete L^p norm: (sum |f|^p h^2)^(1/p); grid max for p = inf."""
+def _batch_lp(values: np.ndarray, p: float, cell: float) -> np.ndarray:
+    """Discrete L^p norms over the last two axes: (sum |f|^p h^2)^(1/p); grid max for p = inf."""
     p = _check_p(p)
     if np.isinf(p):
-        return float(np.max(np.abs(f.values)))
-    return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_area) ** (1.0 / p))
+        return np.max(np.abs(values), axis=(-2, -1))
+    return (np.sum(np.abs(values) ** p, axis=(-2, -1)) * cell) ** (1.0 / p)
+
+
+def lp_norm(f: ScalarField, p: float) -> float:
+    """Discrete L^p norm: (sum |f|^p h^2)^(1/p); grid max for p = inf."""
+    return float(_batch_lp(f.values, p, f.grid.cell_area))
 
 
 def _parseval_factor(grid: Grid2D) -> float:
     return grid.l**2 / grid.n**4
 
 
+def _hs_weight(grid: Grid2D, s: float, homogeneous: bool = False) -> np.ndarray:
+    """Sobolev weight (1+|xi|^2)^s, or |xi|^{2s} whose zero mode drops for s != 0."""
+    if not homogeneous:
+        return (1.0 + grid.k2) ** s
+    if s == 0:
+        return np.ones_like(grid.k2)
+    return np.where(grid.k2 > 0, grid.k2, 1.0) ** s * (grid.k2 > 0)
+
+
+def _parseval_sum(grid: Grid2D, power: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Weighted squared norms (l^2/n^4) sum(weight * |c|^2) over the last two axes.
+
+    ``power`` is the power spectrum |c|^2, so one transform serves every weight.
+    """
+    return _parseval_factor(grid) * np.sum(weight * power, axis=(-2, -1))
+
+
+def _batch_hs(grid: Grid2D, coeffs: np.ndarray, s: float, homogeneous: bool = False) -> np.ndarray:
+    """Sobolev norms of spectra batched over the leading axes."""
+    return np.sqrt(_parseval_sum(grid, np.abs(coeffs) ** 2, _hs_weight(grid, s, homogeneous)))
+
+
 def hs_norm(f: ScalarField, s: float) -> float:
     """Sobolev norm via the spectral weight (1+|xi|^2)^{s/2}; equals L^2 at s=0."""
-    c = fft2(f.values)
-    w = (1.0 + f.grid.k2) ** s
-    return float(np.sqrt(_parseval_factor(f.grid) * np.sum(w * np.abs(c) ** 2)))
+    return float(_batch_hs(f.grid, fft2(f.values), s))
 
 
 def hs_dot_norm(f: ScalarField, s: float) -> float:
-    """Homogeneous counterpart with weight |xi|^{2s} (the zero mode drops for s > 0)."""
-    c = np.abs(fft2(f.values)) ** 2
-    if s == 0:
-        w = np.ones_like(f.grid.k2)
-    else:
-        w = np.zeros_like(f.grid.k2)
-        nz = f.grid.k2 > 0
-        w[nz] = f.grid.k2[nz] ** s
-        if s < 0:
-            w[~nz] = 0.0  # convention: the zero mode does not contribute
-    return float(np.sqrt(_parseval_factor(f.grid) * np.sum(w * c)))
+    """Homogeneous counterpart with weight |xi|^{2s} (the zero mode drops for s != 0)."""
+    return float(_batch_hs(f.grid, fft2(f.values), s, homogeneous=True))
+
+
+def _batch_grad_linf(grid: Grid2D, coeffs: np.ndarray) -> np.ndarray:
+    """Grid maxima of the Euclidean gradient magnitude of spectra over (..., n, n)."""
+    g1, g2 = _grad_values(grid, coeffs)
+    return np.max(np.sqrt(g1**2 + g2**2), axis=(-2, -1))
 
 
 def grad_linf(f: ScalarField) -> float:
     """Grid maximum of the Euclidean gradient magnitude."""
-    c = fft2(f.values)
-    g1 = ifft2(1j * f.grid.kx * c).real
-    g2 = ifft2(1j * f.grid.ky * c).real
-    return float(np.max(np.sqrt(g1**2 + g2**2)))
+    return float(_batch_grad_linf(f.grid, fft2(f.values)))
 
 
-def trapezoid(times: np.ndarray, values: np.ndarray) -> float:
-    gaps = np.diff(times)
-    return float(np.sum(0.5 * gaps * (values[1:] + values[:-1])))
+def trapezoid(times: np.ndarray, values: np.ndarray):
+    """Trapezoid rule along axis 0 on the node times; (K,) values give a scalar."""
+    gaps = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.sum(0.5 * gaps * (values[1:] + values[:-1]), axis=0)
+
+
+def _spectrum(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Node spectra (K, n, n) and their power |c|^2, computed once per report."""
+    coeffs = fft2(traj.stacked)
+    return coeffs, np.abs(coeffs) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -103,26 +143,20 @@ class BesovEstimate:
 
 def _weighted_heat_sup(f: ScalarField, probe: TimeGrid, weight_exp: float, p: float, grad: bool) -> BesovEstimate:
     """max over probe times of t^{weight_exp} * ||e^{t Lap} f||-type quantities."""
+    if probe.t_max / probe.t_min < 10.0**BESOV_MIN_DECADES * (1.0 - 1e-12):
+        raise ValueError("the probe grid must span at least six decades of time")
     grid = f.grid
     coeffs = fft2(f.values)
     times = probe.times
     norms = np.empty(times.size)
     chunk = max(1, (1 << 22) // (grid.n * grid.n))
     for start in range(0, times.size, chunk):
-        tt = times[start : start + chunk, None, None]
-        hot = np.exp(-tt * grid.k2) * coeffs
+        hot = _free_flow(coeffs, times[start : start + chunk], grid.k2)
+        stop = start + hot.shape[0]
         if grad:
-            g1 = ifft2(1j * grid.kx * hot).real
-            g2 = ifft2(1j * grid.ky * hot).real
-            norms[start : start + tt.shape[0]] = np.max(np.sqrt(g1**2 + g2**2), axis=(1, 2))
+            norms[start:stop] = _batch_grad_linf(grid, hot)
         else:
-            flowed = ifft2(hot).real
-            if np.isinf(p):
-                norms[start : start + tt.shape[0]] = np.max(np.abs(flowed), axis=(1, 2))
-            else:
-                norms[start : start + tt.shape[0]] = (
-                    np.sum(np.abs(flowed) ** p, axis=(1, 2)) * grid.cell_area
-                ) ** (1.0 / p)
+            norms[start:stop] = _batch_lp(ifft2(hot).real, p, grid.cell_area)
     weighted = times**weight_exp * norms
     j = int(np.argmax(weighted))
     at_boundary = j in (0, times.size - 1)
@@ -145,15 +179,11 @@ def besov_norm(f: ScalarField, s: float, p: float, probe: TimeGrid) -> BesovEsti
     if not s < 0:
         raise ValueError(f"the heat-flow characterisation needs s < 0, got {s}")
     _check_p(p)
-    if probe.t_max / probe.t_min < 10.0**BESOV_MIN_DECADES * (1.0 - 1e-12):
-        raise ValueError("the probe grid must span at least six decades of time")
     return _weighted_heat_sup(f, probe, -s / 2.0, p, grad=False)
 
 
 def grad_besov_sup(f: ScalarField, probe: TimeGrid) -> BesovEstimate:
     """sup_t t^{1/2} ||grad e^{t Lap} f||_{L^inf}: the gradient's order -1 norm."""
-    if probe.t_max / probe.t_min < 10.0**BESOV_MIN_DECADES * (1.0 - 1e-12):
-        raise ValueError("the probe grid must span at least six decades of time")
     return _weighted_heat_sup(f, probe, 0.5, np.inf, grad=True)
 
 
@@ -205,20 +235,6 @@ class NormReport:
             fh.write("\n")
 
 
-def _batch_lp(stacked: np.ndarray, p: float, cell: float) -> np.ndarray:
-    if np.isinf(p):
-        return np.max(np.abs(stacked), axis=(1, 2))
-    return (np.sum(np.abs(stacked) ** p, axis=(1, 2)) * cell) ** (1.0 / p)
-
-
-def _batch_grad_linf(traj: Trajectory) -> np.ndarray:
-    grid = traj.grid
-    c = fft2(traj.stacked)
-    g1 = ifft2(1j * grid.kx * c).real
-    g2 = ifft2(1j * grid.ky * c).real
-    return np.max(np.sqrt(g1**2 + g2**2), axis=(1, 2))
-
-
 def _sup_entry(times: np.ndarray, values: np.ndarray, equation: str, note: str | None = None) -> NormEntry:
     j = int(np.argmax(values))
     return NormEntry(float(values[j]), equation, argmax_time=float(times[j]), note=note)
@@ -236,7 +252,7 @@ def xy_norms_thm1(u: Trajectory, w: Trajectory) -> NormReport:
     su = u.stacked
     l1 = _batch_lp(su, 1.0, cell)
     linf = _batch_lp(su, np.inf, cell)
-    gw = _batch_grad_linf(w)
+    gw = _batch_grad_linf(w.grid, fft2(w.stacked))
 
     e_l1 = _sup_entry(times, l1, "sup_j ||u(t_j)||_L1")
     e_tlinf = _sup_entry(times, times * linf, "sup_j t_j ||u(t_j)||_Linf")
@@ -252,42 +268,26 @@ def xy_norms_thm1(u: Trajectory, w: Trajectory) -> NormReport:
     return NormReport(entries)
 
 
-def _h1_weights(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-    one_plus = 1.0 + grid.k2
-    return one_plus, grid.k2 * one_plus  # H^1 weight, grad-H^1 weight
-
-
-def _free_head_integral(f0: ScalarField, t1: float, damped: bool) -> float:
-    """Closed-form int_0^{t1} ||grad e^{tA} f0||_{H^1}^2 dt for the free flow."""
+def _free_head_integral(f0: ScalarField, t1: float, damped: bool, weight: np.ndarray) -> float:
+    """Closed-form int_0^{t1} ||e^{tA} f0||_weight^2 dt for the free flow."""
     grid = f0.grid
-    c2 = np.abs(fft2(f0.values)) ** 2
     lam = grid.k2 + (1.0 if damped else 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         time_factor = np.where(lam > 0, -np.expm1(-2.0 * t1 * lam) / (2.0 * lam), t1)
-    _, wgrad = _h1_weights(grid)
-    return float(_parseval_factor(grid) * np.sum(wgrad * c2 * time_factor))
+    # the time integral weights each mode of the weighted power by time_factor
+    return float(_parseval_sum(grid, weight * np.abs(fft2(f0.values)) ** 2, time_factor))
 
 
-def _grad_h1_sq_nodes(traj: Trajectory) -> np.ndarray:
-    grid = traj.grid
-    c2 = np.abs(fft2(traj.stacked)) ** 2
-    _, wgrad = _h1_weights(grid)
-    return _parseval_factor(grid) * np.sum(wgrad * c2, axis=(1, 2))
+def _l2t_grad(traj: Trajectory, power: np.ndarray, damped: bool, s: float = 1.0) -> tuple[float, str]:
+    """Trapezoid ||grad .||_{L^2_t H^s} over the nodes plus the [0, t_min] head.
 
-
-def _h1_nodes(traj: Trajectory) -> np.ndarray:
-    grid = traj.grid
-    c2 = np.abs(fft2(traj.stacked)) ** 2
-    wh1, _ = _h1_weights(grid)
-    return np.sqrt(_parseval_factor(grid) * np.sum(wh1 * c2, axis=(1, 2)))
-
-
-def _l2t_grad_h1(traj: Trajectory, damped: bool) -> tuple[float, str]:
-    """Trapezoid ||grad .||_{L^2_t H^1} over the nodes plus the [0, t_min] head."""
-    sq = _grad_h1_sq_nodes(traj)
-    body = trapezoid(traj.tgrid.times, sq)
+    ``power`` is the trajectory's power spectrum; ``damped`` selects the free
+    flow that closes the head from the initial datum.
+    """
+    weight = traj.grid.k2 * _hs_weight(traj.grid, s)
+    body = trapezoid(traj.tgrid.times, _parseval_sum(traj.grid, power, weight))
     if traj.initial is not None:
-        head = _free_head_integral(traj.initial, traj.tgrid.t_min, damped)
+        head = _free_head_integral(traj.initial, traj.tgrid.t_min, damped, weight)
         note = "head [0, t_min] added in closed form from the initial datum's free flow"
     else:
         head = 0.0
@@ -304,18 +304,22 @@ def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:
     if u.tgrid != w.tgrid:
         raise ValueError("trajectories must share the time grid")
     times = u.tgrid.times
-    cell = u.grid.cell_area
+    grid = u.grid
+    h1 = _hs_weight(grid, 1.0)
 
-    e_uh1 = _sup_entry(times, _h1_nodes(u), "sup_j ||u(t_j)||_H1")
-    u_grad, u_note = _l2t_grad_h1(u, damped=False)
+    u_power = _spectrum(u)[1]
+    e_uh1 = _sup_entry(times, np.sqrt(_parseval_sum(grid, u_power, h1)), "sup_j ||u(t_j)||_H1")
+    u_grad, u_note = _l2t_grad(u, u_power, damped=False)
     e_ugrad = NormEntry(u_grad, "||grad u||_{L2_t H1}", note=u_note)
-    e_ulinf = _sup_entry(times, _batch_lp(u.stacked, np.inf, cell), "sup_j ||u(t_j)||_Linf")
+    e_ulinf = _sup_entry(times, _batch_lp(u.stacked, np.inf, grid.cell_area), "sup_j ||u(t_j)||_Linf")
     x_norm = e_uh1.value + e_ugrad.value + e_ulinf.value
 
-    e_wh1 = _sup_entry(times, _h1_nodes(w), "sup_j ||w(t_j)||_H1")
-    w_grad, w_note = _l2t_grad_h1(w, damped=True)
+    w_coeffs, w_power = _spectrum(w)
+    e_wh1 = _sup_entry(times, np.sqrt(_parseval_sum(grid, w_power, h1)), "sup_j ||w(t_j)||_H1")
+    w_grad, w_note = _l2t_grad(w, w_power, damped=True)
     e_wgrad = NormEntry(w_grad, "||grad w||_{L2_t H1}", note=w_note)
-    e_wsig = _sup_entry(times, sigma(times) * _batch_grad_linf(w), "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
+    e_wsig = _sup_entry(times, sigma(times) * _batch_grad_linf(grid, w_coeffs),
+                        "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
     y_norm = e_wh1.value + e_wgrad.value + e_wsig.value
 
     entries = {

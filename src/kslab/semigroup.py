@@ -2,6 +2,9 @@
 
 The flows act diagonally in Fourier space (exact semigroups of the grid
 Laplacian), so the semigroup law and mass conservation hold to rounding.
+``_free_flow`` is the one batched form ``e^{-t lam} c`` over node times; the
+trajectories, the solver's closed-form chemical response and the norms'
+heat-flow suprema all call it.
 The sampled real-space kernel appears only in the norm tables, as an
 analytic cross-check against the bounds ``t^{-1+1/p}`` and ``t^{-3/2+1/p}``.
 """
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DampedHeat, Grid2D, Heat, ScalarField, fft2, gradient, ifft2, multiplier_apply
+from .fields import Grid2D, Heat, ScalarField, fft2, gradient, ifft2, multiplier_apply
 from .trajectories import TimeGrid, Trajectory
 
 
@@ -42,11 +45,21 @@ def grad_heat(t: float, f: ScalarField) -> tuple[ScalarField, ScalarField]:
     return gradient(heat(t, f))
 
 
+def _free_flow(coeffs: np.ndarray, times: np.ndarray, lam: np.ndarray, scale=None) -> np.ndarray:
+    """Spectra e^{-t lam} c at each of the given times, shaped (K, n, n).
+
+    ``scale`` optionally multiplies each time's symbol by a scalar s(t)
+    before it meets the coefficients.
+    """
+    decay = np.exp(-np.asarray(times)[:, None, None] * lam)
+    if scale is not None:
+        decay = decay * np.asarray(scale)[:, None, None]
+    return decay * coeffs
+
+
 def _free_trajectory(f: ScalarField, tgrid: TimeGrid, damped: bool) -> Trajectory:
-    coeffs = fft2(f.values)
     lam = f.grid.k2 + (1.0 if damped else 0.0)
-    decay = np.exp(-tgrid.times[:, None, None] * lam)
-    values = ifft2(decay * coeffs).real
+    values = ifft2(_free_flow(fft2(f.values), tgrid.times, lam)).real
     return Trajectory.from_values(f.grid, tgrid, values, initial=f)
 
 
@@ -108,12 +121,6 @@ def _check_resolution(t: float, grid: Grid2D) -> None:
         )
 
 
-def _sampled_lp(values: np.ndarray, p: float, cell: float) -> float:
-    if np.isinf(p):
-        return float(np.max(np.abs(values)))
-    return float((np.sum(np.abs(values) ** p) * cell) ** (1.0 / p))
-
-
 def _kernel(grid: Grid2D, t: float) -> np.ndarray:
     x1, x2 = grid.coords()
     r2 = x1**2 + x2**2
@@ -132,38 +139,32 @@ def grad_kernel_l1_exact(t: float) -> float:
     return np.sqrt(np.pi) / (2.0 * np.sqrt(t))
 
 
+def _kernel_table(p_list, t_list, grid: Grid2D, grad: bool) -> KernelNormTable:
+    from .norms import _batch_lp
+
+    entries = []
+    for t in t_list:
+        _check_resolution(t, grid)
+        kern = _kernel(grid, t)
+        if grad:
+            x1, x2 = grid.coords()
+            kern = kern * np.sqrt(x1**2 + x2**2) / (2.0 * t)
+        for p in p_list:
+            value = float(_batch_lp(kern, p, grid.cell_area))
+            bound = t ** ((-1.5 if grad else -1.0) + (0.0 if np.isinf(p) else 1.0 / p))
+            entries.append(KernelNormEntry(float(p), float(t), value, bound))
+    return KernelNormTable(tuple(entries))
+
+
 def heat_kernel_norms(p_list, t_list, grid: Grid2D) -> KernelNormTable:
     """Discrete L^p norms of the sampled kernel against the bound t^{-1+1/p}.
 
     Each requested time must satisfy 4h <= sqrt(4t) <= l/8 so the kernel is
     both resolved and essentially untruncated on the torus.
     """
-    entries = []
-    for t in t_list:
-        _check_resolution(t, grid)
-        kern = _kernel(grid, t)
-        for p in p_list:
-            if not (1.0 <= p or np.isinf(p)):
-                raise ValueError(f"Lebesgue exponent must be in [1, inf], got {p}")
-            value = _sampled_lp(kern, p, grid.cell_area)
-            bound = t ** (-1.0 + (0.0 if np.isinf(p) else 1.0 / p))
-            entries.append(KernelNormEntry(float(p), float(t), value, bound))
-    return KernelNormTable(tuple(entries))
+    return _kernel_table(p_list, t_list, grid, grad=False)
 
 
 def grad_heat_kernel_norms(p_list, t_list, grid: Grid2D) -> KernelNormTable:
     """Discrete L^p norms of |grad kernel| against the bound t^{-3/2+1/p}."""
-    entries = []
-    for t in t_list:
-        _check_resolution(t, grid)
-        x1, x2 = grid.coords()
-        r = np.sqrt(x1**2 + x2**2)
-        kern = _kernel(grid, t)
-        grad_mag = kern * r / (2.0 * t)
-        for p in p_list:
-            if not (1.0 <= p or np.isinf(p)):
-                raise ValueError(f"Lebesgue exponent must be in [1, inf], got {p}")
-            value = _sampled_lp(grad_mag, p, grid.cell_area)
-            bound = t ** (-1.5 + (0.0 if np.isinf(p) else 1.0 / p))
-            entries.append(KernelNormEntry(float(p), float(t), value, bound))
-    return KernelNormTable(tuple(entries))
+    return _kernel_table(p_list, t_list, grid, grad=True)

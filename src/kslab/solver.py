@@ -23,7 +23,7 @@ solution for cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,12 +32,13 @@ from .duhamel import (
     DEFAULT_SCHEME,
     QuadratureScheme,
     TrajectoryOverflowError,
+    _first_nonfinite_node,
     bilinear_B,
     linear_L,
 )
-from .fields import Grid2D, ScalarField, irfft2, rfft2
+from .fields import Grid2D, ScalarField, _grad_values, fft2, ifft2, irfft2, rfft2
 from .norms import NormReport, default_besov_probe, grad_besov_sup, lp_norm, hs_norm
-from .semigroup import damped_heat_trajectory, heat_trajectory
+from .semigroup import _free_flow, damped_heat_trajectory, heat_trajectory
 from .trajectories import TimeGrid, Trajectory
 
 
@@ -76,6 +77,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("thm1_L1Linf", "thm2_H1bH1"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
+        if self.spacing not in ("geometric", "uniform"):
+            raise ValueError(f"unknown time spacing {self.spacing!r}")
         if self.c is not None and not self.c > 0:
             raise ValueError("the estimate constant c must be positive")
         if not self.tol > 0:
@@ -112,16 +115,10 @@ def _free_chemical_response(u0: ScalarField, tgrid: TimeGrid, damped: bool) -> T
     (and t e^{-t lam} without damping), so this part of the fixed-point map
     needs no quadrature at all.
     """
-    from .fields import fft2, ifft2
-
     grid = u0.grid
-    coeffs = fft2(u0.values)
-    t = tgrid.times[:, None, None]
-    if damped:
-        factor = np.exp(-t * grid.k2) * (-np.expm1(-t))
-    else:
-        factor = t * np.exp(-t * grid.k2)
-    values = ifft2(factor * coeffs).real
+    t = tgrid.times
+    scale = -np.expm1(-t) if damped else t
+    values = ifft2(_free_flow(fft2(u0.values), t, grid.k2, scale)).real
     return Trajectory.from_values(grid, tgrid, values, initial=ScalarField.zero(grid))
 
 
@@ -154,22 +151,8 @@ class SolutionReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        cfg = self.config
         return {
-            "config": {
-                "n": cfg.n,
-                "l": cfg.l,
-                "t_min": cfg.t_min,
-                "t_max": cfg.t_max,
-                "num_times": cfg.num_times,
-                "spacing": cfg.spacing,
-                "c": self.c,
-                "max_iter": cfg.max_iter,
-                "tol": cfg.tol,
-                "mode": cfg.mode,
-                "quadrature": {"kind": cfg.quadrature.kind, "substeps": cfg.quadrature.substeps},
-                "remark_ii": cfg.remark_ii,
-            },
+            "config": {**asdict(self.config), "c": self.c},
             "converged": self.converged,
             "iterations": self.iterations,
             "residuals": self.residuals,
@@ -188,9 +171,8 @@ class SolutionReport:
 
 
 def _raise_on_nonfinite(values: np.ndarray, iteration: int, which: str, tgrid: TimeGrid) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        j = int(np.argwhere(bad.any(axis=(1, 2)))[0][0])
+    j = _first_nonfinite_node(values)
+    if j is not None:
         raise PicardBlowupError(iteration, j, which, float(tgrid.times[j]))
 
 
@@ -309,13 +291,6 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
 # ---------------------------------------------------------------------------
 
 
-def _phi1_arr(z: np.ndarray) -> np.ndarray:
-    out = np.ones_like(z)
-    nz = z > 0
-    out[nz] = -np.expm1(-z[nz]) / z[nz]
-    return out
-
-
 def reference_solve(
     u0: ScalarField,
     v0: ScalarField,
@@ -342,7 +317,7 @@ def reference_solve(
     d1_sym = mask * np.broadcast_to(1j * kx, lam_u.shape)
     d2_sym = mask * np.broadcast_to(1j * kyh, lam_u.shape)
 
-    from .duhamel import _w_left, _w_right  # shared entire-function weights
+    from .duhamel import _phi1, _w_left, _w_right  # shared entire-function weights
 
     def nonlinear_term(uh: np.ndarray, vh: np.ndarray) -> np.ndarray:
         u_r = irfft2(mask * uh, n)
@@ -365,13 +340,13 @@ def reference_solve(
         zu = h * lam_u
         zv = h * lam_v
         eu, ev = np.exp(-zu), np.exp(-zv)
-        phi1u = _phi1_arr(zu)
+        phi1u = _phi1(zu)
         wau = h * _w_left(zu)
         # two-step form: h [ (phi1 + J) N_n - J N_{n-1} ], J = phi1 - w_left
         j_u = h * phi1u - wau
         ab_new = h * phi1u + j_u
         ab_old = -j_u
-        p1u, p1v = h * phi1u, h * _phi1_arr(zv)
+        p1u, p1v = h * phi1u, h * _phi1(zv)
         wru = h * _w_right(zu)
         wlv, wrv = h * _w_left(zv), h * _w_right(zv)
         nu_prev = None
@@ -445,15 +420,7 @@ class Theorem1Verdict:
     sufficient_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "ratio": self.ratio,
-            "sufficient_lhs": self.sufficient_lhs,
-            "threshold": self.threshold,
-            "sufficient_ok": self.sufficient_ok,
-        }
+        return asdict(self)
 
 
 def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
@@ -465,21 +432,18 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
     2 ||u0||_L1 + (1/4c) sup_t t^{1/2} ||grad e^{t Lap} v0||_Linf <= 3/(32 c^2).
     """
     c = report.c
-    times = report.u.tgrid.times
-    cell = report.u.grid.cell_area
+    tgrid = report.u.tgrid
+    times = tgrid.times
 
-    su = report.u.stacked
-    l1 = _norms._batch_lp(su, 1.0, cell)
-    linf = _norms._batch_lp(su, np.inf, cell)
-    gv = _norms._batch_grad_linf(report.v)
-    lhs = float(np.max(l1 + times * linf + np.sqrt(times) * gv / (4.0 * c)))
+    def sup_sum(u: Trajectory, v: Trajectory) -> float:
+        l1 = _norms._batch_lp(u.stacked, 1.0, u.grid.cell_area)
+        linf = _norms._batch_lp(u.stacked, np.inf, u.grid.cell_area)
+        gv = _norms._batch_grad_linf(v.grid, fft2(v.stacked))
+        return float(np.max(l1 + times * linf + np.sqrt(times) * gv / (4.0 * c)))
 
-    free_u = heat_trajectory(report.u0, report.u.tgrid)
-    free_v = heat_trajectory(report.v0, report.u.tgrid)  # plain heat flow on both sides
-    fl1 = _norms._batch_lp(free_u.stacked, 1.0, cell)
-    flinf = _norms._batch_lp(free_u.stacked, np.inf, cell)
-    fgv = _norms._batch_grad_linf(free_v)
-    rhs = 2.0 * float(np.max(fl1 + times * flinf + np.sqrt(times) * fgv / (4.0 * c)))
+    lhs = sup_sum(report.u, report.v)
+    # plain heat flow on both sides
+    rhs = 2.0 * sup_sum(heat_trajectory(report.u0, tgrid), heat_trajectory(report.v0, tgrid))
 
     if float(np.max(np.abs(report.v0.values))) > 0:
         grad_b = grad_besov_sup(report.v0, default_besov_probe()).value
@@ -510,14 +474,7 @@ class Theorem2Verdict:
     terms: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "norm_sum": self.norm_sum,
-            "eps0": self.eps0,
-            "data_norm": self.data_norm,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "holds": self.holds,
-            "terms": self.terms,
-        }
+        return asdict(self)
 
 
 def check_theorem2_bound(report: SolutionReport, eps0: float | None = None) -> Theorem2Verdict:
@@ -543,37 +500,25 @@ def check_theorem2_bound(report: SolutionReport, eps0: float | None = None) -> T
         eps0 = data_norm
     hypothesis = data_norm <= eps0 * (1.0 + 1e-12)
 
-    from .fields import fft2 as _fft2, ifft2 as _ifft2
-
-    uc = _fft2(u.stacked)
-    wc = _fft2(w.stacked)
+    uc, u_power = _norms._spectrum(u)
+    wc, w_power = _norms._spectrum(w)
     # sup_t ||u +- w||_H1 over both signs
-    h1w = 1.0 + grid.k2
-    pf = _norms._parseval_factor(grid)
-    h1_plus = np.sqrt(pf * np.sum(h1w * np.abs(uc + wc) ** 2, axis=(1, 2)))
-    h1_minus = np.sqrt(pf * np.sum(h1w * np.abs(uc - wc) ** 2, axis=(1, 2)))
+    h1 = _norms._hs_weight(grid, 1.0)
+    h1_plus = np.sqrt(_norms._parseval_sum(grid, np.abs(uc + wc) ** 2, h1))
+    h1_minus = np.sqrt(_norms._parseval_sum(grid, np.abs(uc - wc) ** 2, h1))
     term_h1 = float(max(np.max(h1_plus), np.max(h1_minus)))
 
     # sup_t ||u +- sigma(t) d_i w||_Linf over signs and components
     sig = _norms.sigma(times)[:, None, None]
-    d1 = _ifft2(1j * grid.kx * wc).real
-    d2 = _ifft2(1j * grid.ky * wc).real
     su = u.stacked
     term_mix = 0.0
-    for comp in (d1, d2):
+    for comp in _grad_values(grid, wc):
         for sign in (1.0, -1.0):
             term_mix = max(term_mix, float(np.max(np.abs(su + sign * sig * comp))))
 
-    # ||grad u||_{L2_t L2}: trapezoid plus the free-flow head from u0
-    grad_sq = pf * np.sum(grid.k2 * np.abs(uc) ** 2, axis=(1, 2))
-    body = _norms.trapezoid(times, grad_sq)
-    c2u = np.abs(_fft2(report.u0.values)) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tf = np.where(grid.k2 > 0, -np.expm1(-2.0 * times[0] * grid.k2) / (2.0 * grid.k2), times[0])
-    head = pf * np.sum(grid.k2 * c2u * tf)
-    term_grad_u = float(np.sqrt(body + head))
-
-    term_grad_w, _ = _norms._l2t_grad_h1(w, damped=not report.config.remark_ii)
+    # ||grad u||_{L2_t L2} (head from u0's free flow) and ||grad w||_{L2_t H1}
+    term_grad_u, _ = _norms._l2t_grad(u, u_power, damped=False, s=0.0)
+    term_grad_w, _ = _norms._l2t_grad(w, w_power, damped=not report.config.remark_ii)
 
     norm_sum = term_h1 + term_mix + term_grad_u + term_grad_w
     terms = {

@@ -33,16 +33,11 @@ class TimeGrid:
             raise ValueError("the first node must be strictly positive")
         if not np.all(np.diff(t) > 0):
             raise ValueError("node times must be strictly increasing")
-        if self.spacing == "geometric":
-            ratios = t[1:] / t[:-1]
-            if np.max(np.abs(ratios - ratios[0])) > _GEOMETRIC_TOL * ratios[0]:
-                raise ValueError("geometric spacing requires a constant ratio")
-        elif self.spacing == "uniform":
-            gaps = np.diff(t)
-            if np.max(np.abs(gaps - gaps[0])) > _GEOMETRIC_TOL * gaps[0]:
-                raise ValueError("uniform spacing requires constant gaps")
-        else:
+        if self.spacing not in ("geometric", "uniform"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
+        steps, law = (t[1:] / t[:-1], "ratio") if self.spacing == "geometric" else (np.diff(t), "gap")
+        if np.max(np.abs(steps - steps[0])) > _GEOMETRIC_TOL * steps[0]:
+            raise ValueError(f"{self.spacing} spacing requires a constant node {law}")
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
 
@@ -50,16 +45,12 @@ class TimeGrid:
     def geometric(cls, t_min: float, t_max: float, count: int) -> "TimeGrid":
         if not 0 < t_min < t_max:
             raise ValueError("need 0 < t_min < t_max")
-        if count < 2:
-            raise ValueError("need at least two nodes")
         return cls(np.geomspace(t_min, t_max, count), "geometric")
 
     @classmethod
     def uniform(cls, t_min: float, t_max: float, count: int) -> "TimeGrid":
         if not 0 < t_min < t_max:
             raise ValueError("need 0 < t_min < t_max")
-        if count < 2:
-            raise ValueError("need at least two nodes")
         return cls(np.linspace(t_min, t_max, count), "uniform")
 
     @property

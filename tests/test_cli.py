@@ -61,6 +61,10 @@ class TestConfigParsing:
             parse_config_text("picard.c = -3\n")
         with pytest.raises(ConfigError):
             parse_config_text("data.kind = plume\n")
+        for bad in ("time.spacing = bogus", "picard.quadrature = bogus", "picard.substeps = 0",
+                    "picard.tol = 0", "picard.max_iter = 0"):
+            with pytest.raises(ConfigError):
+                parse_config_text(bad + "\n")
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# a comment\n\ngrid.n = 128\n")

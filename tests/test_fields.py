@@ -331,6 +331,7 @@ class TestSnapshotIO:
 
     def test_truncated_payload_rejected(self, tmp_path):
         import io
+        import struct
 
         g = make_grid(16, 8.0)
         f = random_field(g, 20)
@@ -339,3 +340,8 @@ class TestSnapshotIO:
         raw = buf.getvalue()[:-8]
         with pytest.raises(ValueError, match="truncated"):
             read_snapshot(io.BytesIO(raw))
+        # headers claiming huge grids are rejected before any payload read
+        for n in (2**31, 2**20):
+            header = struct.pack("<4sIdd", b"KSF1", n, 8.0, 1.0)
+            with pytest.raises(ValueError, match="truncated"):
+                read_snapshot(io.BytesIO(header))

@@ -1,0 +1,192 @@
+"""Property tests for the single kernels: batched norms, ETD operators, KSF1 and config I/O."""
+
+import io
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+from kslab import (
+    ScalarField,
+    TimeGrid,
+    Trajectory,
+    bilinear_B,
+    etd_convolve,
+    hs_dot_norm,
+    hs_norm,
+    linear_L,
+    lp_norm,
+    make_grid,
+    maximal_reg_T,
+)
+from kslab.cli import ExperimentConfig, parse_config_text, serialize_config
+from kslab.duhamel import _first_nonfinite_node
+from kslab.fields import fft2, read_snapshot, write_snapshot
+from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, grad_linf
+from kslab.semigroup import _free_flow
+
+seeds = st.integers(0, 2**32 - 1)
+lengths = st.sampled_from([4.0, 8.0, 32.0])
+exponents = st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, np.inf])
+sobolev_orders = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+nodes = st.integers(2, 5)
+# numpy may sum a batch over (K, n, n) in another order than a single (n, n) field
+SUM_ORDER = 1e-14
+
+
+def _stack(seed: int, k: int, n: int = 16) -> np.ndarray:
+    """Smooth-ish random node values: white noise plus a low mode, shape (k, n, n)."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n) * 2.0 * np.pi / n
+    low = np.cos(x)[:, None] * np.sin(2.0 * x)[None, :]
+    return rng.standard_normal((k, n, n)) + rng.uniform(-3.0, 3.0, (k, 1, 1)) * low
+
+
+def _trajectory(grid, seed: int, k: int, with_initial: bool) -> Trajectory:
+    tgrid = TimeGrid.geometric(1e-2, 1.0, k)
+    vals = _stack(seed, k + 1, grid.n)
+    initial = ScalarField(grid, vals[0]) if with_initial else None
+    return Trajectory.from_values(grid, tgrid, vals[1:], initial=initial)
+
+
+class TestBatchedKernelsMatchSingleFieldForms:
+    @given(seed=seeds, k=nodes, p=exponents, l=lengths)
+    def test_lp(self, seed, k, p, l):
+        grid = make_grid(16, l)
+        stack = _stack(seed, k)
+        batch = _batch_lp(stack, p, grid.cell_area)
+        assert batch.shape == (k,)
+        for j in range(k):
+            assert batch[j] == pytest.approx(lp_norm(ScalarField(grid, stack[j]), p), rel=SUM_ORDER)
+
+    @given(p=st.sampled_from([0.0, 0.5, 0.999, -1.0]))
+    def test_lp_rejects_exponents_below_one(self, p):
+        with pytest.raises(ValueError, match="Lebesgue exponent"):
+            _batch_lp(np.ones((2, 16, 16)), p, 1.0)
+
+    @given(seed=seeds, k=nodes, l=lengths)
+    def test_grad_sup(self, seed, k, l):
+        grid = make_grid(16, l)
+        stack = _stack(seed, k)
+        batch = _batch_grad_linf(grid, fft2(stack))
+        for j in range(k):
+            assert batch[j] == grad_linf(ScalarField(grid, stack[j]))
+
+    @given(seed=seeds, k=nodes, s=sobolev_orders, l=lengths)
+    def test_sobolev(self, seed, k, s, l):
+        grid = make_grid(16, l)
+        stack = _stack(seed, k)
+        coeffs = fft2(stack)
+        inhom = _batch_hs(grid, coeffs, s)
+        hom = _batch_hs(grid, coeffs, s, homogeneous=True)
+        for j in range(k):
+            f = ScalarField(grid, stack[j])
+            assert inhom[j] == pytest.approx(hs_norm(f, s), rel=SUM_ORDER)
+            assert hom[j] == pytest.approx(hs_dot_norm(f, s), rel=SUM_ORDER)
+
+    @given(seed=seeds, l=lengths)
+    def test_h0_is_l2(self, seed, l):
+        f = ScalarField(make_grid(16, l), _stack(seed, 1)[0])
+        assert hs_norm(f, 0.0) == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
+        assert hs_dot_norm(f, 0.0) == pytest.approx(lp_norm(f, 2.0), rel=1e-12)
+
+
+class TestEtdOperators:
+    @given(seed=seeds, a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0),
+           damping=st.sampled_from([0.0, 1.0, 2.5]), with_initial=st.booleans(),
+           with_prefactor=st.booleans())
+    def test_etd_convolve_is_linear(self, seed, a, b, damping, with_initial, with_prefactor):
+        grid = make_grid(16, 8.0)
+        g1 = _trajectory(grid, seed, 4, with_initial)
+        g2 = _trajectory(grid, seed + 1, 4, with_initial)
+        lam = grid.k2 + damping
+        pre = np.sqrt(grid.k2) if with_prefactor else None
+        lhs = etd_convolve(a * g1 + b * g2, lam, pre).stacked
+        rhs = a * etd_convolve(g1, lam, pre).stacked + b * etd_convolve(g2, lam, pre).stacked
+        scale = max(1.0, float(np.max(np.abs(rhs))))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+    @given(seed=seeds, damped=st.booleans(), with_initial=st.booleans())
+    def test_linear_L_and_maximal_reg_T_are_symbol_choices(self, seed, damped, with_initial):
+        grid = make_grid(16, 8.0)
+        g = _trajectory(grid, seed, 4, with_initial)
+        lam = grid.k2 + (1.0 if damped else 0.0)
+        assert np.array_equal(linear_L(g, damped=damped).stacked, etd_convolve(g, lam).stacked)
+        assert np.array_equal(maximal_reg_T(g).stacked, etd_convolve(g, grid.k2, -grid.k2).stacked)
+
+    @given(seed=seeds, with_initial=st.booleans())
+    def test_bilinear_B_has_zero_mean(self, seed, with_initial):
+        grid = make_grid(16, 8.0)
+        u = _trajectory(grid, seed, 4, with_initial)
+        v = _trajectory(grid, seed + 7, 4, with_initial)
+        out = bilinear_B(u, v).stacked
+        means = out.sum(axis=(1, 2)) * grid.cell_area
+        assert np.max(np.abs(means)) <= 1e-12 * max(1.0, float(np.max(np.abs(out))))
+
+    @given(seed=seeds, s=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0), damping=st.sampled_from([0.0, 1.0]))
+    def test_free_flow_semigroup_law(self, seed, s, t, damping):
+        grid = make_grid(16, 8.0)
+        coeffs = fft2(_stack(seed, 1)[0])
+        lam = grid.k2 + damping
+        two_steps = _free_flow(_free_flow(coeffs, [s], lam)[0], [t], lam)[0]
+        one_step = _free_flow(coeffs, [s + t], lam)[0]
+        assert np.max(np.abs(two_steps - one_step)) <= 1e-12 * np.max(np.abs(coeffs))
+
+    @given(k=nodes, data=st.data())
+    def test_first_nonfinite_node(self, k, data):
+        values = np.zeros((k, 16, 16))
+        assert _first_nonfinite_node(values) is None
+        bad = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))
+        for j in bad:
+            values[j, data.draw(st.integers(0, 15)), data.draw(st.integers(0, 15))] = \
+                data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        assert _first_nonfinite_node(values) == bad[0]
+
+
+class TestRoundTrips:
+    @given(seed=seeds, n=st.sampled_from([16, 32]), l=lengths,
+           t=st.floats(0.0, 1e6, allow_nan=False))
+    def test_ksf1(self, seed, n, l, t):
+        f = ScalarField(make_grid(n, l), _stack(seed, 1, n)[0])
+        buf = io.BytesIO()
+        write_snapshot(buf, f, t)
+        buf.seek(0)
+        back, t_back = read_snapshot(buf)
+        assert back.grid == f.grid and t_back == t
+        assert np.array_equal(back.values, f.values)
+
+    @given(data=st.data())
+    def test_config_parse_serialize(self, data):
+        pos = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+        t_min = data.draw(st.floats(1e-6, 1.0))
+        cfg = ExperimentConfig(
+            grid_n=data.draw(st.sampled_from([16, 32, 64, 128])),
+            grid_l=data.draw(pos),
+            time_t_min=t_min,
+            time_t_max=t_min * data.draw(st.floats(1.5, 1e4)),
+            time_k=data.draw(st.integers(2, 200)),
+            time_spacing=data.draw(st.sampled_from(["geometric", "uniform"])),
+            picard_c=data.draw(st.one_of(st.just("auto"), pos)),
+            picard_max_iter=data.draw(st.integers(1, 500)),
+            picard_tol=data.draw(pos),
+            picard_mode=data.draw(st.sampled_from(["thm1_L1Linf", "thm2_H1bH1"])),
+            picard_quadrature=data.draw(st.sampled_from(["etd_piecewise_linear", "etd_piecewise_constant"])),
+            picard_substeps=data.draw(st.integers(1, 8)),
+            data_kind=data.draw(st.sampled_from(["gaussian", "mode", "stripe", "file"])),
+            data_mass=data.draw(st.floats(-1e3, 1e3)),
+            data_width=data.draw(pos),
+            data_amplitude=data.draw(st.floats(-1e3, 1e3)),
+            data_wavevector=(data.draw(st.integers(-8, 8)), data.draw(st.integers(-8, 8))),
+            data_v_mass=data.draw(st.floats(-1e3, 1e3)),
+            data_v_width=data.draw(pos),
+            data_v_amplitude=data.draw(st.floats(-1e3, 1e3)),
+            data_stripe_smoothing=data.draw(pos),
+            data_u_path=data.draw(st.sampled_from(["u.ksf1", "dumps/u0.ksf1"])),
+            data_v_path=data.draw(st.sampled_from(["v.ksf1", "dumps/v0.ksf1"])),
+            output_dir=data.draw(st.sampled_from(["out", "runs/a"])),
+            output_dump_fields=data.draw(st.booleans()),
+            variant_remark_ii=data.draw(st.booleans()),
+        )
+        assert parse_config_text(serialize_config(cfg)) == cfg

@@ -229,6 +229,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
 
+    def test_unknown_spacing_rejected(self):
+        with pytest.raises(ValueError, match="spacing"):
+            SolverConfig(spacing="bogus")
+
     def test_report_json_dict(self, small_report):
         d = small_report.to_json_dict()
         assert d["converged"] is True
