@@ -12,7 +12,15 @@ from .data import (
     random_band_limited_field,
     smoothed_stripe_field,
 )
-from .duhamel import DEFAULT_SCHEME, QuadratureScheme, bilinear_B, etd_convolve, linear_L, maximal_reg_T
+from .duhamel import (
+    DEFAULT_SCHEME,
+    EtdPlan,
+    QuadratureScheme,
+    bilinear_B,
+    etd_convolve,
+    linear_L,
+    maximal_reg_T,
+)
 from .fields import (
     Composite,
     DampedHeat,

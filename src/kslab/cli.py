@@ -223,6 +223,14 @@ def make_solver_config(cfg: ExperimentConfig) -> SolverConfig:
     )
 
 
+def lab_setup(cfg: ExperimentConfig) -> LabSetup:
+    """The lab's grid and time window; the lab runs on geometric times only."""
+    if cfg.time_spacing != "geometric":
+        raise ConfigError(f"time.spacing = {cfg.time_spacing} is not supported by the lab, which "
+                          "runs on geometric time grids")
+    return LabSetup(cfg.grid_n, cfg.grid_l, cfg.time_t_min, cfg.time_t_max, cfg.time_k)
+
+
 def initial_data(cfg: ExperimentConfig, grid: Grid2D) -> tuple[ScalarField, ScalarField, dict]:
     kind = cfg.data_kind
     if kind == "gaussian":
@@ -353,7 +361,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     failures: list[str] = []
-    setup = LabSetup(cfg.grid_n, cfg.grid_l, cfg.time_t_min, cfg.time_t_max, cfg.time_k)
+    setup = lab_setup(cfg)
 
     # Heat-kernel norm tables on a dedicated fine grid.
     kernel_grid = Grid2D(128, 16.0)
@@ -500,7 +508,7 @@ def run_counterexample(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_constants(cfg: ExperimentConfig, out_dir: Path) -> int:
-    setup = LabSetup(cfg.grid_n, cfg.grid_l, cfg.time_t_min, cfg.time_t_max, cfg.time_k)
+    setup = lab_setup(cfg)
     constants = estimate_constants(setup)
     constants.to_json(out_dir / "constants_report.json")
     constants.to_csv(out_dir / "constants_samples.csv")

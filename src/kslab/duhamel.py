@@ -18,6 +18,19 @@ Interval handling near t = 0: when the input trajectories carry an initial
 datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
 ETD interval; otherwise the head is dropped and its size is estimated in the
 output's ``meta``.
+
+Plans: an ``EtdPlan`` holds what the march needs that does not depend on the
+integrand, for one (lam, time grid, scheme): the interval lengths and, per
+interval (head and substeps included), ``exp(-z)`` and the two quadrature
+weights at z = lam * dt.  The tables are stored per distinct value of lam,
+with an (n, n) index back to the modes, so a radial rate such as |xi|^2 costs
+3 x intervals x (distinct rates) floats instead of 3 x intervals x n^2: about
+3 MB at n = 128, K = 64.  A plan is a plain read-only object.  Its lifetime
+is the caller's: every operator builds one for its call when none is passed,
+and a caller that convolves many integrands against the same rates builds
+the plan once and passes it as ``plan=``.  Nothing is cached at module level.
+A plan that does not match the call's time grid, grid shape, scheme or rates
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, fft2, ifft2
-from .trajectories import Trajectory
+from .trajectories import TimeGrid, Trajectory
 
 _KINDS = ("etd_piecewise_constant", "etd_piecewise_linear")
 
@@ -111,16 +124,74 @@ def _w_right(z: np.ndarray) -> np.ndarray:
     return _series_or_closed(z, _WR_COEFFS, lambda zl: (1.0 + np.expm1(-zl) / zl) / zl)
 
 
-def _etd_march(
-    ghat: np.ndarray,
-    times: np.ndarray,
-    lam: np.ndarray,
-    g0hat: np.ndarray | None,
-    scheme: QuadratureScheme,
-) -> tuple[np.ndarray, dict]:
+def etd_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """exp(-z), phi1(z), w_left(z) and w_right(z), elementwise: the one weight builder."""
+    return np.exp(-z), _phi1(z), _w_left(z), _w_right(z)
+
+
+class EtdPlan:
+    """Per-interval ETD decay and weights for one (lam, time grid, scheme).
+
+    ``values`` are the distinct rates and ``inverse`` maps every mode to its
+    rate.  Row r of ``decay``, ``w_a`` and ``w_b`` belongs to interval r of
+    ``[0, t_1], [t_1, t_2], ...``, each split into ``scheme.substeps`` equal
+    pieces whose edges are ``edges``; the weights are (w_left, w_right) for
+    the piecewise-linear scheme and (phi1, None) for the piecewise-constant
+    one.  ``head_phi1`` sizes the dropped head when there is no initial datum.
+    """
+
+    def __init__(self, lam, tgrid: TimeGrid, scheme: QuadratureScheme = DEFAULT_SCHEME):
+        lam = np.asarray(lam, dtype=np.float64)
+        if np.any(lam < 0) or not np.all(np.isfinite(lam)):
+            raise ValueError("decay rates must be finite and non-negative")
+        values, inverse = np.unique(lam, return_inverse=True)
+        knots = np.concatenate(([0.0], tgrid.times))
+        edges = np.array([np.linspace(a, b, scheme.substeps + 1) for a, b in zip(knots[:-1], knots[1:])])
+        dts = np.diff(edges, axis=1).ravel()
+        decay, phi1, w_left, w_right = etd_weights(dts[:, None] * values)
+        linear = scheme.kind == "etd_piecewise_linear"
+        self.tgrid = tgrid
+        self.scheme = scheme
+        self.values = values
+        self.inverse = inverse.reshape(lam.shape)
+        self.edges = edges
+        self.dts = dts
+        self.decay = decay
+        self.w_a, self.w_b = (w_left, w_right) if linear else (phi1, None)
+        self.head_phi1 = _phi1(values * tgrid.times[0])
+        for table in (values, self.inverse, edges, dts, decay, self.w_a, self.w_b, self.head_phi1):
+            if table is not None:
+                table.setflags(write=False)
+
+    def check(self, lam: np.ndarray, tgrid: TimeGrid, scheme: QuadratureScheme) -> None:
+        """Raise ``ValueError`` unless this plan was built for these rates, times and scheme."""
+        if self.scheme != scheme:
+            raise ValueError(f"ETD plan was built for {self.scheme}, not {scheme}")
+        if self.tgrid != tgrid:
+            raise ValueError("ETD plan was built for another time grid")
+        if self.inverse.shape != lam.shape:
+            raise ValueError(f"ETD plan was built for grid shape {self.inverse.shape}, not {lam.shape}")
+        if not np.array_equal(self.values[self.inverse], lam):
+            raise ValueError("ETD plan was built for other decay rates")
+
+    def gather(self, row: np.ndarray) -> np.ndarray:
+        """Spread one per-rate row over the modes."""
+        return np.take(row, self.inverse)
+
+
+def _plan_for(plan: EtdPlan | None, lam: np.ndarray, tgrid: TimeGrid,
+              scheme: QuadratureScheme) -> EtdPlan:
+    if plan is None:
+        return EtdPlan(lam, tgrid, scheme)
+    plan.check(lam, tgrid, scheme)
+    return plan
+
+
+def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> tuple[np.ndarray, dict]:
     """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes."""
-    n_out = times.size
-    pcw_linear = scheme.kind == "etd_piecewise_linear"
+    times = plan.tgrid.times
+    substeps = plan.scheme.substeps
+    pcw_linear = plan.scheme.kind == "etd_piecewise_linear"
     meta: dict = {}
 
     if g0hat is not None:
@@ -133,41 +204,38 @@ def _etd_march(
         knot_g = ghat
         out_offset = 0
         meta["head_included"] = False
-        deficit = times[0] * _phi1(lam * times[0]) * ghat[0]
+        deficit = times[0] * plan.gather(plan.head_phi1) * ghat[0]
         meta["head_deficit_sup_linf"] = float(np.max(np.abs(ifft2(deficit).real)))
 
     spline = None
-    if scheme.substeps > 1:
+    if substeps > 1:
         from scipy.interpolate import CubicSpline
 
         spline = CubicSpline(knot_t, knot_g, axis=0)
 
-    acc = np.zeros_like(lam, dtype=np.complex128)
-    out = np.empty((n_out,) + lam.shape, dtype=np.complex128)
+    acc = np.zeros(plan.inverse.shape, dtype=np.complex128)
+    out = np.empty((times.size,) + acc.shape, dtype=np.complex128)
     if out_offset == 0:
         out[0] = acc  # the [0, t_1] contribution was dropped
 
     for i in range(knot_t.size - 1):
-        a, b = knot_t[i], knot_t[i + 1]
-        if scheme.substeps == 1:
-            edges = (a, b)
+        j = i + 1 - out_offset  # interval j of the plan ends at output node j
+        if substeps == 1:
             vals = (knot_g[i], knot_g[i + 1])
         else:
-            edges = np.linspace(a, b, scheme.substeps + 1)
             vals = [knot_g[i]]
-            vals.extend(spline(tt) for tt in edges[1:-1])
+            vals.extend(spline(tt) for tt in plan.edges[j, 1:-1])
             vals.append(knot_g[i + 1])
-        for k in range(len(edges) - 1):
-            dt = edges[k + 1] - edges[k]
-            z = lam * dt
-            decay = np.exp(-z)
+        for k in range(substeps):
+            row = j * substeps + k
+            dt = plan.dts[row]
+            decay = plan.gather(plan.decay[row])
+            w_a = plan.gather(plan.w_a[row])
             if pcw_linear:
-                acc = acc * decay + dt * (_w_left(z) * vals[k] + _w_right(z) * vals[k + 1])
+                acc = acc * decay + dt * (w_a * vals[k] + plan.gather(plan.w_b[row]) * vals[k + 1])
             else:
-                acc = acc * decay + dt * _phi1(z) * vals[k]
-        j = i + 1 - out_offset
-        if j >= 0:
-            out[j] = acc
+                acc = acc * decay + dt * w_a * vals[k]
+        out[j] = acc
     return out, meta
 
 
@@ -189,37 +257,41 @@ def _div_u_grad_v(grid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
     return mask * (1j * grid.kx * p1 + 1j * grid.ky * p2)
 
 
-def _convolve(g: Trajectory, ghat: np.ndarray, g0hat: np.ndarray | None, lam: np.ndarray,
-              scheme: QuadratureScheme) -> Trajectory:
+def _convolve(g: Trajectory, ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> Trajectory:
     """Shared tail: march the spectra, return to real space, reject overflow."""
-    out_hat, meta = _etd_march(ghat, g.tgrid.times, lam, g0hat, scheme)
+    out_hat, meta = _etd_march(ghat, g0hat, plan)
     values = _finite_trajectory_values(ifft2(out_hat).real)
     return Trajectory.from_values(g.grid, g.tgrid, values, initial=ScalarField.zero(g.grid), meta=meta)
 
 
-def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
+def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME,
+               plan: EtdPlan | None = None) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} div(u grad v) dtau on the shared time grid.
 
     The divergence structure kills the zero mode of the integrand exactly, so
-    the output has zero spatial mean at every node.
+    the output has zero spatial mean at every node.  ``plan`` is an
+    ``EtdPlan`` for the rates |xi|^2.
     """
     _require_compatible(u, v)
     grid = u.grid
+    plan = _plan_for(plan, grid.k2, u.tgrid, scheme)
     ghat = _div_u_grad_v(grid, fft2(u.stacked), fft2(v.stacked))
     g0hat = None
     if u.initial is not None and v.initial is not None:
         g0hat = _div_u_grad_v(grid, fft2(u.initial.values), fft2(v.initial.values))
-    return _convolve(u, ghat, g0hat, grid.k2, scheme)
+    return _convolve(u, ghat, g0hat, plan)
 
 
-def linear_L(u: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME, damped: bool = True) -> Trajectory:
+def linear_L(u: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME, damped: bool = True,
+             plan: EtdPlan | None = None) -> Trajectory:
     """int_0^t e^{(t-tau)(Lap - 1)} u dtau; ``damped=False`` drops the -1."""
-    return etd_convolve(u, u.grid.k2 + (1.0 if damped else 0.0), scheme=scheme)
+    return etd_convolve(u, u.grid.k2 + (1.0 if damped else 0.0), scheme=scheme, plan=plan)
 
 
-def maximal_reg_T(g: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
+def maximal_reg_T(g: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME,
+                  plan: EtdPlan | None = None) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} Lap g dtau: the maximal-regularity operator."""
-    return etd_convolve(g, g.grid.k2, -g.grid.k2, scheme)
+    return etd_convolve(g, g.grid.k2, -g.grid.k2, scheme, plan)
 
 
 def etd_convolve(
@@ -227,16 +299,18 @@ def etd_convolve(
     lam: np.ndarray,
     prefactor: np.ndarray | None = None,
     scheme: QuadratureScheme = DEFAULT_SCHEME,
+    plan: EtdPlan | None = None,
 ) -> Trajectory:
     """General form int_0^t e^{-(t-tau) lam(xi)} prefactor(xi) g(tau) dtau.
 
     ``lam`` must be non-negative on the grid; ``prefactor`` is any finite
     time-independent symbol (for example a fractional-Laplacian power).
+    ``plan``, when given, must have been built for ``lam``, ``g``'s time grid
+    and ``scheme``; without one the call builds its own.
     """
     grid = g.grid
     lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (grid.n, grid.n))
-    if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-        raise ValueError("decay rates must be finite and non-negative")
+    plan = _plan_for(plan, lam, g.tgrid, scheme)
     ghat = fft2(g.stacked)
     g0hat = None if g.initial is None else fft2(g.initial.values)
     if prefactor is not None:
@@ -246,4 +320,4 @@ def etd_convolve(
         ghat = prefactor * ghat
         if g0hat is not None:
             g0hat = prefactor * g0hat
-    return _convolve(g, ghat, g0hat, lam, scheme)
+    return _convolve(g, ghat, g0hat, plan)

@@ -28,7 +28,7 @@ from .data import (
     random_band_limited_field,
     smoothed_stripe_field,
 )
-from .duhamel import DEFAULT_SCHEME, bilinear_B, etd_convolve, linear_L, maximal_reg_T
+from .duhamel import DEFAULT_SCHEME, EtdPlan, bilinear_B, etd_convolve, linear_L, maximal_reg_T
 from .fields import GradComponent, Grid2D, ScalarField, fft2, multiplier_apply
 from .norms import (
     _batch_hs,
@@ -261,19 +261,23 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
 
     samples: list[RatioSample] = []
     uniformity: dict = {}
+    # every convolution below decays at one of two rates: one plan each
+    rates = {"damped": 1.0 + k2, "plain": k2}
+    plans = {kind: EtdPlan(lam, tgrid, DEFAULT_SCHEME) for kind, lam in rates.items()}
 
-    def convolved(f: ScalarField, prof, lam: np.ndarray, pre: np.ndarray, p_out: float,
+    def convolved(f: ScalarField, prof, rate: str, pre: np.ndarray, p_out: float,
                   s: float, homogeneous: bool) -> tuple[float, float]:
         """L^p_out-in-time norm of the convolution of prof(t) f, and the H^s norm of f."""
-        out = etd_convolve(_profile_trajectory(grid, tgrid, f, prof), lam, prefactor=pre, scheme=DEFAULT_SCHEME)
+        out = etd_convolve(_profile_trajectory(grid, tgrid, f, prof), rates[rate], prefactor=pre,
+                           scheme=DEFAULT_SCHEME, plan=plans[rate])
         lhs = _time_lp(times, _batch_hs(grid, fft2(out.stacked), s, homogeneous), p_out, v0=0.0)
         return lhs, _batch_hs(grid, fft2(f.values), s, homogeneous)
 
-    def run_case(group: str, lam: np.ndarray, pre: np.ndarray, p_out: float, r_in: float,
+    def run_case(group: str, rate: str, pre: np.ndarray, p_out: float, r_in: float,
                  s: float, homogeneous: bool) -> None:
         for fname, fparams, f in field_samples:
             for pname, prof in _PROFILES.items():
-                lhs, f_norm = convolved(f, prof, lam, pre, p_out, s, homogeneous)
+                lhs, f_norm = convolved(f, prof, rate, pre, p_out, s, homogeneous)
                 rhs = _time_lp(times, prof(times) * f_norm, r_in, v0=float(prof(0.0)) * f_norm)
                 if rhs == 0:
                     continue
@@ -286,7 +290,7 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
         for s in (0.0, 1.0):
             run_case(
                 f"damped[theta={_fmt(theta)},p1={_fmt(p1)},r={_fmt(r)},s={int(s)}]",
-                1.0 + k2, pre, p1, r, s, homogeneous=True,
+                "damped", pre, p1, r, s, homogeneous=True,
             )
 
     for p, r in _EQ26_TUPLES:
@@ -295,20 +299,20 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
         for s in (0.0, 1.0):
             run_case(
                 f"plain[p={_fmt(p)},r={_fmt(r)},s={int(s)}]",
-                k2, pre, p, r, s, homogeneous=False,
+                "plain", pre, p, r, s, homogeneous=False,
             )
 
     # Uniformity sweep: per tuple, compare max ratio over low modes with the
     # max over the full swept range (constant-profile, s = 0).
     sweep_modes = list(range(1, setup.effective_mode_cap() + 1))
-    for label, lam, pre_fn, homog in (
-        ("damped[theta=0,p1=inf,r=inf,s=0]", 1.0 + k2, lambda: np.ones_like(k2), True),
-        ("plain[p=inf,r=inf,s=0]", k2, lambda: np.sqrt(k2) ** 2.0, False),
+    for label, rate, pre_fn, homog in (
+        ("damped[theta=0,p1=inf,r=inf,s=0]", "damped", lambda: np.ones_like(k2), True),
+        ("plain[p=inf,r=inf,s=0]", "plain", lambda: np.sqrt(k2) ** 2.0, False),
     ):
         ratios = []
         for m in sweep_modes:
             f = cosine_mode_field(grid, (m, 0))
-            lhs, f_norm = convolved(f, _PROFILES["const"], lam, pre_fn(), np.inf, 0.0, homog)
+            lhs, f_norm = convolved(f, _PROFILES["const"], rate, pre_fn(), np.inf, 0.0, homog)
             ratios.append(lhs / f_norm)
         ratios = np.array(ratios)
         low = float(np.max(ratios[: max(1, len(sweep_modes) // 2)]))
@@ -341,6 +345,7 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
         return (np.floor(2.0 * t) % 2 == 0).astype(float)
 
     profiles = {**_PROFILES, "square": square_profile}
+    plan = EtdPlan(grid.k2, tgrid, DEFAULT_SCHEME)
 
     samples: list[RatioSample] = []
     for m in modes:
@@ -348,7 +353,7 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
         f_l2 = lp_norm(f, 2.0)
         for pname, prof in profiles.items():
             traj = _profile_trajectory(grid, tgrid, f, prof)
-            out = maximal_reg_T(traj, DEFAULT_SCHEME)
+            out = maximal_reg_T(traj, DEFAULT_SCHEME, plan=plan)
             lhs_nodes = _batch_lp(out.stacked, 2.0, grid.cell_area)
             lhs = _time_lp(times, lhs_nodes, 2.0, v0=0.0)
             knots = np.concatenate(([0.0], times))
@@ -504,6 +509,8 @@ def estimate_constants(
 
     samples: list[RatioSample] = []
     skipped: list[str] = []
+    l_plan = EtdPlan(grid.k2 + 1.0, tgrid, DEFAULT_SCHEME)
+    b_plan = EtdPlan(grid.k2, tgrid, DEFAULT_SCHEME)
 
     free_u: list[tuple[str, Trajectory, dict]] = []
     free_w: list[tuple[str, Trajectory, dict]] = []
@@ -537,7 +544,7 @@ def estimate_constants(
 
     for uname, utraj, unorm in free_u:
         # c3: chemical response of the density trajectory
-        lu = linear_L(utraj, DEFAULT_SCHEME)
+        lu = linear_L(utraj, DEFAULT_SCHEME, plan=l_plan)
         y1 = xy_norms_thm1(lu, lu).value("y_norm")
         y2 = xy_norms_thm2(lu, lu).value("y_norm")
         if unorm["x1"] > 0:
@@ -545,7 +552,7 @@ def estimate_constants(
         if unorm["x2"] > 0:
             samples.append(RatioSample("c3[thm2]", (("u", uname),), y2, unorm["x2"]))
         for wname, wtraj, wnorm in free_w:
-            b = bilinear_B(utraj, wtraj, DEFAULT_SCHEME)
+            b = bilinear_B(utraj, wtraj, DEFAULT_SCHEME, plan=b_plan)
             bx1 = xy_norms_thm1(b, b).value("x_norm")
             bx2 = xy_norms_thm2(b, b).value("x_norm")
             if unorm["x1"] * wnorm["y1"] > 0:

@@ -30,10 +30,12 @@ import numpy as np
 from . import norms as _norms
 from .duhamel import (
     DEFAULT_SCHEME,
+    EtdPlan,
     QuadratureScheme,
     TrajectoryOverflowError,
     _first_nonfinite_node,
     bilinear_B,
+    etd_weights,
     linear_L,
 )
 from .fields import Grid2D, ScalarField, _grad_values, fft2, ifft2, irfft2, rfft2
@@ -197,6 +199,10 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     c = cfg.resolve_c()
     scheme = cfg.quadrature
 
+    # B and L convolve against the same rates every iteration: one plan each
+    b_plan = EtdPlan(grid.k2, tgrid, scheme)
+    l_plan = EtdPlan(grid.k2 + (0.0 if cfg.remark_ii else 1.0), tgrid, scheme)
+
     free_u = heat_trajectory(u0, tgrid)
     free_w = damped_heat_trajectory(w0, tgrid, damped=not cfg.remark_ii)
     # L is linear: the response to the free part is exact, quadrature only
@@ -219,12 +225,12 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     for m in range(1, cfg.max_iter + 1):
         iterations = m
         try:
-            bu = bilinear_B(u_prev, w_prev, scheme)
+            bu = bilinear_B(u_prev, w_prev, scheme, plan=b_plan)
             u_vals = free_u.stacked - (4.0 * c) * bu.stacked
             _raise_on_nonfinite(u_vals, m, "u", tgrid)
             u_next = Trajectory.from_values(grid, tgrid, u_vals, initial=u0)
             du = u_prev - free_u
-            lu = linear_L(du, scheme, damped=not cfg.remark_ii)
+            lu = linear_L(du, scheme, damped=not cfg.remark_ii, plan=l_plan)
             w_vals = free_w.stacked + (1.0 / (4.0 * c)) * (l_of_free.stacked + lu.stacked)
             _raise_on_nonfinite(w_vals, m, "w", tgrid)
             w_next = Trajectory.from_values(grid, tgrid, w_vals, initial=w0)
@@ -232,6 +238,8 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
             raise PicardBlowupError(
                 m, exc.node_index, "u", float(tgrid.times[exc.node_index])
             ) from exc
+        # drop the operator outputs before the norms and the next B call, which set the memory peak
+        del bu, du, lu
 
         diff = _xy_norm(cfg.mode, u_next - u_prev, w_next - w_prev)
         residuals.append(diff)
@@ -317,8 +325,6 @@ def reference_solve(
     d1_sym = mask * np.broadcast_to(1j * kx, lam_u.shape)
     d2_sym = mask * np.broadcast_to(1j * kyh, lam_u.shape)
 
-    from .duhamel import _phi1, _w_left, _w_right  # shared entire-function weights
-
     def nonlinear_term(uh: np.ndarray, vh: np.ndarray) -> np.ndarray:
         u_r = irfft2(mask * uh, n)
         d1 = irfft2(d1_sym * vh, n)
@@ -337,18 +343,16 @@ def reference_solve(
         a, b = boundaries[seg], boundaries[seg + 1]
         steps = max(1, math.ceil((b - a) / h_cap))
         h = (b - a) / steps
-        zu = h * lam_u
-        zv = h * lam_v
-        eu, ev = np.exp(-zu), np.exp(-zv)
-        phi1u = _phi1(zu)
-        wau = h * _w_left(zu)
+        eu, phi1u, w_left_u, w_right_u = etd_weights(h * lam_u)
+        ev, phi1v, w_left_v, w_right_v = etd_weights(h * lam_v)
+        wau = h * w_left_u
         # two-step form: h [ (phi1 + J) N_n - J N_{n-1} ], J = phi1 - w_left
         j_u = h * phi1u - wau
         ab_new = h * phi1u + j_u
         ab_old = -j_u
-        p1u, p1v = h * phi1u, h * _phi1(zv)
-        wru = h * _w_right(zu)
-        wlv, wrv = h * _w_left(zv), h * _w_right(zv)
+        p1u, p1v = h * phi1u, h * phi1v
+        wru = h * w_right_u
+        wlv, wrv = h * w_left_v, h * w_right_v
         nu_prev = None
         nu_prev_scale = 0.0
         for _ in range(steps):

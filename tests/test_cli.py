@@ -210,6 +210,16 @@ class TestVerifyCommand:
         assert any("inconsistent" in f for f in summary["failures"])
 
 
+class TestLabConfig:
+    @pytest.mark.parametrize("command", ["verify", "constants"])
+    def test_lab_commands_refuse_uniform_spacing(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "grid.n = 32\ntime.k = 12\ntime.spacing = uniform\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "time.spacing" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 class TestConstantsCommand:
     def test_writes_reports(self, tmp_path):
         cfg = write_config(tmp_path, "grid.n = 32\ntime.t_max = 5.0\ntime.k = 16\n")

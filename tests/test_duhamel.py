@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from kslab import (
+    LabSetup,
     QuadratureScheme,
     ScalarField,
+    SolverConfig,
     TimeGrid,
     Trajectory,
     bilinear_B,
     cosine_mode_field,
+    estimate_constants,
     etd_convolve,
+    gaussian_field,
     linear_L,
     make_grid,
     maximal_reg_T,
+    picard_solve,
+    verify_bilinear_lemma23,
+    verify_maximal_regularity,
 )
+from kslab import duhamel
 from kslab.duhamel import _w_left, _w_right
 
 
@@ -272,3 +280,57 @@ class TestEtdConvolve:
         t = tgrid.times[-1]
         expected = np.sqrt(lam) * (1 - np.exp(-t * lam)) / lam * f.values
         assert np.max(np.abs(out.fields[-1].values - expected)) < 1e-10
+
+
+class TestPlanReuse:
+    """Callers that convolve many integrands against the same rates build each plan once."""
+
+    SETUP = LabSetup(n=32, num_times=12)
+
+    @pytest.fixture
+    def plan_builds(self, monkeypatch):
+        builds = []
+        build = duhamel.EtdPlan.__init__
+
+        def counted(plan, *args, **kwargs):
+            builds.append(args)
+            build(plan, *args, **kwargs)
+
+        monkeypatch.setattr(duhamel.EtdPlan, "__init__", counted)
+        return builds
+
+    @pytest.fixture
+    def convolutions(self, monkeypatch):
+        calls = []
+        march = duhamel._etd_march
+
+        def counted(*args):
+            calls.append(1)
+            return march(*args)
+
+        monkeypatch.setattr(duhamel, "_etd_march", counted)
+        return calls
+
+    def test_bilinear_verifier_builds_two(self, plan_builds, convolutions):
+        verify_bilinear_lemma23(self.SETUP)
+        assert len(plan_builds) == 2
+        assert len(convolutions) > 100
+
+    def test_maximal_regularity_verifier_builds_one(self, plan_builds, convolutions):
+        verify_maximal_regularity(self.SETUP)
+        assert len(plan_builds) == 1
+        assert len(convolutions) > 10
+
+    def test_estimate_constants_builds_two(self, plan_builds, convolutions):
+        estimate_constants(self.SETUP)
+        assert len(plan_builds) == 2
+        assert len(convolutions) > 10
+
+    @pytest.mark.parametrize("max_iter, iterations", [(1, 1), (3, 3), (50, 4)])
+    def test_picard_solve_builds_two(self, plan_builds, convolutions, max_iter, iterations):
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=2.5, max_iter=max_iter)
+        grid = cfg.make_grid()
+        report = picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
+        assert report.iterations == iterations
+        assert len(plan_builds) == 2
+        assert len(convolutions) == 2 * report.iterations

@@ -1,4 +1,4 @@
-"""Property tests for the single kernels: batched norms, ETD operators, KSF1 and config I/O."""
+"""Property tests for the single kernels: batched norms, ETD operators and plans, KSF1 and config I/O."""
 
 import io
 
@@ -22,8 +22,8 @@ from kslab import (
     maximal_reg_T,
 )
 from kslab.cli import ExperimentConfig, parse_config_text, serialize_config
-from kslab.duhamel import _first_nonfinite_node
-from kslab.fields import fft2, read_snapshot, write_snapshot
+from kslab.duhamel import EtdPlan, QuadratureScheme, _first_nonfinite_node, etd_weights
+from kslab.fields import fft2, ifft2, read_snapshot, write_snapshot
 from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, grad_linf
 from kslab.semigroup import _free_flow
 
@@ -143,6 +143,113 @@ class TestEtdOperators:
             values[j, data.draw(st.integers(0, 15)), data.draw(st.integers(0, 15))] = \
                 data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         assert _first_nonfinite_node(values) == bad[0]
+
+
+def _rates(grid, kind: str, seed: int) -> np.ndarray:
+    """Decay rates on the grid: |xi|^2, 1 + |xi|^2, or a few values repeated at random."""
+    if kind == "heat":
+        return grid.k2
+    if kind == "damped":
+        return 1.0 + grid.k2
+    return np.random.default_rng(seed).choice([0.0, 0.5, 3.0, 40.0], size=grid.k2.shape)
+
+
+def _dense_march(ghat, g0hat, times, lam, scheme):
+    """Reference march: the weights evaluated on the full rate array in every interval."""
+    knot_t, knot_g = times, ghat
+    if g0hat is not None:
+        knot_t = np.concatenate(([0.0], times))
+        knot_g = np.concatenate((g0hat[None], ghat), axis=0)
+    if scheme.substeps > 1:
+        from scipy.interpolate import CubicSpline
+
+        spline = CubicSpline(knot_t, knot_g, axis=0)
+    acc = np.zeros(lam.shape, dtype=np.complex128)
+    out = [acc] if g0hat is None else []
+    for i in range(knot_t.size - 1):
+        edges = np.linspace(knot_t[i], knot_t[i + 1], scheme.substeps + 1)
+        vals = [knot_g[i], *(spline(tt) for tt in edges[1:-1]), knot_g[i + 1]]
+        for k in range(scheme.substeps):
+            dt = edges[k + 1] - edges[k]
+            decay, phi1, w_left, w_right = etd_weights(lam * dt)
+            if scheme.kind == "etd_piecewise_linear":
+                acc = acc * decay + dt * (w_left * vals[k] + w_right * vals[k + 1])
+            else:
+                acc = acc * decay + dt * phi1 * vals[k]
+        out.append(acc)
+    return np.array(out)
+
+
+schemes = st.builds(QuadratureScheme, st.sampled_from(["etd_piecewise_constant", "etd_piecewise_linear"]),
+                    st.sampled_from([1, 3]))
+
+
+class TestEtdPlans:
+    @given(seed=seeds, scheme=schemes, with_initial=st.booleans(),
+           rate=st.sampled_from(["heat", "damped", "repeated"]), with_prefactor=st.booleans())
+    def test_plan_reuse_is_bit_identical(self, seed, scheme, with_initial, rate, with_prefactor):
+        grid = make_grid(16, 8.0)
+        lam = _rates(grid, rate, seed)
+        pre = np.sqrt(grid.k2) if with_prefactor else None
+        plan = EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4), scheme)
+        assert plan.decay.shape == (4 * scheme.substeps, np.unique(lam).size)
+        assert np.array_equal(plan.values[plan.inverse], lam)
+        for g in (_trajectory(grid, seed, 4, with_initial), _trajectory(grid, seed + 1, 4, with_initial)):
+            planned = etd_convolve(g, lam, pre, scheme, plan=plan)
+            own = etd_convolve(g, lam, pre, scheme)
+            assert np.array_equal(planned.stacked, own.stacked)
+            assert planned.meta == own.meta
+            ghat = fft2(g.stacked)
+            g0hat = None if g.initial is None else fft2(g.initial.values)
+            if pre is not None:
+                ghat = pre * ghat
+                g0hat = None if g0hat is None else pre * g0hat
+            dense = ifft2(_dense_march(ghat, g0hat, g.tgrid.times, lam, scheme)).real
+            assert np.array_equal(planned.stacked, dense)
+
+    @given(seed=seeds, scheme=schemes, with_initial=st.booleans(), damped=st.booleans())
+    def test_operators_accept_plans(self, seed, scheme, with_initial, damped):
+        grid = make_grid(16, 8.0)
+        u = _trajectory(grid, seed, 4, with_initial)
+        v = _trajectory(grid, seed + 3, 4, with_initial)
+        heat = EtdPlan(grid.k2, u.tgrid, scheme)
+        chem = EtdPlan(grid.k2 + (1.0 if damped else 0.0), u.tgrid, scheme)
+        assert np.array_equal(bilinear_B(u, v, scheme, plan=heat).stacked, bilinear_B(u, v, scheme).stacked)
+        assert np.array_equal(maximal_reg_T(u, scheme, plan=heat).stacked, maximal_reg_T(u, scheme).stacked)
+        assert np.array_equal(linear_L(u, scheme, damped, plan=chem).stacked,
+                              linear_L(u, scheme, damped).stacked)
+
+    @given(seed=seeds, mismatch=st.sampled_from(["times", "spacing", "n", "kind", "substeps", "rates"]))
+    def test_mismatched_plan_rejected(self, seed, mismatch):
+        grid = make_grid(16, 8.0)
+        g = _trajectory(grid, seed, 4, True)
+        lam, tgrid, scheme = grid.k2, g.tgrid, QuadratureScheme()
+        if mismatch == "times":
+            tgrid = TimeGrid.geometric(1e-2, 2.0, 4)
+        elif mismatch == "spacing":
+            tgrid = TimeGrid.uniform(1e-2, 1.0, 4)
+        elif mismatch == "n":
+            lam = make_grid(32, 8.0).k2
+        elif mismatch == "kind":
+            scheme = QuadratureScheme("etd_piecewise_constant")
+        elif mismatch == "substeps":
+            scheme = QuadratureScheme(substeps=3)
+        else:
+            lam = grid.k2 + 1.0
+        plan = EtdPlan(lam, tgrid, scheme)
+        with pytest.raises(ValueError, match="ETD plan was built for"):
+            etd_convolve(g, grid.k2, plan=plan)
+        with pytest.raises(ValueError, match="ETD plan was built for"):
+            maximal_reg_T(g, plan=plan)
+
+    @given(seed=seeds, bad=st.sampled_from([-1e-300, -1.0, np.nan, np.inf, -np.inf]))
+    def test_bad_rates_rejected_at_build(self, seed, bad):
+        grid = make_grid(16, 8.0)
+        lam = grid.k2.copy()
+        rng = np.random.default_rng(seed)
+        lam[rng.integers(16), rng.integers(16)] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4))
 
 
 class TestRoundTrips:
