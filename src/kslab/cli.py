@@ -52,7 +52,7 @@ from .solver import (
     reference_solve,
     relative_node_differences,
 )
-from .trajectories import load_trajectory, save_trajectory
+from .trajectories import _require_compatible, load_trajectory, save_trajectory
 
 COMPARE_TOLERANCE = 1e-4
 
@@ -517,13 +517,23 @@ def run_constants(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
+def _load_dump(path: Path):
+    try:
+        return load_trajectory(path)
+    except ValueError as exc:
+        raise ConfigError(f"cannot read trajectory dump {path}: {exc}") from exc
+
+
 def run_norms(cfg: ExperimentConfig, out_dir: Path) -> int:
     u_path = out_dir / "fields_u.ksf1"
     v_path = out_dir / "fields_v.ksf1"
     if not u_path.exists() or not v_path.exists():
         raise ConfigError(f"no trajectory dumps found under {out_dir}")
-    u = load_trajectory(u_path)
-    v = load_trajectory(v_path)
+    u, v = _load_dump(u_path), _load_dump(v_path)
+    try:
+        _require_compatible(u, v)
+    except ValueError as exc:
+        raise ConfigError(f"{u_path} and {v_path} do not match: {exc}") from exc
     c = make_solver_config(cfg).resolve_c()
     w = (1.0 / (4.0 * c)) * v
     _norms.xy_norms_thm1(u, w).to_json(out_dir / "norms_thm1.json")

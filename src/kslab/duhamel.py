@@ -12,7 +12,8 @@ here: the differentiation sits inside the exactly integrated multiplier.
 ``etd_convolve`` is the general operator; ``linear_L`` and ``maximal_reg_T``
 are symbol choices over it, (lam, prefactor) = (|xi|^2 + 1 or |xi|^2, none)
 and (|xi|^2, -|xi|^2).  ``bilinear_B`` builds its own spectral integrand and
-shares the same tail: march, inverse transform, non-finite check, trajectory.
+shares the same tail: march, inverse transform, trajectory (which rejects
+non-finite output).
 
 Interval handling near t = 0: when the input trajectories carry an initial
 datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
@@ -41,30 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, fft2, ifft2
-from .trajectories import TimeGrid, Trajectory
+from .trajectories import TimeGrid, Trajectory, _require_compatible
 
 _KINDS = ("etd_piecewise_constant", "etd_piecewise_linear")
-
-
-class TrajectoryOverflowError(RuntimeError):
-    """An integral-operator output overflowed; carries the first bad node."""
-
-    def __init__(self, node_index: int):
-        self.node_index = node_index
-        super().__init__(f"integral-operator output is non-finite at node {node_index}")
-
-
-def _first_nonfinite_node(values: np.ndarray) -> int | None:
-    """Index of the first (K, n, n) node holding a NaN or infinity, if any."""
-    bad = ~np.all(np.isfinite(values), axis=(1, 2))
-    return int(np.argmax(bad)) if bad.any() else None
-
-
-def _finite_trajectory_values(values: np.ndarray) -> np.ndarray:
-    j = _first_nonfinite_node(values)
-    if j is not None:
-        raise TrajectoryOverflowError(j)
-    return values
 
 
 @dataclass(frozen=True)
@@ -239,13 +219,6 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> tup
     return out, meta
 
 
-def _require_compatible(a: Trajectory, b: Trajectory) -> None:
-    if a.grid != b.grid:
-        raise ValueError("trajectories live on different grids")
-    if a.tgrid != b.tgrid:
-        raise ValueError("trajectories live on different time grids")
-
-
 def _div_u_grad_v(grid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
     """Spectral div(u grad v) with 2/3-rule dealiasing, batched over axis 0."""
     mask = grid.dealias_mask
@@ -258,10 +231,10 @@ def _div_u_grad_v(grid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
 
 
 def _convolve(g: Trajectory, ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> Trajectory:
-    """Shared tail: march the spectra, return to real space, reject overflow."""
+    """Shared tail: march the spectra, return to real space; the trajectory rejects overflow."""
     out_hat, meta = _etd_march(ghat, g0hat, plan)
-    values = _finite_trajectory_values(ifft2(out_hat).real)
-    return Trajectory.from_values(g.grid, g.tgrid, values, initial=ScalarField.zero(g.grid), meta=meta)
+    return Trajectory.from_values(g.grid, g.tgrid, ifft2(out_hat).real,
+                                  initial=ScalarField.zero(g.grid), meta=meta)
 
 
 def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME,

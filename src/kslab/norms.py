@@ -36,7 +36,7 @@ import numpy as np
 
 from .fields import Grid2D, ScalarField, _grad_values, fft2, ifft2
 from .semigroup import _free_flow
-from .trajectories import TimeGrid, Trajectory
+from .trajectories import TimeGrid, Trajectory, _require_compatible
 
 BESOV_MIN_DECADES = 6.0
 
@@ -245,8 +245,7 @@ def xy_norms_thm1(u: Trajectory, w: Trajectory) -> NormReport:
 
     X(u) = sup ||u||_L1 + sup t ||u||_Linf;  Y(w) = sup t^{1/2} ||grad w||_Linf.
     """
-    if u.tgrid != w.tgrid:
-        raise ValueError("trajectories must share the time grid")
+    _require_compatible(u, w)
     times = u.tgrid.times
     cell = u.grid.cell_area
     su = u.stacked
@@ -301,8 +300,7 @@ def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:
     X(u) = sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf;
     Y(w) = sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma(t) ||grad w||_Linf.
     """
-    if u.tgrid != w.tgrid:
-        raise ValueError("trajectories must share the time grid")
+    _require_compatible(u, w)
     times = u.tgrid.times
     grid = u.grid
     h1 = _hs_weight(grid, 1.0)

@@ -23,6 +23,7 @@ solution for cross-checks.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -32,8 +33,6 @@ from .duhamel import (
     DEFAULT_SCHEME,
     EtdPlan,
     QuadratureScheme,
-    TrajectoryOverflowError,
-    _first_nonfinite_node,
     bilinear_B,
     etd_weights,
     linear_L,
@@ -41,7 +40,7 @@ from .duhamel import (
 from .fields import Grid2D, ScalarField, _grad_values, fft2, ifft2, irfft2, rfft2
 from .norms import NormReport, default_besov_probe, grad_besov_sup, lp_norm, hs_norm
 from .semigroup import _free_flow, damped_heat_trajectory, heat_trajectory
-from .trajectories import TimeGrid, Trajectory
+from .trajectories import TimeGrid, Trajectory, TrajectoryOverflowError, _require_compatible
 
 
 class PicardBlowupError(RuntimeError):
@@ -172,10 +171,14 @@ class SolutionReport:
         }
 
 
-def _raise_on_nonfinite(values: np.ndarray, iteration: int, which: str, tgrid: TimeGrid) -> None:
-    j = _first_nonfinite_node(values)
-    if j is not None:
-        raise PicardBlowupError(iteration, j, which, float(tgrid.times[j]))
+@contextmanager
+def _blowup_of(which: str, iteration: int, tgrid: TimeGrid):
+    """Report a non-finite trajectory built inside the block as a blow-up of ``which``."""
+    try:
+        yield
+    except TrajectoryOverflowError as exc:
+        j = exc.node_index
+        raise PicardBlowupError(iteration, j, which, float(tgrid.times[j])) from exc
 
 
 def _mass_drift(traj: Trajectory, mass0: float) -> float:
@@ -224,20 +227,15 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
 
     for m in range(1, cfg.max_iter + 1):
         iterations = m
-        try:
+        with _blowup_of("u", m, tgrid):
             bu = bilinear_B(u_prev, w_prev, scheme, plan=b_plan)
             u_vals = free_u.stacked - (4.0 * c) * bu.stacked
-            _raise_on_nonfinite(u_vals, m, "u", tgrid)
             u_next = Trajectory.from_values(grid, tgrid, u_vals, initial=u0)
+        with _blowup_of("w", m, tgrid):
             du = u_prev - free_u
             lu = linear_L(du, scheme, damped=not cfg.remark_ii, plan=l_plan)
             w_vals = free_w.stacked + (1.0 / (4.0 * c)) * (l_of_free.stacked + lu.stacked)
-            _raise_on_nonfinite(w_vals, m, "w", tgrid)
             w_next = Trajectory.from_values(grid, tgrid, w_vals, initial=w0)
-        except TrajectoryOverflowError as exc:
-            raise PicardBlowupError(
-                m, exc.node_index, "u", float(tgrid.times[exc.node_index])
-            ) from exc
         # drop the operator outputs before the norms and the next B call, which set the memory peak
         del bu, du, lu
 
@@ -399,8 +397,7 @@ def relative_node_differences(a: Trajectory, b: Trajectory) -> np.ndarray:
     Using a trajectory-wide denominator keeps late, strongly decayed nodes
     from turning rounding noise into large ratios.
     """
-    if a.grid != b.grid or a.tgrid != b.tgrid:
-        raise ValueError("trajectories live on different grids")
+    _require_compatible(a, b)
     diff = np.max(np.abs(a.stacked - b.stacked), axis=(1, 2))
     scale = max(float(np.max(np.abs(a.stacked))), float(np.max(np.abs(b.stacked))))
     if scale == 0.0:

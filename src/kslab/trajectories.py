@@ -1,15 +1,21 @@
-"""Discrete space-time trajectories: ordered positive times plus one field each.
+"""Discrete space-time trajectories: ordered positive times plus one array of node values.
 
 A trajectory is the discrete stand-in for a function of (t, x) living on
 ``(0, T]``: node times are strictly positive, and an optional initial datum
 carries the ``t = 0`` state when one is known (free evolutions and Picard
 iterates always have one; generic integral-operator outputs start from zero).
+
+The node values are one read-only, C-contiguous (K, n, n) float64 array,
+``stacked``.  Construction is the only validation: the shape, one finiteness
+pass (``TrajectoryOverflowError`` names the first bad node) and the initial
+datum's grid.  Strided input such as the real part of a complex transform is
+copied, so it does not keep the complex buffer alive.  Arithmetic is one array
+operation under the one compatibility rule, ``_require_compatible``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -81,62 +87,67 @@ class TimeGrid:
         return hash((self.spacing, self.times.tobytes()))
 
 
-@dataclass(frozen=True)
+class TrajectoryOverflowError(RuntimeError):
+    """Trajectory values overflowed; carries the first bad node."""
+
+    def __init__(self, node_index: int):
+        self.node_index = node_index
+        super().__init__(f"trajectory values are non-finite at node {node_index}")
+
+
+def _first_nonfinite_node(values: np.ndarray) -> int | None:
+    """Index of the first (K, n, n) node holding a NaN or infinity, if any."""
+    bad = ~np.all(np.isfinite(values), axis=(1, 2))
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _require_compatible(a: "Trajectory", b: "Trajectory") -> None:
+    """The one compatibility rule: same spatial grid and same time grid."""
+    if a.grid != b.grid:
+        raise ValueError("trajectories live on different grids")
+    if a.tgrid != b.tgrid:
+        raise ValueError("trajectories live on different time grids")
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One scalar field per time node, all on a shared spatial grid."""
+    """Node values as one read-only (K, n, n) float64 array on a shared grid."""
 
     grid: Grid2D
     tgrid: TimeGrid
-    fields: tuple[ScalarField, ...]
+    stacked: np.ndarray
     initial: ScalarField | None = None
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        fs = tuple(self.fields)
-        if len(fs) != self.tgrid.count:
-            raise ValueError(
-                f"{len(fs)} fields for {self.tgrid.count} time nodes"
-            )
-        for f in fs:
-            if f.grid != self.grid:
-                raise ValueError("all trajectory fields must share the grid")
+        shape = (self.tgrid.count, self.grid.n, self.grid.n)
+        if np.shape(self.stacked) != shape:
+            raise ValueError(f"values shape {np.shape(self.stacked)} does not match grid/time grid {shape}")
+        # copies only strided or non-float64 input; the view keeps the caller's array writeable
+        values = np.ascontiguousarray(self.stacked, dtype=np.float64).view()
+        j = _first_nonfinite_node(values)
+        if j is not None:
+            raise TrajectoryOverflowError(j)
         if self.initial is not None and self.initial.grid != self.grid:
             raise ValueError("initial datum lives on a different grid")
-        object.__setattr__(self, "fields", fs)
+        values.setflags(write=False)
+        object.__setattr__(self, "stacked", values)
 
     @classmethod
-    def from_values(
-        cls,
-        grid: Grid2D,
-        tgrid: TimeGrid,
-        values: np.ndarray,
-        initial: ScalarField | None = None,
-        meta: dict | None = None,
-    ) -> "Trajectory":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (tgrid.count, grid.n, grid.n):
-            raise ValueError(f"values shape {values.shape} does not match grid/time grid")
-        fs = tuple(ScalarField(grid, values[j]) for j in range(tgrid.count))
-        return cls(grid, tgrid, fs, initial, meta or {})
+    def from_values(cls, grid: Grid2D, tgrid: TimeGrid, values: np.ndarray,
+                    initial: ScalarField | None = None, meta: dict | None = None) -> "Trajectory":
+        return cls(grid, tgrid, values, initial, meta or {})
 
     @classmethod
     def zero(cls, grid: Grid2D, tgrid: TimeGrid) -> "Trajectory":
-        z = ScalarField.zero(grid)
-        return cls(grid, tgrid, (z,) * tgrid.count, z)
-
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """Node values as one (K, n, n) array."""
-        return np.stack([f.values for f in self.fields])
+        return cls(grid, tgrid, np.zeros((tgrid.count, grid.n, grid.n)), ScalarField.zero(grid))
 
     def _combine(self, other: "Trajectory", op) -> "Trajectory":
-        if self.grid != other.grid or self.tgrid != other.tgrid:
-            raise ValueError("trajectories live on different grids")
-        fs = tuple(op(a, b) for a, b in zip(self.fields, other.fields))
+        _require_compatible(self, other)
         init = None
         if self.initial is not None and other.initial is not None:
             init = op(self.initial, other.initial)
-        return Trajectory(self.grid, self.tgrid, fs, init)
+        return Trajectory(self.grid, self.tgrid, op(self.stacked, other.stacked), init)
 
     def __add__(self, other: "Trajectory") -> "Trajectory":
         return self._combine(other, lambda a, b: a + b)
@@ -145,9 +156,8 @@ class Trajectory:
         return self._combine(other, lambda a, b: a - b)
 
     def __mul__(self, a: float) -> "Trajectory":
-        fs = tuple(f * a for f in self.fields)
         init = None if self.initial is None else self.initial * a
-        return Trajectory(self.grid, self.tgrid, fs, init)
+        return Trajectory(self.grid, self.tgrid, self.stacked * float(a), init)
 
     __rmul__ = __mul__
 
@@ -157,8 +167,8 @@ def save_trajectory(path, traj: Trajectory) -> None:
     with open(path, "wb") as fh:
         if traj.initial is not None:
             write_snapshot(fh, traj.initial, 0.0)
-        for f, t in zip(traj.fields, traj.tgrid.times):
-            write_snapshot(fh, f, t)
+        for values, t in zip(traj.stacked, traj.tgrid.times):
+            write_snapshot(fh, ScalarField(traj.grid, values), t)
 
 
 def load_trajectory(path) -> Trajectory:
@@ -173,6 +183,9 @@ def load_trajectory(path) -> Trajectory:
             snaps.append(read_snapshot(fh))
     if not snaps:
         raise ValueError("empty trajectory file")
+    grid = snaps[0][0].grid
+    if any(f.grid != grid for f, _ in snaps):
+        raise ValueError("trajectory file mixes snapshots on different grids")
     initial = None
     if snaps[0][1] == 0.0:
         initial = snaps[0][0]
@@ -180,9 +193,8 @@ def load_trajectory(path) -> Trajectory:
     if not snaps:
         raise ValueError("trajectory file holds no positive-time snapshots")
     times = np.array([t for _, t in snaps])
-    grid = snaps[0][0].grid
     tgrid = _infer_timegrid(times)
-    return Trajectory(grid, tgrid, tuple(f for f, _ in snaps), initial)
+    return Trajectory(grid, tgrid, np.stack([f.values for f, _ in snaps]), initial)
 
 
 def _infer_timegrid(times: np.ndarray) -> TimeGrid:

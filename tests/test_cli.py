@@ -139,6 +139,40 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 2
 
 
+class TestNormsCommand:
+    CFG = "grid.n = 32\npicard.c = 2.5\n"
+
+    @staticmethod
+    def dump(path, n):
+        from kslab import TimeGrid, gaussian_field, heat_trajectory, make_grid, save_trajectory
+
+        tgrid = TimeGrid.geometric(1e-2, 1.0, 6)
+        save_trajectory(path, heat_trajectory(gaussian_field(make_grid(n, 32.0), 1e-3, 0.5), tgrid))
+
+    def test_mismatched_dumps_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        self.dump(out / "fields_u.ksf1", 32)
+        self.dump(out / "fields_v.ksf1", 16)
+        cfg = write_config(tmp_path, self.CFG)
+        assert main(["norms", "--config", cfg, "--out", str(out)]) == 2
+        assert "different grids" in capsys.readouterr().err
+        assert not list(out.glob("norms_*.json"))
+
+    def test_truncated_dump_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("fields_u.ksf1", "fields_v.ksf1"):
+            self.dump(out / name, 32)
+        u_path = out / "fields_u.ksf1"
+        u_path.write_bytes(u_path.read_bytes()[:-100])
+        cfg = write_config(tmp_path, self.CFG)
+        assert main(["norms", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "fields_u.ksf1" in err and "truncated" in err
+        assert not list(out.glob("norms_*.json"))
+
+
 class TestCompareCommand:
     def test_zero_data_identical(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVE)

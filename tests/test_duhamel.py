@@ -37,7 +37,7 @@ def tgrid():
 
 
 def const_traj(grid, tgrid, field):
-    return Trajectory(grid, tgrid, tuple(field for _ in range(tgrid.count)), initial=field)
+    return Trajectory.from_values(grid, tgrid, np.stack([field.values] * tgrid.count), initial=field)
 
 
 class TestWeights:
@@ -77,7 +77,7 @@ class TestLinearL:
         for j in (0, 10, 23):
             t = tgrid.times[j]
             expected = (1 - np.exp(-t * lam)) / lam * f.values
-            assert np.max(np.abs(out.fields[j].values - expected)) < 1e-8
+            assert np.max(np.abs(out.stacked[j] - expected)) < 1e-8
 
     def test_undamped_variant(self, grid, tgrid):
         f = cosine_mode_field(grid, (2, 0))
@@ -85,31 +85,31 @@ class TestLinearL:
         lam = (2 * np.pi * 2 / grid.l) ** 2
         t = tgrid.times[-1]
         expected = (1 - np.exp(-t * lam)) / lam * f.values
-        assert np.max(np.abs(out.fields[-1].values - expected)) < 1e-8
+        assert np.max(np.abs(out.stacked[-1] - expected)) < 1e-8
 
     def test_causality(self, grid, tgrid):
         f = cosine_mode_field(grid, (1, 0))
         base = const_traj(grid, tgrid, f)
         # perturb only the last node
-        fields = list(base.fields)
-        fields[-1] = fields[-1] + cosine_mode_field(grid, (3, 0), 0.5)
-        bumped = Trajectory(grid, tgrid, tuple(fields), initial=base.initial)
+        values = base.stacked.copy()
+        values[-1] = values[-1] + cosine_mode_field(grid, (3, 0), 0.5).values
+        bumped = Trajectory.from_values(grid, tgrid, values, initial=base.initial)
         out_a = linear_L(base)
         out_b = linear_L(bumped)
         for j in range(tgrid.count - 1):
-            np.testing.assert_array_equal(out_a.fields[j].values, out_b.fields[j].values)
-        assert np.max(np.abs(out_a.fields[-1].values - out_b.fields[-1].values)) > 0
+            np.testing.assert_array_equal(out_a.stacked[j], out_b.stacked[j])
+        assert np.max(np.abs(out_a.stacked[-1] - out_b.stacked[-1])) > 0
 
     def test_head_dropped_reported(self, grid, tgrid):
         f = cosine_mode_field(grid, (1, 0))
-        no_init = Trajectory(grid, tgrid, tuple(f for _ in range(tgrid.count)), initial=None)
+        no_init = Trajectory.from_values(grid, tgrid, np.stack([f.values] * tgrid.count), initial=None)
         out = linear_L(no_init)
         assert out.meta["head_included"] is False
         assert out.meta["head_deficit_sup_linf"] > 0
         with_init = linear_L(const_traj(grid, tgrid, f))
         assert with_init.meta["head_included"] is True
         # the dropped head shows up as a deficit at the first node
-        gap = np.max(np.abs(out.fields[0].values - with_init.fields[0].values))
+        gap = np.max(np.abs(out.stacked[0] - with_init.stacked[0]))
         assert gap > 0.5 * out.meta["head_deficit_sup_linf"]
 
 
@@ -152,15 +152,15 @@ class TestBilinearB:
 
         for j in (0, 12, 23):
             t = tgrid.times[j]
-            err = np.max(np.abs(out.fields[j].values - expected(t)))
+            err = np.max(np.abs(out.stacked[j] - expected(t)))
             assert err < 1e-8
 
     def test_zero_spatial_mean(self, grid, tgrid):
         u = const_traj(grid, tgrid, cosine_mode_field(grid, (1, 0)))
         v = const_traj(grid, tgrid, cosine_mode_field(grid, (2, 1)))
         out = bilinear_B(u, v)
-        for f in out.fields:
-            assert abs(f.integral()) < 1e-12
+        for values in out.stacked:
+            assert abs(ScalarField(grid, values).integral()) < 1e-12
 
     def test_translation_commutes(self, grid, tgrid):
         u0 = cosine_mode_field(grid, (1, 0))
@@ -175,8 +175,8 @@ class TestBilinearB:
         )
         for j in (0, 23):
             np.testing.assert_allclose(
-                shifted.fields[j].values,
-                np.roll(base.fields[j].values, (1, 1), axis=(0, 1)),
+                shifted.stacked[j],
+                np.roll(base.stacked[j], (1, 1), axis=(0, 1)),
                 atol=1e-13,
             )
 
@@ -201,7 +201,7 @@ class TestMaximalRegT:
         for j in (0, 23):
             t = tgrid.times[j]
             expected = -(1 - np.exp(-t * lam)) * f.values
-            assert np.max(np.abs(out.fields[j].values - expected)) < 1e-10
+            assert np.max(np.abs(out.stacked[j] - expected)) < 1e-10
 
     def test_bounded_ratio_over_sweep(self, grid, tgrid):
         # discrete L2_t L2 ratio stays below 1 for every mode and horizon here
@@ -257,7 +257,7 @@ class TestQuadratureScheme:
         # held-left reconstruction: g = f on [0, 0.5] and on [0.5, 1.0]
         t = 1.0
         expected = -(1 - np.exp(-t * lam)) * f.values
-        assert np.max(np.abs(out.fields[1].values - expected)) < 1e-10
+        assert np.max(np.abs(out.stacked[1] - expected)) < 1e-10
 
 
 class TestEtdConvolve:
@@ -279,7 +279,7 @@ class TestEtdConvolve:
         lam = (2 * np.pi * 3 / grid.l) ** 2
         t = tgrid.times[-1]
         expected = np.sqrt(lam) * (1 - np.exp(-t * lam)) / lam * f.values
-        assert np.max(np.abs(out.fields[-1].values - expected)) < 1e-10
+        assert np.max(np.abs(out.stacked[-1] - expected)) < 1e-10
 
 
 class TestPlanReuse:

@@ -74,12 +74,12 @@ class TestBilinearLemma:
         grid = SMALL.make_grid()
         tgrid = SMALL.make_timegrid()
         f = cosine_mode_field(grid, (2, 0))
-        traj = Trajectory(grid, tgrid, tuple(f for _ in range(tgrid.count)), initial=f)
+        traj = Trajectory.from_values(grid, tgrid, np.stack([f.values] * tgrid.count), initial=f)
         out = etd_convolve(traj, 1.0 + grid.k2)
         lam = 1.0 + (2 * np.pi * 2 / grid.l) ** 2
         t = tgrid.times[-1]
         expected = (1 - np.exp(-t * lam)) / lam * f.values
-        assert np.max(np.abs(out.fields[-1].values - expected)) < 1e-10
+        assert np.max(np.abs(out.stacked[-1] - expected)) < 1e-10
 
     def test_zero_input_gives_zero(self):
         report = verify_bilinear_lemma23(SMALL)
@@ -121,7 +121,7 @@ class TestMaximalRegularity:
         grid = SMALL.make_grid()
         tgrid = SMALL.make_timegrid()
         const = ScalarField(grid, np.ones((grid.n, grid.n)))
-        traj = Trajectory(grid, tgrid, tuple(const for _ in range(tgrid.count)), initial=const)
+        traj = Trajectory.from_values(grid, tgrid, np.stack([const.values] * tgrid.count), initial=const)
         out = maximal_reg_T(traj)
         assert np.max(np.abs(out.stacked)) < 1e-14
 

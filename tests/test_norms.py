@@ -165,7 +165,7 @@ class TestBesov:
 
 
 def _const_traj(grid, tgrid, field):
-    return Trajectory(grid, tgrid, tuple(field for _ in range(tgrid.count)), initial=field)
+    return Trajectory.from_values(grid, tgrid, np.stack([field.values] * tgrid.count), initial=field)
 
 
 class TestXYNormsThm1:
@@ -225,7 +225,7 @@ class TestXYNormsThm2:
         with_initial = heat_trajectory(gaussian_field(grid, 1.0, 0.5), tg)
         report = xy_norms_thm2(with_initial, Trajectory.zero(grid, tg))
         assert "closed form" in report["u_grad_l2t_h1"].note
-        bare = Trajectory(grid, tg, with_initial.fields, initial=None)
+        bare = Trajectory.from_values(grid, tg, with_initial.stacked, initial=None)
         report2 = xy_norms_thm2(bare, Trajectory.zero(grid, tg))
         assert "dropped" in report2["u_grad_l2t_h1"].note
         assert report2.value("u_grad_l2t_h1") <= report.value("u_grad_l2t_h1")

@@ -1,4 +1,4 @@
-"""Property tests for the single kernels: batched norms, ETD operators and plans, KSF1 and config I/O."""
+"""Property tests for the single kernels: batched norms, ETD operators and plans, trajectories, KSF1 and config I/O."""
 
 import io
 
@@ -22,10 +22,11 @@ from kslab import (
     maximal_reg_T,
 )
 from kslab.cli import ExperimentConfig, parse_config_text, serialize_config
-from kslab.duhamel import EtdPlan, QuadratureScheme, _first_nonfinite_node, etd_weights
+from kslab.duhamel import EtdPlan, QuadratureScheme, etd_weights
 from kslab.fields import fft2, ifft2, read_snapshot, write_snapshot
 from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, grad_linf
 from kslab.semigroup import _free_flow
+from kslab.trajectories import TrajectoryOverflowError, _first_nonfinite_node, load_trajectory
 
 seeds = st.integers(0, 2**32 - 1)
 lengths = st.sampled_from([4.0, 8.0, 32.0])
@@ -250,6 +251,66 @@ class TestEtdPlans:
         lam[rng.integers(16), rng.integers(16)] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
             EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4))
+
+
+class TestArrayTrajectory:
+    @given(seed=seeds, k=nodes, with_initial=st.booleans(), c=st.floats(-1e3, 1e3))
+    def test_arithmetic_matches_per_node_fields(self, seed, k, with_initial, c):
+        grid = make_grid(16, 8.0)
+        a = _trajectory(grid, seed, k, with_initial)
+        b = _trajectory(grid, seed ^ 1, k, with_initial)
+        cases = (
+            (a + b, lambda f, g: f + g),
+            (a - b, lambda f, g: f - g),
+            (c * a, lambda f, g: c * f),
+            (a * c, lambda f, g: f * c),
+        )
+        for out, op in cases:
+            for j in range(k):
+                expected = op(ScalarField(grid, a.stacked[j]), ScalarField(grid, b.stacked[j]))
+                assert np.array_equal(out.stacked[j], expected.values)
+            if with_initial:
+                assert np.array_equal(out.initial.values, op(a.initial, b.initial).values)
+            else:
+                assert out.initial is None
+
+    @given(seed=seeds, k=nodes)
+    def test_real_part_of_a_transform_is_copied(self, seed, k):
+        grid = make_grid(16, 8.0)
+        traj = Trajectory.from_values(grid, TimeGrid.geometric(1e-2, 1.0, k), ifft2(fft2(_stack(seed, k))).real)
+        assert traj.stacked.dtype == np.float64 and traj.stacked.flags.c_contiguous
+        base = traj.stacked
+        while base is not None:
+            assert not np.iscomplexobj(base)
+            base = base.base
+
+    def test_stacked_is_read_only(self):
+        grid = make_grid(16, 8.0)
+        values = _stack(0, 3)
+        traj = Trajectory.from_values(grid, TimeGrid.geometric(1e-2, 1.0, 3), values)
+        assert not traj.stacked.flags.writeable
+        with pytest.raises(ValueError):
+            traj.stacked[0, 0, 0] = 1.0
+        assert values.flags.writeable  # the caller's array is not frozen
+
+    @given(k=nodes, data=st.data())
+    def test_nonfinite_node_raises(self, k, data):
+        values = np.zeros((k, 16, 16))
+        bad = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))
+        for j in bad:
+            values[j, data.draw(st.integers(0, 15)), data.draw(st.integers(0, 15))] = \
+                data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(TrajectoryOverflowError) as err:
+            Trajectory.from_values(make_grid(16, 8.0), TimeGrid.geometric(1e-2, 1.0, k), values)
+        assert err.value.node_index == bad[0]
+
+    def test_load_rejects_mixed_grids(self, tmp_path):
+        path = tmp_path / "mixed.ksf1"
+        with open(path, "wb") as fh:
+            write_snapshot(fh, ScalarField.zero(make_grid(16, 8.0)), 0.1)
+            write_snapshot(fh, ScalarField.zero(make_grid(32, 8.0)), 0.2)
+        with pytest.raises(ValueError, match="different grids"):
+            load_trajectory(path)
 
 
 class TestRoundTrips:

@@ -69,7 +69,7 @@ class TestHeat:
         assert traj.initial is f
         for j in (0, 4, 7):
             np.testing.assert_allclose(
-                traj.fields[j].values, heat(tg.times[j], f).values, atol=1e-13
+                traj.stacked[j], heat(tg.times[j], f).values, atol=1e-13
             )
 
 

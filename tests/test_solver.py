@@ -96,6 +96,22 @@ class TestPicardSolve:
         assert err.value.iteration >= 1
         assert err.value.which in ("u", "w")
 
+    @pytest.mark.parametrize("operator, which", [("bilinear_B", "u"), ("linear_L", "w")])
+    def test_blowup_names_the_overflowing_component(self, monkeypatch, cfg, grid, operator, which):
+        import kslab.solver
+        from kslab.trajectories import TrajectoryOverflowError
+
+        def overflow(*args, **kwargs):
+            raise TrajectoryOverflowError(3)
+
+        monkeypatch.setattr(kslab.solver, operator, overflow)
+        with pytest.raises(PicardBlowupError) as err:
+            picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
+        assert err.value.which == which
+        assert err.value.node_index == 3
+        assert err.value.iteration == 1
+        assert err.value.t == cfg.make_timegrid().times[3]
+
     def test_wrong_grid_rejected(self, cfg):
         other = make_grid(32, 32.0)
         with pytest.raises(ValueError, match="configured grid"):
