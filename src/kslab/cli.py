@@ -23,7 +23,7 @@ import numpy as np
 from . import norms as _norms
 from .data import cosine_mode_field, gaussian_field, smoothed_stripe_field
 from .duhamel import QuadratureScheme
-from .fields import Grid2D, ScalarField, fft2, load_field
+from .fields import Grid2D, ScalarField, load_field, rfft2
 from .inequality_lab import (
     LabSetup,
     besov_equivalence_samples,
@@ -298,9 +298,9 @@ def _norm_csv_rows(report) -> list[list]:
     cell = u.grid.cell_area
     u_l1 = _norms._batch_lp(u.stacked, 1.0, cell)
     u_linf = _norms._batch_lp(u.stacked, np.inf, cell)
-    v_coeffs = fft2(v.stacked)
+    v_coeffs = rfft2(v.stacked)
     gv = _norms._batch_grad_linf(v.grid, v_coeffs)
-    u_h1 = _norms._batch_hs(u.grid, fft2(u.stacked), 1.0)
+    u_h1 = _norms._batch_hs(u.grid, rfft2(u.stacked), 1.0)
     v_h1 = _norms._batch_hs(v.grid, v_coeffs, 1.0)
     sig = _norms.sigma(times)
     rows = []

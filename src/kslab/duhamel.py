@@ -11,9 +11,18 @@ here: the differentiation sits inside the exactly integrated multiplier.
 
 ``etd_convolve`` is the general operator; ``linear_L`` and ``maximal_reg_T``
 are symbol choices over it, (lam, prefactor) = (|xi|^2 + 1 or |xi|^2, none)
-and (|xi|^2, -|xi|^2).  ``bilinear_B`` builds its own spectral integrand and
-shares the same tail: march, inverse transform, trajectory (which rejects
-non-finite output).
+and (|xi|^2, -|xi|^2).  ``bilinear_B`` builds its own spectral integrand.
+
+Layout: the operators march the ``(n, n//2+1)`` half spectra of ``rfft2``
+(see ``fields``).  The array kernels ``_convolve_hat`` (prefactor, march)
+and ``_bilinear_hat`` (dealiased div(u grad v), march) take and return half
+spectra; the Picard loop and the lab call them directly.  The public
+operators are thin wrappers: forward transform, kernel, inverse transform,
+trajectory (which rejects non-finite output).  They keep taking full
+``(n, n)`` symbols: each symbol must be finite, ``lam`` non-negative, and
+both even in xi (``sym[k] == sym[-k]``, exact for every symbol built from
+|xi|^2), since an even symbol maps a real field's spectrum to a real
+field's spectrum; then only its non-negative-xi_2 half is used.
 
 Interval handling near t = 0: when the input trajectories carry an initial
 datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
@@ -24,12 +33,14 @@ Plans: an ``EtdPlan`` holds what the march needs that does not depend on the
 integrand, for one (lam, time grid, scheme): the interval lengths and, per
 interval (head and substeps included), ``exp(-z)`` and the two quadrature
 weights at z = lam * dt.  The tables are stored per distinct value of lam,
-with an (n, n) index back to the modes, so a radial rate such as |xi|^2 costs
-3 x intervals x (distinct rates) floats instead of 3 x intervals x n^2: about
-3 MB at n = 128, K = 64.  A plan is a plain read-only object.  Its lifetime
-is the caller's: every operator builds one for its call when none is passed,
-and a caller that convolves many integrands against the same rates builds
-the plan once and passes it as ``plan=``.  Nothing is cached at module level.
+with an (n, n//2+1) index back to the half-layout modes, so a radial rate
+such as |xi|^2 costs 3 x intervals x (distinct rates) floats instead of
+3 x intervals x n^2: about 2.9 MB at n = 128, K = 64 (1911 distinct rates;
+the index adds 67 kB) and 42 MB at n = 512, K = 64 (the index adds 1 MB).
+A plan is a plain read-only object.  Its lifetime is the caller's: every
+operator builds one for its call when none is passed, and a caller that
+convolves many integrands against the same rates builds the plan once and
+passes it as ``plan=``.  Nothing is cached at module level.
 A plan that does not match the call's time grid, grid shape, scheme or rates
 raises ``ValueError``.
 """
@@ -41,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, fft2, ifft2
-from .trajectories import TimeGrid, Trajectory, _require_compatible
+from .fields import ScalarField, irfft2, rfft2
+from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible
 
 _KINDS = ("etd_piecewise_constant", "etd_piecewise_linear")
 
@@ -109,11 +120,19 @@ def etd_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return np.exp(-z), _phi1(z), _w_left(z), _w_right(z)
 
 
+def _even_half(sym: np.ndarray, what: str) -> np.ndarray:
+    """The half-layout columns of a full (n, n) symbol, which must be even in xi."""
+    if not np.array_equal(sym, np.roll(sym[::-1, ::-1], 1, axis=(0, 1))):
+        raise ValueError(f"{what} must be even in xi (sym[k] == sym[-k]) to act on real fields")
+    return sym[:, : sym.shape[1] // 2 + 1]
+
+
 class EtdPlan:
     """Per-interval ETD decay and weights for one (lam, time grid, scheme).
 
-    ``values`` are the distinct rates and ``inverse`` maps every mode to its
-    rate.  Row r of ``decay``, ``w_a`` and ``w_b`` belongs to interval r of
+    ``lam`` is a full (n, n) rate symbol; ``values`` are the distinct rates
+    and ``inverse`` maps every half-layout mode to its rate.  Row r of
+    ``decay``, ``w_a`` and ``w_b`` belongs to interval r of
     ``[0, t_1], [t_1, t_2], ...``, each split into ``scheme.substeps`` equal
     pieces whose edges are ``edges``; the weights are (w_left, w_right) for
     the piecewise-linear scheme and (phi1, None) for the piecewise-constant
@@ -124,7 +143,8 @@ class EtdPlan:
         lam = np.asarray(lam, dtype=np.float64)
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("decay rates must be finite and non-negative")
-        values, inverse = np.unique(lam, return_inverse=True)
+        half = _even_half(lam, "decay rates")
+        values, inverse = np.unique(half, return_inverse=True)
         knots = np.concatenate(([0.0], tgrid.times))
         edges = np.array([np.linspace(a, b, scheme.substeps + 1) for a, b in zip(knots[:-1], knots[1:])])
         dts = np.diff(edges, axis=1).ravel()
@@ -132,8 +152,9 @@ class EtdPlan:
         linear = scheme.kind == "etd_piecewise_linear"
         self.tgrid = tgrid
         self.scheme = scheme
+        self.shape = lam.shape
         self.values = values
-        self.inverse = inverse.reshape(lam.shape)
+        self.inverse = inverse.reshape(half.shape)
         self.edges = edges
         self.dts = dts
         self.decay = decay
@@ -149,13 +170,13 @@ class EtdPlan:
             raise ValueError(f"ETD plan was built for {self.scheme}, not {scheme}")
         if self.tgrid != tgrid:
             raise ValueError("ETD plan was built for another time grid")
-        if self.inverse.shape != lam.shape:
-            raise ValueError(f"ETD plan was built for grid shape {self.inverse.shape}, not {lam.shape}")
-        if not np.array_equal(self.values[self.inverse], lam):
+        if self.shape != lam.shape:
+            raise ValueError(f"ETD plan was built for grid shape {self.shape}, not {lam.shape}")
+        if not np.array_equal(self.values[self.inverse], _even_half(lam, "decay rates")):
             raise ValueError("ETD plan was built for other decay rates")
 
     def gather(self, row: np.ndarray) -> np.ndarray:
-        """Spread one per-rate row over the modes."""
+        """Spread one per-rate row over the half-layout modes."""
         return np.take(row, self.inverse)
 
 
@@ -168,7 +189,7 @@ def _plan_for(plan: EtdPlan | None, lam: np.ndarray, tgrid: TimeGrid,
 
 
 def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> tuple[np.ndarray, dict]:
-    """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes."""
+    """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes, on half spectra."""
     times = plan.tgrid.times
     substeps = plan.scheme.substeps
     pcw_linear = plan.scheme.kind == "etd_piecewise_linear"
@@ -185,7 +206,7 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> tup
         out_offset = 0
         meta["head_included"] = False
         deficit = times[0] * plan.gather(plan.head_phi1) * ghat[0]
-        meta["head_deficit_sup_linf"] = float(np.max(np.abs(ifft2(deficit).real)))
+        meta["head_deficit_sup_linf"] = float(np.max(np.abs(irfft2(deficit, plan.shape[0]))))
 
     spline = None
     if substeps > 1:
@@ -220,20 +241,41 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> tup
 
 
 def _div_u_grad_v(grid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
-    """Spectral div(u grad v) with 2/3-rule dealiasing, batched over axis 0."""
-    mask = grid.dealias_mask
-    u_r = ifft2(mask * uhat).real
-    d1 = ifft2(mask * (1j * grid.kx * vhat)).real
-    d2 = ifft2(mask * (1j * grid.ky * vhat)).real
-    p1 = fft2(u_r * d1)
-    p2 = fft2(u_r * d2)
-    return mask * (1j * grid.kx * p1 + 1j * grid.ky * p2)
+    """Half spectrum of div(u grad v) with 2/3-rule dealiasing, batched over the leading axes.
+
+    Two r2c and three c2r transforms per call.
+    """
+    n = grid.n
+    d1, d2 = grid.d1_dealiased_half, grid.d2_dealiased_half
+    u_r = irfft2(grid.dealias_mask_half * uhat, n)
+    g1 = irfft2(d1 * vhat, n)
+    g2 = irfft2(d2 * vhat, n)
+    return d1 * rfft2(u_r * g1) + d2 * rfft2(u_r * g2)
 
 
-def _convolve(g: Trajectory, ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> Trajectory:
-    """Shared tail: march the spectra, return to real space; the trajectory rejects overflow."""
-    out_hat, meta = _etd_march(ghat, g0hat, plan)
-    return Trajectory.from_values(g.grid, g.tgrid, ifft2(out_hat).real,
+def _convolve_hat(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
+                  prefactor: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """The etd_convolve kernel on half spectra: apply the half-layout prefactor, march."""
+    if prefactor is not None:
+        ghat = prefactor * ghat
+        if g0hat is not None:
+            g0hat = prefactor * g0hat
+    return _etd_march(ghat, g0hat, plan)
+
+
+def _bilinear_hat(grid, uhat: np.ndarray, vhat: np.ndarray, g0hat: np.ndarray | None,
+                  plan: EtdPlan) -> tuple[np.ndarray, dict]:
+    """The bilinear_B kernel on half spectra: the integrand div(u grad v), marched.
+
+    ``g0hat`` is the integrand at t = 0 (or None), which callers that reuse
+    it across calls compute once.
+    """
+    return _etd_march(_div_u_grad_v(grid, uhat, vhat), g0hat, plan)
+
+
+def _trajectory_of(g: Trajectory, out_hat: np.ndarray, meta: dict) -> Trajectory:
+    """Shared tail: back to real space; the trajectory rejects overflow."""
+    return Trajectory.from_values(g.grid, g.tgrid, irfft2(out_hat, g.grid.n),
                                   initial=ScalarField.zero(g.grid), meta=meta)
 
 
@@ -248,11 +290,11 @@ def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_
     _require_compatible(u, v)
     grid = u.grid
     plan = _plan_for(plan, grid.k2, u.tgrid, scheme)
-    ghat = _div_u_grad_v(grid, fft2(u.stacked), fft2(v.stacked))
     g0hat = None
     if u.initial is not None and v.initial is not None:
-        g0hat = _div_u_grad_v(grid, fft2(u.initial.values), fft2(v.initial.values))
-    return _convolve(u, ghat, g0hat, plan)
+        g0hat = _div_u_grad_v(grid, _initial_hat(u), _initial_hat(v))
+    out_hat, meta = _bilinear_hat(grid, rfft2(u.stacked), rfft2(v.stacked), g0hat, plan)
+    return _trajectory_of(u, out_hat, meta)
 
 
 def linear_L(u: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME, damped: bool = True,
@@ -276,21 +318,20 @@ def etd_convolve(
 ) -> Trajectory:
     """General form int_0^t e^{-(t-tau) lam(xi)} prefactor(xi) g(tau) dtau.
 
-    ``lam`` must be non-negative on the grid; ``prefactor`` is any finite
-    time-independent symbol (for example a fractional-Laplacian power).
+    ``lam`` must be non-negative and ``prefactor`` (any finite, real,
+    time-independent symbol, for example a fractional-Laplacian power)
+    finite on the grid, and both even in xi; otherwise ``ValueError``.
     ``plan``, when given, must have been built for ``lam``, ``g``'s time grid
     and ``scheme``; without one the call builds its own.
     """
     grid = g.grid
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), (grid.n, grid.n))
+    shape = (grid.n, grid.n)
+    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), shape)
     plan = _plan_for(plan, lam, g.tgrid, scheme)
-    ghat = fft2(g.stacked)
-    g0hat = None if g.initial is None else fft2(g.initial.values)
     if prefactor is not None:
-        prefactor = np.asarray(prefactor)
-        if not np.all(np.isfinite(prefactor)):
-            raise ValueError("prefactor symbol must be finite on the grid")
-        ghat = prefactor * ghat
-        if g0hat is not None:
-            g0hat = prefactor * g0hat
-    return _convolve(g, ghat, g0hat, plan)
+        prefactor = np.broadcast_to(np.asarray(prefactor), shape)
+        if np.iscomplexobj(prefactor) or not np.all(np.isfinite(prefactor)):
+            raise ValueError("prefactor symbol must be real and finite on the grid")
+        prefactor = _even_half(prefactor, "prefactor symbol")
+    out_hat, meta = _convolve_hat(rfft2(g.stacked), _initial_hat(g), plan, prefactor)
+    return _trajectory_of(g, out_hat, meta)

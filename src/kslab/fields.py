@@ -11,9 +11,28 @@ Conventions used throughout the package:
   integer index ``k`` is ``xi_k = 2*pi*k/l`` with ``k = -n/2 .. n/2-1`` in
   standard FFT ordering.  Under this normalisation Parseval reads
   ``||f||_{L2}^2 = (l^2/n^4) * sum |coeffs|^2``.
+* Every field is real, so the computational layout is the half spectrum of
+  ``rfft2``: shape ``(n, n//2+1)``, the columns ``xi_2 >= 0``; the other
+  columns are the complex conjugates ``coeffs[-k] = conj(coeffs[k])``.  A
+  sum over the full spectrum of an even quantity (a power spectrum times an
+  even weight) is the half-layout sum with the column multiplicity
+  ``Grid2D.parseval_mult_half``: 1 for the ``xi_2 = 0`` and ``xi_2 = n/2``
+  columns, which are their own mirrors, and 2 for every other column.
+  Symbols applied in the half layout must be even in ``xi`` (or odd and
+  imaginary, like a derivative) so that the product stays a real field's
+  spectrum.
+* Nyquist rule: the derivative wavenumbers ``kx_deriv`` and
+  ``ky_deriv_half`` are ``xi`` with the Nyquist row and column set to zero.
+  The Nyquist mode is its own mirror, so ``i*xi`` there is not the spectrum
+  of a real field; the full layout's ``ifft2(1j*xi*coeffs).real`` drops that
+  part exactly, and the zeroed wavenumbers drop it in the half layout too.
 * Products of fields are dealiased with the 2/3 rule: integer modes with
   ``|k| > n//3`` on either axis are zeroed before and after the real-space
-  multiplication.
+  multiplication.  ``d1_dealiased_half`` and ``d2_dealiased_half`` are the
+  dealiased derivative symbols ``mask * 1j*xi_i`` of that product.
+* The single-field public API (``kx``, ``ky``, ``k2``, ``SpectralField``,
+  ``multiplier_apply``, ``pointwise_product``, ``divergence``) keeps the full
+  ``n x n`` layout of ``fft2``.
 """
 
 from __future__ import annotations
@@ -86,14 +105,27 @@ class Grid2D:
         object.__setattr__(self, "ky_half", k1h[None, :])
         object.__setattr__(self, "k2_half", k1[:, None] ** 2 + k1h[None, :] ** 2)
 
+        # Half layout: column multiplicity for Parseval sums and the
+        # derivative wavenumbers with the Nyquist row and column zeroed.
+        mult = np.full(n // 2 + 1, 2.0)
+        mult[0] = mult[-1] = 1.0
+        object.__setattr__(self, "parseval_mult_half", mult[None, :])
+        kd, kdh = k1.copy(), k1h.copy()
+        kd[n // 2] = kdh[n // 2] = 0.0
+        object.__setattr__(self, "kx_deriv", kd[:, None])
+        object.__setattr__(self, "ky_deriv_half", kdh[None, :])
+
         # 2/3 rule: keep integer modes |m| <= n//3 on each axis.
         m = np.fft.fftfreq(n) * n
         mh = np.fft.rfftfreq(n) * n
         cut = n // 3
         keep = np.abs(m) <= cut
         keep_h = np.abs(mh) <= cut
+        mask_h = keep[:, None] & keep_h[None, :]
         object.__setattr__(self, "dealias_mask", keep[:, None] & keep[None, :])
-        object.__setattr__(self, "dealias_mask_half", keep[:, None] & keep_h[None, :])
+        object.__setattr__(self, "dealias_mask_half", mask_h)
+        object.__setattr__(self, "d1_dealiased_half", mask_h * (1j * kd[:, None]))
+        object.__setattr__(self, "d2_dealiased_half", mask_h * (1j * kdh[None, :]))
 
         x = (np.arange(n) - n // 2) * h
         object.__setattr__(self, "x", x)
@@ -305,13 +337,14 @@ def pointwise_product(f: ScalarField, g: ScalarField) -> ScalarField:
 
 
 def _grad_values(grid: Grid2D, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real-space gradient components of spectra batched over the leading axes."""
-    return ifft2(1j * grid.kx * coeffs).real, ifft2(1j * grid.ky * coeffs).real
+    """Real-space gradient components of half spectra batched over the leading axes."""
+    n = grid.n
+    return irfft2(1j * grid.kx_deriv * coeffs, n), irfft2(1j * grid.ky_deriv_half * coeffs, n)
 
 
 def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Spectral gradient (i*xi multipliers)."""
-    g1, g2 = _grad_values(f.grid, fft2(f.values))
+    """Spectral gradient (i*xi multipliers, Nyquist modes dropped)."""
+    g1, g2 = _grad_values(f.grid, rfft2(f.values))
     return ScalarField(f.grid, g1), ScalarField(f.grid, g2)
 
 

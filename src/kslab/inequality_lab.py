@@ -28,8 +28,8 @@ from .data import (
     random_band_limited_field,
     smoothed_stripe_field,
 )
-from .duhamel import DEFAULT_SCHEME, EtdPlan, bilinear_B, etd_convolve, linear_L, maximal_reg_T
-from .fields import GradComponent, Grid2D, ScalarField, fft2, multiplier_apply
+from .duhamel import DEFAULT_SCHEME, EtdPlan, _convolve_hat, bilinear_B, linear_L, maximal_reg_T
+from .fields import GradComponent, Grid2D, ScalarField, multiplier_apply, rfft2
 from .norms import (
     _batch_hs,
     _batch_lp,
@@ -44,7 +44,7 @@ from .norms import (
     xy_norms_thm2,
 )
 from .semigroup import damped_heat_trajectory, heat, heat_trajectory
-from .trajectories import TimeGrid, Trajectory
+from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_finite
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     grid = setup.make_grid()
     tgrid = setup.make_timegrid()
     times = tgrid.times
-    k2 = grid.k2
+    k2 = grid.k2_half
 
     syms = {
         "identity": np.ones((times.size,) + k2.shape),
@@ -171,7 +171,7 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     samples: list[RatioSample] = []
 
     for fname, f in fields:
-        vhat = fft2(f.values)
+        vhat = rfft2(f.values)
         for mname, sym in syms.items():
             applied = sym * vhat
             for s in (0.0, 1.0):
@@ -251,33 +251,39 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     grid = setup.make_grid()
     tgrid = setup.make_timegrid()
     times = tgrid.times
-    k2 = grid.k2
+    k2 = grid.k2_half
 
     modes = [m for m in _SWEEP_MODES if m <= setup.effective_mode_cap()]
-    field_samples: list[tuple[str, tuple, ScalarField]] = [
-        (f"mode{m}", (("mode", m),), cosine_mode_field(grid, (m, 0))) for m in modes
+    field_samples: list[tuple[str, tuple, np.ndarray]] = [
+        (f"mode{m}", (("mode", m),), rfft2(cosine_mode_field(grid, (m, 0)).values)) for m in modes
     ]
-    field_samples.append(("random", (("seed", seed),), random_band_limited_field(grid, seed=seed, max_mode=8)))
+    field_samples.append(("random", (("seed", seed),),
+                          rfft2(random_band_limited_field(grid, seed=seed, max_mode=8).values)))
 
     samples: list[RatioSample] = []
     uniformity: dict = {}
     # every convolution below decays at one of two rates: one plan each
-    rates = {"damped": 1.0 + k2, "plain": k2}
-    plans = {kind: EtdPlan(lam, tgrid, DEFAULT_SCHEME) for kind, lam in rates.items()}
+    plans = {"damped": EtdPlan(1.0 + grid.k2, tgrid, DEFAULT_SCHEME),
+             "plain": EtdPlan(grid.k2, tgrid, DEFAULT_SCHEME)}
 
-    def convolved(f: ScalarField, prof, rate: str, pre: np.ndarray, p_out: float,
+    def convolved(fhat: np.ndarray, prof, rate: str, pre: np.ndarray, p_out: float,
                   s: float, homogeneous: bool) -> tuple[float, float]:
-        """L^p_out-in-time norm of the convolution of prof(t) f, and the H^s norm of f."""
-        out = etd_convolve(_profile_trajectory(grid, tgrid, f, prof), rates[rate], prefactor=pre,
-                           scheme=DEFAULT_SCHEME, plan=plans[rate])
-        lhs = _time_lp(times, _batch_hs(grid, fft2(out.stacked), s, homogeneous), p_out, v0=0.0)
-        return lhs, _batch_hs(grid, fft2(f.values), s, homogeneous)
+        """L^p_out-in-time norm of the convolution of prof(t) f, and the H^s norm of f.
+
+        ``fhat`` and the prefactor ``pre`` are half spectra; the integrand's
+        spectrum is prof(t) fhat, so the march needs no transform.
+        """
+        out_hat, _ = _convolve_hat(prof(times)[:, None, None] * fhat, float(prof(0.0)) * fhat,
+                                   plans[rate], pre)
+        _require_finite(out_hat)
+        lhs = _time_lp(times, _batch_hs(grid, out_hat, s, homogeneous), p_out, v0=0.0)
+        return lhs, _batch_hs(grid, fhat, s, homogeneous)
 
     def run_case(group: str, rate: str, pre: np.ndarray, p_out: float, r_in: float,
                  s: float, homogeneous: bool) -> None:
-        for fname, fparams, f in field_samples:
+        for fname, fparams, fhat in field_samples:
             for pname, prof in _PROFILES.items():
-                lhs, f_norm = convolved(f, prof, rate, pre, p_out, s, homogeneous)
+                lhs, f_norm = convolved(fhat, prof, rate, pre, p_out, s, homogeneous)
                 rhs = _time_lp(times, prof(times) * f_norm, r_in, v0=float(prof(0.0)) * f_norm)
                 if rhs == 0:
                     continue
@@ -311,8 +317,8 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     ):
         ratios = []
         for m in sweep_modes:
-            f = cosine_mode_field(grid, (m, 0))
-            lhs, f_norm = convolved(f, _PROFILES["const"], rate, pre_fn(), np.inf, 0.0, homog)
+            fhat = rfft2(cosine_mode_field(grid, (m, 0)).values)
+            lhs, f_norm = convolved(fhat, _PROFILES["const"], rate, pre_fn(), np.inf, 0.0, homog)
             ratios.append(lhs / f_norm)
         ratios = np.array(ratios)
         low = float(np.max(ratios[: max(1, len(sweep_modes) // 2)]))
@@ -390,7 +396,7 @@ def verify_l4_interpolation(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
         l4 = _batch_lp(traj.stacked, 4.0, grid.cell_area)
         lhs = float(np.sqrt(trapezoid(times, l4**4) + times[0] * lp_norm(f, 4.0) ** 4))
         sup_l2 = max(float(np.max(_batch_lp(traj.stacked, 2.0, grid.cell_area))), lp_norm(f, 2.0))
-        grad_l2t, _ = _l2t_grad(traj, _spectrum(traj)[1], damped=False)
+        grad_l2t, _ = _l2t_grad(grid, times, _spectrum(traj)[1], _initial_hat(traj), damped=False)
         rhs = sup_l2 * grad_l2t
         if rhs == 0:
             continue

@@ -12,18 +12,22 @@ Conventions:
 * The spatial ``L^inf`` norm is the grid maximum; gradient suprema use the
   Euclidean magnitude of the two components.
 
-Each quantity has one kernel, batched over the leading axes of ``(..., n, n)``
-arrays; the single-field norms are calls into it:
+Each quantity has one kernel, batched over the leading axes; real-space
+kernels take ``(..., n, n)`` values and spectral kernels take the
+``(..., n, n//2+1)`` half spectra of ``rfft2`` (see ``fields``).  The
+single-field norms are calls into them:
 
 * ``_batch_lp`` for L^p (with the exponent check of ``_check_p``);
-* ``_batch_grad_linf`` for the gradient supremum, from spectra;
-* ``_parseval_sum`` with the weight rule ``_hs_weight`` for every Sobolev
-  quantity (``_batch_hs``, the H^1 and grad-H^s node sums, the closed-form
-  head of the time integrals);
-* ``semigroup._free_flow`` for the heat flow inside the Besov suprema.
-
-The reports take the spectrum once per trajectory per report and reuse it
-for every term.
+* ``_batch_grad_linf`` for the gradient supremum, from half spectra;
+* ``_parseval_sum`` (which applies the half layout's column multiplicity)
+  with the weight rule ``_hs_weight`` for every Sobolev quantity
+  (``_batch_hs``, the H^1 and grad-H^s node sums, the closed-form head of
+  the time integrals);
+* ``semigroup._free_flow`` for the heat flow inside the Besov suprema;
+* ``_thm1_report`` and ``_thm2_report`` for the two trajectory reports, from
+  node values and half spectra.  ``xy_norms_thm1``/``xy_norms_thm2`` transform
+  a trajectory pair and call them; the Picard loop, which keeps its iterates'
+  spectra, calls them directly.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, _grad_values, fft2, ifft2
+from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .semigroup import _free_flow
-from .trajectories import TimeGrid, Trajectory, _require_compatible
+from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible
 
 BESOV_MIN_DECADES = 6.0
 
@@ -75,46 +79,49 @@ def _parseval_factor(grid: Grid2D) -> float:
 
 
 def _hs_weight(grid: Grid2D, s: float, homogeneous: bool = False) -> np.ndarray:
-    """Sobolev weight (1+|xi|^2)^s, or |xi|^{2s} whose zero mode drops for s != 0."""
+    """Half-layout Sobolev weight (1+|xi|^2)^s, or |xi|^{2s} whose zero mode drops for s != 0."""
+    k2 = grid.k2_half
     if not homogeneous:
-        return (1.0 + grid.k2) ** s
+        return (1.0 + k2) ** s
     if s == 0:
-        return np.ones_like(grid.k2)
-    return np.where(grid.k2 > 0, grid.k2, 1.0) ** s * (grid.k2 > 0)
+        return np.ones_like(k2)
+    return np.where(k2 > 0, k2, 1.0) ** s * (k2 > 0)
 
 
 def _parseval_sum(grid: Grid2D, power: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Weighted squared norms (l^2/n^4) sum(weight * |c|^2) over the last two axes.
+    """Weighted squared norms (l^2/n^4) sum(weight * |c|^2) over the full spectrum.
 
-    ``power`` is the power spectrum |c|^2, so one transform serves every weight.
+    ``power`` is the half-layout power spectrum |c|^2, so one transform serves
+    every weight; the column multiplicity restores the mirrored columns.
+    ``weight`` must be even in xi.
     """
-    return _parseval_factor(grid) * np.sum(weight * power, axis=(-2, -1))
+    return _parseval_factor(grid) * np.sum((grid.parseval_mult_half * weight) * power, axis=(-2, -1))
 
 
 def _batch_hs(grid: Grid2D, coeffs: np.ndarray, s: float, homogeneous: bool = False) -> np.ndarray:
-    """Sobolev norms of spectra batched over the leading axes."""
+    """Sobolev norms of half spectra batched over the leading axes."""
     return np.sqrt(_parseval_sum(grid, np.abs(coeffs) ** 2, _hs_weight(grid, s, homogeneous)))
 
 
 def hs_norm(f: ScalarField, s: float) -> float:
     """Sobolev norm via the spectral weight (1+|xi|^2)^{s/2}; equals L^2 at s=0."""
-    return float(_batch_hs(f.grid, fft2(f.values), s))
+    return float(_batch_hs(f.grid, rfft2(f.values), s))
 
 
 def hs_dot_norm(f: ScalarField, s: float) -> float:
     """Homogeneous counterpart with weight |xi|^{2s} (the zero mode drops for s != 0)."""
-    return float(_batch_hs(f.grid, fft2(f.values), s, homogeneous=True))
+    return float(_batch_hs(f.grid, rfft2(f.values), s, homogeneous=True))
 
 
 def _batch_grad_linf(grid: Grid2D, coeffs: np.ndarray) -> np.ndarray:
-    """Grid maxima of the Euclidean gradient magnitude of spectra over (..., n, n)."""
+    """Grid maxima of the Euclidean gradient magnitude of half spectra over (..., n, n//2+1)."""
     g1, g2 = _grad_values(grid, coeffs)
     return np.max(np.sqrt(g1**2 + g2**2), axis=(-2, -1))
 
 
 def grad_linf(f: ScalarField) -> float:
     """Grid maximum of the Euclidean gradient magnitude."""
-    return float(_batch_grad_linf(f.grid, fft2(f.values)))
+    return float(_batch_grad_linf(f.grid, rfft2(f.values)))
 
 
 def trapezoid(times: np.ndarray, values: np.ndarray):
@@ -124,8 +131,8 @@ def trapezoid(times: np.ndarray, values: np.ndarray):
 
 
 def _spectrum(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Node spectra (K, n, n) and their power |c|^2, computed once per report."""
-    coeffs = fft2(traj.stacked)
+    """Node half spectra (K, n, n//2+1) and their power |c|^2, computed once per report."""
+    coeffs = rfft2(traj.stacked)
     return coeffs, np.abs(coeffs) ** 2
 
 
@@ -146,17 +153,17 @@ def _weighted_heat_sup(f: ScalarField, probe: TimeGrid, weight_exp: float, p: fl
     if probe.t_max / probe.t_min < 10.0**BESOV_MIN_DECADES * (1.0 - 1e-12):
         raise ValueError("the probe grid must span at least six decades of time")
     grid = f.grid
-    coeffs = fft2(f.values)
+    coeffs = rfft2(f.values)
     times = probe.times
     norms = np.empty(times.size)
     chunk = max(1, (1 << 22) // (grid.n * grid.n))
     for start in range(0, times.size, chunk):
-        hot = _free_flow(coeffs, times[start : start + chunk], grid.k2)
+        hot = _free_flow(coeffs, times[start : start + chunk], grid.k2_half)
         stop = start + hot.shape[0]
         if grad:
             norms[start:stop] = _batch_grad_linf(grid, hot)
         else:
-            norms[start:stop] = _batch_lp(ifft2(hot).real, p, grid.cell_area)
+            norms[start:stop] = _batch_lp(irfft2(hot, grid.n), p, grid.cell_area)
     weighted = times**weight_exp * norms
     j = int(np.argmax(weighted))
     at_boundary = j in (0, times.size - 1)
@@ -240,18 +247,12 @@ def _sup_entry(times: np.ndarray, values: np.ndarray, equation: str, note: str |
     return NormEntry(float(values[j]), equation, argmax_time=float(times[j]), note=note)
 
 
-def xy_norms_thm1(u: Trajectory, w: Trajectory) -> NormReport:
-    """Trajectory norms for the mass/amplitude setting.
-
-    X(u) = sup ||u||_L1 + sup t ||u||_Linf;  Y(w) = sup t^{1/2} ||grad w||_Linf.
-    """
-    _require_compatible(u, w)
-    times = u.tgrid.times
-    cell = u.grid.cell_area
-    su = u.stacked
-    l1 = _batch_lp(su, 1.0, cell)
-    linf = _batch_lp(su, np.inf, cell)
-    gw = _batch_grad_linf(w.grid, fft2(w.stacked))
+def _thm1_report(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, w_hat: np.ndarray) -> NormReport:
+    """The Theorem-1 report from u's node values (K, n, n) and w's half spectra."""
+    cell = grid.cell_area
+    l1 = _batch_lp(u_vals, 1.0, cell)
+    linf = _batch_lp(u_vals, np.inf, cell)
+    gw = _batch_grad_linf(grid, w_hat)
 
     e_l1 = _sup_entry(times, l1, "sup_j ||u(t_j)||_L1")
     e_tlinf = _sup_entry(times, times * linf, "sup_j t_j ||u(t_j)||_Linf")
@@ -267,26 +268,37 @@ def xy_norms_thm1(u: Trajectory, w: Trajectory) -> NormReport:
     return NormReport(entries)
 
 
-def _free_head_integral(f0: ScalarField, t1: float, damped: bool, weight: np.ndarray) -> float:
-    """Closed-form int_0^{t1} ||e^{tA} f0||_weight^2 dt for the free flow."""
-    grid = f0.grid
-    lam = grid.k2 + (1.0 if damped else 0.0)
+def xy_norms_thm1(u: Trajectory, w: Trajectory) -> NormReport:
+    """Trajectory norms for the mass/amplitude setting.
+
+    X(u) = sup ||u||_L1 + sup t ||u||_Linf;  Y(w) = sup t^{1/2} ||grad w||_Linf.
+    """
+    _require_compatible(u, w)
+    return _thm1_report(u.grid, u.tgrid.times, u.stacked, rfft2(w.stacked))
+
+
+def _free_head_integral(grid: Grid2D, f0_hat: np.ndarray, t1: float, damped: bool,
+                        weight: np.ndarray) -> float:
+    """Closed-form int_0^{t1} ||e^{tA} f0||_weight^2 dt for the free flow of f0's half spectrum."""
+    lam = grid.k2_half + (1.0 if damped else 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         time_factor = np.where(lam > 0, -np.expm1(-2.0 * t1 * lam) / (2.0 * lam), t1)
     # the time integral weights each mode of the weighted power by time_factor
-    return float(_parseval_sum(grid, weight * np.abs(fft2(f0.values)) ** 2, time_factor))
+    return float(_parseval_sum(grid, weight * np.abs(f0_hat) ** 2, time_factor))
 
 
-def _l2t_grad(traj: Trajectory, power: np.ndarray, damped: bool, s: float = 1.0) -> tuple[float, str]:
+def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: np.ndarray | None,
+              damped: bool, s: float = 1.0) -> tuple[float, str]:
     """Trapezoid ||grad .||_{L^2_t H^s} over the nodes plus the [0, t_min] head.
 
-    ``power`` is the trajectory's power spectrum; ``damped`` selects the free
-    flow that closes the head from the initial datum.
+    ``power`` is the trajectory's half-layout power spectrum; the head is
+    closed from the initial datum's half spectrum ``initial_hat`` under the
+    free flow that ``damped`` selects, and dropped without one.
     """
-    weight = traj.grid.k2 * _hs_weight(traj.grid, s)
-    body = trapezoid(traj.tgrid.times, _parseval_sum(traj.grid, power, weight))
-    if traj.initial is not None:
-        head = _free_head_integral(traj.initial, traj.tgrid.t_min, damped, weight)
+    weight = grid.k2_half * _hs_weight(grid, s)
+    body = trapezoid(times, _parseval_sum(grid, power, weight))
+    if initial_hat is not None:
+        head = _free_head_integral(grid, initial_hat, float(times[0]), damped, weight)
         note = "head [0, t_min] added in closed form from the initial datum's free flow"
     else:
         head = 0.0
@@ -294,29 +306,23 @@ def _l2t_grad(traj: Trajectory, power: np.ndarray, damped: bool, s: float = 1.0)
     return float(np.sqrt(body + head)), note
 
 
-def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:
-    """Trajectory norms for the Sobolev setting.
-
-    X(u) = sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf;
-    Y(w) = sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma(t) ||grad w||_Linf.
-    """
-    _require_compatible(u, w)
-    times = u.tgrid.times
-    grid = u.grid
+def _thm2_report(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, u_hat: np.ndarray,
+                 w_hat: np.ndarray, u0_hat: np.ndarray | None, w0_hat: np.ndarray | None) -> NormReport:
+    """The Theorem-2 report from u's node values, both half spectra and the initial data's."""
     h1 = _hs_weight(grid, 1.0)
 
-    u_power = _spectrum(u)[1]
+    u_power = np.abs(u_hat) ** 2
     e_uh1 = _sup_entry(times, np.sqrt(_parseval_sum(grid, u_power, h1)), "sup_j ||u(t_j)||_H1")
-    u_grad, u_note = _l2t_grad(u, u_power, damped=False)
+    u_grad, u_note = _l2t_grad(grid, times, u_power, u0_hat, damped=False)
     e_ugrad = NormEntry(u_grad, "||grad u||_{L2_t H1}", note=u_note)
-    e_ulinf = _sup_entry(times, _batch_lp(u.stacked, np.inf, grid.cell_area), "sup_j ||u(t_j)||_Linf")
+    e_ulinf = _sup_entry(times, _batch_lp(u_vals, np.inf, grid.cell_area), "sup_j ||u(t_j)||_Linf")
     x_norm = e_uh1.value + e_ugrad.value + e_ulinf.value
 
-    w_coeffs, w_power = _spectrum(w)
+    w_power = np.abs(w_hat) ** 2
     e_wh1 = _sup_entry(times, np.sqrt(_parseval_sum(grid, w_power, h1)), "sup_j ||w(t_j)||_H1")
-    w_grad, w_note = _l2t_grad(w, w_power, damped=True)
+    w_grad, w_note = _l2t_grad(grid, times, w_power, w0_hat, damped=True)
     e_wgrad = NormEntry(w_grad, "||grad w||_{L2_t H1}", note=w_note)
-    e_wsig = _sup_entry(times, sigma(times) * _batch_grad_linf(grid, w_coeffs),
+    e_wsig = _sup_entry(times, sigma(times) * _batch_grad_linf(grid, w_hat),
                         "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
     y_norm = e_wh1.value + e_wgrad.value + e_wsig.value
 
@@ -332,3 +338,14 @@ def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:
         "xy_norm": NormEntry(x_norm + y_norm, "||u||_X + ||w||_Y"),
     }
     return NormReport(entries)
+
+
+def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:
+    """Trajectory norms for the Sobolev setting.
+
+    X(u) = sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf;
+    Y(w) = sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma(t) ||grad w||_Linf.
+    """
+    _require_compatible(u, w)
+    return _thm2_report(u.grid, u.tgrid.times, u.stacked, rfft2(u.stacked), rfft2(w.stacked),
+                        _initial_hat(u), _initial_hat(w))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid2D, Heat, ScalarField, fft2, gradient, ifft2, multiplier_apply
+from .fields import Grid2D, Heat, ScalarField, gradient, irfft2, multiplier_apply, rfft2
 from .trajectories import TimeGrid, Trajectory
 
 
@@ -46,10 +46,11 @@ def grad_heat(t: float, f: ScalarField) -> tuple[ScalarField, ScalarField]:
 
 
 def _free_flow(coeffs: np.ndarray, times: np.ndarray, lam: np.ndarray, scale=None) -> np.ndarray:
-    """Spectra e^{-t lam} c at each of the given times, shaped (K, n, n).
+    """Spectra e^{-t lam} c at each of the given times, shaped (K,) + c.shape.
 
-    ``scale`` optionally multiplies each time's symbol by a scalar s(t)
-    before it meets the coefficients.
+    ``lam`` and ``c`` share one layout (the half spectrum wherever the
+    package computes).  ``scale`` optionally multiplies each time's symbol by
+    a scalar s(t) before it meets the coefficients.
     """
     decay = np.exp(-np.asarray(times)[:, None, None] * lam)
     if scale is not None:
@@ -58,8 +59,8 @@ def _free_flow(coeffs: np.ndarray, times: np.ndarray, lam: np.ndarray, scale=Non
 
 
 def _free_trajectory(f: ScalarField, tgrid: TimeGrid, damped: bool) -> Trajectory:
-    lam = f.grid.k2 + (1.0 if damped else 0.0)
-    values = ifft2(_free_flow(fft2(f.values), tgrid.times, lam)).real
+    lam = f.grid.k2_half + (1.0 if damped else 0.0)
+    values = irfft2(_free_flow(rfft2(f.values), tgrid.times, lam), f.grid.n)
     return Trajectory.from_values(f.grid, tgrid, values, initial=f)
 
 

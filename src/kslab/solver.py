@@ -33,14 +33,22 @@ from .duhamel import (
     DEFAULT_SCHEME,
     EtdPlan,
     QuadratureScheme,
-    bilinear_B,
+    _bilinear_hat,
+    _convolve_hat,
+    _div_u_grad_v,
     etd_weights,
-    linear_L,
 )
-from .fields import Grid2D, ScalarField, _grad_values, fft2, ifft2, irfft2, rfft2
+from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .norms import NormReport, default_besov_probe, grad_besov_sup, lp_norm, hs_norm
-from .semigroup import _free_flow, damped_heat_trajectory, heat_trajectory
-from .trajectories import TimeGrid, Trajectory, TrajectoryOverflowError, _require_compatible
+from .semigroup import _free_flow
+from .trajectories import (
+    TimeGrid,
+    Trajectory,
+    TrajectoryOverflowError,
+    _initial_hat,
+    _require_compatible,
+    _require_finite,
+)
 
 
 class PicardBlowupError(RuntimeError):
@@ -103,28 +111,23 @@ class SolverConfig:
         return default_constants().c
 
 
-def _xy_report(mode: str, u: Trajectory, w: Trajectory) -> NormReport:
+def _xy_report(mode: str, grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, u_hat: np.ndarray,
+               w_hat: np.ndarray, u0_hat: np.ndarray | None, w0_hat: np.ndarray | None) -> NormReport:
+    """The given mode's report from node values and half spectra (the kernels of xy_norms_thm1/2)."""
     if mode == "thm1_L1Linf":
-        return _norms.xy_norms_thm1(u, w)
-    return _norms.xy_norms_thm2(u, w)
+        return _norms._thm1_report(grid, times, u_vals, w_hat)
+    return _norms._thm2_report(grid, times, u_vals, u_hat, w_hat, u0_hat, w0_hat)
 
 
-def _free_chemical_response(u0: ScalarField, tgrid: TimeGrid, damped: bool) -> Trajectory:
-    """Closed form of the chemical response to the free density evolution.
+def _free_chemical_response(grid: Grid2D, u0_hat: np.ndarray, times: np.ndarray, damped: bool) -> np.ndarray:
+    """Closed form of the chemical response to the free density evolution, as half spectra.
 
     Per mode, int_0^t e^{-(t-tau)(lam+1)} e^{-tau lam} dtau = e^{-t lam}(1-e^{-t})
     (and t e^{-t lam} without damping), so this part of the fixed-point map
     needs no quadrature at all.
     """
-    grid = u0.grid
-    t = tgrid.times
-    scale = -np.expm1(-t) if damped else t
-    values = ifft2(_free_flow(fft2(u0.values), t, grid.k2, scale)).real
-    return Trajectory.from_values(grid, tgrid, values, initial=ScalarField.zero(grid))
-
-
-def _xy_norm(mode: str, u: Trajectory, w: Trajectory) -> float:
-    return _xy_report(mode, u, w).value("xy_norm")
+    scale = -np.expm1(-times) if damped else times
+    return _free_flow(u0_hat, times, grid.k2_half, scale)
 
 
 @dataclass
@@ -173,7 +176,7 @@ class SolutionReport:
 
 @contextmanager
 def _blowup_of(which: str, iteration: int, tgrid: TimeGrid):
-    """Report a non-finite trajectory built inside the block as a blow-up of ``which``."""
+    """Report a non-finite iterate found inside the block as a blow-up of ``which``."""
     try:
         yield
     except TrajectoryOverflowError as exc:
@@ -181,8 +184,8 @@ def _blowup_of(which: str, iteration: int, tgrid: TimeGrid):
         raise PicardBlowupError(iteration, j, which, float(tgrid.times[j])) from exc
 
 
-def _mass_drift(traj: Trajectory, mass0: float) -> float:
-    masses = traj.stacked.sum(axis=(1, 2)) * traj.grid.cell_area
+def _mass_drift(values: np.ndarray, cell: float, mass0: float) -> float:
+    masses = values.sum(axis=(1, 2)) * cell
     scale = abs(mass0) if mass0 != 0 else 1.0
     return float(np.max(np.abs(masses - mass0)) / scale)
 
@@ -194,68 +197,89 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     4c).  Non-convergence within ``max_iter`` is reported, not raised; a
     non-finite iterate raises :class:`PicardBlowupError` naming the first
     offending node.
+
+    The iterates stay half spectra between iterations.  Each iteration
+    transforms only B's dealiased product, u's node values (for L^1, L^inf
+    and mass) and the gradients of w behind the two norm reports.
     """
     grid = cfg.make_grid()
     if u0.grid != grid or w0.grid != grid:
         raise ValueError("initial data must live on the configured grid")
     tgrid = cfg.make_timegrid()
+    times = tgrid.times
+    n = grid.n
     c = cfg.resolve_c()
     scheme = cfg.quadrature
+    mode = cfg.mode
+    damped = not cfg.remark_ii
 
     # B and L convolve against the same rates every iteration: one plan each
     b_plan = EtdPlan(grid.k2, tgrid, scheme)
-    l_plan = EtdPlan(grid.k2 + (0.0 if cfg.remark_ii else 1.0), tgrid, scheme)
+    l_plan = EtdPlan(grid.k2 + (1.0 if damped else 0.0), tgrid, scheme)
 
-    free_u = heat_trajectory(u0, tgrid)
-    free_w = damped_heat_trajectory(w0, tgrid, damped=not cfg.remark_ii)
+    u0_hat, w0_hat = rfft2(u0.values), rfft2(w0.values)
+    free_u_hat = _free_flow(u0_hat, times, grid.k2_half)
+    w_hat = _free_flow(w0_hat, times, grid.k2_half + (1.0 if damped else 0.0))
     # L is linear: the response to the free part is exact, quadrature only
     # touches the (small) deviation of the iterate from the free evolution.
-    l_of_free = _free_chemical_response(u0, tgrid, damped=not cfg.remark_ii)
+    w_affine = w_hat + (1.0 / (4.0 * c)) * _free_chemical_response(grid, u0_hat, times, damped)
+    # B's integrand at t = 0 is div(u0 grad w0) in every iteration; the
+    # deviation that L convolves starts from zero
+    b_head = _div_u_grad_v(grid, u0_hat, w0_hat)
+    l_head = np.zeros_like(u0_hat)
 
-    a0 = _xy_norm(cfg.mode, free_u, free_w)
+    u_hat = free_u_hat
+    u_vals = irfft2(u_hat, n)
+    report = _xy_report(mode, grid, times, u_vals, u_hat, w_hat, u0_hat, w0_hat)
+    a0 = report.value("xy_norm")
     threshold = 3.0 / (32.0 * c * c)
     contraction_bound = 8.0 * c * c * a0 + 0.25
 
     mass0 = u0.integral()
-    u_prev, w_prev = free_u, free_w
     residuals: list[float] = []
     factors: list[float] = []
     iterate_norms: list[float] = [a0]
-    mass_drift = _mass_drift(free_u, mass0)
+    mass_drift = _mass_drift(u_vals, grid.cell_area, mass0)
     converged = False
     iterations = 0
 
     for m in range(1, cfg.max_iter + 1):
         iterations = m
         with _blowup_of("u", m, tgrid):
-            bu = bilinear_B(u_prev, w_prev, scheme, plan=b_plan)
-            u_vals = free_u.stacked - (4.0 * c) * bu.stacked
-            u_next = Trajectory.from_values(grid, tgrid, u_vals, initial=u0)
+            bu_hat, _ = _bilinear_hat(grid, u_hat, w_hat, b_head, b_plan)
+            u_hat_next = free_u_hat - (4.0 * c) * bu_hat
+            u_vals_next = irfft2(u_hat_next, n)
+            _require_finite(u_vals_next)
         with _blowup_of("w", m, tgrid):
-            du = u_prev - free_u
-            lu = linear_L(du, scheme, damped=not cfg.remark_ii, plan=l_plan)
-            w_vals = free_w.stacked + (1.0 / (4.0 * c)) * (l_of_free.stacked + lu.stacked)
-            w_next = Trajectory.from_values(grid, tgrid, w_vals, initial=w0)
+            lu_hat, _ = _convolve_hat(u_hat - free_u_hat, l_head, l_plan)
+            w_hat_next = w_affine + (1.0 / (4.0 * c)) * lu_hat
+            _require_finite(w_hat_next)
         # drop the operator outputs before the norms and the next B call, which set the memory peak
-        del bu, du, lu
+        del bu_hat, lu_hat
 
-        diff = _xy_norm(cfg.mode, u_next - u_prev, w_next - w_prev)
+        # the difference starts from u0 - u0 = 0 and w0 - w0 = 0: no head terms
+        diff = _xy_report(mode, grid, times, u_vals_next - u_vals, u_hat_next - u_hat,
+                          w_hat_next - w_hat, None, None).value("xy_norm")
         residuals.append(diff)
         if len(residuals) >= 2 and residuals[-2] > 0:
             factors.append(residuals[-1] / residuals[-2])
-        iterate_norms.append(_xy_norm(cfg.mode, u_next, w_next))
-        mass_drift = max(mass_drift, _mass_drift(u_next, mass0))
+        report = _xy_report(mode, grid, times, u_vals_next, u_hat_next, w_hat_next, u0_hat, w0_hat)
+        iterate_norms.append(report.value("xy_norm"))
+        mass_drift = max(mass_drift, _mass_drift(u_vals_next, grid.cell_area, mass0))
 
-        u_prev, w_prev = u_next, w_next
+        u_hat, w_hat, u_vals = u_hat_next, w_hat_next, u_vals_next
         if diff <= cfg.tol:
             converged = True
             break
 
-    v = (4.0 * c) * w_prev
-    report_thm1 = _norms.xy_norms_thm1(u_prev, w_prev)
-    report_thm2 = _norms.xy_norms_thm2(u_prev, w_prev)
+    # the last report is the configured mode's report of the final iterate
+    other = _xy_report("thm2_H1bH1" if mode == "thm1_L1Linf" else "thm1_L1Linf",
+                       grid, times, u_vals, u_hat, w_hat, u0_hat, w0_hat)
+    report_thm1, report_thm2 = (report, other) if mode == "thm1_L1Linf" else (other, report)
+    u = Trajectory.from_values(grid, tgrid, u_vals, initial=u0)
+    w = Trajectory.from_values(grid, tgrid, irfft2(w_hat, n), initial=w0)
+    v = (4.0 * c) * w
 
-    times = tgrid.times
     diag = {
         "t_u_linf_argmax": report_thm1["u_sup_t_linf"].argmax_time,
         "sqrt_t_grad_w_argmax": report_thm1["y_norm"].argmax_time,
@@ -279,8 +303,8 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
         threshold=threshold,
         threshold_ok=bool(a0 < threshold),
         contraction_bound=contraction_bound,
-        u=u_prev,
-        w=w_prev,
+        u=u,
+        w=w,
         v=v,
         u0=u0,
         v0=(4.0 * c) * w0,
@@ -315,19 +339,8 @@ def reference_solve(
         raise ValueError("initial data must live on the configured grid")
     tgrid = cfg.make_timegrid()
     n = grid.n
-    kx = grid.k1[:, None]
-    kyh = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.h)[None, :]
     lam_u = grid.k2_half
     lam_v = lam_u + (0.0 if cfg.remark_ii else 1.0)
-    mask = grid.dealias_mask_half
-    d1_sym = mask * np.broadcast_to(1j * kx, lam_u.shape)
-    d2_sym = mask * np.broadcast_to(1j * kyh, lam_u.shape)
-
-    def nonlinear_term(uh: np.ndarray, vh: np.ndarray) -> np.ndarray:
-        u_r = irfft2(mask * uh, n)
-        d1 = irfft2(d1_sym * vh, n)
-        d2 = irfft2(d2_sym * vh, n)
-        return -(d1_sym * rfft2(u_r * d1) + d2_sym * rfft2(u_r * d2))
 
     uh = rfft2(u0.values).astype(np.complex128)
     vh = rfft2(v0.values).astype(np.complex128)
@@ -355,7 +368,7 @@ def reference_solve(
         nu_prev_scale = 0.0
         for _ in range(steps):
             if nonlinear:
-                nu0 = nonlinear_term(uh, vh)
+                nu0 = -_div_u_grad_v(grid, uh, vh)
                 scale0 = float(np.sqrt(np.sum(np.abs(nu0) ** 2)))
                 state = float(np.sqrt(np.sum(np.abs(uh) ** 2)))
                 # doubling counts as instability only when the nonlinear
@@ -372,7 +385,7 @@ def reference_solve(
                     # segment startup: one predictor-corrector step
                     ua = eu * uh + p1u * nu0
                     va = ev * vh + p1v * uh
-                    nu1 = nonlinear_term(ua, va)
+                    nu1 = -_div_u_grad_v(grid, ua, va)
                     u_new = eu * uh + wau * nu0 + wru * nu1
                 else:
                     u_new = eu * uh + ab_new * nu0 + ab_old * nu_prev
@@ -433,18 +446,21 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
     2 ||u0||_L1 + (1/4c) sup_t t^{1/2} ||grad e^{t Lap} v0||_Linf <= 3/(32 c^2).
     """
     c = report.c
-    tgrid = report.u.tgrid
-    times = tgrid.times
+    grid = report.u.grid
+    times = report.u.tgrid.times
+    cell = grid.cell_area
 
-    def sup_sum(u: Trajectory, v: Trajectory) -> float:
-        l1 = _norms._batch_lp(u.stacked, 1.0, u.grid.cell_area)
-        linf = _norms._batch_lp(u.stacked, np.inf, u.grid.cell_area)
-        gv = _norms._batch_grad_linf(v.grid, fft2(v.stacked))
+    def sup_sum(u_vals: np.ndarray, v_hat: np.ndarray) -> float:
+        l1 = _norms._batch_lp(u_vals, 1.0, cell)
+        linf = _norms._batch_lp(u_vals, np.inf, cell)
+        gv = _norms._batch_grad_linf(grid, v_hat)
         return float(np.max(l1 + times * linf + np.sqrt(times) * gv / (4.0 * c)))
 
-    lhs = sup_sum(report.u, report.v)
-    # plain heat flow on both sides
-    rhs = 2.0 * sup_sum(heat_trajectory(report.u0, tgrid), heat_trajectory(report.v0, tgrid))
+    lhs = sup_sum(report.u.stacked, rfft2(report.v.stacked))
+    # plain heat flow on both sides, straight from the data's half spectra
+    free_u_hat = _free_flow(rfft2(report.u0.values), times, grid.k2_half)
+    free_v_hat = _free_flow(rfft2(report.v0.values), times, grid.k2_half)
+    rhs = 2.0 * sup_sum(irfft2(free_u_hat, grid.n), free_v_hat)
 
     if float(np.max(np.abs(report.v0.values))) > 0:
         grad_b = grad_besov_sup(report.v0, default_besov_probe()).value
@@ -518,8 +534,9 @@ def check_theorem2_bound(report: SolutionReport, eps0: float | None = None) -> T
             term_mix = max(term_mix, float(np.max(np.abs(su + sign * sig * comp))))
 
     # ||grad u||_{L2_t L2} (head from u0's free flow) and ||grad w||_{L2_t H1}
-    term_grad_u, _ = _norms._l2t_grad(u, u_power, damped=False, s=0.0)
-    term_grad_w, _ = _norms._l2t_grad(w, w_power, damped=not report.config.remark_ii)
+    term_grad_u, _ = _norms._l2t_grad(grid, times, u_power, _initial_hat(u), damped=False, s=0.0)
+    term_grad_w, _ = _norms._l2t_grad(grid, times, w_power, _initial_hat(w),
+                                      damped=not report.config.remark_ii)
 
     norm_sum = term_h1 + term_mix + term_grad_u + term_grad_w
     terms = {

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, read_snapshot, write_snapshot
+from .fields import Grid2D, ScalarField, read_snapshot, rfft2, write_snapshot
 
 _GEOMETRIC_TOL = 1e-12
 
@@ -96,9 +96,16 @@ class TrajectoryOverflowError(RuntimeError):
 
 
 def _first_nonfinite_node(values: np.ndarray) -> int | None:
-    """Index of the first (K, n, n) node holding a NaN or infinity, if any."""
+    """Index of the first node (axis 0 of a (K, n, m) array) holding a NaN or infinity, if any."""
     bad = ~np.all(np.isfinite(values), axis=(1, 2))
     return int(np.argmax(bad)) if bad.any() else None
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """Raise ``TrajectoryOverflowError`` naming the first node (axis 0) holding a NaN or infinity."""
+    j = _first_nonfinite_node(values)
+    if j is not None:
+        raise TrajectoryOverflowError(j)
 
 
 def _require_compatible(a: "Trajectory", b: "Trajectory") -> None:
@@ -125,9 +132,7 @@ class Trajectory:
             raise ValueError(f"values shape {np.shape(self.stacked)} does not match grid/time grid {shape}")
         # copies only strided or non-float64 input; the view keeps the caller's array writeable
         values = np.ascontiguousarray(self.stacked, dtype=np.float64).view()
-        j = _first_nonfinite_node(values)
-        if j is not None:
-            raise TrajectoryOverflowError(j)
+        _require_finite(values)
         if self.initial is not None and self.initial.grid != self.grid:
             raise ValueError("initial datum lives on a different grid")
         values.setflags(write=False)
@@ -160,6 +165,11 @@ class Trajectory:
         return Trajectory(self.grid, self.tgrid, self.stacked * float(a), init)
 
     __rmul__ = __mul__
+
+
+def _initial_hat(traj: Trajectory) -> np.ndarray | None:
+    """Half spectrum of the trajectory's initial datum, if it has one."""
+    return None if traj.initial is None else rfft2(traj.initial.values)
 
 
 def save_trajectory(path, traj: Trajectory) -> None:

@@ -23,8 +23,8 @@ from kslab import (
 )
 from kslab.cli import ExperimentConfig, parse_config_text, serialize_config
 from kslab.duhamel import EtdPlan, QuadratureScheme, etd_weights
-from kslab.fields import fft2, ifft2, read_snapshot, write_snapshot
-from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, grad_linf
+from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
+from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, _hs_weight, _parseval_sum, grad_linf
 from kslab.semigroup import _free_flow
 from kslab.trajectories import TrajectoryOverflowError, _first_nonfinite_node, load_trajectory
 
@@ -71,7 +71,7 @@ class TestBatchedKernelsMatchSingleFieldForms:
     def test_grad_sup(self, seed, k, l):
         grid = make_grid(16, l)
         stack = _stack(seed, k)
-        batch = _batch_grad_linf(grid, fft2(stack))
+        batch = _batch_grad_linf(grid, rfft2(stack))
         for j in range(k):
             assert batch[j] == grad_linf(ScalarField(grid, stack[j]))
 
@@ -79,13 +79,32 @@ class TestBatchedKernelsMatchSingleFieldForms:
     def test_sobolev(self, seed, k, s, l):
         grid = make_grid(16, l)
         stack = _stack(seed, k)
-        coeffs = fft2(stack)
+        coeffs = rfft2(stack)
         inhom = _batch_hs(grid, coeffs, s)
         hom = _batch_hs(grid, coeffs, s, homogeneous=True)
         for j in range(k):
             f = ScalarField(grid, stack[j])
             assert inhom[j] == pytest.approx(hs_norm(f, s), rel=SUM_ORDER)
             assert hom[j] == pytest.approx(hs_dot_norm(f, s), rel=SUM_ORDER)
+
+    @given(seed=seeds, k=nodes, s=sobolev_orders, l=lengths)
+    def test_half_layout_matches_full_layout(self, seed, k, s, l):
+        """White noise keeps every mode, the Nyquist row and column included."""
+        grid = make_grid(16, l)
+        stack = _stack(seed, k)
+        full, half = fft2(stack), rfft2(stack)
+        g1, g2 = ifft2(1j * grid.kx * full).real, ifft2(1j * grid.ky * full).real
+        grad_full = np.max(np.sqrt(g1**2 + g2**2), axis=(1, 2))
+        factor = grid.l**2 / grid.n**4
+        weight_full = (1.0 + grid.k2) ** s
+        hs_full = np.sqrt(factor * np.sum(weight_full * np.abs(full) ** 2, axis=(1, 2)))
+        np.testing.assert_allclose(_batch_grad_linf(grid, half), grad_full, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(_batch_hs(grid, half, s), hs_full, rtol=1e-13, atol=0)
+        weight = np.cos(grid.kx) * np.cos(grid.ky) + grid.k2  # even, not radial
+        np.testing.assert_allclose(
+            _parseval_sum(grid, np.abs(half) ** 2, weight[:, : grid.n // 2 + 1]),
+            factor * np.sum(weight * np.abs(full) ** 2, axis=(1, 2)), rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(_hs_weight(grid, s), weight_full[:, : grid.n // 2 + 1])
 
     @given(seed=seeds, l=lengths)
     def test_h0_is_l2(self, seed, l):
@@ -146,17 +165,27 @@ class TestEtdOperators:
         assert _first_nonfinite_node(values) == bad[0]
 
 
+def _mirror(sym: np.ndarray) -> np.ndarray:
+    """sym[-k] for every mode k."""
+    return np.roll(sym[::-1, ::-1], 1, axis=(0, 1))
+
+
 def _rates(grid, kind: str, seed: int) -> np.ndarray:
-    """Decay rates on the grid: |xi|^2, 1 + |xi|^2, or a few values repeated at random."""
+    """Decay rates on the grid: |xi|^2, 1 + |xi|^2, or a few values repeated at random (made even)."""
     if kind == "heat":
         return grid.k2
     if kind == "damped":
         return 1.0 + grid.k2
-    return np.random.default_rng(seed).choice([0.0, 0.5, 3.0, 40.0], size=grid.k2.shape)
+    r = np.random.default_rng(seed).choice([0.0, 0.5, 3.0, 40.0], size=grid.k2.shape)
+    return np.maximum(r, _mirror(r))
+
+
+def _half(sym: np.ndarray) -> np.ndarray:
+    return sym[:, : sym.shape[1] // 2 + 1]
 
 
 def _dense_march(ghat, g0hat, times, lam, scheme):
-    """Reference march: the weights evaluated on the full rate array in every interval."""
+    """Reference march: the weights evaluated on the whole rate array, in either layout, every interval."""
     knot_t, knot_g = times, ghat
     if g0hat is not None:
         knot_t = np.concatenate(([0.0], times))
@@ -194,19 +223,50 @@ class TestEtdPlans:
         pre = np.sqrt(grid.k2) if with_prefactor else None
         plan = EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4), scheme)
         assert plan.decay.shape == (4 * scheme.substeps, np.unique(lam).size)
-        assert np.array_equal(plan.values[plan.inverse], lam)
+        assert np.array_equal(plan.values[plan.inverse], _half(lam))
         for g in (_trajectory(grid, seed, 4, with_initial), _trajectory(grid, seed + 1, 4, with_initial)):
             planned = etd_convolve(g, lam, pre, scheme, plan=plan)
             own = etd_convolve(g, lam, pre, scheme)
             assert np.array_equal(planned.stacked, own.stacked)
             assert planned.meta == own.meta
-            ghat = fft2(g.stacked)
-            g0hat = None if g.initial is None else fft2(g.initial.values)
+            ghat = rfft2(g.stacked)
+            g0hat = None if g.initial is None else rfft2(g.initial.values)
             if pre is not None:
-                ghat = pre * ghat
-                g0hat = None if g0hat is None else pre * g0hat
-            dense = ifft2(_dense_march(ghat, g0hat, g.tgrid.times, lam, scheme)).real
+                ghat = _half(pre) * ghat
+                g0hat = None if g0hat is None else _half(pre) * g0hat
+            dense = irfft2(_dense_march(ghat, g0hat, g.tgrid.times, _half(lam), scheme), grid.n)
             assert np.array_equal(planned.stacked, dense)
+
+    @given(seed=seeds, scheme=schemes, with_initial=st.booleans(),
+           rate=st.sampled_from(["heat", "damped", "repeated"]), with_prefactor=st.booleans())
+    def test_half_layout_matches_full_layout(self, seed, scheme, with_initial, rate, with_prefactor):
+        grid = make_grid(16, 8.0)
+        lam = _rates(grid, rate, seed)
+        pre = np.sqrt(grid.k2) if with_prefactor else None
+        g = _trajectory(grid, seed, 4, with_initial)
+        ghat = fft2(g.stacked)
+        g0hat = None if g.initial is None else fft2(g.initial.values)
+        if pre is not None:
+            ghat = pre * ghat
+            g0hat = None if g0hat is None else pre * g0hat
+        full = ifft2(_dense_march(ghat, g0hat, g.tgrid.times, lam, scheme)).real
+        half = etd_convolve(g, lam, pre, scheme).stacked
+        assert np.max(np.abs(half - full)) <= 1e-13 * max(1.0, float(np.max(np.abs(full))))
+
+    @given(seed=seeds, which=st.sampled_from(["lam", "prefactor"]))
+    def test_non_even_symbols_rejected(self, seed, which):
+        grid = make_grid(16, 8.0)
+        g = _trajectory(grid, seed, 4, True)
+        rng = np.random.default_rng(seed)
+        sym = grid.k2.copy()
+        i, j = rng.integers(16), rng.integers(1, 8)  # j in 1..7: a mode whose mirror is another mode
+        sym[i, j] += 1.0
+        lam, pre = (sym, None) if which == "lam" else (grid.k2, sym)
+        with pytest.raises(ValueError, match="even in xi"):
+            etd_convolve(g, lam, pre)
+        if which == "lam":
+            with pytest.raises(ValueError, match="even in xi"):
+                EtdPlan(sym, g.tgrid)
 
     @given(seed=seeds, scheme=schemes, with_initial=st.booleans(), damped=st.booleans())
     def test_operators_accept_plans(self, seed, scheme, with_initial, damped):

@@ -96,7 +96,9 @@ class TestPicardSolve:
         assert err.value.iteration >= 1
         assert err.value.which in ("u", "w")
 
-    @pytest.mark.parametrize("operator, which", [("bilinear_B", "u"), ("linear_L", "w")])
+    # the kernels Picard calls for B and L, under the operators' names
+    @pytest.mark.parametrize("operator, which", [("_bilinear_hat", "u"), ("_convolve_hat", "w")],
+                             ids=["bilinear_B-u", "linear_L-w"])
     def test_blowup_names_the_overflowing_component(self, monkeypatch, cfg, grid, operator, which):
         import kslab.solver
         from kslab.trajectories import TrajectoryOverflowError
@@ -111,6 +113,14 @@ class TestPicardSolve:
         assert err.value.node_index == 3
         assert err.value.iteration == 1
         assert err.value.t == cfg.make_timegrid().times[3]
+
+    @pytest.mark.parametrize("mode", ["thm1_L1Linf", "thm2_H1bH1"])
+    def test_final_report_is_the_last_iterate_norm(self, mode):
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST, mode=mode)
+        grid = cfg.make_grid()
+        rep = picard_solve(gaussian_field(grid, 0.3, 0.5), gaussian_field(grid, 0.015, 0.7), cfg)
+        own = rep.norms_thm1 if mode == "thm1_L1Linf" else rep.norms_thm2
+        assert own.value("xy_norm") == rep.iterate_norms[-1]
 
     def test_wrong_grid_rejected(self, cfg):
         other = make_grid(32, 32.0)
