@@ -40,7 +40,9 @@ the index adds 67 kB) and 42 MB at n = 512, K = 64 (the index adds 1 MB).
 A plan is a plain read-only object.  Its lifetime is the caller's: every
 operator builds one for its call when none is passed, and a caller that
 convolves many integrands against the same rates builds the plan once and
-passes it as ``plan=``.  Nothing is cached at module level.
+passes it as ``plan=``.  Nothing is cached at module level.  A plan also
+serves rank-one integrands prof(t) c(xi): ``_profile_march`` marches the
+scalar profile once per distinct rate, (K, R), on the same recurrence.
 A plan that does not match the call's time grid, grid shape, scheme or rates
 raises ``ValueError``.
 """
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField, irfft2, rfft2
-from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible
+from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible, _require_finite
 
 _KINDS = ("etd_piecewise_constant", "etd_piecewise_linear")
 
@@ -188,16 +190,23 @@ def _plan_for(plan: EtdPlan | None, lam: np.ndarray, tgrid: TimeGrid,
     return plan
 
 
-def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> tuple[np.ndarray, dict]:
-    """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes, on half spectra."""
+def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
+               per_rate: bool = False) -> tuple[np.ndarray, dict]:
+    """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes, on half spectra.
+
+    With ``per_rate`` the march runs on the plan's rate layout: the integrand
+    is one time profile, (K,) node values and its value ``g0hat`` at t = 0,
+    and output column r is its convolution against the rate ``plan.values[r]``.
+    """
     times = plan.tgrid.times
     substeps = plan.scheme.substeps
     pcw_linear = plan.scheme.kind == "etd_piecewise_linear"
+    spread = (lambda row: row) if per_rate else plan.gather
     meta: dict = {}
 
     if g0hat is not None:
         knot_t = np.concatenate(([0.0], times))
-        knot_g = np.concatenate((g0hat[None], ghat), axis=0)
+        knot_g = np.concatenate(([g0hat], ghat), axis=0)
         out_offset = 1
         meta["head_included"] = True
     else:
@@ -214,8 +223,8 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> tup
 
         spline = CubicSpline(knot_t, knot_g, axis=0)
 
-    acc = np.zeros(plan.inverse.shape, dtype=np.complex128)
-    out = np.empty((times.size,) + acc.shape, dtype=np.complex128)
+    acc = np.zeros(plan.values.shape if per_rate else plan.inverse.shape, dtype=np.result_type(knot_g, np.float64))
+    out = np.empty((times.size,) + acc.shape, dtype=acc.dtype)
     if out_offset == 0:
         out[0] = acc  # the [0, t_1] contribution was dropped
 
@@ -230,10 +239,10 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> tup
         for k in range(substeps):
             row = j * substeps + k
             dt = plan.dts[row]
-            decay = plan.gather(plan.decay[row])
-            w_a = plan.gather(plan.w_a[row])
+            decay = spread(plan.decay[row])
+            w_a = spread(plan.w_a[row])
             if pcw_linear:
-                acc = acc * decay + dt * (w_a * vals[k] + plan.gather(plan.w_b[row]) * vals[k + 1])
+                acc = acc * decay + dt * (w_a * vals[k] + spread(plan.w_b[row]) * vals[k + 1])
             else:
                 acc = acc * decay + dt * w_a * vals[k]
         out[j] = acc
@@ -271,6 +280,17 @@ def _bilinear_hat(grid, uhat: np.ndarray, vhat: np.ndarray, g0hat: np.ndarray | 
     it across calls compute once.
     """
     return _etd_march(_div_u_grad_v(grid, uhat, vhat), g0hat, plan)
+
+
+def _profile_march(prof, plan: EtdPlan) -> np.ndarray:
+    """The march of the time profile ``prof`` against each of the plan's rates, (K, R), checked finite.
+
+    An integrand prof(t) c(xi) is rank one, so its march is ``out[:, plan.inverse] * c``:
+    one scalar march per distinct rate replaces a march over every mode.
+    """
+    out, _ = _etd_march(prof(plan.tgrid.times), prof(0.0), plan, per_rate=True)
+    _require_finite(out)
+    return out
 
 
 def _trajectory_of(g: Trajectory, out_hat: np.ndarray, meta: dict) -> Trajectory:

@@ -370,12 +370,12 @@ def write_snapshot(fh: BinaryIO, field: ScalarField, t: float) -> None:
     fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
-def read_snapshot(fh: BinaryIO) -> tuple[ScalarField, float]:
-    """Read one KSF1 snapshot from a seekable stream.
+def _read_raw_snapshot(fh: BinaryIO) -> tuple[int, float, float, np.ndarray]:
+    """Read one KSF1 snapshot's n, l, t and its read-only (n, n) values from a seekable stream.
 
     Raises ValueError on bad magic, a header grid size that breaks the Grid2D
     rule, or a payload shorter than the header claims; the size checks run
-    before any payload is read.
+    before any payload is read.  The values are not checked for finiteness.
     """
     header = fh.read(_KSF1_HEADER.size)
     if len(header) != _KSF1_HEADER.size:
@@ -393,9 +393,13 @@ def read_snapshot(fh: BinaryIO) -> tuple[ScalarField, float]:
     fh.seek(here)
     if remaining < need:
         raise ValueError(f"truncated KSF1 payload: header n={n} needs {need} bytes, {remaining} remain")
-    raw = fh.read(need)
-    values = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
-    return ScalarField(Grid2D(int(n), float(l)), values), float(t)
+    return int(n), float(l), float(t), np.frombuffer(fh.read(need), dtype="<f8").reshape(n, n)
+
+
+def read_snapshot(fh: BinaryIO) -> tuple[ScalarField, float]:
+    """Read one KSF1 snapshot from a seekable stream as a (finite) field and its time."""
+    n, l, t, values = _read_raw_snapshot(fh)
+    return ScalarField(Grid2D(n, l), values.copy()), t
 
 
 def save_field(path, field: ScalarField, t: float = 0.0) -> None:

@@ -6,6 +6,13 @@ turns the linear/bilinear ratios into the empirical constant that feeds the
 solver's smallness threshold.  ``counterexample_profile`` evaluates the
 stripe-data lower bound that rules out smallness for arbitrary bounded data.
 
+Every convolution the bilinear and maximal-regularity verifiers measure has
+a rank-one integrand prof(t) pre(xi) f(xi), and the ETD march is diagonal
+per rate, so each (profile, plan) pair is marched once as a scalar per
+distinct rate (``duhamel._profile_march``).  A case's node norms are then
+sum_r |m_j(r)|^2 P_r, with P_r the Parseval weight times |pre f|^2 summed
+over the modes of rate r; the maximal-regularity L^2 norm is one of them.
+
 Discrete conventions: time norms on both sides of an estimate use the same
 trapezoid rule on the shared node set (suprema become node maxima), so a
 ratio of 1 means the discrete inequality is tight, not a quadrature
@@ -17,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -28,23 +35,27 @@ from .data import (
     random_band_limited_field,
     smoothed_stripe_field,
 )
-from .duhamel import DEFAULT_SCHEME, EtdPlan, _convolve_hat, bilinear_B, linear_L, maximal_reg_T
-from .fields import GradComponent, Grid2D, ScalarField, multiplier_apply, rfft2
+from .duhamel import DEFAULT_SCHEME, EtdPlan, _bilinear_hat, _convolve_hat, _div_u_grad_v, _profile_march
+from .fields import GradComponent, Grid2D, ScalarField, irfft2, multiplier_apply, rfft2
 from .norms import (
     _batch_hs,
     _batch_lp,
+    _hs_weight,
     _l2t_grad,
+    _rank_one_norms,
     _spectrum,
+    _thm1_x,
+    _thm1_y,
+    _thm2_x,
+    _thm2_y,
     _weighted_heat_sup,
     grad_besov_sup,
     hs_norm,
     lp_norm,
     trapezoid,
-    xy_norms_thm1,
-    xy_norms_thm2,
 )
-from .semigroup import damped_heat_trajectory, heat, heat_trajectory
-from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_finite
+from .semigroup import _free_flow, heat, heat_trajectory
+from .trajectories import TimeGrid, _initial_hat, _require_finite
 
 
 @dataclass(frozen=True)
@@ -124,13 +135,17 @@ class InequalityReport:
 
 def _time_lp(times: np.ndarray, values: np.ndarray, p: float, v0: float | None = None) -> float:
     """Discrete L^p norm in time over [0, T]: node trapezoid, optional t=0 knot."""
-    if np.isinf(p):
-        sup = float(np.max(values))
-        return max(sup, v0) if v0 is not None else sup
-    body = trapezoid(times, values**p)
     if v0 is not None:
-        body += 0.5 * times[0] * (v0**p + values[0] ** p)
-    return float(body ** (1.0 / p))
+        times, values = np.concatenate(([0.0], times)), np.concatenate(([v0], values))
+    if np.isinf(p):
+        return float(np.max(values))
+    return float(trapezoid(times, values**p) ** (1.0 / p))
+
+
+def _add_sample(samples: list, family: str, params: tuple, lhs: float, rhs: float) -> None:
+    """Record the ratio lhs/rhs, unless the right-hand side vanishes."""
+    if rhs != 0:
+        samples.append(RatioSample(family, params, lhs, rhs))
 
 
 _SWEEP_MODES = (1, 2, 3, 4, 6, 8, 12, 16)
@@ -181,15 +196,8 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
                 for r in (np.inf, 2.0):
                     lhs = _time_lp(times, lhs_nodes, r)
                     rhs = _time_lp(times, sup_xi, r) * hs_f
-                    if rhs == 0:
-                        continue
-                    samples.append(
-                        RatioSample(
-                            f"formA[r={'inf' if np.isinf(r) else int(r)},s={int(s)}]",
-                            (("multiplier", mname), ("field", fname)),
-                            lhs, rhs,
-                        )
-                    )
+                    _add_sample(samples, f"formA[r={'inf' if np.isinf(r) else int(r)},s={int(s)}]",
+                                (("multiplier", mname), ("field", fname)), lhs, rhs)
                 # Form B with |xi|^delta weights, rho = 2
                 for delta in (0.0, 1.0):
                     msym = sym * np.sqrt(k2)[None] ** delta if delta else sym
@@ -199,15 +207,8 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
                     rhs = float(np.max(per_xi)) * hs_f
                     lhs_nodes_b = _batch_hs(grid, msym * vhat, s)
                     lhs = _time_lp(times, lhs_nodes_b, 2.0)
-                    if rhs == 0:
-                        continue
-                    samples.append(
-                        RatioSample(
-                            f"formB[rho=2,delta={int(delta)},s={int(s)}]",
-                            (("multiplier", mname), ("field", fname)),
-                            lhs, rhs,
-                        )
-                    )
+                    _add_sample(samples, f"formB[rho=2,delta={int(delta)},s={int(s)}]",
+                                (("multiplier", mname), ("field", fname)), lhs, rhs)
 
     return InequalityReport("multiplier_lemma", tuple(samples), _meta(setup, seed))
 
@@ -224,11 +225,6 @@ _PROFILES = {
     "const": lambda t: np.ones_like(np.asarray(t, dtype=float)),
     "decay": lambda t: np.exp(-np.asarray(t, dtype=float)),
 }
-
-
-def _profile_trajectory(grid: Grid2D, tgrid: TimeGrid, f: ScalarField, profile) -> Trajectory:
-    vals = profile(tgrid.times)[:, None, None] * f.values[None]
-    return Trajectory.from_values(grid, tgrid, vals, initial=float(profile(0.0)) * f)
 
 
 def _meta(setup: LabSetup, seed: int, **extra) -> dict:
@@ -262,64 +258,47 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
 
     samples: list[RatioSample] = []
     uniformity: dict = {}
-    # every convolution below decays at one of two rates: one plan each
+    # every convolution below decays at one of two rates: one plan each, and
+    # one profile march per (profile, plan) serves every field and weight
     plans = {"damped": EtdPlan(1.0 + grid.k2, tgrid, DEFAULT_SCHEME),
              "plain": EtdPlan(grid.k2, tgrid, DEFAULT_SCHEME)}
+    marches = {(pname, rate): _profile_march(prof, plan)
+               for pname, prof in _PROFILES.items() for rate, plan in plans.items()}
 
-    def convolved(fhat: np.ndarray, prof, rate: str, pre: np.ndarray, p_out: float,
-                  s: float, homogeneous: bool) -> tuple[float, float]:
-        """L^p_out-in-time norm of the convolution of prof(t) f, and the H^s norm of f.
+    def sides(fhat: np.ndarray, pname: str, rate: str, pre: np.ndarray, p_out: float, r_in: float,
+              s: float, homogeneous: bool) -> tuple[float, float]:
+        """Both sides for the integrand prof(t) f: the convolution's time norm and f's."""
+        prof = _PROFILES[pname]
+        nodes = _rank_one_norms(grid, marches[pname, rate], plans[rate].inverse, pre * fhat,
+                                _hs_weight(grid, s, homogeneous))
+        f_norm = _batch_hs(grid, fhat, s, homogeneous)
+        return (_time_lp(times, nodes, p_out, v0=0.0),
+                _time_lp(times, prof(times) * f_norm, r_in, v0=float(prof(0.0)) * f_norm))
 
-        ``fhat`` and the prefactor ``pre`` are half spectra; the integrand's
-        spectrum is prof(t) fhat, so the march needs no transform.
-        """
-        out_hat, _ = _convolve_hat(prof(times)[:, None, None] * fhat, float(prof(0.0)) * fhat,
-                                   plans[rate], pre)
-        _require_finite(out_hat)
-        lhs = _time_lp(times, _batch_hs(grid, out_hat, s, homogeneous), p_out, v0=0.0)
-        return lhs, _batch_hs(grid, fhat, s, homogeneous)
-
-    def run_case(group: str, rate: str, pre: np.ndarray, p_out: float, r_in: float,
-                 s: float, homogeneous: bool) -> None:
+    cases = [(f"damped[theta={_fmt(theta)},p1={_fmt(p1)},r={_fmt(r)},s={int(s)}]", "damped",
+              np.sqrt(k2) ** theta if theta else np.ones_like(k2), p1, r, s, True)
+             for theta, p1, r in _EQ27_TUPLES for s in (0.0, 1.0)]
+    cases += [(f"plain[p={_fmt(p)},r={_fmt(r)},s={int(s)}]", "plain",
+               np.sqrt(k2) ** (2.0 + (0.0 if np.isinf(p) else 2.0 / p) - 2.0 / r), p, r, s, False)
+              for p, r in _EQ26_TUPLES for s in (0.0, 1.0)]
+    for group, rate, pre, p_out, r_in, s, homogeneous in cases:
         for fname, fparams, fhat in field_samples:
-            for pname, prof in _PROFILES.items():
-                lhs, f_norm = convolved(fhat, prof, rate, pre, p_out, s, homogeneous)
-                rhs = _time_lp(times, prof(times) * f_norm, r_in, v0=float(prof(0.0)) * f_norm)
-                if rhs == 0:
-                    continue
-                samples.append(
-                    RatioSample(group, fparams + (("field", fname), ("profile", pname)), lhs, rhs)
-                )
-
-    for theta, p1, r in _EQ27_TUPLES:
-        pre = np.sqrt(k2) ** theta if theta else np.ones_like(k2)
-        for s in (0.0, 1.0):
-            run_case(
-                f"damped[theta={_fmt(theta)},p1={_fmt(p1)},r={_fmt(r)},s={int(s)}]",
-                "damped", pre, p1, r, s, homogeneous=True,
-            )
-
-    for p, r in _EQ26_TUPLES:
-        power = 2.0 + (0.0 if np.isinf(p) else 2.0 / p) - 2.0 / r
-        pre = np.sqrt(k2) ** power
-        for s in (0.0, 1.0):
-            run_case(
-                f"plain[p={_fmt(p)},r={_fmt(r)},s={int(s)}]",
-                "plain", pre, p, r, s, homogeneous=False,
-            )
+            for pname in _PROFILES:
+                lhs, rhs = sides(fhat, pname, rate, pre, p_out, r_in, s, homogeneous)
+                _add_sample(samples, group, fparams + (("field", fname), ("profile", pname)), lhs, rhs)
 
     # Uniformity sweep: per tuple, compare max ratio over low modes with the
     # max over the full swept range (constant-profile, s = 0).
     sweep_modes = list(range(1, setup.effective_mode_cap() + 1))
-    for label, rate, pre_fn, homog in (
-        ("damped[theta=0,p1=inf,r=inf,s=0]", "damped", lambda: np.ones_like(k2), True),
-        ("plain[p=inf,r=inf,s=0]", "plain", lambda: np.sqrt(k2) ** 2.0, False),
+    for label, rate, pre, homog in (
+        ("damped[theta=0,p1=inf,r=inf,s=0]", "damped", np.ones_like(k2), True),
+        ("plain[p=inf,r=inf,s=0]", "plain", np.sqrt(k2) ** 2.0, False),
     ):
         ratios = []
         for m in sweep_modes:
             fhat = rfft2(cosine_mode_field(grid, (m, 0)).values)
-            lhs, f_norm = convolved(fhat, _PROFILES["const"], rate, pre_fn(), np.inf, 0.0, homog)
-            ratios.append(lhs / f_norm)
+            lhs, rhs = sides(fhat, "const", rate, pre, np.inf, np.inf, 0.0, homog)
+            ratios.append(lhs / rhs)
         ratios = np.array(ratios)
         low = float(np.max(ratios[: max(1, len(sweep_modes) // 2)]))
         full = float(np.max(ratios))
@@ -335,10 +314,11 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
 
 
 def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> InequalityReport:
-    """||T g||_{L2_t L2} / ||g||_{L2_t L2} over modes and time profiles.
+    """||T g||_{L2_t L2} / ||g||_{L2_t L2} over modes and time profiles, g = prof(t) f.
 
     The input norm integrates the piecewise-linear reconstruction of g
-    exactly; the output norm uses the node trapezoid.
+    exactly; the output norm uses the node trapezoid of Parseval L^2 norms
+    of T g = -|xi|^2 f times each profile's march against the rates |xi|^2.
     """
     grid = setup.make_grid()
     tgrid = setup.make_timegrid()
@@ -352,26 +332,21 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
 
     profiles = {**_PROFILES, "square": square_profile}
     plan = EtdPlan(grid.k2, tgrid, DEFAULT_SCHEME)
+    marches = {pname: _profile_march(prof, plan) for pname, prof in profiles.items()}
+    gaps = np.diff(np.concatenate(([0.0], times)))
+    prof_l2 = {}  # exact L^2_t norm of each profile's piecewise-linear reconstruction
+    for pname, prof in profiles.items():
+        pv = np.concatenate(([float(prof(0.0))], prof(times)))
+        prof_l2[pname] = float(np.sqrt(np.sum(gaps * (pv[:-1] ** 2 + pv[:-1] * pv[1:] + pv[1:] ** 2) / 3.0)))
 
     samples: list[RatioSample] = []
     for m in modes:
         f = cosine_mode_field(grid, (m, 0))
-        f_l2 = lp_norm(f, 2.0)
-        for pname, prof in profiles.items():
-            traj = _profile_trajectory(grid, tgrid, f, prof)
-            out = maximal_reg_T(traj, DEFAULT_SCHEME, plan=plan)
-            lhs_nodes = _batch_lp(out.stacked, 2.0, grid.cell_area)
-            lhs = _time_lp(times, lhs_nodes, 2.0, v0=0.0)
-            knots = np.concatenate(([0.0], times))
-            pv = np.concatenate(([float(prof(0.0))], prof(times)))
-            gaps = np.diff(knots)
-            rhs_sq = np.sum(gaps * (pv[:-1] ** 2 + pv[:-1] * pv[1:] + pv[1:] ** 2) / 3.0)
-            rhs = f_l2 * float(np.sqrt(rhs_sq))
-            if rhs == 0:
-                continue
-            samples.append(
-                RatioSample("maxreg[p=q=2]", (("mode", m), ("profile", pname)), lhs, rhs)
-            )
+        tf_hat, f_l2 = -grid.k2_half * rfft2(f.values), lp_norm(f, 2.0)  # T's symbol is -|xi|^2
+        for pname in profiles:
+            nodes = _rank_one_norms(grid, marches[pname], plan.inverse, tf_hat, _hs_weight(grid, 0.0))
+            _add_sample(samples, "maxreg[p=q=2]", (("mode", m), ("profile", pname)),
+                        _time_lp(times, nodes, 2.0, v0=0.0), f_l2 * prof_l2[pname])
 
     by_subset = {
         "all": max(s.ratio for s in samples),
@@ -397,10 +372,7 @@ def verify_l4_interpolation(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
         lhs = float(np.sqrt(trapezoid(times, l4**4) + times[0] * lp_norm(f, 4.0) ** 4))
         sup_l2 = max(float(np.max(_batch_lp(traj.stacked, 2.0, grid.cell_area))), lp_norm(f, 2.0))
         grad_l2t, _ = _l2t_grad(grid, times, _spectrum(traj)[1], _initial_hat(traj), damped=False)
-        rhs = sup_l2 * grad_l2t
-        if rhs == 0:
-            continue
-        samples.append(RatioSample("l4_interpolation", (("field", fname),), lhs, rhs))
+        _add_sample(samples, "l4_interpolation", (("field", fname),), lhs, sup_l2 * grad_l2t)
     return InequalityReport("l4_interpolation", tuple(samples), _meta(setup, seed))
 
 
@@ -419,15 +391,16 @@ def besov_equivalence_samples(setup: LabSetup = LabSetup(), seed: int = 0) -> In
             warnings.simplefilter("ignore")
             sup0 = _weighted_heat_sup(f, probe, 0.0, np.inf, grad=False).value
             grad_est = grad_besov_sup(f, probe)
-        if grad_est.value == 0:
-            continue
-        samples.append(RatioSample("besov_equivalence", (("field", fname),), sup0, grad_est.value))
+        _add_sample(samples, "besov_equivalence", (("field", fname),), sup0, grad_est.value)
     meta = {"n": setup.n, "probe_T": setup.t_max, "seed": seed}
     return InequalityReport("besov_equivalence", tuple(samples), meta)
 
 
 def refinement_drift(verifier, setup: LabSetup = LabSetup(), seed: int = 0) -> dict:
-    """Per-family observed-constant drift under simultaneous (n, K, T) doubling."""
+    """Per-family observed-constant drift under simultaneous (n, K, T) doubling.
+
+    ``base_report`` is the verifier's report on ``setup``, for callers that also need it.
+    """
     base = verifier(setup, seed=seed)
     fine = verifier(setup.doubled(), seed=seed)
     g1, g2 = base.group_max(), fine.group_max()
@@ -441,6 +414,7 @@ def refinement_drift(verifier, setup: LabSetup = LabSetup(), seed: int = 0) -> d
         "max_drift": max(per_group.values()) if per_group else 0.0,
         "base": g1,
         "fine": g2,
+        "base_report": base,
     }
 
 
@@ -465,15 +439,7 @@ class ConstantsReport:
         return max(self.c1, self.c2, self.c3)
 
     def to_json_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "safety_factor": self.safety_factor,
-            "c": self.c,
-            "threshold": self.threshold,
-            "metadata": self.metadata,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -515,62 +481,54 @@ def estimate_constants(
 
     samples: list[RatioSample] = []
     skipped: list[str] = []
+    times = tgrid.times
     l_plan = EtdPlan(grid.k2 + 1.0, tgrid, DEFAULT_SCHEME)
     b_plan = EtdPlan(grid.k2, tgrid, DEFAULT_SCHEME)
 
-    free_u: list[tuple[str, Trajectory, dict]] = []
-    free_w: list[tuple[str, Trajectory, dict]] = []
+    # each family's free flows stay half spectra (u: heat, w: damped heat)
+    free: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, dict]] = []
     for name, f in families:
-        traj_u = heat_trajectory(f, tgrid)
-        traj_w = damped_heat_trajectory(f, tgrid)
-        norms_u1 = xy_norms_thm1(traj_u, traj_u)
-        norms_w1 = xy_norms_thm1(traj_w, traj_w)
-        norms_u2 = xy_norms_thm2(traj_u, traj_u)
-        norms_w2 = xy_norms_thm2(traj_w, traj_w)
-        free_u.append((name, traj_u, {"x1": norms_u1.value("x_norm"), "x2": norms_u2.value("x_norm")}))
-        free_w.append((name, traj_w, {"y1": norms_w1.value("y_norm"), "y2": norms_w2.value("y_norm")}))
+        f_hat = rfft2(f.values)
+        u_hat = _free_flow(f_hat, times, grid.k2_half)
+        w_hat = _free_flow(f_hat, times, grid.k2_half + 1.0)
+        u_vals = irfft2(u_hat, grid.n)
+        x1 = _thm1_x(grid, times, u_vals)["x_norm"].value
+        x2 = _thm2_x(grid, times, u_vals, u_hat, f_hat)["x_norm"].value
+        y1 = _thm1_y(grid, times, w_hat)["y_norm"].value
+        w2 = _thm2_y(grid, times, w_hat, f_hat)
+        free.append((name, f_hat, u_hat, w_hat, {"x1": x1, "x2": x2, "y1": y1, "y2": w2["y_norm"].value}))
 
-        l1 = lp_norm(f, 1.0)
-        linf = lp_norm(f, np.inf)
-        h1 = hs_norm(f, 1.0)
-        h1b = h1 + linf
-        if l1 > 0:
-            samples.append(RatioSample("c1[free_u_mass]", (("data", name),), norms_u1.value("x_norm"), l1))
-        else:
+        l1, linf, h1 = lp_norm(f, 1.0), lp_norm(f, np.inf), hs_norm(f, 1.0)
+        if not l1 > 0:
             skipped.append(f"{name}: zero L1 norm")
-        if linf > 0:
-            samples.append(RatioSample("c1[free_w_grad]", (("data", name),), norms_w1.value("y_norm"), linf))
-        if h1b > 0:
-            samples.append(RatioSample("c1[free_u_sobolev]", (("data", name),), norms_u2.value("x_norm"), h1b))
-        if h1 > 0:
-            h1_part = norms_w2.value("w_sup_h1") + norms_w2.value("w_grad_l2t_h1")
-            samples.append(RatioSample("c1[free_w_sobolev]", (("data", name),), h1_part, h1))
-            sig_part = norms_w2.value("w_sigma_grad_linf")
-            samples.append(RatioSample("c1[free_w_sigma]", (("data", name),), sig_part, h1))
+        for family, lhs, rhs in (
+            ("free_u_mass", x1, l1),
+            ("free_w_grad", y1, linf),
+            ("free_u_sobolev", x2, h1 + linf),
+            ("free_w_sobolev", w2["w_sup_h1"].value + w2["w_grad_l2t_h1"].value, h1),
+            ("free_w_sigma", w2["w_sigma_grad_linf"].value, h1),
+        ):
+            _add_sample(samples, f"c1[{family}]", (("data", name),), lhs, rhs)
 
-    for uname, utraj, unorm in free_u:
-        # c3: chemical response of the density trajectory
-        lu = linear_L(utraj, DEFAULT_SCHEME, plan=l_plan)
-        y1 = xy_norms_thm1(lu, lu).value("y_norm")
-        y2 = xy_norms_thm2(lu, lu).value("y_norm")
-        if unorm["x1"] > 0:
-            samples.append(RatioSample("c3[thm1]", (("u", uname),), y1, unorm["x1"]))
-        if unorm["x2"] > 0:
-            samples.append(RatioSample("c3[thm2]", (("u", uname),), y2, unorm["x2"]))
-        for wname, wtraj, wnorm in free_w:
-            b = bilinear_B(utraj, wtraj, DEFAULT_SCHEME, plan=b_plan)
-            bx1 = xy_norms_thm1(b, b).value("x_norm")
-            bx2 = xy_norms_thm2(b, b).value("x_norm")
-            if unorm["x1"] * wnorm["y1"] > 0:
-                samples.append(RatioSample("c2[thm1]", (("u", uname), ("w", wname)),
-                                           bx1, unorm["x1"] * wnorm["y1"]))
-            if unorm["x2"] * wnorm["y2"] > 0:
-                samples.append(RatioSample("c2[thm2]", (("u", uname), ("w", wname)),
-                                           bx2, unorm["x2"] * wnorm["y2"]))
+    for uname, uf_hat, u_hat, _, unorm in free:
+        # c3: chemical response of the density trajectory (zero initial datum)
+        lu_hat, _ = _convolve_hat(u_hat, uf_hat, l_plan)
+        _add_sample(samples, "c3[thm1]", (("u", uname),),
+                    _thm1_y(grid, times, lu_hat)["y_norm"].value, unorm["x1"])
+        _add_sample(samples, "c3[thm2]", (("u", uname),),
+                    _thm2_y(grid, times, lu_hat, None)["y_norm"].value, unorm["x2"])
+        for wname, wf_hat, _, w_hat, wnorm in free:
+            # c2: only B's X norms enter; one (u, w) pair at a time bounds the memory
+            b_hat, _ = _bilinear_hat(grid, u_hat, w_hat, _div_u_grad_v(grid, uf_hat, wf_hat), b_plan)
+            b_vals = irfft2(b_hat, grid.n)
+            _require_finite(b_vals)
+            params = (("u", uname), ("w", wname))
+            _add_sample(samples, "c2[thm1]", params, _thm1_x(grid, times, b_vals)["x_norm"].value,
+                        unorm["x1"] * wnorm["y1"])
+            _add_sample(samples, "c2[thm2]", params, _thm2_x(grid, times, b_vals, b_hat, None)["x_norm"].value,
+                        unorm["x2"] * wnorm["y2"])
 
-    c1 = max(s.ratio for s in samples if s.family.startswith("c1"))
-    c2 = max(s.ratio for s in samples if s.family.startswith("c2"))
-    c3 = max(s.ratio for s in samples if s.family.startswith("c3"))
+    c1, c2, c3 = (max(s.ratio for s in samples if s.family.startswith(g)) for g in ("c1", "c2", "c3"))
     c = safety_factor * max(c1, c2, c3)
     meta = {
         "n": setup.n, "l": setup.l, "K": setup.num_times,

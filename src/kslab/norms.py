@@ -24,8 +24,12 @@ single-field norms are calls into them:
   (``_batch_hs``, the H^1 and grad-H^s node sums, the closed-form head of
   the time integrals);
 * ``semigroup._free_flow`` for the heat flow inside the Besov suprema;
+* ``_rank_one_norms`` for the same sums split by decay rate and contracted
+  with per-rate time profiles, the lab's rank-one convolutions;
 * ``_thm1_report`` and ``_thm2_report`` for the two trajectory reports, from
-  node values and half spectra.  ``xy_norms_thm1``/``xy_norms_thm2`` transform
+  node values and half spectra, each joining an X half of u (``_thm1_x``,
+  ``_thm2_x``) and a Y half of w (``_thm1_y``, ``_thm2_y``) that callers
+  needing one side use alone.  ``xy_norms_thm1``/``xy_norms_thm2`` transform
   a trajectory pair and call them; the Picard loop, which keeps its iterates'
   spectra, calls them directly.
 """
@@ -40,7 +44,7 @@ import numpy as np
 
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .semigroup import _free_flow
-from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible
+from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible, _require_finite
 
 BESOV_MIN_DECADES = 6.0
 
@@ -96,6 +100,20 @@ def _parseval_sum(grid: Grid2D, power: np.ndarray, weight: np.ndarray) -> np.nda
     ``weight`` must be even in xi.
     """
     return _parseval_factor(grid) * np.sum((grid.parseval_mult_half * weight) * power, axis=(-2, -1))
+
+
+def _rank_one_norms(grid: Grid2D, march: np.ndarray, inverse: np.ndarray, coeffs: np.ndarray,
+                    weight: np.ndarray) -> np.ndarray:
+    """Node norms of the rank-one spectra ``march[:, inverse] * coeffs``, checked finite.
+
+    ``_parseval_sum`` of |coeffs|^2 split by rate (entry r sums the modes with
+    ``inverse == r``) and contracted with the per-rate |march|^2, (K, R).
+    """
+    summand = (grid.parseval_mult_half * weight) * np.abs(coeffs) ** 2
+    parts = _parseval_factor(grid) * np.bincount(inverse.ravel(), summand.ravel(), minlength=march.shape[1])
+    nodes = np.sqrt(march**2 @ parts)
+    _require_finite(nodes)
+    return nodes
 
 
 def _batch_hs(grid: Grid2D, coeffs: np.ndarray, s: float, homogeneous: bool = False) -> np.ndarray:
@@ -247,25 +265,29 @@ def _sup_entry(times: np.ndarray, values: np.ndarray, equation: str, note: str |
     return NormEntry(float(values[j]), equation, argmax_time=float(times[j]), note=note)
 
 
+def _thm1_x(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray) -> dict:
+    """The Theorem-1 X entries of u from its node values (K, n, n)."""
+    e_l1 = _sup_entry(times, _batch_lp(u_vals, 1.0, grid.cell_area), "sup_j ||u(t_j)||_L1")
+    e_tlinf = _sup_entry(times, times * _batch_lp(u_vals, np.inf, grid.cell_area), "sup_j t_j ||u(t_j)||_Linf")
+    x_norm = NormEntry(e_l1.value + e_tlinf.value, "sup ||u||_L1 + sup t ||u||_Linf")
+    return {"u_sup_l1": e_l1, "u_sup_t_linf": e_tlinf, "x_norm": x_norm}
+
+
+def _thm1_y(grid: Grid2D, times: np.ndarray, w_hat: np.ndarray) -> dict:
+    """The Theorem-1 Y entry of w from its half spectra."""
+    gw = np.sqrt(times) * _batch_grad_linf(grid, w_hat)
+    return {"y_norm": _sup_entry(times, gw, "sup_j t_j^{1/2} ||grad w(t_j)||_Linf")}
+
+
+def _report(x: dict, y: dict) -> NormReport:
+    """One report from its X and Y entries, plus their sum."""
+    xy = NormEntry(x["x_norm"].value + y["y_norm"].value, "||u||_X + ||w||_Y")
+    return NormReport({**x, **y, "xy_norm": xy})
+
+
 def _thm1_report(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, w_hat: np.ndarray) -> NormReport:
     """The Theorem-1 report from u's node values (K, n, n) and w's half spectra."""
-    cell = grid.cell_area
-    l1 = _batch_lp(u_vals, 1.0, cell)
-    linf = _batch_lp(u_vals, np.inf, cell)
-    gw = _batch_grad_linf(grid, w_hat)
-
-    e_l1 = _sup_entry(times, l1, "sup_j ||u(t_j)||_L1")
-    e_tlinf = _sup_entry(times, times * linf, "sup_j t_j ||u(t_j)||_Linf")
-    e_y = _sup_entry(times, np.sqrt(times) * gw, "sup_j t_j^{1/2} ||grad w(t_j)||_Linf")
-    x_norm = e_l1.value + e_tlinf.value
-    entries = {
-        "u_sup_l1": e_l1,
-        "u_sup_t_linf": e_tlinf,
-        "x_norm": NormEntry(x_norm, "sup ||u||_L1 + sup t ||u||_Linf"),
-        "y_norm": e_y,
-        "xy_norm": NormEntry(x_norm + e_y.value, "||u||_X + ||w||_Y"),
-    }
-    return NormReport(entries)
+    return _report(_thm1_x(grid, times, u_vals), _thm1_y(grid, times, w_hat))
 
 
 def xy_norms_thm1(u: Trajectory, w: Trajectory) -> NormReport:
@@ -306,38 +328,38 @@ def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: n
     return float(np.sqrt(body + head)), note
 
 
+def _sobolev_entries(grid: Grid2D, times: np.ndarray, coeffs: np.ndarray, initial_hat: np.ndarray | None,
+                     damped: bool, name: str) -> tuple[NormEntry, NormEntry]:
+    """sup_j ||f(t_j)||_H1 and ||grad f||_{L2_t H1} from half spectra: the H1 part of either Theorem-2 half."""
+    power = np.abs(coeffs) ** 2
+    e_h1 = _sup_entry(times, np.sqrt(_parseval_sum(grid, power, _hs_weight(grid, 1.0))), f"sup_j ||{name}(t_j)||_H1")
+    grad, note = _l2t_grad(grid, times, power, initial_hat, damped)
+    return e_h1, NormEntry(grad, f"||grad {name}||_{{L2_t H1}}", note=note)
+
+
+def _thm2_x(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, u_hat: np.ndarray,
+            u0_hat: np.ndarray | None) -> dict:
+    """The Theorem-2 X entries of u from its node values, half spectra and initial datum's."""
+    e_h1, e_grad = _sobolev_entries(grid, times, u_hat, u0_hat, False, "u")
+    e_linf = _sup_entry(times, _batch_lp(u_vals, np.inf, grid.cell_area), "sup_j ||u(t_j)||_Linf")
+    x_norm = NormEntry(e_h1.value + e_grad.value + e_linf.value,
+                       "sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf")
+    return {"u_sup_h1": e_h1, "u_grad_l2t_h1": e_grad, "u_sup_linf": e_linf, "x_norm": x_norm}
+
+
+def _thm2_y(grid: Grid2D, times: np.ndarray, w_hat: np.ndarray, w0_hat: np.ndarray | None) -> dict:
+    """The Theorem-2 Y entries of w from its half spectra and its initial datum's."""
+    e_h1, e_grad = _sobolev_entries(grid, times, w_hat, w0_hat, True, "w")
+    e_sig = _sup_entry(times, sigma(times) * _batch_grad_linf(grid, w_hat), "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
+    y_norm = NormEntry(e_h1.value + e_grad.value + e_sig.value,
+                       "sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma ||grad w||_Linf")
+    return {"w_sup_h1": e_h1, "w_grad_l2t_h1": e_grad, "w_sigma_grad_linf": e_sig, "y_norm": y_norm}
+
+
 def _thm2_report(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, u_hat: np.ndarray,
                  w_hat: np.ndarray, u0_hat: np.ndarray | None, w0_hat: np.ndarray | None) -> NormReport:
     """The Theorem-2 report from u's node values, both half spectra and the initial data's."""
-    h1 = _hs_weight(grid, 1.0)
-
-    u_power = np.abs(u_hat) ** 2
-    e_uh1 = _sup_entry(times, np.sqrt(_parseval_sum(grid, u_power, h1)), "sup_j ||u(t_j)||_H1")
-    u_grad, u_note = _l2t_grad(grid, times, u_power, u0_hat, damped=False)
-    e_ugrad = NormEntry(u_grad, "||grad u||_{L2_t H1}", note=u_note)
-    e_ulinf = _sup_entry(times, _batch_lp(u_vals, np.inf, grid.cell_area), "sup_j ||u(t_j)||_Linf")
-    x_norm = e_uh1.value + e_ugrad.value + e_ulinf.value
-
-    w_power = np.abs(w_hat) ** 2
-    e_wh1 = _sup_entry(times, np.sqrt(_parseval_sum(grid, w_power, h1)), "sup_j ||w(t_j)||_H1")
-    w_grad, w_note = _l2t_grad(grid, times, w_power, w0_hat, damped=True)
-    e_wgrad = NormEntry(w_grad, "||grad w||_{L2_t H1}", note=w_note)
-    e_wsig = _sup_entry(times, sigma(times) * _batch_grad_linf(grid, w_hat),
-                        "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
-    y_norm = e_wh1.value + e_wgrad.value + e_wsig.value
-
-    entries = {
-        "u_sup_h1": e_uh1,
-        "u_grad_l2t_h1": e_ugrad,
-        "u_sup_linf": e_ulinf,
-        "x_norm": NormEntry(x_norm, "sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf"),
-        "w_sup_h1": e_wh1,
-        "w_grad_l2t_h1": e_wgrad,
-        "w_sigma_grad_linf": e_wsig,
-        "y_norm": NormEntry(y_norm, "sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma ||grad w||_Linf"),
-        "xy_norm": NormEntry(x_norm + y_norm, "||u||_X + ||w||_Y"),
-    }
-    return NormReport(entries)
+    return _report(_thm2_x(grid, times, u_vals, u_hat, u0_hat), _thm2_y(grid, times, w_hat, w0_hat))
 
 
 def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:

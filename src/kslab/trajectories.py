@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, read_snapshot, rfft2, write_snapshot
+from .fields import Grid2D, ScalarField, _read_raw_snapshot, rfft2, write_snapshot
 
 _GEOMETRIC_TOL = 1e-12
 
@@ -96,8 +96,8 @@ class TrajectoryOverflowError(RuntimeError):
 
 
 def _first_nonfinite_node(values: np.ndarray) -> int | None:
-    """Index of the first node (axis 0 of a (K, n, m) array) holding a NaN or infinity, if any."""
-    bad = ~np.all(np.isfinite(values), axis=(1, 2))
+    """Index of the first node (axis 0) holding a NaN or infinity, if any."""
+    bad = ~np.all(np.isfinite(values.reshape(values.shape[0], -1)), axis=1)
     return int(np.argmax(bad)) if bad.any() else None
 
 
@@ -182,29 +182,30 @@ def save_trajectory(path, traj: Trajectory) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a KSF1 snapshot sequence; the spacing law is inferred from the times."""
-    snaps: list[tuple[ScalarField, float]] = []
+    """Read a KSF1 snapshot sequence; the spacing law is inferred from the times.
+
+    Raises ValueError on a malformed or empty file, mixed grids or non-finite values.
+    """
+    rows: list[tuple[int, float, float, np.ndarray]] = []
     with open(path, "rb") as fh:
-        while True:
-            head = fh.read(1)
-            if not head:
-                break
+        while fh.read(1):
             fh.seek(-1, 1)
-            snaps.append(read_snapshot(fh))
-    if not snaps:
+            rows.append(_read_raw_snapshot(fh))
+    if not rows:
         raise ValueError("empty trajectory file")
-    grid = snaps[0][0].grid
-    if any(f.grid != grid for f, _ in snaps):
+    if any(row[:2] != rows[0][:2] for row in rows):
         raise ValueError("trajectory file mixes snapshots on different grids")
+    grid = Grid2D(*rows[0][:2])
     initial = None
-    if snaps[0][1] == 0.0:
-        initial = snaps[0][0]
-        snaps = snaps[1:]
-    if not snaps:
+    if rows[0][2] == 0.0:
+        initial = ScalarField(grid, rows.pop(0)[3].copy())
+    if not rows:
         raise ValueError("trajectory file holds no positive-time snapshots")
-    times = np.array([t for _, t in snaps])
-    tgrid = _infer_timegrid(times)
-    return Trajectory(grid, tgrid, np.stack([f.values for f, _ in snaps]), initial)
+    tgrid = _infer_timegrid(np.array([row[2] for row in rows]))
+    try:
+        return Trajectory(grid, tgrid, np.stack([row[3] for row in rows]), initial)
+    except TrajectoryOverflowError as exc:
+        raise ValueError(f"snapshot at t={tgrid.times[exc.node_index]:.6g} holds non-finite values") from exc
 
 
 def _infer_timegrid(times: np.ndarray) -> TimeGrid:

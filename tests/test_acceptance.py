@@ -200,6 +200,7 @@ def test_criterion_7_conservation_and_structure(crit3):
 def test_criterion_8_inequality_suite():
     setup = LabSetup()
     drifts = {}
+    bases = {}
     ok = True
     for name, verifier in (
         ("multiplier", verify_multiplier_lemma),
@@ -208,9 +209,9 @@ def test_criterion_8_inequality_suite():
     ):
         drift = refinement_drift(verifier, setup)
         drifts[name] = drift["max_drift"]
+        bases[name] = drift["base_report"]
         ok = ok and drift["max_drift"] < 0.10
-    rep = verify_bilinear_lemma23(setup)
-    for label, info in rep.metadata["uniformity"].items():
+    for label, info in bases["bilinear"].metadata["uniformity"].items():
         ok = ok and info["gap"] < 0.10
     report_line(
         8, ok,

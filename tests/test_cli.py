@@ -1,6 +1,7 @@
 """CLI tests: config round trips, subcommands, exit codes, determinism."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,24 @@ class TestNormsCommand:
         assert main(["norms", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "fields_u.ksf1" in err and "truncated" in err
+        assert not list(out.glob("norms_*.json"))
+
+    @pytest.mark.parametrize("snapshot", [0, 3], ids=["initial", "node"])
+    def test_non_finite_dump_rejected(self, tmp_path, capsys, snapshot):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("fields_u.ksf1", "fields_v.ksf1"):
+            self.dump(out / name, 32)
+        u_path = out / "fields_u.ksf1"
+        raw = bytearray(u_path.read_bytes())
+        header, payload = 24, 8 * 32 * 32  # KSF1: magic, n, l, t; then n*n float64
+        at = snapshot * (header + payload) + header + 8 * 5
+        raw[at : at + 8] = struct.pack("<d", float("nan"))
+        u_path.write_bytes(bytes(raw))
+        cfg = write_config(tmp_path, self.CFG)
+        assert main(["norms", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "fields_u.ksf1" in err and "finite" in err
         assert not list(out.glob("norms_*.json"))
 
 

@@ -304,9 +304,9 @@ class TestPlanReuse:
         calls = []
         march = duhamel._etd_march
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return march(*args)
+            return march(*args, **kwargs)
 
         monkeypatch.setattr(duhamel, "_etd_march", counted)
         return calls
@@ -314,17 +314,17 @@ class TestPlanReuse:
     def test_bilinear_verifier_builds_two(self, plan_builds, convolutions):
         verify_bilinear_lemma23(self.SETUP)
         assert len(plan_builds) == 2
-        assert len(convolutions) > 100
+        assert len(convolutions) == 4  # 2 profiles x 2 plans
 
     def test_maximal_regularity_verifier_builds_one(self, plan_builds, convolutions):
         verify_maximal_regularity(self.SETUP)
         assert len(plan_builds) == 1
-        assert len(convolutions) > 10
+        assert len(convolutions) == 3  # 3 profiles x 1 plan
 
     def test_estimate_constants_builds_two(self, plan_builds, convolutions):
         estimate_constants(self.SETUP)
         assert len(plan_builds) == 2
-        assert len(convolutions) > 10
+        assert len(convolutions) == 42  # 6 L and 36 B over the 6 families
 
     @pytest.mark.parametrize("max_iter, iterations", [(1, 1), (3, 3), (50, 4)])
     def test_picard_solve_builds_two(self, plan_builds, convolutions, max_iter, iterations):

@@ -7,16 +7,24 @@ from scipy.integrate import quad
 from kslab import (
     ConstantsReport,
     LabSetup,
+    bilinear_B,
     cosine_mode_field,
     counterexample_profile,
     counterexample_sweep,
+    damped_heat_trajectory,
     estimate_constants,
+    heat_trajectory,
+    hs_norm,
+    linear_L,
+    lp_norm,
     refinement_drift,
     stripe_lower_constant,
     stripe_profile_exact,
     verify_bilinear_lemma23,
     verify_maximal_regularity,
     verify_multiplier_lemma,
+    xy_norms_thm1,
+    xy_norms_thm2,
 )
 from kslab.fields import Grid2D
 from kslab.inequality_lab import standard_families
@@ -159,6 +167,39 @@ class TestConstants:
         assert small.c1 <= full.c1 + 1e-12
         assert small.c2 <= full.c2 + 1e-12
         assert small.c3 <= full.c3 + 1e-12
+
+    def test_samples_match_the_public_operators(self):
+        # every ratio rebuilt from real-space trajectories, B, L and the norm reports
+        setup = LabSetup(n=32, num_times=12)
+        grid, tgrid = setup.make_grid(), setup.make_timegrid()
+        expected = {}
+        free = []
+        for name, f in standard_families(grid):
+            u, w = heat_trajectory(f, tgrid), damped_heat_trajectory(f, tgrid)
+            x1, x2 = xy_norms_thm1(u, u).value("x_norm"), xy_norms_thm2(u, u).value("x_norm")
+            w1, w2 = xy_norms_thm1(w, w), xy_norms_thm2(w, w)
+            free.append((name, u, w, x1, x2, w1.value("y_norm"), w2.value("y_norm")))
+            l1, linf, h1 = lp_norm(f, 1.0), lp_norm(f, np.inf), hs_norm(f, 1.0)
+            key = (("data", name),)
+            expected["c1[free_u_mass]", key] = x1 / l1
+            expected["c1[free_w_grad]", key] = w1.value("y_norm") / linf
+            expected["c1[free_u_sobolev]", key] = x2 / (h1 + linf)
+            expected["c1[free_w_sobolev]", key] = (w2.value("w_sup_h1") + w2.value("w_grad_l2t_h1")) / h1
+            expected["c1[free_w_sigma]", key] = w2.value("w_sigma_grad_linf") / h1
+        for uname, u, _, x1, x2, _, _ in free:
+            lu = linear_L(u)
+            expected["c3[thm1]", (("u", uname),)] = xy_norms_thm1(lu, lu).value("y_norm") / x1
+            expected["c3[thm2]", (("u", uname),)] = xy_norms_thm2(lu, lu).value("y_norm") / x2
+            for wname, _, w, _, _, y1, y2 in free:
+                b = bilinear_B(u, w)
+                key = (("u", uname), ("w", wname))
+                expected["c2[thm1]", key] = xy_norms_thm1(b, b).value("x_norm") / (x1 * y1)
+                expected["c2[thm2]", key] = xy_norms_thm2(b, b).value("x_norm") / (x2 * y2)
+
+        got = {(s.family, s.params): s.ratio for s in estimate_constants(setup).samples}
+        assert got.keys() == expected.keys()
+        for key, ratio in expected.items():
+            assert abs(got[key] - ratio) <= 1e-12 * abs(ratio), key
 
     def test_serialisation(self, tmp_path):
         report = estimate_constants(SMALL)

@@ -22,9 +22,12 @@ from kslab import (
     maximal_reg_T,
 )
 from kslab.cli import ExperimentConfig, parse_config_text, serialize_config
-from kslab.duhamel import EtdPlan, QuadratureScheme, etd_weights
+from kslab.data import random_band_limited_field
+from kslab.duhamel import EtdPlan, QuadratureScheme, _convolve_hat, _profile_march, etd_weights
 from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
-from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, _hs_weight, _parseval_sum, grad_linf
+from kslab.inequality_lab import _PROFILES
+from kslab.norms import (_batch_grad_linf, _batch_hs, _batch_lp, _hs_weight, _parseval_sum, _rank_one_norms,
+                         grad_linf)
 from kslab.semigroup import _free_flow
 from kslab.trajectories import TrajectoryOverflowError, _first_nonfinite_node, load_trajectory
 
@@ -311,6 +314,26 @@ class TestEtdPlans:
         lam[rng.integers(16), rng.integers(16)] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
             EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4))
+
+
+class TestRankOneMarch:
+    """The lab's per-rate profile march with per-rate Parseval sums equals the full-plane march."""
+
+    @given(seed=st.integers(0, 2**31 - 1), scheme=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),
+           profile=st.sampled_from(sorted(_PROFILES)), s=st.sampled_from([0.0, 1.0]),
+           homogeneous=st.booleans(), with_prefactor=st.booleans())
+    def test_matches_full_plane_march(self, seed, scheme, rate, profile, s, homogeneous, with_prefactor):
+        grid = make_grid(16, 8.0)
+        plan = EtdPlan(_rates(grid, rate, seed), TimeGrid.geometric(1e-2, 1.0, 5), scheme)
+        prof = _PROFILES[profile]
+        fhat = rfft2(random_band_limited_field(grid, seed=seed, max_mode=4).values)
+        pre = np.sqrt(grid.k2_half) if with_prefactor else np.ones_like(grid.k2_half)
+        weight = _hs_weight(grid, s, homogeneous)
+
+        rank_one = _rank_one_norms(grid, _profile_march(prof, plan), plan.inverse, pre * fhat, weight)
+        times = plan.tgrid.times
+        full, _ = _convolve_hat(prof(times)[:, None, None] * fhat, prof(0.0) * fhat, plan, pre)
+        np.testing.assert_allclose(rank_one, _batch_hs(grid, full, s, homogeneous), rtol=1e-13, atol=0.0)
 
 
 class TestArrayTrajectory:
