@@ -38,13 +38,11 @@ such as |xi|^2 costs 3 x intervals x (distinct rates) floats instead of
 3 x intervals x n^2: about 2.9 MB at n = 128, K = 64 (1911 distinct rates;
 the index adds 67 kB) and 42 MB at n = 512, K = 64 (the index adds 1 MB).
 A plan is a plain read-only object.  Its lifetime is the caller's: every
-operator builds one for its call when none is passed, and a caller that
-convolves many integrands against the same rates builds the plan once and
-passes it as ``plan=``.  Nothing is cached at module level.  A plan also
-serves rank-one integrands prof(t) c(xi): ``_profile_march`` marches the
-scalar profile once per distinct rate, (K, R), on the same recurrence.
-A plan that does not match the call's time grid, grid shape, scheme or rates
-raises ``ValueError``.
+public operator builds one for its call, and the Picard loop and the lab,
+which convolve many integrands against the same rates, build theirs once and
+call the kernels.  Nothing is cached at module level.  A plan also serves
+rank-one integrands prof(t) c(xi): ``_profile_march`` marches the scalar
+profile once per distinct rate, (K, R), on the same recurrence.
 """
 
 from __future__ import annotations
@@ -166,28 +164,9 @@ class EtdPlan:
             if table is not None:
                 table.setflags(write=False)
 
-    def check(self, lam: np.ndarray, tgrid: TimeGrid, scheme: QuadratureScheme) -> None:
-        """Raise ``ValueError`` unless this plan was built for these rates, times and scheme."""
-        if self.scheme != scheme:
-            raise ValueError(f"ETD plan was built for {self.scheme}, not {scheme}")
-        if self.tgrid != tgrid:
-            raise ValueError("ETD plan was built for another time grid")
-        if self.shape != lam.shape:
-            raise ValueError(f"ETD plan was built for grid shape {self.shape}, not {lam.shape}")
-        if not np.array_equal(self.values[self.inverse], _even_half(lam, "decay rates")):
-            raise ValueError("ETD plan was built for other decay rates")
-
     def gather(self, row: np.ndarray) -> np.ndarray:
         """Spread one per-rate row over the half-layout modes."""
         return np.take(row, self.inverse)
-
-
-def _plan_for(plan: EtdPlan | None, lam: np.ndarray, tgrid: TimeGrid,
-              scheme: QuadratureScheme) -> EtdPlan:
-    if plan is None:
-        return EtdPlan(lam, tgrid, scheme)
-    plan.check(lam, tgrid, scheme)
-    return plan
 
 
 def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
@@ -299,17 +278,15 @@ def _trajectory_of(g: Trajectory, out_hat: np.ndarray, meta: dict) -> Trajectory
                                   initial=ScalarField.zero(g.grid), meta=meta)
 
 
-def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME,
-               plan: EtdPlan | None = None) -> Trajectory:
+def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} div(u grad v) dtau on the shared time grid.
 
     The divergence structure kills the zero mode of the integrand exactly, so
-    the output has zero spatial mean at every node.  ``plan`` is an
-    ``EtdPlan`` for the rates |xi|^2.
+    the output has zero spatial mean at every node.
     """
     _require_compatible(u, v)
     grid = u.grid
-    plan = _plan_for(plan, grid.k2, u.tgrid, scheme)
+    plan = EtdPlan(grid.k2, u.tgrid, scheme)
     g0hat = None
     if u.initial is not None and v.initial is not None:
         g0hat = _div_u_grad_v(grid, _initial_hat(u), _initial_hat(v))
@@ -317,37 +294,27 @@ def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_
     return _trajectory_of(u, out_hat, meta)
 
 
-def linear_L(u: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME, damped: bool = True,
-             plan: EtdPlan | None = None) -> Trajectory:
+def linear_L(u: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME, damped: bool = True) -> Trajectory:
     """int_0^t e^{(t-tau)(Lap - 1)} u dtau; ``damped=False`` drops the -1."""
-    return etd_convolve(u, u.grid.k2 + (1.0 if damped else 0.0), scheme=scheme, plan=plan)
+    return etd_convolve(u, u.grid.k2 + (1.0 if damped else 0.0), scheme=scheme)
 
 
-def maximal_reg_T(g: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME,
-                  plan: EtdPlan | None = None) -> Trajectory:
+def maximal_reg_T(g: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} Lap g dtau: the maximal-regularity operator."""
-    return etd_convolve(g, g.grid.k2, -g.grid.k2, scheme, plan)
+    return etd_convolve(g, g.grid.k2, -g.grid.k2, scheme)
 
 
-def etd_convolve(
-    g: Trajectory,
-    lam: np.ndarray,
-    prefactor: np.ndarray | None = None,
-    scheme: QuadratureScheme = DEFAULT_SCHEME,
-    plan: EtdPlan | None = None,
-) -> Trajectory:
+def etd_convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None = None,
+                 scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
     """General form int_0^t e^{-(t-tau) lam(xi)} prefactor(xi) g(tau) dtau.
 
     ``lam`` must be non-negative and ``prefactor`` (any finite, real,
     time-independent symbol, for example a fractional-Laplacian power)
     finite on the grid, and both even in xi; otherwise ``ValueError``.
-    ``plan``, when given, must have been built for ``lam``, ``g``'s time grid
-    and ``scheme``; without one the call builds its own.
     """
     grid = g.grid
     shape = (grid.n, grid.n)
-    lam = np.broadcast_to(np.asarray(lam, dtype=np.float64), shape)
-    plan = _plan_for(plan, lam, g.tgrid, scheme)
+    plan = EtdPlan(np.broadcast_to(np.asarray(lam, dtype=np.float64), shape), g.tgrid, scheme)
     if prefactor is not None:
         prefactor = np.broadcast_to(np.asarray(prefactor), shape)
         if np.iscomplexobj(prefactor) or not np.all(np.isfinite(prefactor)):

@@ -24,15 +24,13 @@ Conventions used throughout the package:
 * Nyquist rule: the derivative wavenumbers ``kx_deriv`` and
   ``ky_deriv_half`` are ``xi`` with the Nyquist row and column set to zero.
   The Nyquist mode is its own mirror, so ``i*xi`` there is not the spectrum
-  of a real field; the full layout's ``ifft2(1j*xi*coeffs).real`` drops that
-  part exactly, and the zeroed wavenumbers drop it in the half layout too.
+  of a real field; the real part of the full-layout inverse transform of
+  ``1j*xi*coeffs`` drops that part exactly, and the zeroed wavenumbers drop
+  it in the half layout too.
 * Products of fields are dealiased with the 2/3 rule: integer modes with
   ``|k| > n//3`` on either axis are zeroed before and after the real-space
   multiplication.  ``d1_dealiased_half`` and ``d2_dealiased_half`` are the
   dealiased derivative symbols ``mask * 1j*xi_i`` of that product.
-* The single-field public API (``kx``, ``ky``, ``k2``, ``SpectralField``,
-  ``multiplier_apply``, ``pointwise_product``, ``divergence``) keeps the full
-  ``n x n`` layout of ``fft2``.
 """
 
 from __future__ import annotations
@@ -70,9 +68,11 @@ def irfft2(a: np.ndarray, n: int) -> np.ndarray:
     return _sfft.irfft2(a, s=(n, n), axes=(-2, -1), workers=worker_count())
 
 
-def _check_grid_size(n: int) -> None:
+def _check_grid(n: int, l: float) -> None:
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+    if not 0 < l < np.inf:
+        raise ValueError(f"side length must be positive and finite, got {l}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,7 @@ class Grid2D:
 
     def __post_init__(self) -> None:
         n, l = self.n, float(self.l)
-        _check_grid_size(n)
-        if not l > 0:
-            raise ValueError(f"side length must be positive, got {l}")
+        _check_grid(n, l)
         object.__setattr__(self, "l", l)
         h = l / n
         object.__setattr__(self, "h", h)
@@ -99,10 +97,7 @@ class Grid2D:
         k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=h)  # (n,) in FFT ordering
         k1h = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)  # (n//2+1,) non-negative
         object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "kx", k1[:, None])
-        object.__setattr__(self, "ky", k1[None, :])
         object.__setattr__(self, "k2", k1[:, None] ** 2 + k1[None, :] ** 2)
-        object.__setattr__(self, "ky_half", k1h[None, :])
         object.__setattr__(self, "k2_half", k1[:, None] ** 2 + k1h[None, :] ** 2)
 
         # Half layout: column multiplicity for Parseval sums and the
@@ -122,7 +117,6 @@ class Grid2D:
         keep = np.abs(m) <= cut
         keep_h = np.abs(mh) <= cut
         mask_h = keep[:, None] & keep_h[None, :]
-        object.__setattr__(self, "dealias_mask", keep[:, None] & keep[None, :])
         object.__setattr__(self, "dealias_mask_half", mask_h)
         object.__setattr__(self, "d1_dealiased_half", mask_h * (1j * kd[:, None]))
         object.__setattr__(self, "d2_dealiased_half", mask_h * (1j * kdh[None, :]))
@@ -245,7 +239,7 @@ class Heat:
     t: float
 
     def symbol(self, grid: Grid2D) -> np.ndarray:
-        return np.exp(-self.t * grid.k2)
+        return np.exp(-self.t * grid.k2_half)
 
 
 @dataclass(frozen=True)
@@ -256,12 +250,12 @@ class DampedHeat:
 
     def symbol(self, grid: Grid2D) -> np.ndarray:
         # Written as the product so it matches e^{-t} * Heat(t) bit for bit.
-        return np.exp(-self.t) * np.exp(-self.t * grid.k2)
+        return np.exp(-self.t) * np.exp(-self.t * grid.k2_half)
 
 
 @dataclass(frozen=True)
 class GradComponent:
-    """Symbol 1j*xi_axis: spectral partial derivative along the given axis."""
+    """Symbol 1j*xi_axis: spectral partial derivative along the given axis (Nyquist rule)."""
 
     axis: int
 
@@ -270,8 +264,8 @@ class GradComponent:
             raise ValueError(f"axis must be 0 or 1, got {self.axis}")
 
     def symbol(self, grid: Grid2D) -> np.ndarray:
-        k = grid.kx if self.axis == 0 else grid.ky
-        return (1j * k) * np.ones((grid.n, grid.n))
+        k = grid.kx_deriv if self.axis == 0 else grid.ky_deriv_half
+        return (1j * k) * np.ones(grid.k2_half.shape)
 
 
 @dataclass(frozen=True)
@@ -279,7 +273,7 @@ class Laplacian:
     """Symbol -|xi|^2."""
 
     def symbol(self, grid: Grid2D) -> np.ndarray:
-        return -grid.k2
+        return -grid.k2_half
 
 
 @dataclass(frozen=True)
@@ -295,7 +289,7 @@ class FractionalLaplacian:
             )
 
     def symbol(self, grid: Grid2D) -> np.ndarray:
-        return grid.k2 ** (self.alpha / 2.0)
+        return grid.k2_half ** (self.alpha / 2.0)
 
 
 @dataclass(frozen=True)
@@ -305,7 +299,7 @@ class Composite:
     parts: tuple
 
     def symbol(self, grid: Grid2D) -> np.ndarray:
-        sym = np.ones((grid.n, grid.n), dtype=np.complex128)
+        sym = np.ones(grid.k2_half.shape, dtype=np.complex128)
         for part in self.parts:
             sym = sym * part.symbol(grid)
         return sym
@@ -315,25 +309,23 @@ MultiplierSpec = Union[Heat, DampedHeat, GradComponent, Laplacian, FractionalLap
 
 
 def multiplier_apply(m: MultiplierSpec, f: ScalarField) -> ScalarField:
-    """Apply a Fourier multiplier: inverse-transform of symbol * coefficients.
+    """Apply a Fourier multiplier: inverse-transform of symbol * half spectrum.
 
     The multiplier must evaluate to finite values on every grid wavenumber.
-    The output is made real by Hermitian symmetrisation (real part of the
-    inverse transform).
     """
     sym = np.asarray(m.symbol(f.grid))
     if not np.all(np.isfinite(sym)):
         raise ValueError("multiplier evaluates to NaN or infinity on the grid wavenumbers")
-    return ScalarField(f.grid, ifft2(sym * fft2(f.values)).real)
+    return ScalarField(f.grid, irfft2(sym * rfft2(f.values), f.grid.n))
 
 
 def pointwise_product(f: ScalarField, g: ScalarField) -> ScalarField:
     """Dealiased product: 2/3-rule truncation, real-space multiply, truncate again."""
     _require_same_grid(f, g)
-    mask = f.grid.dealias_mask
-    fd = ifft2(mask * fft2(f.values)).real
-    gd = ifft2(mask * fft2(g.values)).real
-    return ScalarField(f.grid, ifft2(mask * fft2(fd * gd)).real)
+    n, mask = f.grid.n, f.grid.dealias_mask_half
+    fd = irfft2(mask * rfft2(f.values), n)
+    gd = irfft2(mask * rfft2(g.values), n)
+    return ScalarField(f.grid, irfft2(mask * rfft2(fd * gd), n))
 
 
 def _grad_values(grid: Grid2D, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,11 +341,11 @@ def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
 
 
 def divergence(g1: ScalarField, g2: ScalarField) -> ScalarField:
-    """Spectral divergence; divergence(gradient(f)) equals the Laplacian symbol exactly."""
+    """Spectral divergence; divergence(gradient(f)) is the Laplacian off the Nyquist row and column."""
     _require_same_grid(g1, g2)
     grid = g1.grid
-    c = 1j * grid.kx * fft2(g1.values) + 1j * grid.ky * fft2(g2.values)
-    return ScalarField(grid, ifft2(c).real)
+    c = 1j * grid.kx_deriv * rfft2(g1.values) + 1j * grid.ky_deriv_half * rfft2(g2.values)
+    return ScalarField(grid, irfft2(c, grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +365,8 @@ def write_snapshot(fh: BinaryIO, field: ScalarField, t: float) -> None:
 def _read_raw_snapshot(fh: BinaryIO) -> tuple[int, float, float, np.ndarray]:
     """Read one KSF1 snapshot's n, l, t and its read-only (n, n) values from a seekable stream.
 
-    Raises ValueError on bad magic, a header grid size that breaks the Grid2D
-    rule, or a payload shorter than the header claims; the size checks run
+    Raises ValueError on bad magic, a header grid that breaks the Grid2D
+    rules, or a payload shorter than the header claims; the size checks run
     before any payload is read.  The values are not checked for finiteness.
     """
     header = fh.read(_KSF1_HEADER.size)
@@ -384,7 +376,7 @@ def _read_raw_snapshot(fh: BinaryIO) -> tuple[int, float, float, np.ndarray]:
     if magic != KSF1_MAGIC:
         raise ValueError(f"bad KSF1 magic: {magic!r}")
     try:
-        _check_grid_size(n)
+        _check_grid(n, l)
     except ValueError as exc:
         raise ValueError(f"bad KSF1 header: {exc}") from exc
     need = 8 * n * n

@@ -11,7 +11,9 @@ a rank-one integrand prof(t) pre(xi) f(xi), and the ETD march is diagonal
 per rate, so each (profile, plan) pair is marched once as a scalar per
 distinct rate (``duhamel._profile_march``).  A case's node norms are then
 sum_r |m_j(r)|^2 P_r, with P_r the Parseval weight times |pre f|^2 summed
-over the modes of rate r; the maximal-regularity L^2 norm is one of them.
+over the modes of rate r (``norms._rank_one_norms``); the maximal-regularity
+L^2 norm is one of them.  The multiplier verifier's symbols m(t, |xi|^2) are
+such per-rate profiles too, and go through the same contraction.
 
 Discrete conventions: time norms on both sides of an estimate use the same
 trapezoid rule on the shared node set (suprema become node maxima), so a
@@ -43,7 +45,6 @@ from .norms import (
     _hs_weight,
     _l2t_grad,
     _rank_one_norms,
-    _spectrum,
     _thm1_x,
     _thm1_y,
     _thm2_x,
@@ -54,8 +55,8 @@ from .norms import (
     lp_norm,
     trapezoid,
 )
-from .semigroup import _free_flow, heat, heat_trajectory
-from .trajectories import TimeGrid, _initial_hat, _require_finite
+from .semigroup import _free_flow, heat
+from .trajectories import TimeGrid, _require_finite
 
 
 @dataclass(frozen=True)
@@ -170,29 +171,28 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
 
     Form A:  ||m(t,D) v||_{L^r_t H^s} <= ||m||_{L^r_t L^inf_xi} ||v||_{H^s}
     Form B:  ||m_d(t,D) v||_{L^rho_t H^s} <= ||m_d||_{L^inf_xi L^rho_t} ||v||_{H^s}
-    with m in {1, heat, damped heat} and m_d = |xi|^delta * m.
+    with m in {1, heat, damped heat} and m_d = |xi|^delta * m.  Every symbol
+    is m(t, |xi|^2), so it is a (K, R) profile over the distinct rates of
+    |xi|^2: the node norms are ``_rank_one_norms`` and the suprema over xi
+    are maxima over the rates.
     """
     grid = setup.make_grid()
-    tgrid = setup.make_timegrid()
-    times = tgrid.times
-    k2 = grid.k2_half
-
-    syms = {
-        "identity": np.ones((times.size,) + k2.shape),
-        "heat": np.exp(-times[:, None, None] * k2),
-        "damped": np.exp(-times[:, None, None]) * np.exp(-times[:, None, None] * k2),
-    }
-    fields = _lab_fields(grid, seed)
+    times = setup.make_timegrid().times
+    rates, inverse = np.unique(grid.k2_half, return_inverse=True)
+    inverse = inverse.reshape(grid.k2_half.shape)
+    t, k2 = times[:, None], rates[None, :]
+    syms = {"identity": np.ones((times.size, rates.size)), "heat": np.exp(-t * k2),
+            "damped": np.exp(-t) * np.exp(-t * k2)}
     samples: list[RatioSample] = []
 
-    for fname, f in fields:
+    for fname, f in _lab_fields(grid, seed):
         vhat = rfft2(f.values)
         for mname, sym in syms.items():
-            applied = sym * vhat
             for s in (0.0, 1.0):
+                weight = _hs_weight(grid, s)
                 hs_f = _batch_hs(grid, vhat, s)
-                lhs_nodes = _batch_hs(grid, applied, s)
-                sup_xi = np.max(np.abs(sym), axis=(1, 2))
+                lhs_nodes = _rank_one_norms(grid, sym, inverse, vhat, weight)
+                sup_xi = np.max(np.abs(sym), axis=1)
                 for r in (np.inf, 2.0):
                     lhs = _time_lp(times, lhs_nodes, r)
                     rhs = _time_lp(times, sup_xi, r) * hs_f
@@ -200,13 +200,10 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
                                 (("multiplier", mname), ("field", fname)), lhs, rhs)
                 # Form B with |xi|^delta weights, rho = 2
                 for delta in (0.0, 1.0):
-                    msym = sym * np.sqrt(k2)[None] ** delta if delta else sym
-                    per_xi = np.sqrt(
-                        np.maximum(trapezoid(times, np.abs(msym) ** 2), 0.0)
-                    )
+                    msym = sym * np.sqrt(k2) ** delta if delta else sym
+                    per_xi = np.sqrt(np.maximum(trapezoid(times, np.abs(msym) ** 2), 0.0))
                     rhs = float(np.max(per_xi)) * hs_f
-                    lhs_nodes_b = _batch_hs(grid, msym * vhat, s)
-                    lhs = _time_lp(times, lhs_nodes_b, 2.0)
+                    lhs = _time_lp(times, _rank_one_norms(grid, msym, inverse, vhat, weight), 2.0)
                     _add_sample(samples, f"formB[rho=2,delta={int(delta)},s={int(s)}]",
                                 (("multiplier", mname), ("field", fname)), lhs, rhs)
 
@@ -363,15 +360,16 @@ def verify_l4_interpolation(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     is recorded, only finiteness is asserted downstream.
     """
     grid = setup.make_grid()
-    tgrid = setup.make_timegrid()
-    times = tgrid.times
+    times = setup.make_timegrid().times
     samples: list[RatioSample] = []
     for fname, f in _lab_fields(grid, seed):
-        traj = heat_trajectory(f, tgrid)
-        l4 = _batch_lp(traj.stacked, 4.0, grid.cell_area)
+        f_hat = rfft2(f.values)
+        u_hat = _free_flow(f_hat, times, grid.k2_half)
+        u_vals = irfft2(u_hat, grid.n)
+        l4 = _batch_lp(u_vals, 4.0, grid.cell_area)
         lhs = float(np.sqrt(trapezoid(times, l4**4) + times[0] * lp_norm(f, 4.0) ** 4))
-        sup_l2 = max(float(np.max(_batch_lp(traj.stacked, 2.0, grid.cell_area))), lp_norm(f, 2.0))
-        grad_l2t, _ = _l2t_grad(grid, times, _spectrum(traj)[1], _initial_hat(traj), damped=False)
+        sup_l2 = max(float(np.max(_batch_lp(u_vals, 2.0, grid.cell_area))), lp_norm(f, 2.0))
+        grad_l2t, _ = _l2t_grad(grid, times, np.abs(u_hat) ** 2, f_hat, damped=False)
         _add_sample(samples, "l4_interpolation", (("field", fname),), lhs, sup_l2 * grad_l2t)
     return InequalityReport("l4_interpolation", tuple(samples), _meta(setup, seed))
 

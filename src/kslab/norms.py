@@ -25,7 +25,8 @@ single-field norms are calls into them:
   the time integrals);
 * ``semigroup._free_flow`` for the heat flow inside the Besov suprema;
 * ``_rank_one_norms`` for the same sums split by decay rate and contracted
-  with per-rate time profiles, the lab's rank-one convolutions;
+  with per-rate time profiles: the lab's rank-one convolutions and its
+  multiplier symbols m(t, |xi|^2);
 * ``_thm1_report`` and ``_thm2_report`` for the two trajectory reports, from
   node values and half spectra, each joining an X half of u (``_thm1_x``,
   ``_thm2_x``) and a Y half of w (``_thm1_y``, ``_thm2_y``) that callers

@@ -69,9 +69,9 @@ def heat_trajectory(f: ScalarField, tgrid: TimeGrid) -> Trajectory:
     return _free_trajectory(f, tgrid, damped=False)
 
 
-def damped_heat_trajectory(f: ScalarField, tgrid: TimeGrid, damped: bool = True) -> Trajectory:
-    """Free damped-heat evolution; ``damped=False`` swaps in the plain heat flow."""
-    return _free_trajectory(f, tgrid, damped=damped)
+def damped_heat_trajectory(f: ScalarField, tgrid: TimeGrid) -> Trajectory:
+    """Free damped-heat evolution sampled at the time-grid nodes (initial datum attached)."""
+    return _free_trajectory(f, tgrid, damped=True)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=np.float64)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("a time grid needs at least two nodes")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("node times must be finite")
         if not t[0] > 0:
             raise ValueError("the first node must be strictly positive")
         if not np.all(np.diff(t) > 0):

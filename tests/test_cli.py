@@ -139,6 +139,12 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, "grid.n = 99\n")
         assert main(["solve", "--config", cfg]) == 2
 
+    def test_infinite_side_length_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--override", "grid.l=inf", "--out", str(out)]) == 2
+        assert "side length must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNormsCommand:
     CFG = "grid.n = 32\npicard.c = 2.5\n"

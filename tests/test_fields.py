@@ -30,6 +30,12 @@ def random_field(grid, seed=0):
     return ScalarField(grid, rng.standard_normal((grid.n, grid.n)))
 
 
+def full_dealias_mask(grid):
+    """The full-layout 2/3-rule mask, built from the integer modes of ``grid.k1``."""
+    keep = np.abs(np.rint(grid.k1 * grid.l / (2 * np.pi))) <= grid.n // 3
+    return keep[:, None] & keep[None, :]
+
+
 class TestGrid2D:
     def test_basic_spacing(self):
         g = make_grid(16, 16.0)
@@ -51,6 +57,11 @@ class TestGrid2D:
             make_grid(8, 16.0)
         with pytest.raises(ValueError):
             make_grid(64, 0.0)
+
+    @pytest.mark.parametrize("l", [np.inf, np.nan])
+    def test_rejects_non_finite_l(self, l):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_grid(16, l)
 
     def test_max_wavenumber(self):
         g = make_grid(64, 16.0)
@@ -211,7 +222,7 @@ class TestProducts:
         smooth = multiplier_apply(Heat(0.05), f)  # stay inside the dealias band
         out = pointwise_product(smooth, ScalarField(g, np.ones((32, 32))))
         dealiased = multiplier_apply(Heat(0.0), smooth)  # identity
-        mask = g.dealias_mask
+        mask = full_dealias_mask(g)
         from kslab.fields import fft2, ifft2
 
         expected = ifft2(mask * fft2(smooth.values)).real
@@ -247,7 +258,7 @@ class TestProducts:
                     cp[int(idx[a]) % big, int(idx[b]) % big] = c[a, b]
             return np.fft.ifft2(cp).real * (big * big) / (n * n)
 
-        mask = g.dealias_mask
+        mask = full_dealias_mask(g)
         fd = ifft2(mask * fft2(f.values)).real
         hd = ifft2(mask * fft2(h.values)).real
         exact = np.fft.fft2(pad(fd) * pad(hd))
@@ -259,7 +270,7 @@ class TestProducts:
                 exact_coarse[a, b] = exact[int(idx[a]) % big, int(idx[b]) % big]
         exact_coarse *= (n * n) / (big * big)
         got = fft2(out.values)
-        keep = g.dealias_mask
+        keep = full_dealias_mask(g)
         scale = np.max(np.abs(exact_coarse[keep]))
         assert np.max(np.abs((got - exact_coarse)[keep])) / scale < 1e-10
 
@@ -297,9 +308,13 @@ class TestDerivatives:
         assert abs(div.integral()) < 1e-12
 
     def test_div_grad_symbol_equals_laplacian(self):
+        """Exact off the Nyquist row and column, where the derivative symbols are 0 (the Nyquist rule)."""
         g = make_grid(32, 8.0)
-        grad_sq = (1j * g.kx) ** 2 + (1j * g.ky) ** 2
-        np.testing.assert_array_equal(grad_sq.real, Laplacian().symbol(g))
+        d1, d2 = GradComponent(0).symbol(g), GradComponent(1).symbol(g)
+        off_nyquist = np.ones(g.k2_half.shape, dtype=bool)
+        off_nyquist[g.n // 2, :] = off_nyquist[:, -1] = False
+        np.testing.assert_array_equal((d1 * d1 + d2 * d2).real[off_nyquist], Laplacian().symbol(g)[off_nyquist])
+        assert np.all(d1[g.n // 2, :] == 0) and np.all(d2[:, -1] == 0)
 
     def test_div_grad_matches_laplacian_on_band_limited_field(self):
         from kslab import random_band_limited_field
@@ -345,3 +360,16 @@ class TestSnapshotIO:
             header = struct.pack("<4sIdd", b"KSF1", n, 8.0, 1.0)
             with pytest.raises(ValueError, match="truncated"):
                 read_snapshot(io.BytesIO(header))
+
+    def test_infinite_side_length_rejected(self, tmp_path):
+        import struct
+
+        from kslab import load_trajectory
+
+        path = tmp_path / "inf.ksf1"
+        header = struct.pack("<4sIdd", b"KSF1", 16, np.inf, 0.5)
+        path.write_bytes(header + np.zeros(16 * 16).tobytes())
+        with pytest.raises(ValueError, match="bad KSF1 header: side length must be positive and finite"):
+            load_field(path)
+        with pytest.raises(ValueError, match="bad KSF1 header: side length must be positive and finite"):
+            load_trajectory(path)

@@ -231,6 +231,29 @@ class TestMeasuredRatios:
         assert "const" not in names
         assert np.isfinite(report.max_ratio)
 
+    def test_l4_samples_match_the_public_heat_trajectory(self):
+        from kslab import verify_l4_interpolation
+        from kslab.inequality_lab import _lab_fields
+        from kslab.norms import _batch_lp, _l2t_grad, _spectrum, trapezoid
+        from kslab.trajectories import _initial_hat
+
+        setup = LabSetup(n=32, num_times=12)
+        grid, tgrid = setup.make_grid(), setup.make_timegrid()
+        times, cell = tgrid.times, grid.cell_area
+        expected = {}
+        for fname, f in _lab_fields(grid, 0):
+            traj = heat_trajectory(f, tgrid)
+            l4 = _batch_lp(traj.stacked, 4.0, cell)
+            lhs = np.sqrt(trapezoid(times, l4**4) + times[0] * lp_norm(f, 4.0) ** 4)
+            sup_l2 = max(float(np.max(_batch_lp(traj.stacked, 2.0, cell))), lp_norm(f, 2.0))
+            grad_l2t, _ = _l2t_grad(grid, times, _spectrum(traj)[1], _initial_hat(traj), damped=False)
+            if grad_l2t != 0:
+                expected[(("field", fname),)] = (lhs, sup_l2 * grad_l2t)
+        got = {s.params: (s.lhs, s.rhs) for s in verify_l4_interpolation(setup).samples}
+        assert got.keys() == expected.keys()
+        for key, sides in expected.items():
+            np.testing.assert_allclose(got[key], sides, rtol=1e-12, atol=0, err_msg=str(key))
+
     def test_besov_equivalence_measured_only(self):
         from kslab import besov_equivalence_samples
 

@@ -8,26 +8,41 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
+import kslab.fields
 from kslab import (
+    Composite,
+    DampedHeat,
+    FractionalLaplacian,
+    GradComponent,
+    Heat,
+    LabSetup,
+    Laplacian,
     ScalarField,
     TimeGrid,
     Trajectory,
     bilinear_B,
+    counterexample_profile,
+    divergence,
     etd_convolve,
+    grad_heat,
+    heat,
     hs_dot_norm,
     hs_norm,
     linear_L,
     lp_norm,
     make_grid,
     maximal_reg_T,
+    multiplier_apply,
+    pointwise_product,
+    verify_multiplier_lemma,
 )
 from kslab.cli import ExperimentConfig, parse_config_text, serialize_config
 from kslab.data import random_band_limited_field
 from kslab.duhamel import EtdPlan, QuadratureScheme, _convolve_hat, _profile_march, etd_weights
 from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
-from kslab.inequality_lab import _PROFILES
+from kslab.inequality_lab import _PROFILES, _lab_fields, _time_lp
 from kslab.norms import (_batch_grad_linf, _batch_hs, _batch_lp, _hs_weight, _parseval_sum, _rank_one_norms,
-                         grad_linf)
+                         grad_linf, trapezoid)
 from kslab.semigroup import _free_flow
 from kslab.trajectories import TrajectoryOverflowError, _first_nonfinite_node, load_trajectory
 
@@ -96,14 +111,15 @@ class TestBatchedKernelsMatchSingleFieldForms:
         grid = make_grid(16, l)
         stack = _stack(seed, k)
         full, half = fft2(stack), rfft2(stack)
-        g1, g2 = ifft2(1j * grid.kx * full).real, ifft2(1j * grid.ky * full).real
+        kx, ky = grid.k1[:, None], grid.k1[None, :]
+        g1, g2 = ifft2(1j * kx * full).real, ifft2(1j * ky * full).real
         grad_full = np.max(np.sqrt(g1**2 + g2**2), axis=(1, 2))
         factor = grid.l**2 / grid.n**4
         weight_full = (1.0 + grid.k2) ** s
         hs_full = np.sqrt(factor * np.sum(weight_full * np.abs(full) ** 2, axis=(1, 2)))
         np.testing.assert_allclose(_batch_grad_linf(grid, half), grad_full, rtol=1e-13, atol=0)
         np.testing.assert_allclose(_batch_hs(grid, half, s), hs_full, rtol=1e-13, atol=0)
-        weight = np.cos(grid.kx) * np.cos(grid.ky) + grid.k2  # even, not radial
+        weight = np.cos(kx) * np.cos(ky) + grid.k2  # even, not radial
         np.testing.assert_allclose(
             _parseval_sum(grid, np.abs(half) ** 2, weight[:, : grid.n // 2 + 1]),
             factor * np.sum(weight * np.abs(full) ** 2, axis=(1, 2)), rtol=1e-13, atol=0)
@@ -223,22 +239,22 @@ class TestEtdPlans:
     def test_plan_reuse_is_bit_identical(self, seed, scheme, with_initial, rate, with_prefactor):
         grid = make_grid(16, 8.0)
         lam = _rates(grid, rate, seed)
-        pre = np.sqrt(grid.k2) if with_prefactor else None
+        pre = _half(np.sqrt(grid.k2)) if with_prefactor else None
         plan = EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4), scheme)
         assert plan.decay.shape == (4 * scheme.substeps, np.unique(lam).size)
         assert np.array_equal(plan.values[plan.inverse], _half(lam))
         for g in (_trajectory(grid, seed, 4, with_initial), _trajectory(grid, seed + 1, 4, with_initial)):
-            planned = etd_convolve(g, lam, pre, scheme, plan=plan)
-            own = etd_convolve(g, lam, pre, scheme)
-            assert np.array_equal(planned.stacked, own.stacked)
-            assert planned.meta == own.meta
             ghat = rfft2(g.stacked)
             g0hat = None if g.initial is None else rfft2(g.initial.values)
+            planned, meta = _convolve_hat(ghat, g0hat, plan, pre)
+            own, own_meta = _convolve_hat(ghat, g0hat, EtdPlan(lam, g.tgrid, scheme), pre)
+            assert np.array_equal(planned, own)
+            assert meta == own_meta
             if pre is not None:
-                ghat = _half(pre) * ghat
-                g0hat = None if g0hat is None else _half(pre) * g0hat
+                ghat = pre * ghat
+                g0hat = None if g0hat is None else pre * g0hat
             dense = irfft2(_dense_march(ghat, g0hat, g.tgrid.times, _half(lam), scheme), grid.n)
-            assert np.array_equal(planned.stacked, dense)
+            assert np.array_equal(irfft2(planned, grid.n), dense)
 
     @given(seed=seeds, scheme=schemes, with_initial=st.booleans(),
            rate=st.sampled_from(["heat", "damped", "repeated"]), with_prefactor=st.booleans())
@@ -271,41 +287,6 @@ class TestEtdPlans:
             with pytest.raises(ValueError, match="even in xi"):
                 EtdPlan(sym, g.tgrid)
 
-    @given(seed=seeds, scheme=schemes, with_initial=st.booleans(), damped=st.booleans())
-    def test_operators_accept_plans(self, seed, scheme, with_initial, damped):
-        grid = make_grid(16, 8.0)
-        u = _trajectory(grid, seed, 4, with_initial)
-        v = _trajectory(grid, seed + 3, 4, with_initial)
-        heat = EtdPlan(grid.k2, u.tgrid, scheme)
-        chem = EtdPlan(grid.k2 + (1.0 if damped else 0.0), u.tgrid, scheme)
-        assert np.array_equal(bilinear_B(u, v, scheme, plan=heat).stacked, bilinear_B(u, v, scheme).stacked)
-        assert np.array_equal(maximal_reg_T(u, scheme, plan=heat).stacked, maximal_reg_T(u, scheme).stacked)
-        assert np.array_equal(linear_L(u, scheme, damped, plan=chem).stacked,
-                              linear_L(u, scheme, damped).stacked)
-
-    @given(seed=seeds, mismatch=st.sampled_from(["times", "spacing", "n", "kind", "substeps", "rates"]))
-    def test_mismatched_plan_rejected(self, seed, mismatch):
-        grid = make_grid(16, 8.0)
-        g = _trajectory(grid, seed, 4, True)
-        lam, tgrid, scheme = grid.k2, g.tgrid, QuadratureScheme()
-        if mismatch == "times":
-            tgrid = TimeGrid.geometric(1e-2, 2.0, 4)
-        elif mismatch == "spacing":
-            tgrid = TimeGrid.uniform(1e-2, 1.0, 4)
-        elif mismatch == "n":
-            lam = make_grid(32, 8.0).k2
-        elif mismatch == "kind":
-            scheme = QuadratureScheme("etd_piecewise_constant")
-        elif mismatch == "substeps":
-            scheme = QuadratureScheme(substeps=3)
-        else:
-            lam = grid.k2 + 1.0
-        plan = EtdPlan(lam, tgrid, scheme)
-        with pytest.raises(ValueError, match="ETD plan was built for"):
-            etd_convolve(g, grid.k2, plan=plan)
-        with pytest.raises(ValueError, match="ETD plan was built for"):
-            maximal_reg_T(g, plan=plan)
-
     @given(seed=seeds, bad=st.sampled_from([-1e-300, -1.0, np.nan, np.inf, -np.inf]))
     def test_bad_rates_rejected_at_build(self, seed, bad):
         grid = make_grid(16, 8.0)
@@ -334,6 +315,103 @@ class TestRankOneMarch:
         times = plan.tgrid.times
         full, _ = _convolve_hat(prof(times)[:, None, None] * fhat, prof(0.0) * fhat, plan, pre)
         np.testing.assert_allclose(rank_one, _batch_hs(grid, full, s, homogeneous), rtol=1e-13, atol=0.0)
+
+
+def _full_layout(grid):
+    """Full-layout wavenumbers (kx, ky), |xi|^2 and the 2/3-rule mask, built from ``grid.k1``."""
+    kx, ky = grid.k1[:, None], grid.k1[None, :]
+    keep = np.abs(np.rint(grid.k1 * grid.l / (2.0 * np.pi))) <= grid.n // 3
+    return kx, ky, kx**2 + ky**2, keep[:, None] & keep[None, :]
+
+
+def _full_apply(sym, values):
+    """The full-layout multiplier formula: ifft2(sym * fft2(values)).real."""
+    return ifft2(sym * fft2(values)).real
+
+
+def _assert_sup_close(got, full, rel=1e-13):
+    assert np.max(np.abs(got - full)) <= rel * np.max(np.abs(full))
+
+
+class TestSingleLayout:
+    """The half-layout single-field API equals the full-layout formulas, and computes no c2c transform."""
+
+    @given(seed=seeds, l=lengths, t=st.floats(0.0, 0.5), alpha=st.sampled_from([0.5, 1.0, 3.0]))
+    def test_multipliers_match_full_layout(self, seed, l, t, alpha):
+        grid = make_grid(16, l)
+        values = _stack(seed, 1)[0]  # white noise: the Nyquist row and column are present
+        kx, ky, k2, _ = _full_layout(grid)
+        cases = [
+            (Heat(t), np.exp(-t * k2)),
+            (DampedHeat(t), np.exp(-t) * np.exp(-t * k2)),
+            (GradComponent(0), 1j * kx * np.ones_like(k2)),
+            (GradComponent(1), 1j * ky * np.ones_like(k2)),
+            (Laplacian(), -k2),
+            (FractionalLaplacian(alpha), k2 ** (alpha / 2.0)),
+            (Composite((Heat(t), GradComponent(1), FractionalLaplacian(alpha))),
+             np.exp(-t * k2) * (1j * ky) * k2 ** (alpha / 2.0)),
+        ]
+        f = ScalarField(grid, values)
+        for spec, sym_full in cases:
+            _assert_sup_close(multiplier_apply(spec, f).values, _full_apply(sym_full, values))
+
+    @given(seed=seeds, l=lengths)
+    def test_product_and_divergence_match_full_layout(self, seed, l):
+        grid = make_grid(16, l)
+        a, b = _stack(seed, 2)
+        kx, ky, _, mask = _full_layout(grid)
+        product = _full_apply(mask, _full_apply(mask, a) * _full_apply(mask, b))
+        _assert_sup_close(pointwise_product(ScalarField(grid, a), ScalarField(grid, b)).values, product)
+        div = ifft2(1j * kx * fft2(a) + 1j * ky * fft2(b)).real
+        _assert_sup_close(divergence(ScalarField(grid, a), ScalarField(grid, b)).values, div)
+
+    def test_multiplier_lemma_matches_full_stacks(self):
+        setup = LabSetup(n=32, num_times=12)
+        grid, times = setup.make_grid(), setup.make_timegrid().times
+        _, _, k2, _ = _full_layout(grid)
+        t = times[:, None, None]
+        syms = {"identity": np.ones((times.size,) + k2.shape), "heat": np.exp(-t * k2),
+                "damped": np.exp(-t) * np.exp(-t * k2)}
+
+        def hs(coeffs, s):
+            return np.sqrt(grid.l**2 / grid.n**4 * np.sum((1.0 + k2) ** s * np.abs(coeffs) ** 2, axis=(-2, -1)))
+
+        expected = []
+        for fname, f in _lab_fields(grid, 0):
+            vhat = fft2(f.values)
+            for mname, sym in syms.items():
+                key = (("multiplier", mname), ("field", fname))
+                for s in (0.0, 1.0):
+                    hs_f, nodes = hs(vhat, s), hs(sym * vhat, s)
+                    sup_xi = np.max(np.abs(sym), axis=(1, 2))
+                    for r, tag in ((np.inf, "inf"), (2.0, "2")):
+                        expected.append((f"formA[r={tag},s={int(s)}]", key,
+                                         _time_lp(times, nodes, r), _time_lp(times, sup_xi, r) * hs_f))
+                    for delta in (0.0, 1.0):
+                        msym = sym * np.sqrt(k2) ** delta
+                        rhs = float(np.max(np.sqrt(trapezoid(times, np.abs(msym) ** 2)))) * hs_f
+                        expected.append((f"formB[rho=2,delta={int(delta)},s={int(s)}]", key,
+                                         _time_lp(times, hs(msym * vhat, s), 2.0), rhs))
+        expected = [e for e in expected if e[3] != 0]
+        got = verify_multiplier_lemma(setup).samples
+        assert [(g.family, g.params) for g in got] == [e[:2] for e in expected]
+        np.testing.assert_allclose([(g.lhs, g.rhs) for g in got], [e[2:] for e in expected], rtol=1e-13, atol=0)
+
+    def test_no_full_layout_transform(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("full-layout transform called")
+
+        monkeypatch.setattr(kslab.fields, "fft2", refuse)
+        monkeypatch.setattr(kslab.fields, "ifft2", refuse)
+        grid = make_grid(16, 8.0)
+        f, g = (ScalarField(grid, v) for v in _stack(0, 2))
+        multiplier_apply(Composite((Heat(0.1), GradComponent(0))), f)
+        pointwise_product(f, g)
+        divergence(f, g)
+        heat(0.1, f)
+        grad_heat(0.1, f)
+        counterexample_profile(0.01, [0.15], grid=make_grid(64, 8.0))
+        verify_multiplier_lemma(LabSetup(n=32, num_times=12))
 
 
 class TestArrayTrajectory:
@@ -386,6 +464,11 @@ class TestArrayTrajectory:
         with pytest.raises(TrajectoryOverflowError) as err:
             Trajectory.from_values(make_grid(16, 8.0), TimeGrid.geometric(1e-2, 1.0, k), values)
         assert err.value.node_index == bad[0]
+
+    @pytest.mark.parametrize("times", [[1.0, np.inf], [np.nan, 1.0], [0.5, 1.0, np.nan]])
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(np.array(times), "uniform")
 
     def test_load_rejects_mixed_grids(self, tmp_path):
         path = tmp_path / "mixed.ksf1"
