@@ -18,11 +18,13 @@ Layout: the operators march the ``(n, n//2+1)`` half spectra of ``rfft2``
 and ``_bilinear_hat`` (dealiased div(u grad v), march) take and return half
 spectra; the Picard loop and the lab call them directly.  The public
 operators are thin wrappers: forward transform, kernel, inverse transform,
-trajectory (which rejects non-finite output).  They keep taking full
-``(n, n)`` symbols: each symbol must be finite, ``lam`` non-negative, and
-both even in xi (``sym[k] == sym[-k]``, exact for every symbol built from
-|xi|^2), since an even symbol maps a real field's spectrum to a real
-field's spectrum; then only its non-negative-xi_2 half is used.
+trajectory (which rejects non-finite output).  Rates live in the half
+layout (``grid.k2_half + shift``) everywhere except at ``etd_convolve``,
+which keeps taking full ``(n, n)`` symbols: each must be finite, ``lam``
+non-negative, and both even in xi (``sym[k] == sym[-k]``, exact for every
+symbol built from |xi|^2), since an even symbol maps a real field's
+spectrum to a real field's spectrum; then only its non-negative-xi_2 half
+is used.
 
 Interval handling near t = 0: when the input trajectories carry an initial
 datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, irfft2, rfft2
+from .fields import ScalarField, _rate_layout, irfft2, rfft2
 from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible, _require_finite
 
 _KINDS = ("etd_piecewise_constant", "etd_piecewise_linear")
@@ -130,8 +132,10 @@ def _even_half(sym: np.ndarray, what: str) -> np.ndarray:
 class EtdPlan:
     """Per-interval ETD decay and weights for one (lam, time grid, scheme).
 
-    ``lam`` is a full (n, n) rate symbol; ``values`` are the distinct rates
-    and ``inverse`` maps every half-layout mode to its rate.  Row r of
+    ``lam`` holds the half-layout rates, such as ``grid.k2_half + 1.0``; a
+    full (n, n) symbol, as ``etd_convolve`` takes, must be even in xi and is
+    cut to its half.  ``values`` are the distinct rates and ``inverse`` maps
+    every half-layout mode to its rate (``fields._rate_layout``).  Row r of
     ``decay``, ``w_a`` and ``w_b`` belongs to interval r of
     ``[0, t_1], [t_1, t_2], ...``, each split into ``scheme.substeps`` equal
     pieces whose edges are ``edges``; the weights are (w_left, w_right) for
@@ -143,8 +147,9 @@ class EtdPlan:
         lam = np.asarray(lam, dtype=np.float64)
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("decay rates must be finite and non-negative")
-        half = _even_half(lam, "decay rates")
-        values, inverse = np.unique(half, return_inverse=True)
+        if lam.shape[0] == lam.shape[1]:
+            lam = _even_half(lam, "decay rates")
+        values, inverse = _rate_layout(lam)
         knots = np.concatenate(([0.0], tgrid.times))
         edges = np.array([np.linspace(a, b, scheme.substeps + 1) for a, b in zip(knots[:-1], knots[1:])])
         dts = np.diff(edges, axis=1).ravel()
@@ -152,9 +157,8 @@ class EtdPlan:
         linear = scheme.kind == "etd_piecewise_linear"
         self.tgrid = tgrid
         self.scheme = scheme
-        self.shape = lam.shape
         self.values = values
-        self.inverse = inverse.reshape(half.shape)
+        self.inverse = inverse
         self.edges = edges
         self.dts = dts
         self.decay = decay
@@ -194,7 +198,7 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
         out_offset = 0
         meta["head_included"] = False
         deficit = times[0] * plan.gather(plan.head_phi1) * ghat[0]
-        meta["head_deficit_sup_linf"] = float(np.max(np.abs(irfft2(deficit, plan.shape[0]))))
+        meta["head_deficit_sup_linf"] = float(np.max(np.abs(irfft2(deficit, plan.inverse.shape[0]))))
 
     spline = None
     if substeps > 1:
@@ -278,6 +282,13 @@ def _trajectory_of(g: Trajectory, out_hat: np.ndarray, meta: dict) -> Trajectory
                                   initial=ScalarField.zero(g.grid), meta=meta)
 
 
+def _convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None,
+              scheme: QuadratureScheme) -> Trajectory:
+    """The public convolutions: forward transform, a plan for ``lam``, the kernel, the trajectory."""
+    out_hat, meta = _convolve_hat(rfft2(g.stacked), _initial_hat(g), EtdPlan(lam, g.tgrid, scheme), prefactor)
+    return _trajectory_of(g, out_hat, meta)
+
+
 def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} div(u grad v) dtau on the shared time grid.
 
@@ -286,7 +297,7 @@ def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_
     """
     _require_compatible(u, v)
     grid = u.grid
-    plan = EtdPlan(grid.k2, u.tgrid, scheme)
+    plan = EtdPlan(grid.k2_half, u.tgrid, scheme)
     g0hat = None
     if u.initial is not None and v.initial is not None:
         g0hat = _div_u_grad_v(grid, _initial_hat(u), _initial_hat(v))
@@ -296,12 +307,12 @@ def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_
 
 def linear_L(u: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME, damped: bool = True) -> Trajectory:
     """int_0^t e^{(t-tau)(Lap - 1)} u dtau; ``damped=False`` drops the -1."""
-    return etd_convolve(u, u.grid.k2 + (1.0 if damped else 0.0), scheme=scheme)
+    return _convolve(u, u.grid.k2_half + (1.0 if damped else 0.0), None, scheme)
 
 
 def maximal_reg_T(g: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} Lap g dtau: the maximal-regularity operator."""
-    return etd_convolve(g, g.grid.k2, -g.grid.k2, scheme)
+    return _convolve(g, g.grid.k2_half, -g.grid.k2_half, scheme)
 
 
 def etd_convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None = None,
@@ -312,13 +323,10 @@ def etd_convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None = 
     time-independent symbol, for example a fractional-Laplacian power)
     finite on the grid, and both even in xi; otherwise ``ValueError``.
     """
-    grid = g.grid
-    shape = (grid.n, grid.n)
-    plan = EtdPlan(np.broadcast_to(np.asarray(lam, dtype=np.float64), shape), g.tgrid, scheme)
+    shape = (g.grid.n, g.grid.n)
     if prefactor is not None:
         prefactor = np.broadcast_to(np.asarray(prefactor), shape)
         if np.iscomplexobj(prefactor) or not np.all(np.isfinite(prefactor)):
             raise ValueError("prefactor symbol must be real and finite on the grid")
         prefactor = _even_half(prefactor, "prefactor symbol")
-    out_hat, meta = _convolve_hat(rfft2(g.stacked), _initial_hat(g), plan, prefactor)
-    return _trajectory_of(g, out_hat, meta)
+    return _convolve(g, np.broadcast_to(np.asarray(lam, dtype=np.float64), shape), prefactor, scheme)

@@ -137,6 +137,16 @@ def make_grid(n: int, l: float) -> Grid2D:
     return Grid2D(n, l)
 
 
+def _rate_layout(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rate layout of a half-layout array such as ``k2_half + shift``.
+
+    Returns the sorted distinct values and the index of every mode's value,
+    shaped like ``rates``: ``values[inverse] == rates``.
+    """
+    values, inverse = np.unique(rates, return_inverse=True)
+    return values, inverse.reshape(rates.shape)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Real samples of a scalar function on the torus grid.

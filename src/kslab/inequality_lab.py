@@ -38,7 +38,8 @@ from .data import (
     smoothed_stripe_field,
 )
 from .duhamel import DEFAULT_SCHEME, EtdPlan, _bilinear_hat, _convolve_hat, _div_u_grad_v, _profile_march
-from .fields import GradComponent, Grid2D, ScalarField, irfft2, multiplier_apply, rfft2
+from .fields import (GradComponent, Grid2D, ScalarField, _grad_values, _rate_layout, irfft2, multiplier_apply,
+                     rfft2)
 from .norms import (
     _batch_hs,
     _batch_lp,
@@ -178,8 +179,7 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     """
     grid = setup.make_grid()
     times = setup.make_timegrid().times
-    rates, inverse = np.unique(grid.k2_half, return_inverse=True)
-    inverse = inverse.reshape(grid.k2_half.shape)
+    rates, inverse = _rate_layout(grid.k2_half)
     t, k2 = times[:, None], rates[None, :]
     syms = {"identity": np.ones((times.size, rates.size)), "heat": np.exp(-t * k2),
             "damped": np.exp(-t) * np.exp(-t * k2)}
@@ -257,8 +257,8 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     uniformity: dict = {}
     # every convolution below decays at one of two rates: one plan each, and
     # one profile march per (profile, plan) serves every field and weight
-    plans = {"damped": EtdPlan(1.0 + grid.k2, tgrid, DEFAULT_SCHEME),
-             "plain": EtdPlan(grid.k2, tgrid, DEFAULT_SCHEME)}
+    plans = {"damped": EtdPlan(1.0 + grid.k2_half, tgrid, DEFAULT_SCHEME),
+             "plain": EtdPlan(grid.k2_half, tgrid, DEFAULT_SCHEME)}
     marches = {(pname, rate): _profile_march(prof, plan)
                for pname, prof in _PROFILES.items() for rate, plan in plans.items()}
 
@@ -328,7 +328,7 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
         return (np.floor(2.0 * t) % 2 == 0).astype(float)
 
     profiles = {**_PROFILES, "square": square_profile}
-    plan = EtdPlan(grid.k2, tgrid, DEFAULT_SCHEME)
+    plan = EtdPlan(grid.k2_half, tgrid, DEFAULT_SCHEME)
     marches = {pname: _profile_march(prof, plan) for pname, prof in profiles.items()}
     gaps = np.diff(np.concatenate(([0.0], times)))
     prof_l2 = {}  # exact L^2_t norm of each profile's piecewise-linear reconstruction
@@ -480,8 +480,8 @@ def estimate_constants(
     samples: list[RatioSample] = []
     skipped: list[str] = []
     times = tgrid.times
-    l_plan = EtdPlan(grid.k2 + 1.0, tgrid, DEFAULT_SCHEME)
-    b_plan = EtdPlan(grid.k2, tgrid, DEFAULT_SCHEME)
+    l_plan = EtdPlan(grid.k2_half + 1.0, tgrid, DEFAULT_SCHEME)
+    b_plan = EtdPlan(grid.k2_half, tgrid, DEFAULT_SCHEME)
 
     # each family's free flows stay half spectra (u: heat, w: damped heat)
     free: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, dict]] = []
@@ -492,8 +492,11 @@ def estimate_constants(
         u_vals = irfft2(u_hat, grid.n)
         x1 = _thm1_x(grid, times, u_vals)["x_norm"].value
         x2 = _thm2_x(grid, times, u_vals, u_hat, f_hat)["x_norm"].value
-        y1 = _thm1_y(grid, times, w_hat)["y_norm"].value
-        w2 = _thm2_y(grid, times, w_hat, f_hat)
+        # one gradient transform serves both Y halves; dropped before the next family (set-up memory)
+        w_grad = _grad_values(grid, w_hat)
+        y1 = _thm1_y(grid, times, w_grad)["y_norm"].value
+        w2 = _thm2_y(grid, times, w_hat, w_grad, f_hat)
+        del w_grad
         free.append((name, f_hat, u_hat, w_hat, {"x1": x1, "x2": x2, "y1": y1, "y2": w2["y_norm"].value}))
 
         l1, linf, h1 = lp_norm(f, 1.0), lp_norm(f, np.inf), hs_norm(f, 1.0)
@@ -511,10 +514,12 @@ def estimate_constants(
     for uname, uf_hat, u_hat, _, unorm in free:
         # c3: chemical response of the density trajectory (zero initial datum)
         lu_hat, _ = _convolve_hat(u_hat, uf_hat, l_plan)
+        lu_grad = _grad_values(grid, lu_hat)
         _add_sample(samples, "c3[thm1]", (("u", uname),),
-                    _thm1_y(grid, times, lu_hat)["y_norm"].value, unorm["x1"])
+                    _thm1_y(grid, times, lu_grad)["y_norm"].value, unorm["x1"])
         _add_sample(samples, "c3[thm2]", (("u", uname),),
-                    _thm2_y(grid, times, lu_hat, None)["y_norm"].value, unorm["x2"])
+                    _thm2_y(grid, times, lu_hat, lu_grad, None)["y_norm"].value, unorm["x2"])
+        del lu_grad
         for wname, wf_hat, _, w_hat, wnorm in free:
             # c2: only B's X norms enter; one (u, w) pair at a time bounds the memory
             b_hat, _ = _bilinear_hat(grid, u_hat, w_hat, _div_u_grad_v(grid, uf_hat, wf_hat), b_plan)

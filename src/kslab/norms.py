@@ -18,7 +18,8 @@ kernels take ``(..., n, n)`` values and spectral kernels take the
 single-field norms are calls into them:
 
 * ``_batch_lp`` for L^p (with the exponent check of ``_check_p``);
-* ``_batch_grad_linf`` for the gradient supremum, from half spectra;
+* ``_grad_sup`` for the gradient supremum from gradient values, which
+  ``_batch_grad_linf`` takes from half spectra;
 * ``_parseval_sum`` (which applies the half layout's column multiplicity)
   with the weight rule ``_hs_weight`` for every Sobolev quantity
   (``_batch_hs``, the H^1 and grad-H^s node sums, the closed-form head of
@@ -27,12 +28,17 @@ single-field norms are calls into them:
 * ``_rank_one_norms`` for the same sums split by decay rate and contracted
   with per-rate time profiles: the lab's rank-one convolutions and its
   multiplier symbols m(t, |xi|^2);
-* ``_thm1_report`` and ``_thm2_report`` for the two trajectory reports, from
-  node values and half spectra, each joining an X half of u (``_thm1_x``,
-  ``_thm2_x``) and a Y half of w (``_thm1_y``, ``_thm2_y``) that callers
-  needing one side use alone.  ``xy_norms_thm1``/``xy_norms_thm2`` transform
-  a trajectory pair and call them; the Picard loop, which keeps its iterates'
-  spectra, calls them directly.
+* ``_report`` for the two trajectory reports, joining an X half of u
+  (``_thm1_x``, ``_thm2_x``: node values, and in Theorem-2 mode half
+  spectra) and a Y half of w (``_thm1_y``, ``_thm2_y``: gradient values,
+  and in Theorem-2 mode half spectra) that callers needing one side use
+  alone.  ``xy_norms_thm1``/``xy_norms_thm2`` transform a trajectory pair
+  and call them; the Picard loop, which keeps its iterates' spectra and
+  gradient values, calls them directly.
+
+A per-node norm that is not finite raises ``TrajectoryOverflowError`` naming
+the first such node, so a finite trajectory whose norm overflows is reported
+like an overflowing trajectory.
 """
 
 from __future__ import annotations
@@ -71,6 +77,9 @@ def _batch_lp(values: np.ndarray, p: float, cell: float) -> np.ndarray:
     p = _check_p(p)
     if np.isinf(p):
         return np.max(np.abs(values), axis=(-2, -1))
+    if p == 1.0:
+        # |f|^1 and x^(1/1) are exact: the same bits without the power passes
+        return np.sum(np.abs(values), axis=(-2, -1)) * cell
     return (np.sum(np.abs(values) ** p, axis=(-2, -1)) * cell) ** (1.0 / p)
 
 
@@ -132,10 +141,31 @@ def hs_dot_norm(f: ScalarField, s: float) -> float:
     return float(_batch_hs(f.grid, rfft2(f.values), s, homogeneous=True))
 
 
+def _grad_sup(g1: np.ndarray, g2: np.ndarray, redo=None) -> np.ndarray:
+    """Grid maxima of the Euclidean magnitude sqrt(g1^2 + g2^2) over (..., n, n).
+
+    The largest square is rooted once: sqrt is monotone and correctly rounded,
+    so this is the largest magnitude bit for bit.  A finite component above
+    about 1.3e154 overflows its square; only such nodes are redone, with
+    ``np.hypot``, on the components ``redo(bad)`` returns for the node mask
+    ``bad`` (default ``g1[bad], g2[bad]``).  Passing ``redo`` makes ``g1``
+    and ``g2`` scratch: the squares overwrite them.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.square(g1, out=g1 if redo else None)
+        sq += np.square(g2, out=g2 if redo else None)
+    sup = np.sqrt(np.max(sq, axis=(-2, -1)))
+    bad = ~np.isfinite(sup)
+    if np.any(bad):
+        h1, h2 = redo(bad) if redo else (g1[bad], g2[bad])
+        sup = np.array(sup)
+        sup[bad] = np.max(np.hypot(h1, h2), axis=(-2, -1))
+    return sup
+
+
 def _batch_grad_linf(grid: Grid2D, coeffs: np.ndarray) -> np.ndarray:
     """Grid maxima of the Euclidean gradient magnitude of half spectra over (..., n, n//2+1)."""
-    g1, g2 = _grad_values(grid, coeffs)
-    return np.max(np.sqrt(g1**2 + g2**2), axis=(-2, -1))
+    return _grad_sup(*_grad_values(grid, coeffs), redo=lambda bad: _grad_values(grid, coeffs[bad]))
 
 
 def grad_linf(f: ScalarField) -> float:
@@ -262,6 +292,8 @@ class NormReport:
 
 
 def _sup_entry(times: np.ndarray, values: np.ndarray, equation: str, note: str | None = None) -> NormEntry:
+    """The maximum of per-node values with its time; a non-finite value raises ``TrajectoryOverflowError``."""
+    _require_finite(values)
     j = int(np.argmax(values))
     return NormEntry(float(values[j]), equation, argmax_time=float(times[j]), note=note)
 
@@ -274,9 +306,9 @@ def _thm1_x(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray) -> dict:
     return {"u_sup_l1": e_l1, "u_sup_t_linf": e_tlinf, "x_norm": x_norm}
 
 
-def _thm1_y(grid: Grid2D, times: np.ndarray, w_hat: np.ndarray) -> dict:
-    """The Theorem-1 Y entry of w from its half spectra."""
-    gw = np.sqrt(times) * _batch_grad_linf(grid, w_hat)
+def _thm1_y(grid: Grid2D, times: np.ndarray, w_grad: tuple[np.ndarray, np.ndarray]) -> dict:
+    """The Theorem-1 Y entry of w from its gradient values (``_grad_values`` of its half spectra)."""
+    gw = np.sqrt(times) * _grad_sup(*w_grad)
     return {"y_norm": _sup_entry(times, gw, "sup_j t_j^{1/2} ||grad w(t_j)||_Linf")}
 
 
@@ -286,18 +318,14 @@ def _report(x: dict, y: dict) -> NormReport:
     return NormReport({**x, **y, "xy_norm": xy})
 
 
-def _thm1_report(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, w_hat: np.ndarray) -> NormReport:
-    """The Theorem-1 report from u's node values (K, n, n) and w's half spectra."""
-    return _report(_thm1_x(grid, times, u_vals), _thm1_y(grid, times, w_hat))
-
-
 def xy_norms_thm1(u: Trajectory, w: Trajectory) -> NormReport:
     """Trajectory norms for the mass/amplitude setting.
 
     X(u) = sup ||u||_L1 + sup t ||u||_Linf;  Y(w) = sup t^{1/2} ||grad w||_Linf.
     """
     _require_compatible(u, w)
-    return _thm1_report(u.grid, u.tgrid.times, u.stacked, rfft2(w.stacked))
+    times = u.tgrid.times
+    return _report(_thm1_x(u.grid, times, u.stacked), _thm1_y(u.grid, times, _grad_values(w.grid, rfft2(w.stacked))))
 
 
 def _free_head_integral(grid: Grid2D, f0_hat: np.ndarray, t1: float, damped: bool,
@@ -319,7 +347,9 @@ def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: n
     free flow that ``damped`` selects, and dropped without one.
     """
     weight = grid.k2_half * _hs_weight(grid, s)
-    body = trapezoid(times, _parseval_sum(grid, power, weight))
+    nodes = _parseval_sum(grid, power, weight)
+    _require_finite(nodes)
+    body = trapezoid(times, nodes)
     if initial_hat is not None:
         head = _free_head_integral(grid, initial_hat, float(times[0]), damped, weight)
         note = "head [0, t_min] added in closed form from the initial datum's free flow"
@@ -348,19 +378,14 @@ def _thm2_x(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, u_hat: np.ndarr
     return {"u_sup_h1": e_h1, "u_grad_l2t_h1": e_grad, "u_sup_linf": e_linf, "x_norm": x_norm}
 
 
-def _thm2_y(grid: Grid2D, times: np.ndarray, w_hat: np.ndarray, w0_hat: np.ndarray | None) -> dict:
-    """The Theorem-2 Y entries of w from its half spectra and its initial datum's."""
+def _thm2_y(grid: Grid2D, times: np.ndarray, w_hat: np.ndarray, w_grad: tuple[np.ndarray, np.ndarray],
+            w0_hat: np.ndarray | None) -> dict:
+    """The Theorem-2 Y entries of w from its half spectra, their gradient values and its initial datum's spectrum."""
     e_h1, e_grad = _sobolev_entries(grid, times, w_hat, w0_hat, True, "w")
-    e_sig = _sup_entry(times, sigma(times) * _batch_grad_linf(grid, w_hat), "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
+    e_sig = _sup_entry(times, sigma(times) * _grad_sup(*w_grad), "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
     y_norm = NormEntry(e_h1.value + e_grad.value + e_sig.value,
                        "sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma ||grad w||_Linf")
     return {"w_sup_h1": e_h1, "w_grad_l2t_h1": e_grad, "w_sigma_grad_linf": e_sig, "y_norm": y_norm}
-
-
-def _thm2_report(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, u_hat: np.ndarray,
-                 w_hat: np.ndarray, u0_hat: np.ndarray | None, w0_hat: np.ndarray | None) -> NormReport:
-    """The Theorem-2 report from u's node values, both half spectra and the initial data's."""
-    return _report(_thm2_x(grid, times, u_vals, u_hat, u0_hat), _thm2_y(grid, times, w_hat, w0_hat))
 
 
 def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:
@@ -370,5 +395,7 @@ def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:
     Y(w) = sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma(t) ||grad w||_Linf.
     """
     _require_compatible(u, w)
-    return _thm2_report(u.grid, u.tgrid.times, u.stacked, rfft2(u.stacked), rfft2(w.stacked),
-                        _initial_hat(u), _initial_hat(w))
+    grid, times = u.grid, u.tgrid.times
+    w_hat = rfft2(w.stacked)
+    return _report(_thm2_x(grid, times, u.stacked, rfft2(u.stacked), _initial_hat(u)),
+                   _thm2_y(grid, times, w_hat, _grad_values(grid, w_hat), _initial_hat(w)))

@@ -104,6 +104,7 @@ def test_criterion_2_counterexample_constant():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_3_oracle_equivalence(crit3):
     du = float(np.max(relative_node_differences(crit3.report.u, crit3.u_ref)))
     dv = float(np.max(relative_node_differences(crit3.report.v, crit3.v_ref)))
@@ -112,6 +113,7 @@ def test_criterion_3_oracle_equivalence(crit3):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_contraction_certificate(crit3):
     rep = crit3.report
     bound = rep.contraction_bound
@@ -128,6 +130,7 @@ def test_criterion_4_contraction_certificate(crit3):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_theorem1_bound(crit3):
     verdict = check_theorem1_bound(crit3.report)
     ok = verdict.holds
@@ -161,6 +164,7 @@ def test_criterion_6_theorem2_bound(constants):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_conservation_and_structure(crit3):
     rep = crit3.report
     drift_picard = rep.mass_drift_max

@@ -121,6 +121,18 @@ class TestSolveCommand:
         else:
             assert "blowup" in report
 
+    def test_overflow_scale_data_fail_with_a_named_blowup(self, tmp_path, capsys):
+        # the gradient of this chemical datum overflows its square; the run must still end cleanly
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["solve", "--override", "data.v_mass=1e160", "--override", "grid.n=32",
+                         "--override", "time.k=12", "--out", str(out)])
+        assert code == 1
+        assert "solve failed: non-finite" in capsys.readouterr().err
+        report = json.loads((out / "solution_report.json").read_text())
+        assert report["converged"] is False
+        assert "iteration" in report["blowup"]
+
     def test_dump_fields_and_norms_subcommand(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SOLVE + "output.dump_fields = true\n")
         out = tmp_path / "out"

@@ -326,7 +326,7 @@ class TestPlanReuse:
         assert len(plan_builds) == 2
         assert len(convolutions) == 42  # 6 L and 36 B over the 6 families
 
-    @pytest.mark.parametrize("max_iter, iterations", [(1, 1), (3, 3), (50, 4)])
+    @pytest.mark.parametrize("max_iter, iterations", [(1, 1), (3, 3), (50, 3)])
     def test_picard_solve_builds_two(self, plan_builds, convolutions, max_iter, iterations):
         cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=2.5, max_iter=max_iter)
         grid = cfg.make_grid()

@@ -41,8 +41,9 @@ from kslab.data import random_band_limited_field
 from kslab.duhamel import EtdPlan, QuadratureScheme, _convolve_hat, _profile_march, etd_weights
 from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
 from kslab.inequality_lab import _PROFILES, _lab_fields, _time_lp
-from kslab.norms import (_batch_grad_linf, _batch_hs, _batch_lp, _hs_weight, _parseval_sum, _rank_one_norms,
-                         grad_linf, trapezoid)
+from kslab.fields import _grad_values
+from kslab.norms import (_batch_grad_linf, _batch_hs, _batch_lp, _grad_sup, _hs_weight, _parseval_sum,
+                         _rank_one_norms, grad_linf, trapezoid)
 from kslab.semigroup import _free_flow
 from kslab.trajectories import TrajectoryOverflowError, _first_nonfinite_node, load_trajectory
 
@@ -295,6 +296,72 @@ class TestEtdPlans:
         lam[rng.integers(16), rng.integers(16)] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
             EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4))
+
+
+class TestHalfLayoutRates:
+    @given(seed=seeds, scheme=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),
+           n=st.sampled_from([16, 32, 64]), l=lengths)
+    def test_half_rates_give_the_full_symbols_tables(self, seed, scheme, rate, n, l):
+        grid = make_grid(n, l)
+        lam = _rates(grid, rate, seed)
+        tgrid = TimeGrid.geometric(1e-2, 1.0, 4)
+        half, full = EtdPlan(_half(lam), tgrid, scheme), EtdPlan(lam, tgrid, scheme)
+        for name in ("values", "inverse", "edges", "dts", "decay", "w_a", "w_b", "head_phi1"):
+            assert np.array_equal(getattr(half, name), getattr(full, name)), name
+
+    @given(n=st.sampled_from([16, 32, 64, 128]), l=lengths, shift=st.sampled_from([0.0, 1.0]))
+    def test_rate_layout_of_the_grid(self, n, l, shift):
+        grid = make_grid(n, l)
+        values, inverse = kslab.fields._rate_layout(grid.k2_half + shift)
+        assert inverse.shape == grid.k2_half.shape
+        assert np.array_equal(values[inverse], grid.k2_half + shift)
+        assert np.all(np.diff(values) > 0)
+        assert np.array_equal(grid.k2[:, : n // 2 + 1], grid.k2_half)
+
+
+_finite_scales = st.integers(-300, 150).map(lambda e: 10.0**e)
+
+
+class TestLeanNormKernels:
+    """The p = 1 branch and the grad-sup kernel give the bits of the formulas they replace."""
+
+    @given(seed=seeds, k=nodes, scale=_finite_scales, l=lengths)
+    def test_l1_branch_is_bit_identical(self, seed, k, scale, l):
+        stack = scale * _stack(seed, k)
+        cell = make_grid(16, l).cell_area
+        old = (np.sum(np.abs(stack) ** 1.0, axis=(-2, -1)) * cell) ** (1.0 / 1.0)
+        assert np.array_equal(_batch_lp(stack, 1.0, cell), old)
+        assert lp_norm(ScalarField(make_grid(16, l), stack[0]), 1.0) == old[0]
+
+    @given(seed=seeds, k=nodes, scale=_finite_scales, l=lengths)
+    def test_grad_sup_is_bit_identical(self, seed, k, scale, l):
+        grid = make_grid(16, l)
+        coeffs = rfft2(scale * _stack(seed, k))
+        g1, g2 = _grad_values(grid, coeffs)
+        old = np.max(np.sqrt(g1**2 + g2**2), axis=(-2, -1))
+        assert np.array_equal(_batch_grad_linf(grid, coeffs), old)
+        kept = g1.copy(), g2.copy()
+        assert np.array_equal(_grad_sup(g1, g2), old)
+        # without a redo rule the kernel leaves its inputs alone (the solver keeps them)
+        assert np.array_equal(g1, kept[0]) and np.array_equal(g2, kept[1])
+
+    @given(seed=seeds, k=nodes, exponent=st.integers(156, 300), node=st.integers(0, 4))
+    def test_overflowing_squares_are_redone_with_hypot(self, seed, k, exponent, node):
+        grid = make_grid(16, 8.0)
+        stack = _stack(seed, k)
+        node = node % k
+        stack[node] *= 10.0**exponent
+        coeffs = rfft2(stack)
+        g1, g2 = _grad_values(grid, coeffs)
+        with np.errstate(over="ignore"):
+            old = np.max(np.sqrt(g1**2 + g2**2), axis=(-2, -1))
+        assert np.isinf(old[node])
+        got = _batch_grad_linf(grid, coeffs)
+        assert got[node] == np.max(np.hypot(g1[node], g2[node]))
+        others = np.arange(k) != node
+        assert np.array_equal(got[others], old[others])
+        assert np.array_equal(_grad_sup(g1, g2), got)
+        assert grad_linf(ScalarField(grid, stack[node])) == got[node]
 
 
 class TestRankOneMarch:

@@ -1,5 +1,7 @@
 """Fixed-point solver tests: convergence, certificates, oracle agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from kslab import (
     bilinear_B,
     check_theorem1_bound,
     check_theorem2_bound,
+    damped_heat_trajectory,
     gaussian_field,
     heat_trajectory,
     linear_L,
@@ -20,7 +23,9 @@ from kslab import (
     reference_solve,
     relative_node_differences,
     xy_norms_thm1,
+    xy_norms_thm2,
 )
+from kslab.fields import irfft2, rfft2
 
 C_TEST = 2.5  # admissible constant for these smoke-scale runs
 
@@ -228,6 +233,17 @@ class TestMassSweep:
         if rows[1].max_contraction is not None:
             assert rows[1].max_contraction > rows[0].max_contraction
 
+    def test_max_contraction_skips_the_first_factor(self):
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=1.0, num_times=10, c=C_TEST, tol=1e-12)
+        grid = cfg.make_grid()
+        zero, small = mass_sweep((0.0, 0.1), width=0.5, cfg=cfg)
+        rep = picard_solve(0.1 * gaussian_field(grid, 1.0, 0.5), ScalarField.zero(grid), cfg)
+        assert len(rep.contraction_factors) >= 2
+        # the first ratio measures the quadratic term and dwarfs the contraction rate
+        assert rep.contraction_factors[0] > 10.0 * max(rep.contraction_factors[1:])
+        assert small.max_contraction == max(rep.contraction_factors[1:])
+        assert zero.max_contraction is None  # one iteration: no factor at all
+
 
 class TestRemarkIIVariant:
     def test_toggle_runs_and_changes_chemical(self, grid):
@@ -265,3 +281,128 @@ class TestSolverConfig:
         assert d["config"]["n"] == 64
         assert "norms_thm1" in d and "norms_thm2" in d
         assert len(d["residuals"]) == small_report.iterations
+
+
+MODES = ["thm1_L1Linf", "thm2_H1bH1"]
+
+
+def _sweep_run(mode: str, max_iter: int):
+    cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST, mode=mode,
+                       max_iter=max_iter, tol=1e-12)
+    grid = cfg.make_grid()
+    u0, w0 = gaussian_field(grid, 0.1, 0.5), gaussian_field(grid, 0.02, 0.7)
+    return cfg, picard_solve(u0, w0, cfg)
+
+
+class TestGaussSeidelSweep:
+    """Each w iterate answers the u iterate of the same sweep, and the residuals keep their meaning."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("max_iter", [1, 2, 50])
+    def test_returned_w_is_the_response_to_the_returned_u(self, mode, max_iter):
+        from kslab.solver import _free_chemical_response
+
+        cfg, rep = _sweep_run(mode, max_iter)
+        grid, tgrid = rep.u.grid, rep.u.tgrid
+        # L of the free part in closed form (as the solver takes it), of the deviation by quadrature
+        free_u = heat_trajectory(rep.u0, tgrid)
+        free_response = irfft2(_free_chemical_response(grid, rfft2(rep.u0.values), tgrid.times, True), grid.n)
+        w0 = (1.0 / (4.0 * rep.c)) * rep.v0
+        want = (damped_heat_trajectory(w0, tgrid).stacked
+                + (free_response + linear_L(rep.u - free_u, cfg.quadrature).stacked) / (4.0 * rep.c))
+        scale = np.max(np.abs(rep.w.stacked))
+        assert np.max(np.abs(rep.w.stacked - want)) <= 1e-12 * scale
+        if max_iter == 1:
+            # the response to u_0 (the free flow) alone, which a Jacobi sweep returns, is far off
+            jacobi = damped_heat_trajectory(w0, tgrid).stacked + free_response / (4.0 * rep.c)
+            assert np.max(np.abs(rep.w.stacked - jacobi)) > 1e-6 * scale
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_residuals_are_the_reports_of_the_iterate_differences(self, mode):
+        report_of = xy_norms_thm1 if mode == "thm1_L1Linf" else xy_norms_thm2
+        _, full = _sweep_run(mode, 3)
+        tgrid = full.u.tgrid
+        w0 = (1.0 / (4.0 * full.c)) * full.v0
+        prev = (heat_trajectory(full.u0, tgrid), damped_heat_trajectory(w0, tgrid))
+        for m in range(1, full.iterations + 1):
+            _, rep = _sweep_run(mode, m)
+            assert rep.residuals == full.residuals[:m]
+            expected = report_of(rep.u - prev[0], rep.w - prev[1]).value("xy_norm")
+            assert rep.residuals[-1] == pytest.approx(expected, rel=1e-10)
+            prev = (rep.u, rep.w)
+
+    def test_transform_budget_per_iteration(self, monkeypatch):
+        """Thm1 mode: six c2r and two r2c batches of K planes per Picard iteration."""
+        import types
+
+        import kslab.fields
+
+        scipy_fft = kslab.fields._sfft
+        batches = {"rfft2": [], "irfft2": []}
+
+        def counted(name):
+            def transform(a, *args, **kwargs):
+                batches[name].append(np.shape(a)[:-2])
+                return getattr(scipy_fft, name)(a, *args, **kwargs)
+            return transform
+
+        monkeypatch.setattr(kslab.fields, "_sfft", types.SimpleNamespace(
+            rfft2=counted("rfft2"), irfft2=counted("irfft2"), fft2=scipy_fft.fft2, ifft2=scipy_fft.ifft2))
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST, tol=1e-300)
+        grid = cfg.make_grid()
+        u0 = gaussian_field(grid, 1e-3, 0.5)
+        counts = []
+        for max_iter in (2, 3):
+            for calls in batches.values():
+                calls.clear()
+            rep = picard_solve(u0, ScalarField.zero(grid), replace(cfg, max_iter=max_iter))
+            assert rep.iterations == max_iter
+            counts.append({name: list(calls) for name, calls in batches.items()})
+        extra = {name: counts[1][name][len(counts[0][name]):] for name in batches}
+        assert len(extra["irfft2"]) == 6
+        assert len(extra["rfft2"]) == 2
+        assert all(shape == (cfg.num_times,) for calls in extra.values() for shape in calls)
+
+
+class TestNormOverflow:
+    """A finite iterate whose norm overflows is a named blow-up, not a bare ValueError."""
+
+    def test_free_flow_norm_overflow_names_iteration_zero(self):
+        # L^1 of a constant 1e304 over 32^2 cells of area 100 exceeds the float range
+        cfg = SolverConfig(n=32, l=320.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST)
+        grid = cfg.make_grid()
+        u0 = ScalarField(grid, np.full((32, 32), 1e304))
+        with np.errstate(all="ignore"), pytest.raises(PicardBlowupError) as err:
+            picard_solve(u0, ScalarField.zero(grid), cfg)
+        assert (err.value.iteration, err.value.which, err.value.quantity) == (0, "u", "norm")
+        assert err.value.node_index == 0
+        assert "non-finite u norm at iteration 0" in str(err.value)
+
+    def test_iterate_norm_overflow_names_component_and_node(self, monkeypatch, cfg, grid):
+        import kslab.norms
+
+        grad_sup = kslab.norms._grad_sup
+        calls = []
+
+        def overflow_after_a0(*args, **kwargs):
+            out = grad_sup(*args, **kwargs)
+            calls.append(1)
+            if len(calls) > 1:
+                out[3] = np.inf
+            return out
+
+        monkeypatch.setattr(kslab.norms, "_grad_sup", overflow_after_a0)
+        with pytest.raises(PicardBlowupError) as err:
+            picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
+        assert (err.value.iteration, err.value.which, err.value.quantity) == (1, "w", "norm")
+        assert err.value.node_index == 3
+        assert err.value.t == cfg.make_timegrid().times[3]
+
+    def test_overflow_scale_chemical_datum(self):
+        # gradients above 1.3e154 used to overflow their squares in the Y norm
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-3, t_max=10.0, num_times=12, c=C_TEST)
+        grid = cfg.make_grid()
+        w0 = (1.0 / (4.0 * C_TEST)) * gaussian_field(grid, 1e160, 0.5)
+        with np.errstate(all="ignore"), pytest.raises(PicardBlowupError) as err:
+            picard_solve(gaussian_field(grid, 1.0, 0.5), w0, cfg)
+        assert err.value.iteration >= 1
