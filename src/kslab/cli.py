@@ -5,6 +5,9 @@ key must be known and every value must parse at its declared type.  All
 outputs are deterministic: JSON with sorted keys, RFC-4180 CSV with repr'd
 floats, and no timestamps, so identical configs give bit-identical files.
 
+``norms.csv`` (from ``solve``) holds the node series of the solver's final
+norm reports, the v columns as 4c times w's.
+
 Exit codes: 0 success, 1 scientific failure (non-convergence, failed bound,
 failed verification), 2 usage or config error.
 """
@@ -23,7 +26,7 @@ import numpy as np
 from . import norms as _norms
 from .data import cosine_mode_field, gaussian_field, smoothed_stripe_field
 from .duhamel import QuadratureScheme
-from .fields import Grid2D, ScalarField, load_field, rfft2
+from .fields import Grid2D, ScalarField, load_field
 from .inequality_lab import (
     LabSetup,
     besov_equivalence_samples,
@@ -293,24 +296,12 @@ def _diffusion_warning(cfg: ExperimentConfig) -> str | None:
 
 
 def _norm_csv_rows(report) -> list[list]:
-    u, v = report.u, report.v
-    times = u.tgrid.times
-    cell = u.grid.cell_area
-    u_l1 = _norms._batch_lp(u.stacked, 1.0, cell)
-    u_linf = _norms._batch_lp(u.stacked, np.inf, cell)
-    v_coeffs = rfft2(v.stacked)
-    gv = _norms._batch_grad_linf(v.grid, v_coeffs)
-    u_h1 = _norms._batch_hs(u.grid, rfft2(u.stacked), 1.0)
-    v_h1 = _norms._batch_hs(v.grid, v_coeffs, 1.0)
-    sig = _norms.sigma(times)
-    rows = []
-    for j, t in enumerate(times):
-        rows.append([
-            float(t), float(u_l1[j]), float(t * u_linf[j]),
-            float(np.sqrt(t) * gv[j]), float(sig[j] * gv[j]),
-            float(u_h1[j]), float(v_h1[j]),
-        ])
-    return rows
+    """The norms.csv rows, read from the final reports' node series (v = 4c w)."""
+    r1, r2 = report.norms_thm1, report.norms_thm2
+    to_v = 4.0 * report.c
+    columns = (report.u.tgrid.times, r1["u_sup_l1"].nodes, r1["u_sup_t_linf"].nodes, to_v * r1["y_norm"].nodes,
+               to_v * r2["w_sigma_grad_linf"].nodes, r2["u_sup_h1"].nodes, to_v * r2["w_sup_h1"].nodes)
+    return [[float(x) for x in row] for row in zip(*columns)]
 
 
 def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -480,7 +471,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     if worst > COMPARE_TOLERANCE:
         print(
             f"compare: max relative difference {worst:.3e} exceeds {COMPARE_TOLERANCE:.0e}; "
-            "refine the time grid (raise time.k) or the quadrature substeps",
+            "refine the time grid (raise time.k) or the quadrature (raise picard.substeps)",
             file=sys.stderr,
         )
         return 1

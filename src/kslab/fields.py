@@ -366,10 +366,15 @@ KSF1_MAGIC = b"KSF1"
 _KSF1_HEADER = struct.Struct("<4sIdd")  # magic, n (u32), l (f64), t (f64)
 
 
+def _write_raw_snapshot(fh: BinaryIO, grid: Grid2D, values: np.ndarray, t: float) -> None:
+    """Write one KSF1 snapshot of (n, n) values: magic, n, l, t, then n*n float64 row-major."""
+    fh.write(_KSF1_HEADER.pack(KSF1_MAGIC, grid.n, grid.l, float(t)))
+    fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+
+
 def write_snapshot(fh: BinaryIO, field: ScalarField, t: float) -> None:
-    """Write one KSF1 snapshot: magic, n, l, t, then n*n float64 row-major."""
-    fh.write(_KSF1_HEADER.pack(KSF1_MAGIC, field.grid.n, field.grid.l, float(t)))
-    fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+    """Write one KSF1 snapshot of a field."""
+    _write_raw_snapshot(fh, field.grid, field.values, t)
 
 
 def _read_raw_snapshot(fh: BinaryIO) -> tuple[int, float, float, np.ndarray]:

@@ -36,22 +36,25 @@ single-field norms are calls into them:
   and call them; the Picard loop, which keeps its iterates' spectra and
   gradient values, calls them directly.
 
-A per-node norm that is not finite raises ``TrajectoryOverflowError`` naming
-the first such node, so a finite trajectory whose norm overflows is reported
-like an overflowing trajectory.
+Supremum entries keep the node series they maximise (``NormEntry.nodes``,
+which JSON leaves out).  A per-node norm that is not finite raises
+``TrajectoryOverflowError`` naming the first such node, and an overflowing sum
+of finite entries names its larger addend's argmax node, so a finite
+trajectory whose norm overflows is reported like an overflowing trajectory.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .semigroup import _free_flow
-from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible, _require_finite
+from .trajectories import (TimeGrid, Trajectory, TrajectoryOverflowError, _initial_hat, _require_compatible,
+                           _require_finite)
 
 BESOV_MIN_DECADES = 6.0
 
@@ -254,10 +257,13 @@ def default_besov_probe() -> TimeGrid:
 
 @dataclass(frozen=True)
 class NormEntry:
+    """A report entry; a supremum also keeps its argmax time and its read-only (K,) node series, ``nodes``."""
+
     value: float
     equation: str
     argmax_time: float | None = None
     note: str | None = None
+    nodes: np.ndarray | None = field(default=None, compare=False, repr=False)  # not in equality or JSON
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.value) or self.value < 0:
@@ -292,17 +298,34 @@ class NormReport:
 
 
 def _sup_entry(times: np.ndarray, values: np.ndarray, equation: str, note: str | None = None) -> NormEntry:
-    """The maximum of per-node values with its time; a non-finite value raises ``TrajectoryOverflowError``."""
+    """The maximum of per-node values with its time, keeping ``values`` (frozen) as the node series.
+
+    A non-finite value raises ``TrajectoryOverflowError``.
+    """
     _require_finite(values)
+    values.setflags(write=False)
     j = int(np.argmax(values))
-    return NormEntry(float(values[j]), equation, argmax_time=float(times[j]), note=note)
+    return NormEntry(float(values[j]), equation, argmax_time=float(times[j]), note=note, nodes=values)
+
+
+def _sum_entry(addends, equation: str, leaves=None) -> NormEntry:
+    """The sum of finite entries; an overflowing sum raises ``TrajectoryOverflowError``.
+
+    It names the argmax node of the largest supremum among ``leaves`` (default:
+    the addends), which is the larger addend's: L^2_t entries stay below 1.4e154.
+    """
+    value = sum(e.value for e in addends)
+    if not np.isfinite(value):
+        big = max((e for e in (leaves or addends) if e.nodes is not None), key=lambda e: e.value)
+        raise TrajectoryOverflowError(int(np.argmax(big.nodes)))
+    return NormEntry(value, equation)
 
 
 def _thm1_x(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray) -> dict:
     """The Theorem-1 X entries of u from its node values (K, n, n)."""
     e_l1 = _sup_entry(times, _batch_lp(u_vals, 1.0, grid.cell_area), "sup_j ||u(t_j)||_L1")
     e_tlinf = _sup_entry(times, times * _batch_lp(u_vals, np.inf, grid.cell_area), "sup_j t_j ||u(t_j)||_Linf")
-    x_norm = NormEntry(e_l1.value + e_tlinf.value, "sup ||u||_L1 + sup t ||u||_Linf")
+    x_norm = _sum_entry((e_l1, e_tlinf), "sup ||u||_L1 + sup t ||u||_Linf")
     return {"u_sup_l1": e_l1, "u_sup_t_linf": e_tlinf, "x_norm": x_norm}
 
 
@@ -313,8 +336,9 @@ def _thm1_y(grid: Grid2D, times: np.ndarray, w_grad: tuple[np.ndarray, np.ndarra
 
 
 def _report(x: dict, y: dict) -> NormReport:
-    """One report from its X and Y entries, plus their sum."""
-    xy = NormEntry(x["x_norm"].value + y["y_norm"].value, "||u||_X + ||w||_Y")
+    """One report from its X and Y entries, plus their sum (overflow names a node of the larger half)."""
+    larger = x if x["x_norm"].value >= y["y_norm"].value else y
+    xy = _sum_entry((x["x_norm"], y["y_norm"]), "||u||_X + ||w||_Y", leaves=larger.values())
     return NormReport({**x, **y, "xy_norm": xy})
 
 
@@ -344,7 +368,8 @@ def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: n
 
     ``power`` is the trajectory's half-layout power spectrum; the head is
     closed from the initial datum's half spectrum ``initial_hat`` under the
-    free flow that ``damped`` selects, and dropped without one.
+    free flow that ``damped`` selects, and dropped without one.  An overflowing
+    total names the largest node sum's node, or node 0 for a larger head.
     """
     weight = grid.k2_half * _hs_weight(grid, s)
     nodes = _parseval_sum(grid, power, weight)
@@ -356,6 +381,8 @@ def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: n
     else:
         head = 0.0
         note = "no initial datum: the [0, t_min] head of the time integral was dropped"
+    if not np.isfinite(body + head):
+        raise TrajectoryOverflowError(0 if head > body else int(np.argmax(nodes)))
     return float(np.sqrt(body + head)), note
 
 
@@ -373,18 +400,16 @@ def _thm2_x(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, u_hat: np.ndarr
     """The Theorem-2 X entries of u from its node values, half spectra and initial datum's."""
     e_h1, e_grad = _sobolev_entries(grid, times, u_hat, u0_hat, False, "u")
     e_linf = _sup_entry(times, _batch_lp(u_vals, np.inf, grid.cell_area), "sup_j ||u(t_j)||_Linf")
-    x_norm = NormEntry(e_h1.value + e_grad.value + e_linf.value,
-                       "sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf")
+    x_norm = _sum_entry((e_h1, e_grad, e_linf), "sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf")
     return {"u_sup_h1": e_h1, "u_grad_l2t_h1": e_grad, "u_sup_linf": e_linf, "x_norm": x_norm}
 
 
 def _thm2_y(grid: Grid2D, times: np.ndarray, w_hat: np.ndarray, w_grad: tuple[np.ndarray, np.ndarray],
-            w0_hat: np.ndarray | None) -> dict:
-    """The Theorem-2 Y entries of w from its half spectra, their gradient values and its initial datum's spectrum."""
-    e_h1, e_grad = _sobolev_entries(grid, times, w_hat, w0_hat, True, "w")
+            w0_hat: np.ndarray | None, damped: bool = True) -> dict:
+    """The Theorem-2 Y entries of w from its spectra and gradient values; w0's ``damped`` flow closes the head."""
+    e_h1, e_grad = _sobolev_entries(grid, times, w_hat, w0_hat, damped, "w")
     e_sig = _sup_entry(times, sigma(times) * _grad_sup(*w_grad), "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
-    y_norm = NormEntry(e_h1.value + e_grad.value + e_sig.value,
-                       "sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma ||grad w||_Linf")
+    y_norm = _sum_entry((e_h1, e_grad, e_sig), "sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma ||grad w||_Linf")
     return {"w_sup_h1": e_h1, "w_grad_l2t_h1": e_grad, "w_sigma_grad_linf": e_sig, "y_norm": y_norm}
 
 
@@ -393,6 +418,7 @@ def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:
 
     X(u) = sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf;
     Y(w) = sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma(t) ||grad w||_Linf.
+    The [0, t_min] head of ||grad w||_{L2_t H1} follows the damped flow e^{t(Lap-1)}.
     """
     _require_compatible(u, w)
     grid, times = u.grid, u.tgrid.times

@@ -128,25 +128,20 @@ class SolverConfig:
 
 def _xy_report(mode: str, grid: Grid2D, tgrid: TimeGrid, iteration: int, u_vals: np.ndarray,
                w_grad: tuple[np.ndarray, np.ndarray], u_hat: np.ndarray | None, w_hat: np.ndarray | None,
-               u0_hat: np.ndarray | None, w0_hat: np.ndarray | None) -> NormReport:
+               u0_hat: np.ndarray | None, w0_hat: np.ndarray | None, damped: bool) -> NormReport:
     """The given mode's report from node values, w's gradient values and half spectra.
 
-    The kernels of xy_norms_thm1/2; Theorem-1 mode reads no spectra.  A
-    non-finite per-node norm of the X half (Y half) is a blow-up of u (w) at
-    ``iteration``.
+    The kernels of xy_norms_thm1/2 (``damped`` picks w's flow); Theorem-1 mode
+    reads no spectra.  A non-finite norm of the X half (Y half, or the larger
+    half of an overflowing sum) is a blow-up of u (w) at ``iteration``.
     """
-    times = tgrid.times
+    times, thm1 = tgrid.times, mode == "thm1_L1Linf"
     with _blowup_of("u", iteration, tgrid, "norm"):
-        if mode == "thm1_L1Linf":
-            x = _norms._thm1_x(grid, times, u_vals)
-        else:
-            x = _norms._thm2_x(grid, times, u_vals, u_hat, u0_hat)
+        x = _norms._thm1_x(grid, times, u_vals) if thm1 else _norms._thm2_x(grid, times, u_vals, u_hat, u0_hat)
     with _blowup_of("w", iteration, tgrid, "norm"):
-        if mode == "thm1_L1Linf":
-            y = _norms._thm1_y(grid, times, w_grad)
-        else:
-            y = _norms._thm2_y(grid, times, w_hat, w_grad, w0_hat)
-    return _norms._report(x, y)
+        y = _norms._thm1_y(grid, times, w_grad) if thm1 else _norms._thm2_y(grid, times, w_hat, w_grad, w0_hat, damped)
+    with _blowup_of("u" if x["x_norm"].value >= y["y_norm"].value else "w", iteration, tgrid, "norm"):
+        return _norms._report(x, y)
 
 
 def _free_chemical_response(grid: Grid2D, u0_hat: np.ndarray, times: np.ndarray, damped: bool) -> np.ndarray:
@@ -277,7 +272,7 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     u_hat = free_u_hat
     u_vals = irfft2(u_hat, n)
     w_grad = _grad_values(grid, w_hat)
-    report = _xy_report(mode, grid, tgrid, 0, u_vals, w_grad, u_hat, w_hat, u0_hat, w0_hat)
+    report = _xy_report(mode, grid, tgrid, 0, u_vals, w_grad, u_hat, w_hat, u0_hat, w0_hat, damped)
     a0 = report.value("xy_norm")
     threshold = 3.0 / (32.0 * c * c)
     contraction_bound = 8.0 * c * c * a0 + 0.25
@@ -304,7 +299,8 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
             del lu_hat
             _require_finite(w_hat_next)
         w_grad_next = _grad_values(grid, w_hat_next)
-        report = _xy_report(mode, grid, tgrid, m, u_vals_next, w_grad_next, u_hat_next, w_hat_next, u0_hat, w0_hat)
+        report = _xy_report(mode, grid, tgrid, m, u_vals_next, w_grad_next, u_hat_next, w_hat_next,
+                            u0_hat, w0_hat, damped)
         iterate_norms.append(report.value("xy_norm"))
         mass_drift = max(mass_drift, _mass_drift(u_vals_next, grid.cell_area, mass0))
 
@@ -316,7 +312,7 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
         np.subtract(w_grad_next[0], w_grad[0], out=w_grad[0])
         np.subtract(w_grad_next[1], w_grad[1], out=w_grad[1])
         d_hat = (u_hat_next - u_hat, w_hat_next - w_hat) if thm2 else (None, None)
-        diff = _xy_report(mode, grid, tgrid, m, u_vals, w_grad, *d_hat, None, None).value("xy_norm")
+        diff = _xy_report(mode, grid, tgrid, m, u_vals, w_grad, *d_hat, None, None, damped).value("xy_norm")
         del d_hat
         residuals.append(diff)
         if len(residuals) >= 2 and residuals[-2] > 0:
@@ -329,22 +325,16 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
 
     # the last report is the configured mode's report of the final iterate
     other = _xy_report("thm1_L1Linf" if thm2 else "thm2_H1bH1", grid, tgrid, iterations,
-                       u_vals, w_grad, u_hat, w_hat, u0_hat, w0_hat)
+                       u_vals, w_grad, u_hat, w_hat, u0_hat, w0_hat, damped)
     report_thm1, report_thm2 = (other, report) if thm2 else (report, other)
     u = Trajectory.from_values(grid, tgrid, u_vals, initial=u0)
     w = Trajectory.from_values(grid, tgrid, irfft2(w_hat, n), initial=w0)
     v = (4.0 * c) * w
 
-    diag = {
-        "t_u_linf_argmax": report_thm1["u_sup_t_linf"].argmax_time,
-        "sqrt_t_grad_w_argmax": report_thm1["y_norm"].argmax_time,
-        "t_u_linf_interior": bool(
-            times[0] < report_thm1["u_sup_t_linf"].argmax_time < times[-1]
-        ),
-        "sqrt_t_grad_w_interior": bool(
-            times[0] < report_thm1["y_norm"].argmax_time < times[-1]
-        ),
-    }
+    diag = {}
+    for key, entry in (("t_u_linf", report_thm1["u_sup_t_linf"]), ("sqrt_t_grad_w", report_thm1["y_norm"])):
+        diag[f"{key}_argmax"] = entry.argmax_time
+        diag[f"{key}_interior"] = bool(times[0] < entry.argmax_time < times[-1])
 
     return SolutionReport(
         config=cfg,
@@ -496,7 +486,8 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
     """Compare the solution's weighted sup-sum with twice the free evolution's.
 
     Both sides are evaluated as maxima over the solution's time grid:
-    sup_t (||u||_L1 + t ||u||_Linf + (1/4c) t^{1/2} ||grad v||_Linf).
+    sup_t (||u||_L1 + t ||u||_Linf + (1/4c) t^{1/2} ||grad v||_Linf).  The left
+    side sums the final Theorem-1 report's node series (v/(4c) = w: Y's term).
     Also evaluates the data-level sufficient condition
     2 ||u0||_L1 + (1/4c) sup_t t^{1/2} ||grad e^{t Lap} v0||_Linf <= 3/(32 c^2).
     """
@@ -505,17 +496,13 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
     times = report.u.tgrid.times
     cell = grid.cell_area
 
-    def sup_sum(u_vals: np.ndarray, v_hat: np.ndarray) -> float:
-        l1 = _norms._batch_lp(u_vals, 1.0, cell)
-        linf = _norms._batch_lp(u_vals, np.inf, cell)
-        gv = _norms._batch_grad_linf(grid, v_hat)
-        return float(np.max(l1 + times * linf + np.sqrt(times) * gv / (4.0 * c)))
-
-    lhs = sup_sum(report.u.stacked, rfft2(report.v.stacked))
+    r = report.norms_thm1
+    lhs = float(np.max(r["u_sup_l1"].nodes + r["u_sup_t_linf"].nodes + r["y_norm"].nodes))
     # plain heat flow on both sides, straight from the data's half spectra
-    free_u_hat = _free_flow(rfft2(report.u0.values), times, grid.k2_half)
-    free_v_hat = _free_flow(rfft2(report.v0.values), times, grid.k2_half)
-    rhs = 2.0 * sup_sum(irfft2(free_u_hat, grid.n), free_v_hat)
+    free_u = irfft2(_free_flow(rfft2(report.u0.values), times, grid.k2_half), grid.n)
+    gv = _norms._batch_grad_linf(grid, _free_flow(rfft2(report.v0.values), times, grid.k2_half))
+    l1, linf = _norms._batch_lp(free_u, 1.0, cell), _norms._batch_lp(free_u, np.inf, cell)
+    rhs = 2.0 * float(np.max(l1 + times * linf + np.sqrt(times) * gv / (4.0 * c)))
 
     if float(np.max(np.abs(report.v0.values))) > 0:
         grad_b = grad_besov_sup(report.v0, default_besov_probe()).value
@@ -554,44 +541,33 @@ def check_theorem2_bound(report: SolutionReport, eps0: float | None = None) -> T
 
     The sum is sup_t ||u +- w||_H1 + sup_t ||u +- sigma grad w||_Linf
     (worst sign, worst gradient component) + ||grad u||_{L2_t L2}
-    + ||grad w||_{L2_t H1}, with w = v/(4c).  The hypothesis
-    ||u0||_Linf + ||u0||_H1 + (1/4c) ||v0||_H1 <= eps0 gates the verdict;
-    eps0 defaults to that data norm.
+    + ||grad w||_{L2_t H1}, with w = v/(4c); the last term is the final
+    Theorem-2 report's entry.  The hypothesis ||u0||_Linf + ||u0||_H1
+    + (1/4c) ||v0||_H1 <= eps0 gates the verdict; eps0 defaults to that data norm.
     """
     c = report.c
     u, w = report.u, report.w
     times = u.tgrid.times
     grid = u.grid
 
-    data_norm = (
-        lp_norm(report.u0, np.inf)
-        + hs_norm(report.u0, 1.0)
-        + hs_norm(report.v0, 1.0) / (4.0 * c)
-    )
+    data_norm = lp_norm(report.u0, np.inf) + hs_norm(report.u0, 1.0) + hs_norm(report.v0, 1.0) / (4.0 * c)
     if eps0 is None:
         eps0 = data_norm
     hypothesis = data_norm <= eps0 * (1.0 + 1e-12)
 
     uc, u_power = _norms._spectrum(u)
-    wc, w_power = _norms._spectrum(w)
+    wc = rfft2(w.stacked)
     # sup_t ||u +- w||_H1 over both signs
-    h1 = _norms._hs_weight(grid, 1.0)
-    h1_plus = np.sqrt(_norms._parseval_sum(grid, np.abs(uc + wc) ** 2, h1))
-    h1_minus = np.sqrt(_norms._parseval_sum(grid, np.abs(uc - wc) ** 2, h1))
-    term_h1 = float(max(np.max(h1_plus), np.max(h1_minus)))
+    term_h1 = float(max(np.max(_norms._batch_hs(grid, uc + sign * wc, 1.0)) for sign in (1.0, -1.0)))
 
     # sup_t ||u +- sigma(t) d_i w||_Linf over signs and components
     sig = _norms.sigma(times)[:, None, None]
-    su = u.stacked
-    term_mix = 0.0
-    for comp in _grad_values(grid, wc):
-        for sign in (1.0, -1.0):
-            term_mix = max(term_mix, float(np.max(np.abs(su + sign * sig * comp))))
+    term_mix = max(float(np.max(np.abs(u.stacked + sign * sig * comp)))
+                   for comp in _grad_values(grid, wc) for sign in (1.0, -1.0))
 
-    # ||grad u||_{L2_t L2} (head from u0's free flow) and ||grad w||_{L2_t H1}
+    # ||grad u||_{L2_t L2} (head from u0's free flow); ||grad w||_{L2_t H1} is the report's
     term_grad_u, _ = _norms._l2t_grad(grid, times, u_power, _initial_hat(u), damped=False, s=0.0)
-    term_grad_w, _ = _norms._l2t_grad(grid, times, w_power, _initial_hat(w),
-                                      damped=not report.config.remark_ii)
+    term_grad_w = report.norms_thm2.value("w_grad_l2t_h1")
 
     norm_sum = term_h1 + term_mix + term_grad_u + term_grad_w
     terms = {

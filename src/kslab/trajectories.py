@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, _read_raw_snapshot, rfft2, write_snapshot
+from .fields import Grid2D, ScalarField, _read_raw_snapshot, _write_raw_snapshot, rfft2
 
 _GEOMETRIC_TOL = 1e-12
 
@@ -175,12 +175,12 @@ def _initial_hat(traj: Trajectory) -> np.ndarray | None:
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
-    """Concatenated KSF1 snapshots; an initial datum is stored as a t=0 snapshot."""
+    """Concatenated KSF1 snapshots of the (checked) node arrays; an initial datum is stored at t=0."""
     with open(path, "wb") as fh:
         if traj.initial is not None:
-            write_snapshot(fh, traj.initial, 0.0)
+            _write_raw_snapshot(fh, traj.grid, traj.initial.values, 0.0)
         for values, t in zip(traj.stacked, traj.tgrid.times):
-            write_snapshot(fh, ScalarField(traj.grid, values), t)
+            _write_raw_snapshot(fh, traj.grid, values, t)
 
 
 def load_trajectory(path) -> Trajectory:

@@ -7,14 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kslab import SolverConfig, gaussian_field, picard_solve, sigma
 from kslab.cli import (
     ConfigError,
     ExperimentConfig,
+    _norm_csv_rows,
     load_config,
     main,
     parse_config_text,
     serialize_config,
 )
+from kslab.fields import rfft2
+from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp
 
 FAST_SOLVE = """
 grid.n = 32
@@ -158,6 +162,32 @@ class TestSolveCommand:
         assert not out.exists()
 
 
+class TestNormCsvRows:
+    """norms.csv reads the solver's final reports; v's columns are 4c times w's entries."""
+
+    @pytest.fixture(scope="class", params=["thm1_L1Linf", "thm2_H1bH1"])
+    def report(self, request):
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=1.0, num_times=10, c=2.5, mode=request.param)
+        grid = cfg.make_grid()
+        w0 = (1.0 / (4.0 * 2.5)) * gaussian_field(grid, 1e-3, 0.7)
+        return picard_solve(gaussian_field(grid, 1e-3, 0.5), w0, cfg)
+
+    def test_columns_equal_the_kernels_on_u_and_v(self, report):
+        grid, times = report.u.grid, report.u.tgrid.times
+        u, cell = report.u.stacked, grid.cell_area
+        v_hat = rfft2(report.v.stacked)
+        gv = _batch_grad_linf(grid, v_hat)
+        expected = np.column_stack([
+            times, _batch_lp(u, 1.0, cell), times * _batch_lp(u, np.inf, cell), np.sqrt(times) * gv,
+            sigma(times) * gv, _batch_hs(grid, rfft2(u), 1.0), _batch_hs(grid, v_hat, 1.0),
+        ])
+        np.testing.assert_allclose(np.array(_norm_csv_rows(report)), expected, rtol=1e-13, atol=0)
+
+    def test_rows_make_no_transform(self, report, fft_calls):
+        _norm_csv_rows(report)
+        assert fft_calls == {"rfft2": 0, "irfft2": 0}
+
+
 class TestNormsCommand:
     CFG = "grid.n = 32\npicard.c = 2.5\n"
 
@@ -241,6 +271,7 @@ class TestCompareCommand:
         summary = json.loads((out / "compare_summary.json").read_text())
         assert code == 1
         assert "refine the time grid" in captured.err
+        assert "time.k" in captured.err and "picard.substeps" in captured.err
         assert summary["max_rel_diff"] > 1e-4
 
 

@@ -25,6 +25,8 @@ from kslab import (
     xy_norms_thm1,
     xy_norms_thm2,
 )
+from kslab.norms import NormEntry, NormReport, _hs_weight, _l2t_grad, _parseval_sum
+from kslab.trajectories import TrajectoryOverflowError
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +254,58 @@ class TestXYNormsThm2:
             vals[n] = (r1.value("xy_norm"), r2.value("xy_norm"))
         for a, b in zip(vals[32], vals[64]):
             assert abs(a - b) / b < 0.01
+
+
+class TestNodeSeries:
+    def test_sup_entries_keep_their_read_only_node_series(self, grid):
+        tg = TimeGrid.geometric(1e-3, 10.0, 16)
+        u = heat_trajectory(gaussian_field(grid, 1.0, 0.5), tg)
+        w = damped_heat_trajectory(gaussian_field(grid, 0.5, 0.7), tg)
+        report = xy_norms_thm1(u, w)
+        for name in ("u_sup_l1", "u_sup_t_linf", "y_norm"):
+            entry = report[name]
+            assert entry.nodes.shape == (tg.count,) and not entry.nodes.flags.writeable
+            assert entry.value == np.max(entry.nodes)
+            assert entry.argmax_time == tg.times[np.argmax(entry.nodes)]
+        assert report["x_norm"].nodes is None and report["xy_norm"].nodes is None
+        assert xy_norms_thm2(u, w)["w_grad_l2t_h1"].nodes is None
+
+    def test_node_series_stay_out_of_equality_repr_and_json(self):
+        a = NormEntry(1.0, "sup", argmax_time=0.5, nodes=np.array([1.0, 0.5]))
+        b = NormEntry(1.0, "sup", argmax_time=0.5, nodes=np.array([1.0, 0.25]))
+        assert a == b and "nodes" not in repr(a)
+        assert NormReport({"e": a}).to_json_dict() == {"e": {"value": 1.0, "equation_tag": "sup", "argmax_time": 0.5}}
+
+
+class TestSumOverflow:
+    """A sum of finite entries that overflows names a node, like a per-node overflow."""
+
+    def test_x_norm_names_the_larger_addends_argmax_node(self):
+        # 256 cells of area 1: L^1 peaks at node 3 (256 * 7e305 = 1.79e308) and t Linf at the
+        # last node; both are finite, their sum is not
+        grid = make_grid(16, 16.0)
+        tg = TimeGrid.geometric(1e-3, 10.0, 8)
+        level = np.full(tg.count, 6.9e305)
+        level[3] = 7e305
+        u = Trajectory.from_values(grid, tg, level[:, None, None] * np.ones((1, 16, 16)))
+        with pytest.raises(TrajectoryOverflowError) as err:
+            xy_norms_thm1(u, Trajectory.zero(grid, tg))
+        assert err.value.node_index == 3
+
+    def test_l2t_total_names_the_largest_node_sum(self):
+        # finite node sums of 1e303 and 2e303 at nodes 3 and 4, a node gap of 7e6: the trapezoid overflows
+        grid = make_grid(16, 16.0)
+        times = TimeGrid.geometric(1.0, 1e12, 8).times
+        weight = grid.k2_half * _hs_weight(grid, 1.0)
+        unit = np.zeros((times.size,) + grid.k2_half.shape)
+        unit[:, 0, -1] = 1.0
+        target = np.ones(times.size)
+        target[3:5] = (1e303, 2e303)
+        power = unit * (target / _parseval_sum(grid, unit, weight))[:, None, None]
+        assert np.all(np.isfinite(_parseval_sum(grid, power, weight)))
+        with np.errstate(over="ignore"), pytest.raises(TrajectoryOverflowError) as err:
+            _l2t_grad(grid, times, power, None, damped=True)
+        assert err.value.node_index == 4
 
 
 class TestReportSerialisation:

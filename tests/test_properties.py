@@ -45,7 +45,7 @@ from kslab.fields import _grad_values
 from kslab.norms import (_batch_grad_linf, _batch_hs, _batch_lp, _grad_sup, _hs_weight, _parseval_sum,
                          _rank_one_norms, grad_linf, trapezoid)
 from kslab.semigroup import _free_flow
-from kslab.trajectories import TrajectoryOverflowError, _first_nonfinite_node, load_trajectory
+from kslab.trajectories import TrajectoryOverflowError, _first_nonfinite_node, load_trajectory, save_trajectory
 
 seeds = st.integers(0, 2**32 - 1)
 lengths = st.sampled_from([4.0, 8.0, 32.0])
@@ -536,6 +536,17 @@ class TestArrayTrajectory:
     def test_non_finite_times_rejected(self, times):
         with pytest.raises(ValueError, match="finite"):
             TimeGrid(np.array(times), "uniform")
+
+    @pytest.mark.parametrize("with_initial", [False, True])
+    def test_save_writes_the_per_node_snapshots(self, tmp_path, with_initial):
+        traj = _trajectory(make_grid(16, 8.0), 7, 4, with_initial)
+        save_trajectory(tmp_path / "traj.ksf1", traj)
+        buf = io.BytesIO()
+        if with_initial:
+            write_snapshot(buf, traj.initial, 0.0)
+        for values, t in zip(traj.stacked, traj.tgrid.times):
+            write_snapshot(buf, ScalarField(traj.grid, values), t)
+        assert (tmp_path / "traj.ksf1").read_bytes() == buf.getvalue()
 
     def test_load_rejects_mixed_grids(self, tmp_path):
         path = tmp_path / "mixed.ksf1"

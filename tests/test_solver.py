@@ -26,6 +26,7 @@ from kslab import (
     xy_norms_thm2,
 )
 from kslab.fields import irfft2, rfft2
+from kslab.norms import _batch_grad_linf, _batch_lp, _l2t_grad
 
 C_TEST = 2.5  # admissible constant for these smoke-scale runs
 
@@ -218,6 +219,39 @@ class TestTheoremBounds:
         assert squeezed.norm_sum == honest.norm_sum  # values still reported
 
 
+class TestVerdictsReadTheReports:
+    """The verdicts read the final reports' node series and entries instead of re-transforming u and v."""
+
+    @pytest.mark.parametrize("v_mass", [0.0, 1e-3])
+    def test_theorem1_lhs_equals_the_sup_sum_of_transformed_v(self, cfg, grid, v_mass):
+        w0 = (1.0 / (4.0 * C_TEST)) * gaussian_field(grid, v_mass, 0.7)
+        rep = picard_solve(gaussian_field(grid, 1e-3, 0.5), w0, cfg)
+        times, u, cell = rep.u.tgrid.times, rep.u.stacked, grid.cell_area
+        gv = _batch_grad_linf(grid, rfft2(rep.v.stacked))
+        expected = np.max(_batch_lp(u, 1.0, cell) + times * _batch_lp(u, np.inf, cell)
+                          + np.sqrt(times) * gv / (4.0 * C_TEST))
+        assert check_theorem1_bound(rep).lhs == pytest.approx(expected, rel=1e-13, abs=0)
+
+    def test_theorem1_verdict_transforms_only_the_data(self, small_report, fft_calls):
+        # u0's and v0's heat flows: 2 r2c, then u's node values and v's gradient, 3 c2r
+        check_theorem1_bound(small_report)
+        assert fft_calls == {"rfft2": 2, "irfft2": 3}
+
+    @pytest.mark.parametrize("remark_ii", [False, True])
+    def test_theorem2_grad_w_term_is_the_reports_entry(self, cfg, grid, remark_ii):
+        # a chemical datum makes the closed-form [0, t_min] head of ||grad w||_{L2_t H1} count
+        w0 = (1.0 / (4.0 * C_TEST)) * gaussian_field(grid, 1e-3, 0.7)
+        rep = picard_solve(gaussian_field(grid, 1e-3, 0.5), w0,
+                           replace(cfg, mode="thm2_H1bH1", remark_ii=remark_ii))
+        entry = rep.norms_thm2.value("w_grad_l2t_h1")
+        assert check_theorem2_bound(rep).terms["l2t_h1_grad_w"] == entry
+        # the head follows the chemical flow of the solved system
+        power = np.abs(rfft2(rep.w.stacked)) ** 2
+        expected, _ = _l2t_grad(grid, rep.w.tgrid.times, power, rfft2(w0.values), damped=not remark_ii)
+        assert entry == pytest.approx(expected, rel=1e-13, abs=0)
+        assert rep.a0 == rep.iterate_norms[0]
+
+
 class TestMassSweep:
     def test_flags_threshold_violation(self):
         cfg = SolverConfig(
@@ -397,6 +431,38 @@ class TestNormOverflow:
         assert (err.value.iteration, err.value.which, err.value.quantity) == (1, "w", "norm")
         assert err.value.node_index == 3
         assert err.value.t == cfg.make_timegrid().times[3]
+
+    @pytest.mark.parametrize("l1_peak, which, node", [(1.5e308, "u", 2), (6e307, "w", 22)])
+    def test_overflowing_xy_sum_names_the_larger_half(self, monkeypatch, cfg, grid, l1_peak, which, node):
+        # from iteration 1 on, L^1 peaks at node 2 and t^{1/2} |grad w| at node 22 at 1.3e308:
+        # both halves are finite, their sum is not
+        import kslab.norms
+
+        times = cfg.make_timegrid().times
+        batch_lp, grad_sup = kslab.norms._batch_lp, kslab.norms._grad_sup
+        seen = {"l1": 0, "grad": 0}
+
+        def big_l1(values, p, cell):
+            out = batch_lp(values, p, cell)
+            if p == 1.0:
+                seen["l1"] += 1
+                if seen["l1"] > 1:
+                    out[2] = l1_peak
+            return out
+
+        def big_grad(*args, **kwargs):
+            out = grad_sup(*args, **kwargs)
+            seen["grad"] += 1
+            if seen["grad"] > 1:
+                out[22] = 1.3e308 / np.sqrt(times[22])
+            return out
+
+        monkeypatch.setattr(kslab.norms, "_batch_lp", big_l1)
+        monkeypatch.setattr(kslab.norms, "_grad_sup", big_grad)
+        with pytest.raises(PicardBlowupError) as err:
+            picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
+        assert (err.value.iteration, err.value.which, err.value.quantity) == (1, which, "norm")
+        assert err.value.node_index == node
 
     def test_overflow_scale_chemical_datum(self):
         # gradients above 1.3e154 used to overflow their squares in the Y norm
