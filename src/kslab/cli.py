@@ -1,9 +1,11 @@
 """Batch driver: config parsing, initial data, experiment orchestration.
 
 Config files are flat ``key = value`` text (``#`` comments allowed); every
-key must be known and every value must parse at its declared type.  All
-outputs are deterministic: JSON with sorted keys, RFC-4180 CSV with repr'd
-floats, and no timestamps, so identical configs give bit-identical files.
+key must be known and every value must parse at its declared type.  Only
+this module writes JSON and CSV: ``_write_json`` (sorted keys, indent 2,
+trailing newline) and ``_write_csv`` (RFC-4180 rows, repr'd floats) take the
+reports' data (``to_json_dict()``, ``samples``, ``entries``).  No output has a
+timestamp, so identical configs give bit-identical files.
 
 ``norms.csv`` (from ``solve``) holds the node series of the solver's final
 norm reports, the v columns as 4c times w's.
@@ -26,7 +28,7 @@ import numpy as np
 from . import norms as _norms
 from .data import cosine_mode_field, gaussian_field, smoothed_stripe_field
 from .duhamel import QuadratureScheme
-from .fields import Grid2D, ScalarField, load_field
+from .fields import Grid2D, ScalarField, load_field, worker_count
 from .inequality_lab import (
     LabSetup,
     besov_equivalence_samples,
@@ -286,6 +288,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
+def _write_samples(path: Path, samples) -> None:
+    """Ratio samples (an inequality report's or the constants'), their params as JSON."""
+    _write_csv(path, ["family", "params", "lhs", "rhs", "ratio"],
+               ([s.family, json.dumps(s.params), s.lhs, s.rhs, s.ratio] for s in samples))
+
+
 def _diffusion_warning(cfg: ExperimentConfig) -> str | None:
     if np.sqrt(4.0 * cfg.time_t_max) > cfg.grid_l / 4.0:
         return (
@@ -376,8 +384,9 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             exact = grad_kernel_l1_exact(e.t)
             if abs(e.value - exact) > 0.01 * exact:
                 failures.append(f"gradient kernel norm t={e.t} off by more than 1%")
-        table.to_csv(out_dir / "kernel_norms.csv")
-        gtable.to_csv(out_dir / "grad_kernel_norms.csv")
+        for name, tab in (("kernel_norms", table), ("grad_kernel_norms", gtable)):
+            _write_csv(out_dir / f"{name}.csv", ["p", "t", "value", "bound", "ratio"],
+                       [[e.p, e.t, e.value, e.bound, e.ratio] for e in tab.entries])
 
     reports = {}
     drifts = {}
@@ -389,7 +398,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         drift = refinement_drift(verifier, setup)
         drifts[name] = drift
         rep = reports[name] = drift["base_report"]
-        rep.to_csv(out_dir / f"inequality_{name}.csv")
+        _write_samples(out_dir / f"inequality_{name}.csv", rep.samples)
         if not np.isfinite(rep.max_ratio):
             failures.append(f"{name}: non-finite ratio")
         if drift["max_drift"] >= 0.10:
@@ -406,13 +415,13 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         ("besov_equivalence", besov_equivalence_samples(setup)),
     ):
         reports[name] = rep
-        rep.to_csv(out_dir / f"inequality_{name}.csv")
+        _write_samples(out_dir / f"inequality_{name}.csv", rep.samples)
         if not np.isfinite(rep.max_ratio):
             failures.append(f"{name}: non-finite ratio")
 
     constants = estimate_constants(setup)
-    constants.to_json(out_dir / "constants_report.json")
-    constants.to_csv(out_dir / "constants_samples.csv")
+    _write_json(out_dir / "constants_report.json", constants.to_json_dict())
+    _write_samples(out_dir / "constants_samples.csv", constants.samples)
     if cfg.picard_c != "auto" and float(cfg.picard_c) < constants.observed_max:
         failures.append(
             f"configured picard.c={cfg.picard_c} is below the observed constant "
@@ -500,8 +509,8 @@ def run_counterexample(cfg: ExperimentConfig, out_dir: Path) -> int:
 def run_constants(cfg: ExperimentConfig, out_dir: Path) -> int:
     setup = lab_setup(cfg)
     constants = estimate_constants(setup)
-    constants.to_json(out_dir / "constants_report.json")
-    constants.to_csv(out_dir / "constants_samples.csv")
+    _write_json(out_dir / "constants_report.json", constants.to_json_dict())
+    _write_samples(out_dir / "constants_samples.csv", constants.samples)
     print(f"c1={constants.c1:.4g} c2={constants.c2:.4g} c3={constants.c3:.4g} "
           f"c={constants.c:.4g} threshold={constants.threshold:.4g}")
     return 0
@@ -526,8 +535,9 @@ def run_norms(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError(f"{u_path} and {v_path} do not match: {exc}") from exc
     c = make_solver_config(cfg).resolve_c()
     w = (1.0 / (4.0 * c)) * v
-    _norms.xy_norms_thm1(u, w).to_json(out_dir / "norms_thm1.json")
-    _norms.xy_norms_thm2(u, w).to_json(out_dir / "norms_thm2.json")
+    _write_json(out_dir / "norms_thm1.json", _norms.xy_norms_thm1(u, w).to_json_dict())
+    _write_json(out_dir / "norms_thm2.json",
+                _norms.xy_norms_thm2(u, w, damped=not cfg.variant_remark_ii).to_json_dict())
     return 0
 
 
@@ -553,6 +563,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        try:
+            worker_count()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         cfg = load_config(args.config, args.override)
         out_dir = Path(args.out) if args.out is not None else Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

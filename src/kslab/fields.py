@@ -45,11 +45,15 @@ import scipy.fft as _sfft
 
 
 def worker_count() -> int:
-    """Worker cap for FFT calls, taken from the KS_THREADS environment variable."""
+    """Worker cap for FFT calls: the KS_THREADS environment variable, an integer >= 1 (1 when unset)."""
+    raw = os.environ.get("KS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("KS_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"KS_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def fft2(a: np.ndarray) -> np.ndarray:

@@ -23,8 +23,6 @@ artefact.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -118,13 +116,6 @@ class InequalityReport:
         for s in self.samples:
             out[s.family] = max(out.get(s.family, 0.0), s.ratio)
         return out
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["family", "params", "lhs", "rhs", "ratio"])
-            for s in self.samples:
-                writer.writerow([s.family, json.dumps(s.params), repr(s.lhs), repr(s.rhs), repr(s.ratio)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -438,14 +429,6 @@ class ConstantsReport:
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "samples"}
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    def to_csv(self, path) -> None:
-        InequalityReport("constants", self.samples, {}).to_csv(path)
 
 
 def standard_families(grid: Grid2D) -> list[tuple[str, ScalarField]]:

@@ -45,7 +45,6 @@ trajectory whose norm overflows is reported like an overflowing trajectory.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -291,11 +290,6 @@ class NormReport:
             out[name] = d
         return out
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
 
 def _sup_entry(times: np.ndarray, values: np.ndarray, equation: str, note: str | None = None) -> NormEntry:
     """The maximum of per-node values with its time, keeping ``values`` (frozen) as the node series.
@@ -413,15 +407,16 @@ def _thm2_y(grid: Grid2D, times: np.ndarray, w_hat: np.ndarray, w_grad: tuple[np
     return {"w_sup_h1": e_h1, "w_grad_l2t_h1": e_grad, "w_sigma_grad_linf": e_sig, "y_norm": y_norm}
 
 
-def xy_norms_thm2(u: Trajectory, w: Trajectory) -> NormReport:
+def xy_norms_thm2(u: Trajectory, w: Trajectory, *, damped: bool = True) -> NormReport:
     """Trajectory norms for the Sobolev setting.
 
     X(u) = sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf;
     Y(w) = sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma(t) ||grad w||_Linf.
-    The [0, t_min] head of ||grad w||_{L2_t H1} follows the damped flow e^{t(Lap-1)}.
+    The [0, t_min] head of ||grad w||_{L2_t H1} follows the damped flow e^{t(Lap-1)},
+    or the heat flow e^{t Lap} with ``damped=False`` (Remark (ii)).
     """
     _require_compatible(u, w)
     grid, times = u.grid, u.tgrid.times
     w_hat = rfft2(w.stacked)
     return _report(_thm2_x(grid, times, u.stacked, rfft2(u.stacked), _initial_hat(u)),
-                   _thm2_y(grid, times, w_hat, _grad_values(grid, w_hat), _initial_hat(w)))
+                   _thm2_y(grid, times, w_hat, _grad_values(grid, w_hat), _initial_hat(w), damped))

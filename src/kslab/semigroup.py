@@ -11,7 +11,6 @@ analytic cross-check against the bounds ``t^{-1+1/p}`` and ``t^{-3/2+1/p}``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,17 +96,6 @@ class KernelNormTable:
 
     def all_within_bounds(self, slack: float = 1e-9) -> bool:
         return all(e.value <= e.bound * (1.0 + slack) for e in self.entries)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "t", "value", "bound", "ratio"])
-            for e in self.entries:
-                writer.writerow([_fmt_p(e.p), repr(e.t), repr(e.value), repr(e.bound), repr(e.ratio)])
-
-
-def _fmt_p(p: float) -> str:
-    return "inf" if np.isinf(p) else repr(p)
 
 
 def _check_resolution(t: float, grid: Grid2D) -> None:

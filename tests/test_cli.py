@@ -1,5 +1,6 @@
 """CLI tests: config round trips, subcommands, exit codes, determinism."""
 
+import ast
 import json
 import struct
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kslab
 from kslab import SolverConfig, gaussian_field, picard_solve, sigma
 from kslab.cli import (
     ConfigError,
@@ -17,7 +19,7 @@ from kslab.cli import (
     parse_config_text,
     serialize_config,
 )
-from kslab.fields import rfft2
+from kslab.fields import rfft2, worker_count
 from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp
 
 FAST_SOLVE = """
@@ -149,6 +151,22 @@ class TestSolveCommand:
         assert thm1["xy_norm"]["value"] == pytest.approx(
             report["norms_thm1"]["xy_norm"]["value"], rel=1e-12
         )
+
+    @pytest.mark.parametrize("remark_ii", [True, False], ids=["remark_ii", "damped"])
+    def test_norms_subcommand_equals_the_solve_report(self, tmp_path, remark_ii):
+        # thm2 mode with a chemical datum: the [0, t_min] head of ||grad w||_{L2_t H1} depends on remark_ii
+        cfg = write_config(tmp_path, FAST_SOLVE + "picard.mode = thm2_H1bH1\ndata.v_mass = 1e-3\n"
+                           f"variant.remark_ii = {str(remark_ii).lower()}\noutput.dump_fields = true\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["norms", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "solution_report.json").read_text())
+        for name in ("norms_thm1", "norms_thm2"):
+            recomputed = json.loads((out / f"{name}.json").read_text())
+            assert recomputed.keys() == report[name].keys()
+            for key, entry in recomputed.items():
+                assert entry.pop("value") == pytest.approx(report[name][key]["value"], rel=1e-12), key
+                assert entry == {k: v for k, v in report[name][key].items() if k != "value"}, key
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
@@ -348,3 +366,60 @@ class TestDeterminism:
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} differs between identical runs"
+
+    # one file each command is sure to write, so an empty output directory cannot pass
+    WRITES = {"norms": "norms_thm2.json", "constants": "constants_samples.csv", "compare": "compare.csv",
+              "counterexample": "counterexample.csv", "verify": "verify_summary.json"}
+
+    @pytest.mark.parametrize("command", list(WRITES))
+    def test_every_command_writes_identical_files(self, tmp_path, command):
+        cfg = write_config(tmp_path, FAST_SOLVE + "output.dump_fields = true\n")
+        codes, files = [], []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            if command == "norms":
+                assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+            codes.append(main([command, "--config", cfg, "--out", str(out)]))
+            files.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert codes[0] == codes[1]
+        assert self.WRITES[command] in files[0]
+        assert files[0].keys() == files[1].keys()
+        for fname, data in files[0].items():
+            assert data == files[1][fname], f"{fname} differs between identical runs"
+
+
+class TestThreadsEnvironment:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "2.5"])
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("KS_THREADS", raw)
+        with pytest.raises(ValueError, match=f"KS_THREADS .*{raw!r}"):
+            worker_count()
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, FAST_SOLVE), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "KS_THREADS" in err and repr(raw) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, workers", [(None, 1), ("2", 2)], ids=["unset", "two"])
+    def test_valid_value_runs(self, tmp_path, monkeypatch, raw, workers):
+        if raw is None:
+            monkeypatch.delenv("KS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("KS_THREADS", raw)
+        assert worker_count() == workers
+        assert main(["solve", "--config", write_config(tmp_path, FAST_SOLVE), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_only_cli_imports_csv_or_json():
+    """The output formats are decided in one module: no other kslab module imports csv or json."""
+    offenders = []
+    for path in sorted(Path(kslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] in ("csv", "json")]
+    assert [o for o in offenders if not o.startswith("cli.py:")] == []

@@ -26,6 +26,7 @@ from kslab import (
     xy_norms_thm1,
     xy_norms_thm2,
 )
+from kslab.cli import _write_json, _write_samples
 from kslab.fields import Grid2D
 from kslab.inequality_lab import standard_families
 
@@ -66,7 +67,7 @@ class TestMultiplierLemma:
     def test_report_serialisation(self, tmp_path):
         report = verify_multiplier_lemma(SMALL)
         path = tmp_path / "mult.csv"
-        report.to_csv(path)
+        _write_samples(path, report.samples)
         header = path.read_text().splitlines()[0]
         assert header == "family,params,lhs,rhs,ratio"
         d = report.to_json_dict()
@@ -203,8 +204,8 @@ class TestConstants:
 
     def test_serialisation(self, tmp_path):
         report = estimate_constants(SMALL)
-        report.to_json(tmp_path / "c.json")
-        report.to_csv(tmp_path / "c.csv")
+        _write_json(tmp_path / "c.json", report.to_json_dict())
+        _write_samples(tmp_path / "c.csv", report.samples)
         import json
 
         loaded = json.loads((tmp_path / "c.json").read_text())

@@ -25,6 +25,7 @@ from kslab import (
     xy_norms_thm1,
     xy_norms_thm2,
 )
+from kslab.cli import _write_json
 from kslab.norms import NormEntry, NormReport, _hs_weight, _l2t_grad, _parseval_sum
 from kslab.trajectories import TrajectoryOverflowError
 
@@ -324,6 +325,6 @@ class TestReportSerialisation:
         u = heat_trajectory(gaussian_field(grid, 1.0, 0.5), tg)
         report = xy_norms_thm1(u, Trajectory.zero(grid, tg))
         path = tmp_path / "norms.json"
-        report.to_json(path)
+        _write_json(path, report.to_json_dict())
         loaded = json.loads(path.read_text())
         assert loaded["u_sup_l1"]["value"] == report.value("u_sup_l1")

@@ -20,6 +20,7 @@ from kslab import (
     make_grid,
     point_mass_field,
 )
+from kslab.cli import _write_csv
 from kslab.trajectories import TimeGrid
 
 
@@ -175,7 +176,8 @@ class TestKernelNormTable:
         grid = make_grid(128, 16.0)
         table = heat_kernel_norms((1.0, np.inf), (0.5,), grid)
         path = tmp_path / "kernels.csv"
-        table.to_csv(path)
+        _write_csv(path, ["p", "t", "value", "bound", "ratio"],
+                   [[e.p, e.t, e.value, e.bound, e.ratio] for e in table.entries])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "p,t,value,bound,ratio"
         assert len(lines) == 3
