@@ -31,16 +31,13 @@ from .fields import (
     Laplacian,
     MultiplierSpec,
     ScalarField,
-    SpectralField,
     divergence,
-    from_spectral,
     gradient,
     load_field,
     make_grid,
     multiplier_apply,
     pointwise_product,
     save_field,
-    to_spectral,
 )
 from .inequality_lab import (
     ConstantsReport,

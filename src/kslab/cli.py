@@ -192,6 +192,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("data.stripe_smoothing must be positive")
     if cfg.data_kind == "file" and (not cfg.data_u_path or not cfg.data_v_path):
         raise ConfigError("data.kind=file needs data.u_path and data.v_path")
+    if cfg.data_kind == "mode" and max(map(abs, cfg.data_wavevector)) > cfg.grid_n // 2:
+        raise ConfigError(f"data.wavevector {cfg.data_wavevector} aliases on grid.n={cfg.grid_n}: need |k_i| <= n/2")
     return cfg
 
 
@@ -264,12 +266,20 @@ def initial_data(cfg: ExperimentConfig, grid: Grid2D) -> tuple[ScalarField, Scal
                 "amplitude": cfg.data_amplitude,
                 "stripe_smoothing": cfg.data_stripe_smoothing}
     else:  # file
-        u0, _ = load_field(cfg.data_u_path)
-        v0, _ = load_field(cfg.data_v_path)
+        u0, _ = _load(load_field, cfg.data_u_path, "data.u_path")
+        v0, _ = _load(load_field, cfg.data_v_path, "data.v_path")
         if u0.grid != grid or v0.grid != grid:
             raise ConfigError("field files do not match the configured grid")
         desc = {"kind": kind, "u_path": cfg.data_u_path, "v_path": cfg.data_v_path}
     return u0, v0, desc
+
+
+def _load(load, path, what: str):
+    """``load(path)``, with an unreadable or malformed file reported as a ConfigError naming ``what``."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -516,19 +526,12 @@ def run_constants(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _load_dump(path: Path):
-    try:
-        return load_trajectory(path)
-    except ValueError as exc:
-        raise ConfigError(f"cannot read trajectory dump {path}: {exc}") from exc
-
-
 def run_norms(cfg: ExperimentConfig, out_dir: Path) -> int:
     u_path = out_dir / "fields_u.ksf1"
     v_path = out_dir / "fields_v.ksf1"
     if not u_path.exists() or not v_path.exists():
         raise ConfigError(f"no trajectory dumps found under {out_dir}")
-    u, v = _load_dump(u_path), _load_dump(v_path)
+    u, v = (_load(load_trajectory, path, "trajectory dump") for path in (u_path, v_path))
     try:
         _require_compatible(u, v)
     except ValueError as exc:

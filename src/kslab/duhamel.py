@@ -18,13 +18,9 @@ Layout: the operators march the ``(n, n//2+1)`` half spectra of ``rfft2``
 and ``_bilinear_hat`` (dealiased div(u grad v), march) take and return half
 spectra; the Picard loop and the lab call them directly.  The public
 operators are thin wrappers: forward transform, kernel, inverse transform,
-trajectory (which rejects non-finite output).  Rates live in the half
-layout (``grid.k2_half + shift``) everywhere except at ``etd_convolve``,
-which keeps taking full ``(n, n)`` symbols: each must be finite, ``lam``
-non-negative, and both even in xi (``sym[k] == sym[-k]``, exact for every
-symbol built from |xi|^2), since an even symbol maps a real field's
-spectrum to a real field's spectrum; then only its non-negative-xi_2 half
-is used.
+trajectory (which rejects non-finite output).  Symbols are half-layout
+too (``grid.k2_half + shift``) and even in xi (``sym[k] == sym[-k]``), so
+they map a real field's spectrum to a real field's spectrum.
 
 Interval handling near t = 0: when the input trajectories carry an initial
 datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
@@ -122,20 +118,25 @@ def etd_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return np.exp(-z), _phi1(z), _w_left(z), _w_right(z)
 
 
-def _even_half(sym: np.ndarray, what: str) -> np.ndarray:
-    """The half-layout columns of a full (n, n) symbol, which must be even in xi."""
-    if not np.array_equal(sym, np.roll(sym[::-1, ::-1], 1, axis=(0, 1))):
+def _half_symbol(sym, n: int, what: str) -> np.ndarray:
+    """``sym`` broadcast to the (n, n//2+1) half layout, checked even in xi on its self-mirrored columns."""
+    try:
+        sym = np.broadcast_to(sym, (n, n // 2 + 1))
+    except ValueError:
+        raise ValueError(f"{what} must be in the half layout (n, n//2+1) = ({n}, {n // 2 + 1}), "
+                         f"got shape {np.shape(sym)}") from None
+    ends = sym[:, [0, -1]]  # xi_2 = 0 and n/2: the only columns whose mirrors the half layout holds
+    if not np.array_equal(ends, np.roll(ends[::-1], 1, axis=0)):
         raise ValueError(f"{what} must be even in xi (sym[k] == sym[-k]) to act on real fields")
-    return sym[:, : sym.shape[1] // 2 + 1]
+    return sym
 
 
 class EtdPlan:
     """Per-interval ETD decay and weights for one (lam, time grid, scheme).
 
-    ``lam`` holds the half-layout rates, such as ``grid.k2_half + 1.0``; a
-    full (n, n) symbol, as ``etd_convolve`` takes, must be even in xi and is
-    cut to its half.  ``values`` are the distinct rates and ``inverse`` maps
-    every half-layout mode to its rate (``fields._rate_layout``).  Row r of
+    ``lam`` holds the half-layout rates, such as ``grid.k2_half + 1.0``;
+    ``values`` are the distinct rates and ``inverse`` maps every half-layout
+    mode to its rate (``fields._rate_layout``).  Row r of
     ``decay``, ``w_a`` and ``w_b`` belongs to interval r of
     ``[0, t_1], [t_1, t_2], ...``, each split into ``scheme.substeps`` equal
     pieces whose edges are ``edges``; the weights are (w_left, w_right) for
@@ -147,8 +148,7 @@ class EtdPlan:
         lam = np.asarray(lam, dtype=np.float64)
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("decay rates must be finite and non-negative")
-        if lam.shape[0] == lam.shape[1]:
-            lam = _even_half(lam, "decay rates")
+        lam = _half_symbol(lam, lam.shape[0], "decay rates")
         values, inverse = _rate_layout(lam)
         knots = np.concatenate(([0.0], tgrid.times))
         edges = np.array([np.linspace(a, b, scheme.substeps + 1) for a, b in zip(knots[:-1], knots[1:])])
@@ -319,14 +319,12 @@ def etd_convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None = 
                  scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
     """General form int_0^t e^{-(t-tau) lam(xi)} prefactor(xi) g(tau) dtau.
 
-    ``lam`` must be non-negative and ``prefactor`` (any finite, real,
-    time-independent symbol, for example a fractional-Laplacian power)
-    finite on the grid, and both even in xi; otherwise ``ValueError``.
+    ``lam`` (non-negative) and ``prefactor`` (any real, time-independent
+    symbol, for example a fractional-Laplacian power) must be finite
+    half-layout symbols, even in xi; otherwise ``ValueError``.
     """
-    shape = (g.grid.n, g.grid.n)
     if prefactor is not None:
-        prefactor = np.broadcast_to(np.asarray(prefactor), shape)
         if np.iscomplexobj(prefactor) or not np.all(np.isfinite(prefactor)):
             raise ValueError("prefactor symbol must be real and finite on the grid")
-        prefactor = _even_half(prefactor, "prefactor symbol")
-    return _convolve(g, np.broadcast_to(np.asarray(lam, dtype=np.float64), shape), prefactor, scheme)
+        prefactor = _half_symbol(prefactor, g.grid.n, "prefactor symbol")
+    return _convolve(g, _half_symbol(lam, g.grid.n, "decay rates"), prefactor, scheme)

@@ -23,10 +23,8 @@ Conventions used throughout the package:
   spectrum.
 * Nyquist rule: the derivative wavenumbers ``kx_deriv`` and
   ``ky_deriv_half`` are ``xi`` with the Nyquist row and column set to zero.
-  The Nyquist mode is its own mirror, so ``i*xi`` there is not the spectrum
-  of a real field; the real part of the full-layout inverse transform of
-  ``1j*xi*coeffs`` drops that part exactly, and the zeroed wavenumbers drop
-  it in the half layout too.
+  The Nyquist wavenumber is its own negative, so the odd symbol ``1j*xi``
+  cannot keep a real field's spectrum real there; zeroing drops that part.
 * Products of fields are dealiased with the 2/3 rule: integer modes with
   ``|k| > n//3`` on either axis are zeroed before and after the real-space
   multiplication.  ``d1_dealiased_half`` and ``d2_dealiased_half`` are the
@@ -101,7 +99,6 @@ class Grid2D:
         k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=h)  # (n,) in FFT ordering
         k1h = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)  # (n//2+1,) non-negative
         object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k1[:, None] ** 2 + k1[None, :] ** 2)
         object.__setattr__(self, "k2_half", k1[:, None] ** 2 + k1h[None, :] ** 2)
 
         # Half layout: column multiplicity for Parseval sums and the
@@ -197,48 +194,9 @@ class ScalarField:
         return cls(grid, np.zeros((grid.n, grid.n)))
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex Fourier coefficients of a field, full n x n layout.
-
-    Hermitian symmetry ``coeffs[-k] == conj(coeffs[k])`` holds exactly when
-    the represented field is real.
-    """
-
-    grid: Grid2D
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.n, self.grid.n):
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match grid ({self.grid.n}, {self.grid.n})"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        flipped = np.conj(np.roll(self.coeffs[::-1, ::-1], 1, axis=(0, 1)))
-        scale = np.max(np.abs(self.coeffs)) or 1.0
-        return bool(np.max(np.abs(self.coeffs - flipped)) <= tol * scale)
-
-
 def _require_same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
-
-
-def to_spectral(f: ScalarField) -> SpectralField:
-    """Forward transform; see the module docstring for the normalisation."""
-    return SpectralField(f.grid, fft2(f.values))
-
-
-def from_spectral(F: SpectralField) -> ScalarField:
-    """Inverse transform.
-
-    Taking the real part of the inverse FFT is equivalent to Hermitian
-    symmetrisation of the coefficients, so the result is always a real field.
-    """
-    return ScalarField(F.grid, ifft2(F.coeffs).real)
 
 
 # ---------------------------------------------------------------------------

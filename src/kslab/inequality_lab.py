@@ -138,7 +138,7 @@ def _time_lp(times: np.ndarray, values: np.ndarray, p: float, v0: float | None =
 def _add_sample(samples: list, family: str, params: tuple, lhs: float, rhs: float) -> None:
     """Record the ratio lhs/rhs, unless the right-hand side vanishes."""
     if rhs != 0:
-        samples.append(RatioSample(family, params, lhs, rhs))
+        samples.append(RatioSample(family, params, float(lhs), float(rhs)))
 
 
 _SWEEP_MODES = (1, 2, 3, 4, 6, 8, 12, 16)

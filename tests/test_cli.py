@@ -1,6 +1,7 @@
 """CLI tests: config round trips, subcommands, exit codes, determinism."""
 
 import ast
+import csv
 import json
 import struct
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import kslab
-from kslab import SolverConfig, gaussian_field, picard_solve, sigma
+from kslab import Grid2D, ScalarField, SolverConfig, gaussian_field, make_grid, picard_solve, save_field, sigma
 from kslab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -179,6 +180,39 @@ class TestSolveCommand:
         assert "side length must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("wavevector, code", [("17,0", 2), ("0,-17", 2), ("16,0", 0), ("-16,16", 0)])
+    def test_aliased_wavevector_rejected(self, tmp_path, capsys, wavevector, code):
+        """On grid.n = 32 a cosine mode with |k_i| <= 16 is sampled without aliasing; k = 17 would be mode -15."""
+        out = tmp_path / "out"
+        args = ["solve", "--config", write_config(tmp_path, FAST_SOLVE), "--override", "data.kind=mode",
+                "--override", f"data.wavevector={wavevector}", "--override", "data.amplitude=1e-4",
+                "--out", str(out)]
+        assert main(args) == code
+        if code == 2:
+            assert "data.wavevector" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("fault", ["missing", "truncated", "non_finite"])
+    def test_bad_initial_data_file_is_a_config_error(self, tmp_path, capsys, command, fault):
+        grid = make_grid(32, 32.0)
+        u_path, v_path = tmp_path / "u0.ksf1", tmp_path / "v0.ksf1"
+        save_field(v_path, ScalarField.zero(grid))
+        if fault != "missing":
+            save_field(u_path, gaussian_field(grid, 1e-3, 0.5))
+            raw = u_path.read_bytes()
+            header = 24  # KSF1: magic, n, l, t; then n*n float64
+            raw = raw[:-100] if fault == "truncated" else \
+                raw[: header + 40] + struct.pack("<d", float("nan")) + raw[header + 48 :]
+            u_path.write_bytes(raw)
+        out = tmp_path / "out"
+        args = [command, "--config", write_config(tmp_path, FAST_SOLVE), "--override", "data.kind=file",
+                "--override", f"data.u_path={u_path}", "--override", f"data.v_path={v_path}", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"data.u_path {u_path}" in err
+        assert not list(out.glob("*.json"))
+
 
 class TestNormCsvRows:
     """norms.csv reads the solver's final reports; v's columns are 4c times w's entries."""
@@ -319,6 +353,13 @@ class TestVerifyCommand:
             assert summary["drift"][name]["max_drift"] < 0.10
         assert (out / "constants_report.json").exists()
         assert (out / "kernel_norms.csv").exists()
+        for path in [*sorted(out.glob("inequality_*.csv")), out / "constants_samples.csv"]:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows, path.name
+            for row in rows:  # plain numbers, not the repr of a NumPy scalar
+                for column in ("lhs", "rhs", "ratio"):
+                    float(row[column])
 
     def test_forced_inconsistent_c_flagged(self, tmp_path):
         cfg = write_config(tmp_path, self.VERIFY_CFG)
@@ -423,3 +464,16 @@ def test_only_cli_imports_csv_or_json():
                 continue
             offenders += [f"{path.name}: {n}" for n in names if n.split(".")[0] in ("csv", "json")]
     assert [o for o in offenders if not o.startswith("cli.py:")] == []
+
+
+def test_single_spectral_layout():
+    """The rfft2 half spectrum is the only spectral layout: no module imports the full-layout transforms or view."""
+    full_layout = {"fft2", "SpectralField", "to_spectral", "from_spectral"}
+    offenders = []
+    for path in sorted(Path(kslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name in full_layout or (alias.name == "ifft2" and path.name != "data.py")]
+    assert offenders == []
+    assert not hasattr(Grid2D(16, 8.0), "k2")

@@ -264,18 +264,18 @@ class TestEtdConvolve:
     def test_matches_linear_l(self, grid, tgrid):
         f = cosine_mode_field(grid, (2, 1))
         traj = const_traj(grid, tgrid, f)
-        via_generic = etd_convolve(traj, 1.0 + grid.k2)
+        via_generic = etd_convolve(traj, 1.0 + grid.k2_half)
         via_l = linear_L(traj)
         assert np.max(np.abs(via_generic.stacked - via_l.stacked)) < 1e-14
 
     def test_rejects_negative_rates(self, grid, tgrid):
         with pytest.raises(ValueError, match="non-negative"):
-            etd_convolve(Trajectory.zero(grid, tgrid), -np.ones((grid.n, grid.n)))
+            etd_convolve(Trajectory.zero(grid, tgrid), -np.ones_like(grid.k2_half))
 
     def test_prefactor_symbol(self, grid, tgrid):
         f = cosine_mode_field(grid, (3, 0))
         traj = const_traj(grid, tgrid, f)
-        out = etd_convolve(traj, grid.k2, prefactor=np.sqrt(grid.k2))
+        out = etd_convolve(traj, grid.k2_half, prefactor=np.sqrt(grid.k2_half))
         lam = (2 * np.pi * 3 / grid.l) ** 2
         t = tgrid.times[-1]
         expected = np.sqrt(lam) * (1 - np.exp(-t * lam)) / lam * f.values

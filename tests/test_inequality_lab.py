@@ -84,7 +84,7 @@ class TestBilinearLemma:
         tgrid = SMALL.make_timegrid()
         f = cosine_mode_field(grid, (2, 0))
         traj = Trajectory.from_values(grid, tgrid, np.stack([f.values] * tgrid.count), initial=f)
-        out = etd_convolve(traj, 1.0 + grid.k2)
+        out = etd_convolve(traj, 1.0 + grid.k2_half)
         lam = 1.0 + (2 * np.pi * 2 / grid.l) ** 2
         t = tgrid.times[-1]
         expected = (1 - np.exp(-t * lam)) / lam * f.values

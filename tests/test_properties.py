@@ -38,7 +38,7 @@ from kslab import (
 )
 from kslab.cli import ExperimentConfig, parse_config_text, serialize_config
 from kslab.data import random_band_limited_field
-from kslab.duhamel import EtdPlan, QuadratureScheme, _convolve_hat, _profile_march, etd_weights
+from kslab.duhamel import EtdPlan, QuadratureScheme, _convolve_hat, _phi1, _profile_march, etd_weights
 from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
 from kslab.inequality_lab import _PROFILES, _lab_fields, _time_lp
 from kslab.fields import _grad_values
@@ -112,15 +112,15 @@ class TestBatchedKernelsMatchSingleFieldForms:
         grid = make_grid(16, l)
         stack = _stack(seed, k)
         full, half = fft2(stack), rfft2(stack)
-        kx, ky = grid.k1[:, None], grid.k1[None, :]
+        kx, ky, k2, _ = _full_layout(grid)
         g1, g2 = ifft2(1j * kx * full).real, ifft2(1j * ky * full).real
         grad_full = np.max(np.sqrt(g1**2 + g2**2), axis=(1, 2))
         factor = grid.l**2 / grid.n**4
-        weight_full = (1.0 + grid.k2) ** s
+        weight_full = (1.0 + k2) ** s
         hs_full = np.sqrt(factor * np.sum(weight_full * np.abs(full) ** 2, axis=(1, 2)))
         np.testing.assert_allclose(_batch_grad_linf(grid, half), grad_full, rtol=1e-13, atol=0)
         np.testing.assert_allclose(_batch_hs(grid, half, s), hs_full, rtol=1e-13, atol=0)
-        weight = np.cos(kx) * np.cos(ky) + grid.k2  # even, not radial
+        weight = np.cos(kx) * np.cos(ky) + k2  # even, not radial
         np.testing.assert_allclose(
             _parseval_sum(grid, np.abs(half) ** 2, weight[:, : grid.n // 2 + 1]),
             factor * np.sum(weight * np.abs(full) ** 2, axis=(1, 2)), rtol=1e-13, atol=0)
@@ -141,8 +141,8 @@ class TestEtdOperators:
         grid = make_grid(16, 8.0)
         g1 = _trajectory(grid, seed, 4, with_initial)
         g2 = _trajectory(grid, seed + 1, 4, with_initial)
-        lam = grid.k2 + damping
-        pre = np.sqrt(grid.k2) if with_prefactor else None
+        lam = grid.k2_half + damping
+        pre = np.sqrt(grid.k2_half) if with_prefactor else None
         lhs = etd_convolve(a * g1 + b * g2, lam, pre).stacked
         rhs = a * etd_convolve(g1, lam, pre).stacked + b * etd_convolve(g2, lam, pre).stacked
         scale = max(1.0, float(np.max(np.abs(rhs))))
@@ -152,9 +152,9 @@ class TestEtdOperators:
     def test_linear_L_and_maximal_reg_T_are_symbol_choices(self, seed, damped, with_initial):
         grid = make_grid(16, 8.0)
         g = _trajectory(grid, seed, 4, with_initial)
-        lam = grid.k2 + (1.0 if damped else 0.0)
+        lam = grid.k2_half + (1.0 if damped else 0.0)
         assert np.array_equal(linear_L(g, damped=damped).stacked, etd_convolve(g, lam).stacked)
-        assert np.array_equal(maximal_reg_T(g).stacked, etd_convolve(g, grid.k2, -grid.k2).stacked)
+        assert np.array_equal(maximal_reg_T(g).stacked, etd_convolve(g, grid.k2_half, -grid.k2_half).stacked)
 
     @given(seed=seeds, with_initial=st.booleans())
     def test_bilinear_B_has_zero_mean(self, seed, with_initial):
@@ -168,8 +168,8 @@ class TestEtdOperators:
     @given(seed=seeds, s=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0), damping=st.sampled_from([0.0, 1.0]))
     def test_free_flow_semigroup_law(self, seed, s, t, damping):
         grid = make_grid(16, 8.0)
-        coeffs = fft2(_stack(seed, 1)[0])
-        lam = grid.k2 + damping
+        coeffs = rfft2(_stack(seed, 1)[0])
+        lam = grid.k2_half + damping
         two_steps = _free_flow(_free_flow(coeffs, [s], lam)[0], [t], lam)[0]
         one_step = _free_flow(coeffs, [s + t], lam)[0]
         assert np.max(np.abs(two_steps - one_step)) <= 1e-12 * np.max(np.abs(coeffs))
@@ -190,18 +190,24 @@ def _mirror(sym: np.ndarray) -> np.ndarray:
     return np.roll(sym[::-1, ::-1], 1, axis=(0, 1))
 
 
-def _rates(grid, kind: str, seed: int) -> np.ndarray:
-    """Decay rates on the grid: |xi|^2, 1 + |xi|^2, or a few values repeated at random (made even)."""
-    if kind == "heat":
-        return grid.k2
-    if kind == "damped":
-        return 1.0 + grid.k2
-    r = np.random.default_rng(seed).choice([0.0, 0.5, 3.0, 40.0], size=grid.k2.shape)
-    return np.maximum(r, _mirror(r))
-
-
 def _half(sym: np.ndarray) -> np.ndarray:
     return sym[:, : sym.shape[1] // 2 + 1]
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """The full (n, n) symbol, even in xi, whose half-layout columns are ``half``: sym[k1, -k2] = sym[-k1, k2]."""
+    n = half.shape[0]
+    return np.concatenate((half, np.roll(half[::-1, n // 2 - 1 : 0 : -1], 1, axis=0)), axis=1)
+
+
+def _rates(grid, kind: str, seed: int) -> np.ndarray:
+    """Half-layout decay rates: |xi|^2, 1 + |xi|^2, or a few values repeated at random (made even)."""
+    if kind == "heat":
+        return grid.k2_half
+    if kind == "damped":
+        return 1.0 + grid.k2_half
+    r = np.random.default_rng(seed).choice([0.0, 0.5, 3.0, 40.0], size=(grid.n, grid.n))
+    return _half(np.maximum(r, _mirror(r)))
 
 
 def _dense_march(ghat, g0hat, times, lam, scheme):
@@ -240,10 +246,10 @@ class TestEtdPlans:
     def test_plan_reuse_is_bit_identical(self, seed, scheme, with_initial, rate, with_prefactor):
         grid = make_grid(16, 8.0)
         lam = _rates(grid, rate, seed)
-        pre = _half(np.sqrt(grid.k2)) if with_prefactor else None
+        pre = np.sqrt(grid.k2_half) if with_prefactor else None
         plan = EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4), scheme)
         assert plan.decay.shape == (4 * scheme.substeps, np.unique(lam).size)
-        assert np.array_equal(plan.values[plan.inverse], _half(lam))
+        assert np.array_equal(plan.values[plan.inverse], lam)
         for g in (_trajectory(grid, seed, 4, with_initial), _trajectory(grid, seed + 1, 4, with_initial)):
             ghat = rfft2(g.stacked)
             g0hat = None if g.initial is None else rfft2(g.initial.values)
@@ -254,7 +260,7 @@ class TestEtdPlans:
             if pre is not None:
                 ghat = pre * ghat
                 g0hat = None if g0hat is None else pre * g0hat
-            dense = irfft2(_dense_march(ghat, g0hat, g.tgrid.times, _half(lam), scheme), grid.n)
+            dense = irfft2(_dense_march(ghat, g0hat, g.tgrid.times, lam, scheme), grid.n)
             assert np.array_equal(irfft2(planned, grid.n), dense)
 
     @given(seed=seeds, scheme=schemes, with_initial=st.booleans(),
@@ -262,15 +268,15 @@ class TestEtdPlans:
     def test_half_layout_matches_full_layout(self, seed, scheme, with_initial, rate, with_prefactor):
         grid = make_grid(16, 8.0)
         lam = _rates(grid, rate, seed)
-        pre = np.sqrt(grid.k2) if with_prefactor else None
+        k2_full = _full_layout(grid)[2]
         g = _trajectory(grid, seed, 4, with_initial)
         ghat = fft2(g.stacked)
         g0hat = None if g.initial is None else fft2(g.initial.values)
-        if pre is not None:
-            ghat = pre * ghat
-            g0hat = None if g0hat is None else pre * g0hat
-        full = ifft2(_dense_march(ghat, g0hat, g.tgrid.times, lam, scheme)).real
-        half = etd_convolve(g, lam, pre, scheme).stacked
+        if with_prefactor:
+            ghat = np.sqrt(k2_full) * ghat
+            g0hat = None if g0hat is None else np.sqrt(k2_full) * g0hat
+        full = ifft2(_dense_march(ghat, g0hat, g.tgrid.times, _unfold(lam), scheme)).real
+        half = etd_convolve(g, lam, np.sqrt(grid.k2_half) if with_prefactor else None, scheme).stacked
         assert np.max(np.abs(half - full)) <= 1e-13 * max(1.0, float(np.max(np.abs(full))))
 
     @given(seed=seeds, which=st.sampled_from(["lam", "prefactor"]))
@@ -278,22 +284,30 @@ class TestEtdPlans:
         grid = make_grid(16, 8.0)
         g = _trajectory(grid, seed, 4, True)
         rng = np.random.default_rng(seed)
-        sym = grid.k2.copy()
-        i, j = rng.integers(16), rng.integers(1, 8)  # j in 1..7: a mode whose mirror is another mode
+        sym = grid.k2_half.copy()
+        # columns 0 and n/2 mirror onto themselves; rows 1..7 and 9..15 mirror onto other rows
+        i, j = rng.integers(1, 8) + 8 * rng.integers(2), 8 * rng.integers(2)
         sym[i, j] += 1.0
-        lam, pre = (sym, None) if which == "lam" else (grid.k2, sym)
+        lam, pre = (sym, None) if which == "lam" else (grid.k2_half, sym)
         with pytest.raises(ValueError, match="even in xi"):
             etd_convolve(g, lam, pre)
         if which == "lam":
             with pytest.raises(ValueError, match="even in xi"):
                 EtdPlan(sym, g.tgrid)
+        full = _full_layout(grid)[2]  # an even full-layout symbol is the wrong layout
+        lam, pre = (full, None) if which == "lam" else (grid.k2_half, np.sqrt(full))
+        with pytest.raises(ValueError, match=r"half layout \(n, n//2\+1\)"):
+            etd_convolve(g, lam, pre)
+        if which == "lam":
+            with pytest.raises(ValueError, match=r"half layout \(n, n//2\+1\)"):
+                EtdPlan(full, g.tgrid)
 
     @given(seed=seeds, bad=st.sampled_from([-1e-300, -1.0, np.nan, np.inf, -np.inf]))
     def test_bad_rates_rejected_at_build(self, seed, bad):
         grid = make_grid(16, 8.0)
-        lam = grid.k2.copy()
+        lam = grid.k2_half.copy()
         rng = np.random.default_rng(seed)
-        lam[rng.integers(16), rng.integers(16)] = bad
+        lam[rng.integers(16), rng.integers(9)] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
             EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4))
 
@@ -302,12 +316,20 @@ class TestHalfLayoutRates:
     @given(seed=seeds, scheme=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),
            n=st.sampled_from([16, 32, 64]), l=lengths)
     def test_half_rates_give_the_full_symbols_tables(self, seed, scheme, rate, n, l):
+        """The half layout keeps every distinct rate of the full symbol, so the tables are the full symbol's."""
         grid = make_grid(n, l)
         lam = _rates(grid, rate, seed)
         tgrid = TimeGrid.geometric(1e-2, 1.0, 4)
-        half, full = EtdPlan(_half(lam), tgrid, scheme), EtdPlan(lam, tgrid, scheme)
-        for name in ("values", "inverse", "edges", "dts", "decay", "w_a", "w_b", "head_phi1"):
-            assert np.array_equal(getattr(half, name), getattr(full, name)), name
+        plan = EtdPlan(lam, tgrid, scheme)
+        values = np.unique(_unfold(lam))
+        assert np.array_equal(plan.values, values)
+        assert np.array_equal(plan.values[plan.inverse], lam)
+        decay, phi1, w_left, w_right = etd_weights(plan.dts[:, None] * values)
+        linear = scheme.kind == "etd_piecewise_linear"
+        tables = {"decay": decay, "w_a": w_left if linear else phi1, "head_phi1": _phi1(values * tgrid.times[0])}
+        for name, table in tables.items():
+            assert np.array_equal(getattr(plan, name), table), name
+        assert np.array_equal(plan.w_b, w_right) if linear else plan.w_b is None
 
     @given(n=st.sampled_from([16, 32, 64, 128]), l=lengths, shift=st.sampled_from([0.0, 1.0]))
     def test_rate_layout_of_the_grid(self, n, l, shift):
@@ -316,7 +338,9 @@ class TestHalfLayoutRates:
         assert inverse.shape == grid.k2_half.shape
         assert np.array_equal(values[inverse], grid.k2_half + shift)
         assert np.all(np.diff(values) > 0)
-        assert np.array_equal(grid.k2[:, : n // 2 + 1], grid.k2_half)
+        k2_full = _full_layout(grid)[2]
+        assert np.array_equal(_half(k2_full), grid.k2_half)
+        assert np.array_equal(_unfold(grid.k2_half), k2_full)
 
 
 _finite_scales = st.integers(-300, 150).map(lambda e: 10.0**e)
