@@ -7,6 +7,13 @@ trailing newline) and ``_write_csv`` (RFC-4180 rows, repr'd floats) take the
 reports' data (``to_json_dict()``, ``samples``, ``entries``).  No output has a
 timestamp, so identical configs give bit-identical files.
 
+``picard.c = auto`` (the default) takes the pinned constant
+``inequality_lab.AUTO_C``, which is ``default_constants().c``: ``solve``,
+``compare`` and ``norms`` run no lab.  A test recomputes the pin, and every
+``verify`` does: it reuses its own constants run when its lab set-up is
+``LabSetup()`` and runs ``default_constants()`` otherwise, and fails when
+that ``c`` differs from the pin.
+
 ``norms.csv`` (from ``solve``) holds the node series of the solver's final
 norm reports, the v columns as 4c times w's.
 
@@ -30,9 +37,11 @@ from .data import cosine_mode_field, gaussian_field, smoothed_stripe_field
 from .duhamel import QuadratureScheme
 from .fields import Grid2D, ScalarField, load_field, worker_count
 from .inequality_lab import (
+    AUTO_C,
     LabSetup,
     besov_equivalence_samples,
     counterexample_sweep,
+    default_constants,
     estimate_constants,
     refinement_drift,
     verify_bilinear_lemma23,
@@ -228,6 +237,10 @@ def make_solver_config(cfg: ExperimentConfig) -> SolverConfig:
         quadrature=QuadratureScheme(cfg.picard_quadrature, cfg.picard_substeps),
         remark_ii=cfg.variant_remark_ii,
     )
+
+
+# the set-up default_constants() runs, whose c is the pin AUTO_C
+_PIN_SETUP = LabSetup()
 
 
 def lab_setup(cfg: ExperimentConfig) -> LabSetup:
@@ -437,6 +450,10 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             f"configured picard.c={cfg.picard_c} is below the observed constant "
             f"{constants.observed_max:.4g}; the threshold 3/(32c^2) would be inconsistent"
         )
+    pinned_c = (constants if setup == _PIN_SETUP else default_constants()).c
+    if pinned_c != AUTO_C:
+        failures.append(f"the lab's c={pinned_c!r} on {_PIN_SETUP} differs from the pinned c=auto "
+                        f"value AUTO_C={AUTO_C!r}; re-pin AUTO_C")
 
     sweep = counterexample_sweep()
     print(f"stripe lower constant c0 = {sweep.c0:.6f}; sweep verdict: "

@@ -148,6 +148,8 @@ class EtdPlan:
         lam = np.asarray(lam, dtype=np.float64)
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("decay rates must be finite and non-negative")
+        if lam.ndim != 2:  # a plan has no grid to take n from (etd_convolve does), so no broadcasting
+            raise ValueError(f"decay rates must be in the half layout (n, n//2+1), got shape {lam.shape}")
         lam = _half_symbol(lam, lam.shape[0], "decay rates")
         values, inverse = _rate_layout(lam)
         knots = np.concatenate(([0.0], tgrid.times))

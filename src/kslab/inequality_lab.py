@@ -530,8 +530,17 @@ def estimate_constants(
 
 @lru_cache(maxsize=1)
 def default_constants() -> ConstantsReport:
-    """The bundled deterministic constants run used when no c is configured."""
+    """The bundled deterministic constants run, ``estimate_constants(LabSetup())``.
+
+    Its ``c`` is pinned as ``AUTO_C``, the constant the solver takes when no
+    c is configured; a test and ``kslab verify`` recompute it and require bit
+    equality with the pin.
+    """
     return estimate_constants(LabSetup())
+
+
+# default_constants().c, pinned so that c=auto costs nothing; re-pin when the lab's numbers move
+AUTO_C = 2.5138761466961865
 
 
 # ---------------------------------------------------------------------------

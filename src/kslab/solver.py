@@ -10,9 +10,9 @@ is solved by iterating the map
 
 on trajectories, where w = v/(4c) is the rescaled chemical concentration and
 c is an admissible constant for the linear and bilinear estimates (supplied
-by the caller or estimated empirically).  Iteration starts from the free
-evolution and contracts in the same weighted space-time norm the chosen
-theorem mode quantifies.
+by the caller, or the pinned empirical estimate ``inequality_lab.AUTO_C``).
+Iteration starts from the free evolution and contracts in the same weighted
+space-time norm the chosen theorem mode quantifies.
 
 The sweep is Gauss-Seidel: u_{m+1} = e^{t Lap} u0 - 4c B(u_m, w_m), then
 w_{m+1} = e^{t(Lap-1)} w0 + L(u_{m+1})/(4c) from the new density rather than
@@ -48,6 +48,7 @@ from .duhamel import (
     etd_weights,
 )
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
+from .inequality_lab import AUTO_C
 from .norms import NormReport, default_besov_probe, grad_besov_sup, lp_norm, hs_norm
 from .semigroup import _free_flow
 from .trajectories import (
@@ -91,7 +92,7 @@ class SolverConfig:
     t_max: float = 10.0
     num_times: int = 64
     spacing: str = "geometric"
-    c: float | None = None  # None: take the bundled empirical constant
+    c: float | None = None  # None: the pinned empirical constant inequality_lab.AUTO_C
     max_iter: int = 50
     tol: float = 1e-11
     mode: str = "thm1_L1Linf"
@@ -119,11 +120,12 @@ class SolverConfig:
         return TimeGrid.uniform(self.t_min, self.t_max, self.num_times)
 
     def resolve_c(self) -> float:
-        if self.c is not None:
-            return float(self.c)
-        from .inequality_lab import default_constants
+        """The configured c, or the pinned ``AUTO_C`` without running the lab.
 
-        return default_constants().c
+        The pin is ``default_constants().c``; a test and ``kslab verify``
+        recompute that and require bit equality.
+        """
+        return AUTO_C if self.c is None else float(self.c)
 
 
 def _xy_report(mode: str, grid: Grid2D, tgrid: TimeGrid, iteration: int, u_vals: np.ndarray,
@@ -166,6 +168,9 @@ class SolutionReport:
     r_{m-1} > 0.  Under the Gauss-Seidel sweep the first ratio measures the
     quadratic term (the first step away from the free evolution), not the
     contraction; the later ones estimate the contraction rate.
+    ``free_u_x_nodes`` holds ||u||_L1 + t ||u||_Linf at each node for
+    iteration 0, u0's heat flow, which the Theorem-1 verdict reads; it is not
+    in the JSON.
     """
 
     config: SolverConfig
@@ -188,6 +193,7 @@ class SolutionReport:
     norms_thm2: NormReport
     mass_initial: float
     mass_drift_max: float
+    free_u_x_nodes: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -274,6 +280,9 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     w_grad = _grad_values(grid, w_hat)
     report = _xy_report(mode, grid, tgrid, 0, u_vals, w_grad, u_hat, w_hat, u0_hat, w0_hat, damped)
     a0 = report.value("xy_norm")
+    # the Theorem-1 verdict's right side reads u0's heat flow, which is this iterate
+    free_u_x_nodes = (_norms._batch_lp(u_vals, 1.0, grid.cell_area)
+                      + times * _norms._batch_lp(u_vals, np.inf, grid.cell_area))
     threshold = 3.0 / (32.0 * c * c)
     contraction_bound = 8.0 * c * c * a0 + 0.25
 
@@ -357,6 +366,7 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
         norms_thm2=report_thm2,
         mass_initial=mass0,
         mass_drift_max=mass_drift,
+        free_u_x_nodes=free_u_x_nodes,
         diagnostics=diag,
     )
 
@@ -487,22 +497,21 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
 
     Both sides are evaluated as maxima over the solution's time grid:
     sup_t (||u||_L1 + t ||u||_Linf + (1/4c) t^{1/2} ||grad v||_Linf).  The left
-    side sums the final Theorem-1 report's node series (v/(4c) = w: Y's term).
-    Also evaluates the data-level sufficient condition
+    side sums the final Theorem-1 report's node series (v/(4c) = w: Y's term);
+    the right side's u terms are Picard's iterate 0, u0's heat flow
+    (``free_u_x_nodes``), so only v0's heat flow is transformed.  Also evaluates
+    the data-level sufficient condition
     2 ||u0||_L1 + (1/4c) sup_t t^{1/2} ||grad e^{t Lap} v0||_Linf <= 3/(32 c^2).
     """
     c = report.c
     grid = report.u.grid
     times = report.u.tgrid.times
-    cell = grid.cell_area
 
     r = report.norms_thm1
     lhs = float(np.max(r["u_sup_l1"].nodes + r["u_sup_t_linf"].nodes + r["y_norm"].nodes))
-    # plain heat flow on both sides, straight from the data's half spectra
-    free_u = irfft2(_free_flow(rfft2(report.u0.values), times, grid.k2_half), grid.n)
+    # v0's plain heat flow is not Picard's damped w flow: it is transformed here
     gv = _norms._batch_grad_linf(grid, _free_flow(rfft2(report.v0.values), times, grid.k2_half))
-    l1, linf = _norms._batch_lp(free_u, 1.0, cell), _norms._batch_lp(free_u, np.inf, cell)
-    rhs = 2.0 * float(np.max(l1 + times * linf + np.sqrt(times) * gv / (4.0 * c)))
+    rhs = 2.0 * float(np.max(report.free_u_x_nodes + np.sqrt(times) * gv / (4.0 * c)))
 
     if float(np.max(np.abs(report.v0.values))) > 0:
         grad_b = grad_besov_sup(report.v0, default_besov_probe()).value

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import kslab
-from kslab import Grid2D, ScalarField, SolverConfig, gaussian_field, make_grid, picard_solve, save_field, sigma
+from kslab import (Grid2D, ScalarField, SolverConfig, estimate_constants, gaussian_field, make_grid, picard_solve,
+                   save_field, sigma)
 from kslab.cli import (
     ConfigError,
     ExperimentConfig,
     _norm_csv_rows,
+    lab_setup,
     load_config,
     main,
     parse_config_text,
@@ -369,6 +371,18 @@ class TestVerifyCommand:
         assert code == 1
         summary = json.loads((out / "verify_summary.json").read_text())
         assert any("inconsistent" in f for f in summary["failures"])
+
+    def test_lab_c_off_the_pin_fails(self, tmp_path, monkeypatch, capsys):
+        # take VERIFY_CFG's lab set-up as the pin's and put the pin one ulp off its c
+        cfg = write_config(tmp_path, self.VERIFY_CFG)
+        setup = lab_setup(load_config(cfg, []))
+        monkeypatch.setattr(kslab.cli, "_PIN_SETUP", setup)
+        monkeypatch.setattr(kslab.cli, "AUTO_C", float(np.nextafter(estimate_constants(setup).c, np.inf)))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert len(summary["failures"]) == 1 and "re-pin AUTO_C" in summary["failures"][0]
+        assert "FAIL: the lab's c=" in capsys.readouterr().err
 
 
 class TestLabConfig:

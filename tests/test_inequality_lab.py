@@ -1,5 +1,8 @@
 """Lab tests: estimate ratios, constants, refinement drift, counterexample."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,11 +10,13 @@ from scipy.integrate import quad
 from kslab import (
     ConstantsReport,
     LabSetup,
+    SolverConfig,
     bilinear_B,
     cosine_mode_field,
     counterexample_profile,
     counterexample_sweep,
     damped_heat_trajectory,
+    default_constants,
     estimate_constants,
     heat_trajectory,
     hs_norm,
@@ -26,9 +31,10 @@ from kslab import (
     xy_norms_thm1,
     xy_norms_thm2,
 )
+from kslab import inequality_lab
 from kslab.cli import _write_json, _write_samples
 from kslab.fields import Grid2D
-from kslab.inequality_lab import standard_families
+from kslab.inequality_lab import AUTO_C, standard_families
 
 # small but inside the saturated mode x horizon regime, so observed constants
 # are already stable under doubling
@@ -206,8 +212,6 @@ class TestConstants:
         report = estimate_constants(SMALL)
         _write_json(tmp_path / "c.json", report.to_json_dict())
         _write_samples(tmp_path / "c.csv", report.samples)
-        import json
-
         loaded = json.loads((tmp_path / "c.json").read_text())
         assert loaded["c"] == report.c
         assert loaded["threshold"] == report.threshold
@@ -220,6 +224,29 @@ class TestConstants:
         )
         assert report.threshold == pytest.approx(3.0 / 128.0)
         assert report.threshold == pytest.approx(0.0234375)
+
+
+class TestPinnedConstant:
+    """c=auto is the pin AUTO_C: checked against a fresh lab run and the benchmark's reference."""
+
+    def test_pin_is_bit_equal_to_a_fresh_lab_run(self):
+        default_constants.cache_clear()
+        c = default_constants().c
+        assert c == AUTO_C, (f"default_constants().c = {c!r} but AUTO_C = {AUTO_C!r}: the lab's numbers moved; "
+                             "re-pin AUTO_C (and c_reference in perfbench/baseline.json)")
+
+    def test_pin_equals_the_benchmark_reference(self):
+        baseline = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
+        assert json.loads(baseline.read_text(encoding="utf-8"))["c_reference"] == AUTO_C
+
+    def test_auto_c_runs_no_lab(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("c=auto ran estimate_constants")
+
+        default_constants.cache_clear()
+        monkeypatch.setattr(inequality_lab, "estimate_constants", refuse)
+        assert SolverConfig(c=None).resolve_c() == AUTO_C
+        assert SolverConfig(c=3.0).resolve_c() == 3.0
 
 
 class TestMeasuredRatios:

@@ -311,6 +311,12 @@ class TestEtdPlans:
         with pytest.raises(ValueError, match="finite and non-negative"):
             EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4))
 
+    @pytest.mark.parametrize("lam", [1.0, np.ones(16), np.ones((16, 9, 1))], ids=["0-d", "1-d", "3-d"])
+    def test_rates_of_the_wrong_rank_name_the_half_layout(self, lam):
+        # EtdPlan has no grid to broadcast a scalar against, unlike etd_convolve
+        with pytest.raises(ValueError, match=r"half layout \(n, n//2\+1\)"):
+            EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4))
+
 
 class TestHalfLayoutRates:
     @given(seed=seeds, scheme=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),

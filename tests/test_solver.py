@@ -27,6 +27,7 @@ from kslab import (
 )
 from kslab.fields import irfft2, rfft2
 from kslab.norms import _batch_grad_linf, _batch_lp, _l2t_grad
+from kslab.semigroup import _free_flow
 
 C_TEST = 2.5  # admissible constant for these smoke-scale runs
 
@@ -233,9 +234,21 @@ class TestVerdictsReadTheReports:
         assert check_theorem1_bound(rep).lhs == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_theorem1_verdict_transforms_only_the_data(self, small_report, fft_calls):
-        # u0's and v0's heat flows: 2 r2c, then u's node values and v's gradient, 3 c2r
+        # v0's heat flow: 1 r2c, then its gradient, 2 c2r; u0's heat flow is Picard's iterate 0
         check_theorem1_bound(small_report)
-        assert fft_calls == {"rfft2": 2, "irfft2": 3}
+        assert fft_calls == {"rfft2": 1, "irfft2": 2}
+
+    @pytest.mark.parametrize("mode", ["thm1_L1Linf", "thm2_H1bH1"])
+    def test_theorem1_rhs_equals_the_transformed_heat_flows(self, cfg, grid, mode):
+        # the same bits as transforming both data's plain heat flows
+        w0 = (1.0 / (4.0 * C_TEST)) * gaussian_field(grid, 1e-3, 0.7)
+        rep = picard_solve(gaussian_field(grid, 1e-3, 0.5), w0, replace(cfg, mode=mode))
+        times, cell = rep.u.tgrid.times, grid.cell_area
+        free_u = heat_trajectory(rep.u0, rep.u.tgrid).stacked
+        gv = _batch_grad_linf(grid, _free_flow(rfft2(rep.v0.values), times, grid.k2_half))
+        expected = 2.0 * float(np.max(_batch_lp(free_u, 1.0, cell) + times * _batch_lp(free_u, np.inf, cell)
+                                      + np.sqrt(times) * gv / (4.0 * C_TEST)))
+        assert check_theorem1_bound(rep).rhs == expected
 
     @pytest.mark.parametrize("remark_ii", [False, True])
     def test_theorem2_grad_w_term_is_the_reports_entry(self, cfg, grid, remark_ii):
