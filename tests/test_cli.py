@@ -491,3 +491,19 @@ def test_single_spectral_layout():
                               if alias.name in full_layout or (alias.name == "ifft2" and path.name != "data.py")]
     assert offenders == []
     assert not hasattr(Grid2D(16, 8.0), "k2")
+
+
+def test_only_fields_imports_the_fft_backend():
+    """The transform backend is decided in one module: only fields imports scipy.fft or its pocketfft binding."""
+    offenders = []
+    for path in sorted(Path(kslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}: {n}" for n in names
+                          if n.startswith("scipy.fft") or "pocketfft" in n]
+    assert offenders and all(o.startswith("fields.py:") for o in offenders)

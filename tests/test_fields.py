@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from kslab import (
     Composite,
@@ -141,6 +142,51 @@ class TestTransforms:
         l2_sq = np.sum(f.values**2) * g.cell_area
         spectral = g.l**2 / g.n**4 * np.sum(g.parseval_mult_half * np.abs(F) ** 2)
         assert abs(l2_sq - spectral) / l2_sq < 1e-10
+
+
+class TestTransformContract:
+    """rfft2/irfft2 call pocketfft directly: bit-equal to scipy.fft on the half layout, strict elsewhere."""
+
+    @staticmethod
+    def values(shape, seed=0):
+        return np.random.default_rng(seed).standard_normal(shape)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (3, 32, 32), (2, 3, 16, 16)], ids=["single", "batched", "batched-4d"])
+    def test_bit_equal_to_scipy(self, shape):
+        a = self.values(shape)
+        n = shape[-1]
+        assert np.array_equal(rfft2(a), scipy.fft.rfft2(a))
+        spec = scipy.fft.rfft2(a)
+        assert np.array_equal(irfft2(spec, n), scipy.fft.irfft2(spec, s=(n, n)))
+
+    def test_non_contiguous_bit_equal_to_scipy(self):
+        a = self.values((3, 32, 64))[::2, :, ::2]  # strided in the batch and the last axis
+        assert not a.flags.c_contiguous
+        assert np.array_equal(rfft2(a), scipy.fft.rfft2(a))
+        assert np.array_equal(rfft2(a.T), scipy.fft.rfft2(a.T))
+        spec = np.asfortranarray(scipy.fft.rfft2(self.values((2, 32, 32))))
+        assert np.array_equal(irfft2(spec, 32), scipy.fft.irfft2(spec, s=(32, 32)))
+        half = scipy.fft.rfft2(self.values((4, 32, 32)))[::2]
+        assert np.array_equal(irfft2(half, 32), scipy.fft.irfft2(half, s=(32, 32)))
+
+    def test_complex_input_rejected(self):
+        with pytest.raises(TypeError):
+            rfft2(self.values((16, 16)) + 0j)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (8, 9), (16, 8), (2, 16, 10), (9,)],
+                             ids=["full", "cropped-rows", "cropped-cols", "padded-cols", "1d"])
+    def test_irfft2_wrong_shape_names_half_layout(self, shape):
+        with pytest.raises(ValueError, match=r"half layout"):
+            irfft2(np.zeros(shape, dtype=complex), 16)
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_malformed_threads_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("KS_THREADS", raw)
+        a = self.values((16, 16))
+        with pytest.raises(ValueError, match="KS_THREADS"):
+            rfft2(a)
+        with pytest.raises(ValueError, match="KS_THREADS"):
+            irfft2(scipy.fft.rfft2(a), 16)
 
 
 class TestMultipliers:

@@ -1,5 +1,7 @@
 """Fixed-point solver tests: convergence, certificates, oracle agreement."""
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from kslab import (
     PicardBlowupError,
     QuadratureScheme,
+    ReferenceStepError,
     ScalarField,
     SolverConfig,
     bilinear_B,
@@ -166,6 +169,42 @@ class TestReferenceSolve:
         u_ref, v_ref = reference_solve(u0, v0, cfg)
         assert np.max(relative_node_differences(rep.u, u_ref)) <= 1e-4
         assert np.max(relative_node_differences(rep.v, v_ref)) <= 1e-4
+
+    def test_transform_budget(self, fft_calls):
+        """2 r2c for the data; per micro-step 2 r2c + 3 c2r; per segment one predictor and two output c2r."""
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST)
+        grid = cfg.make_grid()
+        reference_solve(gaussian_field(grid, 1e-3, 0.5), gaussian_field(grid, 5e-4, 0.7), cfg)
+        tgrid = cfg.make_timegrid()
+        bounds = np.concatenate(([0.0], tgrid.times))
+        steps = sum(max(1, math.ceil((b - a) / (tgrid.min_gap / 4.0))) for a, b in zip(bounds[:-1], bounds[1:]))
+        segments = tgrid.count
+        assert fft_calls == {"rfft2": 2 + 2 * (steps + segments),
+                             "irfft2": 3 * (steps + segments) + 2 * segments}
+
+
+class TestReferenceStepError:
+    """The oracle's doubling guard: a blowing-up large mass raises, a mass just below does not."""
+
+    CFG = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST)
+
+    def test_large_mass_raises_and_names_t(self):
+        grid = self.CFG.make_grid()
+        with pytest.raises(ReferenceStepError, match="doubled within one step") as err:
+            reference_solve(gaussian_field(grid, 120.0, 0.5), ScalarField.zero(grid), self.CFG)
+        t = float(re.search(r"near t=(\S+)$", str(err.value)).group(1))
+        assert 0.0 < t < self.CFG.t_max
+
+    def test_mass_below_does_not_raise(self):
+        grid = self.CFG.make_grid()
+        u0 = gaussian_field(grid, 90.0, 0.5)
+        u, v = reference_solve(u0, ScalarField.zero(grid), self.CFG)
+        assert np.all(np.isfinite(u.stacked)) and np.all(np.isfinite(v.stacked))
+        # strongly nonlinear: the density concentrates far above its linear heat flow ...
+        free = heat_trajectory(u0, self.CFG.make_timegrid())
+        assert np.max(u.stacked) > 5.0 * np.max(free.stacked)
+        # ... and the divergence-form step conserves its mass
+        np.testing.assert_allclose(u.stacked.sum(axis=(1, 2)) * grid.cell_area, u0.integral(), rtol=1e-10)
 
 
 class TestTheoremBounds:
@@ -378,34 +417,19 @@ class TestGaussSeidelSweep:
             assert rep.residuals[-1] == pytest.approx(expected, rel=1e-10)
             prev = (rep.u, rep.w)
 
-    def test_transform_budget_per_iteration(self, monkeypatch):
+    def test_transform_budget_per_iteration(self, fft_batches):
         """Thm1 mode: six c2r and two r2c batches of K planes per Picard iteration."""
-        import types
-
-        import kslab.fields
-
-        scipy_fft = kslab.fields._sfft
-        batches = {"rfft2": [], "irfft2": []}
-
-        def counted(name):
-            def transform(a, *args, **kwargs):
-                batches[name].append(np.shape(a)[:-2])
-                return getattr(scipy_fft, name)(a, *args, **kwargs)
-            return transform
-
-        monkeypatch.setattr(kslab.fields, "_sfft", types.SimpleNamespace(
-            rfft2=counted("rfft2"), irfft2=counted("irfft2"), fft2=scipy_fft.fft2, ifft2=scipy_fft.ifft2))
         cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST, tol=1e-300)
         grid = cfg.make_grid()
         u0 = gaussian_field(grid, 1e-3, 0.5)
         counts = []
         for max_iter in (2, 3):
-            for calls in batches.values():
+            for calls in fft_batches.values():
                 calls.clear()
             rep = picard_solve(u0, ScalarField.zero(grid), replace(cfg, max_iter=max_iter))
             assert rep.iterations == max_iter
-            counts.append({name: list(calls) for name, calls in batches.items()})
-        extra = {name: counts[1][name][len(counts[0][name]):] for name in batches}
+            counts.append({name: list(calls) for name, calls in fft_batches.items()})
+        extra = {name: counts[1][name][len(counts[0][name]):] for name in fft_batches}
         assert len(extra["irfft2"]) == 6
         assert len(extra["rfft2"]) == 2
         assert all(shape == (cfg.num_times,) for calls in extra.values() for shape in calls)
