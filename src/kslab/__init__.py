@@ -21,24 +21,7 @@ from .duhamel import (
     linear_L,
     maximal_reg_T,
 )
-from .fields import (
-    Composite,
-    DampedHeat,
-    FractionalLaplacian,
-    GradComponent,
-    Grid2D,
-    Heat,
-    Laplacian,
-    MultiplierSpec,
-    ScalarField,
-    divergence,
-    gradient,
-    load_field,
-    make_grid,
-    multiplier_apply,
-    pointwise_product,
-    save_field,
-)
+from .fields import Grid2D, ScalarField, gradient, load_field, make_grid, save_field
 from .inequality_lab import (
     ConstantsReport,
     CounterexampleResult,

@@ -25,6 +25,10 @@ Conventions used throughout the package:
   ``ky_deriv_half`` are ``xi`` with the Nyquist row and column set to zero.
   The Nyquist wavenumber is its own negative, so the odd symbol ``1j*xi``
   cannot keep a real field's spectrum real there; zeroing drops that part.
+* There are no multiplier objects: a symbol is a half-layout array that
+  multiplies half spectra in place.  Derivatives go through ``_grad_values``
+  (``gradient`` is its single-field form), and every heat flow through
+  ``semigroup._free_flow``.
 * Products of fields are dealiased with the 2/3 rule: integer modes with
   ``|k| > n//3`` on either axis are zeroed before and after the real-space
   multiplication.  ``d1_dealiased_half`` and ``d2_dealiased_half`` are the
@@ -44,7 +48,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Union
+from typing import BinaryIO
 
 import numpy as np
 import scipy.fft as _sfft
@@ -231,107 +235,6 @@ def _require_same_grid(a, b) -> None:
         raise ValueError("fields live on different grids")
 
 
-# ---------------------------------------------------------------------------
-# Fourier multipliers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Heat:
-    """Symbol exp(-t*|xi|^2): the heat flow at time t (modulus <= 1 for t >= 0)."""
-
-    t: float
-
-    def symbol(self, grid: Grid2D) -> np.ndarray:
-        return np.exp(-self.t * grid.k2_half)
-
-
-@dataclass(frozen=True)
-class DampedHeat:
-    """Symbol exp(-t) * exp(-t*|xi|^2): heat flow with unit-rate damping."""
-
-    t: float
-
-    def symbol(self, grid: Grid2D) -> np.ndarray:
-        # Written as the product so it matches e^{-t} * Heat(t) bit for bit.
-        return np.exp(-self.t) * np.exp(-self.t * grid.k2_half)
-
-
-@dataclass(frozen=True)
-class GradComponent:
-    """Symbol 1j*xi_axis: spectral partial derivative along the given axis (Nyquist rule)."""
-
-    axis: int
-
-    def __post_init__(self) -> None:
-        if self.axis not in (0, 1):
-            raise ValueError(f"axis must be 0 or 1, got {self.axis}")
-
-    def symbol(self, grid: Grid2D) -> np.ndarray:
-        k = grid.kx_deriv if self.axis == 0 else grid.ky_deriv_half
-        return (1j * k) * np.ones(grid.k2_half.shape)
-
-
-@dataclass(frozen=True)
-class Laplacian:
-    """Symbol -|xi|^2."""
-
-    def symbol(self, grid: Grid2D) -> np.ndarray:
-        return -grid.k2_half
-
-
-@dataclass(frozen=True)
-class FractionalLaplacian:
-    """Symbol |xi|^alpha with |0|^alpha = 0; only positive powers are allowed."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(
-                f"fractional power must be positive (|xi|^alpha is singular at 0 otherwise), got {self.alpha}"
-            )
-
-    def symbol(self, grid: Grid2D) -> np.ndarray:
-        return grid.k2_half ** (self.alpha / 2.0)
-
-
-@dataclass(frozen=True)
-class Composite:
-    """Pointwise product of component symbols."""
-
-    parts: tuple
-
-    def symbol(self, grid: Grid2D) -> np.ndarray:
-        sym = np.ones(grid.k2_half.shape, dtype=np.complex128)
-        for part in self.parts:
-            sym = sym * part.symbol(grid)
-        return sym
-
-
-MultiplierSpec = Union[Heat, DampedHeat, GradComponent, Laplacian, FractionalLaplacian, Composite]
-
-
-def multiplier_apply(m: MultiplierSpec, f: ScalarField) -> ScalarField:
-    """Apply a Fourier multiplier: inverse-transform of symbol * half spectrum.
-
-    The multiplier must evaluate to finite values on every grid wavenumber.
-    """
-    sym = np.asarray(m.symbol(f.grid))
-    if not np.all(np.isfinite(sym)):
-        raise ValueError("multiplier evaluates to NaN or infinity on the grid wavenumbers")
-    return ScalarField(f.grid, irfft2(sym * rfft2(f.values), f.grid.n))
-
-
-def pointwise_product(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Dealiased product: 2/3-rule truncation, real-space multiply, truncate again."""
-    _require_same_grid(f, g)
-    n, mask = f.grid.n, f.grid.dealias_mask_half
-    fd = irfft2(mask * rfft2(f.values), n)
-    gd = irfft2(mask * rfft2(g.values), n)
-    return ScalarField(f.grid, irfft2(mask * rfft2(fd * gd), n))
-
-
 def _grad_values(grid: Grid2D, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real-space gradient components of half spectra batched over the leading axes."""
     n = grid.n
@@ -342,14 +245,6 @@ def gradient(f: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Spectral gradient (i*xi multipliers, Nyquist modes dropped)."""
     g1, g2 = _grad_values(f.grid, rfft2(f.values))
     return ScalarField(f.grid, g1), ScalarField(f.grid, g2)
-
-
-def divergence(g1: ScalarField, g2: ScalarField) -> ScalarField:
-    """Spectral divergence; divergence(gradient(f)) is the Laplacian off the Nyquist row and column."""
-    _require_same_grid(g1, g2)
-    grid = g1.grid
-    c = 1j * grid.kx_deriv * rfft2(g1.values) + 1j * grid.ky_deriv_half * rfft2(g2.values)
-    return ScalarField(grid, irfft2(c, grid.n))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ from .data import (
     smoothed_stripe_field,
 )
 from .duhamel import DEFAULT_SCHEME, EtdPlan, _bilinear_hat, _convolve_hat, _div_u_grad_v, _profile_march
-from .fields import (GradComponent, Grid2D, ScalarField, _grad_values, _rate_layout, irfft2, multiplier_apply,
-                     rfft2)
+from .fields import Grid2D, ScalarField, _grad_values, _rate_layout, irfft2, rfft2
 from .norms import (
     _batch_hs,
     _batch_lp,
@@ -54,7 +53,7 @@ from .norms import (
     lp_norm,
     trapezoid,
 )
-from .semigroup import _free_flow, heat
+from .semigroup import _free_flow, grad_heat
 from .trajectories import TimeGrid, _require_finite
 
 
@@ -412,6 +411,11 @@ def refinement_drift(verifier, setup: LabSetup = LabSetup(), seed: int = 0) -> d
 # ---------------------------------------------------------------------------
 
 
+def smallness_threshold(c: float) -> float:
+    """The Picard smallness threshold 3/(32 c^2); ``c**2`` would differ from ``c*c`` by an ulp for some c."""
+    return 3.0 / (32.0 * c * c)
+
+
 @dataclass(frozen=True)
 class ConstantsReport:
     c1: float
@@ -524,7 +528,7 @@ def estimate_constants(
     }
     return ConstantsReport(
         c1=c1, c2=c2, c3=c3, safety_factor=safety_factor, c=c,
-        threshold=3.0 / (32.0 * c * c), samples=tuple(samples), metadata=meta,
+        threshold=smallness_threshold(c), samples=tuple(samples), metadata=meta,
     )
 
 
@@ -615,7 +619,7 @@ def counterexample_profile(
     if grid is not None and t > 0:
         s_m = (smoothing_cells * grid.h / 2.0) ** 2
         v0 = smoothed_stripe_field(grid, smoothing_time=s_m)
-        d1 = multiplier_apply(GradComponent(0), heat(t, v0))
+        d1 = grad_heat(t, v0)[0]
         idx = np.clip(np.round((x1 + grid.l / 2.0) / grid.h).astype(int), 0, grid.n - 1)
         grid_x1 = grid.x[idx]
         grid_vals = np.sqrt(t) * np.abs(d1.values[idx, 0])

@@ -3,6 +3,7 @@
 The flows act diagonally in Fourier space (exact semigroups of the grid
 Laplacian), so the semigroup law and mass conservation hold to rounding.
 ``_free_flow`` is the one batched form ``e^{-t lam} c`` over node times; the
+single-time flows ``heat``, ``damped_heat`` and ``grad_heat``, the
 trajectories, the solver's closed-form chemical response and the norms'
 heat-flow suprema all call it.
 The sampled real-space kernel appears only in the norm tables, as an
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid2D, Heat, ScalarField, gradient, irfft2, multiplier_apply, rfft2
+from .fields import Grid2D, ScalarField, gradient, irfft2, rfft2
 from .trajectories import TimeGrid, Trajectory
 
 
@@ -27,7 +28,8 @@ def heat(t: float, f: ScalarField) -> ScalarField:
     """Heat flow at time t >= 0; preserves the mean exactly."""
     if t < 0:
         raise ValueError(f"heat flow needs t >= 0, got {t}")
-    return multiplier_apply(Heat(t), f)
+    grid = f.grid
+    return ScalarField(grid, irfft2(_free_flow(rfft2(f.values), (t,), grid.k2_half)[0], grid.n))
 
 
 def damped_heat(t: float, f: ScalarField) -> ScalarField:

@@ -48,7 +48,7 @@ from .duhamel import (
     etd_weights,
 )
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
-from .inequality_lab import AUTO_C
+from .inequality_lab import AUTO_C, smallness_threshold
 from .norms import NormReport, default_besov_probe, grad_besov_sup, lp_norm, hs_norm
 from .semigroup import _free_flow
 from .trajectories import (
@@ -81,7 +81,14 @@ class PicardBlowupError(RuntimeError):
 
 
 class ReferenceStepError(RuntimeError):
-    """The explicit nonlinear term doubled within a single step."""
+    """The explicit nonlinear term doubled within a single step.
+
+    ``t`` is the start of the micro-step whose term doubled.
+    """
+
+    def __init__(self, t: float):
+        self.t = t
+        super().__init__(f"nonlinear term doubled within one step near t={t:.4g}")
 
 
 @dataclass(frozen=True)
@@ -283,7 +290,7 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     # the Theorem-1 verdict's right side reads u0's heat flow, which is this iterate
     free_u_x_nodes = (_norms._batch_lp(u_vals, 1.0, grid.cell_area)
                       + times * _norms._batch_lp(u_vals, np.inf, grid.cell_area))
-    threshold = 3.0 / (32.0 * c * c)
+    threshold = smallness_threshold(c)
     contraction_bound = 8.0 * c * c * a0 + 0.25
 
     mass0 = u0.integral()
@@ -427,7 +434,7 @@ def reference_solve(
         # the nonlinear term is N = -div(u grad v): the steps subtract d = div(u grad v)
         d_prev = None
         d_prev_scale = 0.0
-        for _ in range(steps):
+        for k in range(steps):
             if nonlinear:
                 d0 = _div_u_grad_v(grid, uh, vh)
                 scale0 = _l2(d0)
@@ -438,9 +445,7 @@ def reference_solve(
                     and scale0 > 2.0 * d_prev_scale
                     and h * scale0 > 0.1 * _l2(uh)
                 ):
-                    raise ReferenceStepError(
-                        f"nonlinear term doubled within one step near t={a:.4g}"
-                    )
+                    raise ReferenceStepError(a + k * h)
                 if d_prev is None:
                     # segment startup: one predictor-corrector step
                     ua = eu * uh - p1u * d0
@@ -642,7 +647,7 @@ def mass_sweep(masses, width: float, cfg: SolverConfig) -> list[MassSweepRow]:
             rep = picard_solve(u0, w0, cfg)
         except PicardBlowupError:
             rows.append(
-                MassSweepRow(float(mass), float("inf"), 3.0 / (32.0 * cfg.resolve_c() ** 2),
+                MassSweepRow(float(mass), float("inf"), smallness_threshold(cfg.resolve_c()),
                              False, False, True, None)
             )
             continue

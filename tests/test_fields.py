@@ -1,27 +1,12 @@
-"""Tests for the torus field core: transforms, multipliers, products, IO."""
+"""Tests for the torus field core: transforms, heat flows, the dealiased product div(u grad v), derivatives, IO."""
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from kslab import (
-    Composite,
-    DampedHeat,
-    FractionalLaplacian,
-    GradComponent,
-    Grid2D,
-    Heat,
-    Laplacian,
-    ScalarField,
-    divergence,
-    gradient,
-    load_field,
-    make_grid,
-    multiplier_apply,
-    pointwise_product,
-    save_field,
-)
-from kslab.fields import irfft2, read_snapshot, rfft2, write_snapshot
+from kslab import Grid2D, ScalarField, damped_heat, gradient, heat, load_field, make_grid, save_field
+from kslab.duhamel import _div_u_grad_v
+from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
 
 
 def random_field(grid, seed=0):
@@ -190,10 +175,12 @@ class TestTransformContract:
 
 
 class TestMultipliers:
+    """The single-time heat flows of ``semigroup``, which run on ``_free_flow``."""
+
     def test_heat_zero_time_is_identity(self):
         g = make_grid(32, 8.0)
         f = random_field(g, 6)
-        out = multiplier_apply(Heat(0.0), f)
+        out = heat(0.0, f)
         np.testing.assert_allclose(out.values, f.values, atol=1e-13)
 
     def test_heat_on_eigenfunction(self):
@@ -202,42 +189,15 @@ class TestMultipliers:
         k = 2 * np.pi * np.array([2, 1]) / g.l
         f = ScalarField(g, np.cos(k[0] * x1 + k[1] * x2))
         t = 0.7
-        out = multiplier_apply(Heat(t), f)
+        out = heat(t, f)
         np.testing.assert_allclose(out.values, np.exp(-t * (k @ k)) * f.values, atol=1e-13)
-
-    def test_fractional_laplacian_symbol(self):
-        g = make_grid(32, 16.0)
-        x1, _ = g.coords()
-        k = 2 * np.pi * 3 / g.l
-        f = ScalarField(g, np.cos(k * x1) * np.ones((1, 32)))
-        out = multiplier_apply(FractionalLaplacian(1.0), f)
-        np.testing.assert_allclose(out.values, k * f.values, atol=1e-12)
-
-    def test_fractional_laplacian_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError, match="positive"):
-            FractionalLaplacian(0.0)
-        with pytest.raises(ValueError, match="positive"):
-            FractionalLaplacian(-1.0)
-
-    def test_nonfinite_multiplier_rejected(self):
-        g = make_grid(16, 8.0)
-        f = random_field(g, 7)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or infinity"):
-            multiplier_apply(Heat(-1e6), f)  # overflows to inf off the zero mode
 
     def test_semigroup_property(self):
         g = make_grid(32, 8.0)
         f = random_field(g, 8)
-        one = multiplier_apply(Heat(0.4), multiplier_apply(Heat(0.6), f))
-        two = multiplier_apply(Heat(1.0), f)
+        one = heat(0.4, heat(0.6, f))
+        two = heat(1.0, f)
         assert np.max(np.abs(one.values - two.values)) < 1e-12
-
-    def test_composite_matches_sequential(self):
-        g = make_grid(32, 8.0)
-        f = random_field(g, 9)
-        comp = multiplier_apply(Composite((Heat(0.3), Laplacian())), f)
-        seq = multiplier_apply(Laplacian(), multiplier_apply(Heat(0.3), f))
-        np.testing.assert_allclose(comp.values, seq.values, atol=1e-11)
 
     def test_damped_heat_mode_decay(self):
         g = make_grid(32, 16.0)
@@ -245,78 +205,95 @@ class TestMultipliers:
         k = 2 * np.pi * 2 / g.l
         f = ScalarField(g, np.cos(k * x1) * np.ones((1, 32)))
         t = 0.9
-        out = multiplier_apply(DampedHeat(t), f)
+        out = damped_heat(t, f)
         np.testing.assert_allclose(out.values, np.exp(-t * (1 + k * k)) * f.values, atol=1e-13)
 
 
-class TestProducts:
-    def test_product_with_one(self):
-        g = make_grid(32, 8.0)
-        f = random_field(g, 10)
-        smooth = multiplier_apply(Heat(0.05), f)  # stay inside the dealias band
-        out = pointwise_product(smooth, ScalarField(g, np.ones((32, 32))))
-        dealiased = multiplier_apply(Heat(0.0), smooth)  # identity
-        mask = full_dealias_mask(g)
-        from kslab.fields import fft2, ifft2
+def div_u_grad_v(u, v):
+    """Real values of ``duhamel._div_u_grad_v`` on two fields."""
+    return irfft2(_div_u_grad_v(u.grid, rfft2(u.values), rfft2(v.values)), u.grid.n)
 
-        expected = ifft2(mask * fft2(smooth.values)).real
-        np.testing.assert_allclose(out.values, expected, atol=1e-12)
+
+def dealiased(grid, values):
+    """2/3-rule truncation of real values, in the full layout."""
+    return ifft2(full_dealias_mask(grid) * fft2(values)).real
+
+
+class TestProducts:
+    """The dealiased product the package computes: div(u grad v) in ``duhamel._div_u_grad_v``."""
+
+    def test_product_with_one(self):
+        # div(1 grad v) is the Laplacian of the truncated v
+        g = make_grid(32, 8.0)
+        v = random_field(g, 10)
+        out = div_u_grad_v(ScalarField(g, np.ones((32, 32))), v)
+        kx, ky = g.k1[:, None], g.k1[None, :]
+        expected = ifft2(-(kx**2 + ky**2) * fft2(dealiased(g, v.values))).real
+        np.testing.assert_allclose(out, expected, atol=1e-13 * np.max(np.abs(expected)))
 
     def test_cosine_square_identity(self):
+        # div(cos(kx) grad cos(kx)) = d/dx(-k sin(2kx) / 2) = -k^2 cos(2kx)
         g = make_grid(32, 16.0)
         x1, _ = g.coords()
         k = 2 * np.pi * 3 / g.l  # 2k = 6 below the cutoff 10
         f = ScalarField(g, np.cos(k * x1) * np.ones((1, 32)))
-        out = pointwise_product(f, f)
-        expected = 0.5 + 0.5 * np.cos(2 * k * x1) * np.ones((1, 32))
-        np.testing.assert_allclose(out.values, expected, atol=1e-12)
+        out = div_u_grad_v(f, f)
+        expected = -k * k * np.cos(2 * k * x1) * np.ones((1, 32))
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_against_padded_product_oracle(self):
-        # oracle: zero-pad spectra to 2n, multiply exactly, compare retained modes
+        # oracle: zero-pad the truncated u and grad v to 2n, multiply exactly,
+        # take the divergence of the retained modes
         g = make_grid(32, 8.0)
-        f = random_field(g, 11)
-        h = random_field(g, 12)
-        out = pointwise_product(f, h)
-
-        from kslab.fields import fft2, ifft2
+        u = random_field(g, 11)
+        v = random_field(g, 12)
+        got = _div_u_grad_v(g, rfft2(u.values), rfft2(v.values))
 
         n = g.n
         big = 2 * n
+        idx = np.fft.fftfreq(n) * n
 
         def pad(values):
             c = np.fft.fft2(values)
             cp = np.zeros((big, big), dtype=complex)
-            idx = np.fft.fftfreq(n) * n
             for a in range(n):
                 for b in range(n):
                     cp[int(idx[a]) % big, int(idx[b]) % big] = c[a, b]
             return np.fft.ifft2(cp).real * (big * big) / (n * n)
 
+        def coarse(c):
+            out = np.zeros((n, n), dtype=complex)
+            for a in range(n):
+                for b in range(n):
+                    out[a, b] = c[int(idx[a]) % big, int(idx[b]) % big]
+            return out * (n * n) / (big * big)
+
+        kx, ky = g.k1[:, None], g.k1[None, :]
         mask = full_dealias_mask(g)
-        fd = ifft2(mask * fft2(f.values)).real
-        hd = ifft2(mask * fft2(h.values)).real
-        exact = np.fft.fft2(pad(fd) * pad(hd))
-        # gather retained modes of the exact product on the fine grid
-        exact_coarse = np.zeros((n, n), dtype=complex)
-        idx = np.fft.fftfreq(n) * n
-        for a in range(n):
-            for b in range(n):
-                exact_coarse[a, b] = exact[int(idx[a]) % big, int(idx[b]) % big]
-        exact_coarse *= (n * n) / (big * big)
-        got = fft2(out.values)
-        keep = full_dealias_mask(g)
-        scale = np.max(np.abs(exact_coarse[keep]))
-        assert np.max(np.abs((got - exact_coarse)[keep])) / scale < 1e-10
+        ud = pad(dealiased(g, u.values))
+        vd = fft2(dealiased(g, v.values))
+        exact = sum(1j * k * coarse(np.fft.fft2(ud * pad(ifft2(1j * k * vd).real))) for k in (kx, ky))
+        keep = mask[:, : n // 2 + 1]
+        exact = exact[:, : n // 2 + 1]
+        scale = np.max(np.abs(exact[keep]))
+        assert np.max(np.abs((got - exact)[keep])) / scale < 1e-10
+        assert np.all(got[~keep] == 0)
 
     def test_symmetry_and_bilinearity(self):
+        # symmetric part: div(u grad v) + div(v grad u) is the Laplacian of the truncated product
         g = make_grid(32, 8.0)
         f, h, w = (random_field(g, s) for s in (13, 14, 15))
-        ab = pointwise_product(f, h)
-        ba = pointwise_product(h, f)
-        np.testing.assert_allclose(ab.values, ba.values, atol=1e-12)
-        lin = pointwise_product(f + 2.0 * w, h)
-        split = pointwise_product(f, h) + 2.0 * pointwise_product(w, h)
-        np.testing.assert_allclose(lin.values, split.values, atol=1e-11)
+        sym = div_u_grad_v(f, h) + div_u_grad_v(h, f)
+        kx, ky = g.k1[:, None], g.k1[None, :]
+        product = dealiased(g, dealiased(g, f.values) * dealiased(g, h.values))
+        lap = ifft2(-(kx**2 + ky**2) * fft2(product)).real
+        np.testing.assert_allclose(sym, lap, atol=1e-13 * np.max(np.abs(lap)))
+        lin = div_u_grad_v(f + 2.0 * w, h)
+        split = div_u_grad_v(f, h) + 2.0 * div_u_grad_v(w, h)
+        np.testing.assert_allclose(lin, split, atol=1e-11)
+        lin = div_u_grad_v(f, h + 2.0 * w)
+        split = div_u_grad_v(f, h) + 2.0 * div_u_grad_v(f, w)
+        np.testing.assert_allclose(lin, split, atol=1e-11)
 
 
 class TestDerivatives:
@@ -336,18 +313,19 @@ class TestDerivatives:
         assert np.max(np.abs(g2.values)) < 1e-13
 
     def test_divergence_integral_vanishes(self):
+        # the zero mode of div(u grad v) is exactly 0: B conserves no mass of its own
         g = make_grid(32, 8.0)
         f1, f2 = random_field(g, 16), random_field(g, 17)
-        div = divergence(f1, f2)
+        div = ScalarField(g, div_u_grad_v(f1, f2))
         assert abs(div.integral()) < 1e-12
 
     def test_div_grad_symbol_equals_laplacian(self):
         """Exact off the Nyquist row and column, where the derivative symbols are 0 (the Nyquist rule)."""
         g = make_grid(32, 8.0)
-        d1, d2 = GradComponent(0).symbol(g), GradComponent(1).symbol(g)
+        d1, d2 = 1j * g.kx_deriv, 1j * g.ky_deriv_half
         off_nyquist = np.ones(g.k2_half.shape, dtype=bool)
         off_nyquist[g.n // 2, :] = off_nyquist[:, -1] = False
-        np.testing.assert_array_equal((d1 * d1 + d2 * d2).real[off_nyquist], Laplacian().symbol(g)[off_nyquist])
+        np.testing.assert_array_equal((d1 * d1 + d2 * d2).real[off_nyquist], -g.k2_half[off_nyquist])
         assert np.all(d1[g.n // 2, :] == 0) and np.all(d2[:, -1] == 0)
 
     def test_div_grad_matches_laplacian_on_band_limited_field(self):
@@ -355,10 +333,12 @@ class TestDerivatives:
 
         g = make_grid(32, 8.0)
         f = random_band_limited_field(g, seed=18, max_mode=8)
-        via_parts = divergence(*gradient(f))
-        direct = multiplier_apply(Laplacian(), f)
-        scale = np.max(np.abs(direct.values))
-        assert np.max(np.abs(via_parts.values - direct.values)) / scale < 1e-12
+        g1, g2 = gradient(f)
+        div_hat = 1j * g.kx_deriv * rfft2(g1.values) + 1j * g.ky_deriv_half * rfft2(g2.values)
+        via_parts = irfft2(div_hat, g.n)
+        direct = irfft2(-g.k2_half * rfft2(f.values), g.n)
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(via_parts - direct)) / scale < 1e-12
 
 
 class TestSnapshotIO:

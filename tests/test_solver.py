@@ -29,6 +29,7 @@ from kslab import (
     xy_norms_thm2,
 )
 from kslab.fields import irfft2, rfft2
+from kslab.inequality_lab import smallness_threshold
 from kslab.norms import _batch_grad_linf, _batch_lp, _l2t_grad
 from kslab.semigroup import _free_flow
 
@@ -195,6 +196,19 @@ class TestReferenceStepError:
         t = float(re.search(r"near t=(\S+)$", str(err.value)).group(1))
         assert 0.0 < t < self.CFG.t_max
 
+    def test_t_is_the_micro_step_that_doubled(self):
+        grid = self.CFG.make_grid()
+        doubled = []
+        for mass in (100.0, 120.0):
+            with pytest.raises(ReferenceStepError) as err:
+                reference_solve(gaussian_field(grid, mass, 0.5), ScalarField.zero(grid), self.CFG)
+            t = err.value.t
+            assert re.search(r"near t=(\S+)$", str(err.value)).group(1) == f"{t:.4g}"
+            assert 0.0 < t < self.CFG.t_max
+            doubled.append(t)
+        # both masses double within the last segment; the larger one earlier in it
+        assert doubled[1] < doubled[0]
+
     def test_mass_below_does_not_raise(self):
         grid = self.CFG.make_grid()
         u0 = gaussian_field(grid, 90.0, 0.5)
@@ -318,6 +332,15 @@ class TestMassSweep:
         # contraction worsens with mass when measurable
         if rows[1].max_contraction is not None:
             assert rows[1].max_contraction > rows[0].max_contraction
+
+    def test_blowup_row_threshold_equals_the_converged_rows(self):
+        c = 2.00917  # a c where 3/(32 c**2) and 3/(32 c*c) differ by an ulp
+        assert 3.0 / (32.0 * c**2) != 3.0 / (32.0 * c * c)
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=1.0, num_times=10, c=c, max_iter=8, tol=1e-12)
+        with np.errstate(all="ignore"):
+            small, large = mass_sweep((1e-3, 1e4), width=0.5, cfg=cfg)
+        assert small.converged and large.blew_up
+        assert large.threshold == small.threshold == smallness_threshold(c)
 
     def test_max_contraction_skips_the_first_factor(self):
         cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=1.0, num_times=10, c=C_TEST, tol=1e-12)
