@@ -13,9 +13,7 @@ from .data import (
     smoothed_stripe_field,
 )
 from .duhamel import (
-    DEFAULT_SCHEME,
     EtdPlan,
-    QuadratureScheme,
     bilinear_B,
     etd_convolve,
     linear_L,

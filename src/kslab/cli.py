@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
@@ -34,7 +35,6 @@ import numpy as np
 
 from . import norms as _norms
 from .data import cosine_mode_field, gaussian_field, smoothed_stripe_field
-from .duhamel import QuadratureScheme
 from .fields import Grid2D, ScalarField, load_field, worker_count
 from .inequality_lab import (
     AUTO_C,
@@ -84,13 +84,20 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_c(s: str):
     if s.strip().lower() == "auto":
         return "auto"
     try:
-        value = float(s)
+        value = _parse_float(s)
     except ValueError as exc:
-        raise ConfigError(f"picard.c must be 'auto' or a number, got {s!r}") from exc
+        raise ConfigError(f"picard.c must be 'auto' or a finite number, got {s!r}") from exc
     if not value > 0:
         raise ConfigError("picard.c must be positive")
     return value
@@ -125,7 +132,6 @@ class ExperimentConfig:
     picard_max_iter: int = 50
     picard_tol: float = 1e-11
     picard_mode: str = "thm1_L1Linf"
-    picard_quadrature: str = "etd_piecewise_linear"
     picard_substeps: int = 1
     data_kind: str = "gaussian"
     data_mass: float = 1e-3
@@ -145,7 +151,7 @@ class ExperimentConfig:
 
 # Keys are "<section>.<name>" for each field "<section>_<name>", parsed by the
 # field's annotation; picard.c is the one "object" field ('auto' or a number).
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+_PARSERS = {"int": int, "float": _parse_float, "str": str, "bool": _parse_bool,
             "tuple": _parse_wavevector, "object": _parse_c}
 _CASTERS = {f.name.replace("_", ".", 1): _PARSERS[f.type] for f in dataclass_fields(ExperimentConfig)}
 _KEY_TO_FIELD = {key: key.replace(".", "_") for key in _CASTERS}
@@ -234,7 +240,7 @@ def make_solver_config(cfg: ExperimentConfig) -> SolverConfig:
         max_iter=cfg.picard_max_iter,
         tol=cfg.picard_tol,
         mode=cfg.picard_mode,
-        quadrature=QuadratureScheme(cfg.picard_quadrature, cfg.picard_substeps),
+        substeps=cfg.picard_substeps,
         remark_ii=cfg.variant_remark_ii,
     )
 

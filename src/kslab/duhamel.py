@@ -2,9 +2,12 @@
 
 All operators share one exponential-time-differencing core: per Fourier mode
 the factor ``exp(-(t - tau) * lam)`` is integrated exactly over each time
-interval against a piecewise-constant or piecewise-linear reconstruction of
-the integrand, and the running integral is marched from node to node (the
-semigroup factorises exactly, so marching equals the full sum per mode).
+interval against the piecewise-linear interpolant of the integrand (the
+second-order ETD rule; Hochbruck & Ostermann 2010), and the running integral
+is marched from node to node (the semigroup factorises exactly, so marching
+equals the full sum per mode).  ``substeps`` (a count, default 1) splits each
+interval into that many equal pieces, the integrand sampled on a cubic
+spline through the nodes; doubling it estimates the quadrature's own error.
 
 The apparently singular kernels of the underlying estimates stay benign
 here: the differentiation sits inside the exactly integrated multiplier.
@@ -28,7 +31,7 @@ ETD interval; otherwise the head is dropped and its size is estimated in the
 output's ``meta``.
 
 Plans: an ``EtdPlan`` holds what the march needs that does not depend on the
-integrand, for one (lam, time grid, scheme): the interval lengths and, per
+integrand, for one (lam, time grid, substeps): the interval lengths and, per
 interval (head and substeps included), ``exp(-z)`` and the two quadrature
 weights at z = lam * dt.  The tables are stored per distinct value of lam,
 with an (n, n//2+1) index back to the half-layout modes, so a radial rate
@@ -46,32 +49,21 @@ profile once per distinct rate, (K, R), on the same recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField, _rate_layout, irfft2, rfft2
 from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible, _require_finite
 
-_KINDS = ("etd_piecewise_constant", "etd_piecewise_linear")
 
+def _check_substeps(substeps: int) -> None:
+    """``substeps`` counts pieces per interval: an integer of at least 1, else ``ValueError``."""
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
 
-@dataclass(frozen=True)
-class QuadratureScheme:
-    kind: str = "etd_piecewise_linear"
-    substeps: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-
-
-DEFAULT_SCHEME = QuadratureScheme()
 
 # Entire-function weights for the exact per-interval integrals, z = lam * dt:
-#   phi1(z)    = (1 - e^-z)/z                      (piecewise-constant weight)
+#   phi1(z)    = (1 - e^-z)/z                      (sizes the dropped head)
 #   w_left(z)  = (phi1(z) - e^-z)/z                (linear weight, left value)
 #   w_right(z) = (1 - phi1(z))/z                   (linear weight, right value)
 # Small z uses the Taylor series to avoid catastrophic cancellation.
@@ -132,19 +124,20 @@ def _half_symbol(sym, n: int, what: str) -> np.ndarray:
 
 
 class EtdPlan:
-    """Per-interval ETD decay and weights for one (lam, time grid, scheme).
+    """Per-interval ETD decay and weights for one (lam, time grid, substeps).
 
     ``lam`` holds the half-layout rates, such as ``grid.k2_half + 1.0``;
     ``values`` are the distinct rates and ``inverse`` maps every half-layout
-    mode to its rate (``fields._rate_layout``).  Row r of
-    ``decay``, ``w_a`` and ``w_b`` belongs to interval r of
-    ``[0, t_1], [t_1, t_2], ...``, each split into ``scheme.substeps`` equal
-    pieces whose edges are ``edges``; the weights are (w_left, w_right) for
-    the piecewise-linear scheme and (phi1, None) for the piecewise-constant
-    one.  ``head_phi1`` sizes the dropped head when there is no initial datum.
+    mode to its rate (``fields._rate_layout``).  Row r of ``decay``,
+    ``w_left`` and ``w_right`` belongs to piece r of ``[0, t_1], [t_1, t_2],
+    ...``, each interval split into ``substeps`` (a count, at least 1) equal
+    pieces whose edges are ``edges``; ``w_left`` and ``w_right`` weigh the
+    integrand's values at a piece's two ends.  ``head_phi1`` sizes the
+    dropped head when there is no initial datum.
     """
 
-    def __init__(self, lam, tgrid: TimeGrid, scheme: QuadratureScheme = DEFAULT_SCHEME):
+    def __init__(self, lam, tgrid: TimeGrid, substeps: int = 1):
+        _check_substeps(substeps)
         lam = np.asarray(lam, dtype=np.float64)
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("decay rates must be finite and non-negative")
@@ -153,22 +146,21 @@ class EtdPlan:
         lam = _half_symbol(lam, lam.shape[0], "decay rates")
         values, inverse = _rate_layout(lam)
         knots = np.concatenate(([0.0], tgrid.times))
-        edges = np.array([np.linspace(a, b, scheme.substeps + 1) for a, b in zip(knots[:-1], knots[1:])])
+        edges = np.array([np.linspace(a, b, substeps + 1) for a, b in zip(knots[:-1], knots[1:])])
         dts = np.diff(edges, axis=1).ravel()
-        decay, phi1, w_left, w_right = etd_weights(dts[:, None] * values)
-        linear = scheme.kind == "etd_piecewise_linear"
+        decay, _, w_left, w_right = etd_weights(dts[:, None] * values)
         self.tgrid = tgrid
-        self.scheme = scheme
+        self.substeps = substeps
         self.values = values
         self.inverse = inverse
         self.edges = edges
         self.dts = dts
         self.decay = decay
-        self.w_a, self.w_b = (w_left, w_right) if linear else (phi1, None)
+        self.w_left = w_left
+        self.w_right = w_right
         self.head_phi1 = _phi1(values * tgrid.times[0])
-        for table in (values, self.inverse, edges, dts, decay, self.w_a, self.w_b, self.head_phi1):
-            if table is not None:
-                table.setflags(write=False)
+        for table in (values, inverse, edges, dts, decay, w_left, w_right, self.head_phi1):
+            table.setflags(write=False)
 
     def gather(self, row: np.ndarray) -> np.ndarray:
         """Spread one per-rate row over the half-layout modes."""
@@ -184,8 +176,7 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
     and output column r is its convolution against the rate ``plan.values[r]``.
     """
     times = plan.tgrid.times
-    substeps = plan.scheme.substeps
-    pcw_linear = plan.scheme.kind == "etd_piecewise_linear"
+    substeps = plan.substeps
     spread = (lambda row: row) if per_rate else plan.gather
     meta: dict = {}
 
@@ -224,12 +215,8 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
         for k in range(substeps):
             row = j * substeps + k
             dt = plan.dts[row]
-            decay = spread(plan.decay[row])
-            w_a = spread(plan.w_a[row])
-            if pcw_linear:
-                acc = acc * decay + dt * (w_a * vals[k] + spread(plan.w_b[row]) * vals[k + 1])
-            else:
-                acc = acc * decay + dt * w_a * vals[k]
+            acc = (acc * spread(plan.decay[row])
+                   + dt * (spread(plan.w_left[row]) * vals[k] + spread(plan.w_right[row]) * vals[k + 1]))
         out[j] = acc
     return out, meta
 
@@ -284,14 +271,13 @@ def _trajectory_of(g: Trajectory, out_hat: np.ndarray, meta: dict) -> Trajectory
                                   initial=ScalarField.zero(g.grid), meta=meta)
 
 
-def _convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None,
-              scheme: QuadratureScheme) -> Trajectory:
+def _convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None, substeps: int) -> Trajectory:
     """The public convolutions: forward transform, a plan for ``lam``, the kernel, the trajectory."""
-    out_hat, meta = _convolve_hat(rfft2(g.stacked), _initial_hat(g), EtdPlan(lam, g.tgrid, scheme), prefactor)
+    out_hat, meta = _convolve_hat(rfft2(g.stacked), _initial_hat(g), EtdPlan(lam, g.tgrid, substeps), prefactor)
     return _trajectory_of(g, out_hat, meta)
 
 
-def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
+def bilinear_B(u: Trajectory, v: Trajectory, substeps: int = 1) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} div(u grad v) dtau on the shared time grid.
 
     The divergence structure kills the zero mode of the integrand exactly, so
@@ -299,7 +285,7 @@ def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_
     """
     _require_compatible(u, v)
     grid = u.grid
-    plan = EtdPlan(grid.k2_half, u.tgrid, scheme)
+    plan = EtdPlan(grid.k2_half, u.tgrid, substeps)
     g0hat = None
     if u.initial is not None and v.initial is not None:
         g0hat = _div_u_grad_v(grid, _initial_hat(u), _initial_hat(v))
@@ -307,18 +293,18 @@ def bilinear_B(u: Trajectory, v: Trajectory, scheme: QuadratureScheme = DEFAULT_
     return _trajectory_of(u, out_hat, meta)
 
 
-def linear_L(u: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME, damped: bool = True) -> Trajectory:
+def linear_L(u: Trajectory, substeps: int = 1, damped: bool = True) -> Trajectory:
     """int_0^t e^{(t-tau)(Lap - 1)} u dtau; ``damped=False`` drops the -1."""
-    return _convolve(u, u.grid.k2_half + (1.0 if damped else 0.0), None, scheme)
+    return _convolve(u, u.grid.k2_half + (1.0 if damped else 0.0), None, substeps)
 
 
-def maximal_reg_T(g: Trajectory, scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
+def maximal_reg_T(g: Trajectory, substeps: int = 1) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} Lap g dtau: the maximal-regularity operator."""
-    return _convolve(g, g.grid.k2_half, -g.grid.k2_half, scheme)
+    return _convolve(g, g.grid.k2_half, -g.grid.k2_half, substeps)
 
 
 def etd_convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None = None,
-                 scheme: QuadratureScheme = DEFAULT_SCHEME) -> Trajectory:
+                 substeps: int = 1) -> Trajectory:
     """General form int_0^t e^{-(t-tau) lam(xi)} prefactor(xi) g(tau) dtau.
 
     ``lam`` (non-negative) and ``prefactor`` (any real, time-independent
@@ -329,4 +315,4 @@ def etd_convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None = 
         if np.iscomplexobj(prefactor) or not np.all(np.isfinite(prefactor)):
             raise ValueError("prefactor symbol must be real and finite on the grid")
         prefactor = _half_symbol(prefactor, g.grid.n, "prefactor symbol")
-    return _convolve(g, _half_symbol(lam, g.grid.n, "decay rates"), prefactor, scheme)
+    return _convolve(g, _half_symbol(lam, g.grid.n, "decay rates"), prefactor, substeps)

@@ -35,7 +35,7 @@ from .data import (
     random_band_limited_field,
     smoothed_stripe_field,
 )
-from .duhamel import DEFAULT_SCHEME, EtdPlan, _bilinear_hat, _convolve_hat, _div_u_grad_v, _profile_march
+from .duhamel import EtdPlan, _bilinear_hat, _convolve_hat, _div_u_grad_v, _profile_march
 from .fields import Grid2D, ScalarField, _grad_values, _rate_layout, irfft2, rfft2
 from .norms import (
     _batch_hs,
@@ -247,8 +247,8 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     uniformity: dict = {}
     # every convolution below decays at one of two rates: one plan each, and
     # one profile march per (profile, plan) serves every field and weight
-    plans = {"damped": EtdPlan(1.0 + grid.k2_half, tgrid, DEFAULT_SCHEME),
-             "plain": EtdPlan(grid.k2_half, tgrid, DEFAULT_SCHEME)}
+    plans = {"damped": EtdPlan(1.0 + grid.k2_half, tgrid),
+             "plain": EtdPlan(grid.k2_half, tgrid)}
     marches = {(pname, rate): _profile_march(prof, plan)
                for pname, prof in _PROFILES.items() for rate, plan in plans.items()}
 
@@ -318,7 +318,7 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
         return (np.floor(2.0 * t) % 2 == 0).astype(float)
 
     profiles = {**_PROFILES, "square": square_profile}
-    plan = EtdPlan(grid.k2_half, tgrid, DEFAULT_SCHEME)
+    plan = EtdPlan(grid.k2_half, tgrid)
     marches = {pname: _profile_march(prof, plan) for pname, prof in profiles.items()}
     gaps = np.diff(np.concatenate(([0.0], times)))
     prof_l2 = {}  # exact L^2_t norm of each profile's piecewise-linear reconstruction
@@ -467,8 +467,8 @@ def estimate_constants(
     samples: list[RatioSample] = []
     skipped: list[str] = []
     times = tgrid.times
-    l_plan = EtdPlan(grid.k2_half + 1.0, tgrid, DEFAULT_SCHEME)
-    b_plan = EtdPlan(grid.k2_half, tgrid, DEFAULT_SCHEME)
+    l_plan = EtdPlan(grid.k2_half + 1.0, tgrid)
+    b_plan = EtdPlan(grid.k2_half, tgrid)
 
     # each family's free flows stay half spectra (u: heat, w: damped heat)
     free: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, dict]] = []

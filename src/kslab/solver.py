@@ -38,15 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import norms as _norms
-from .duhamel import (
-    DEFAULT_SCHEME,
-    EtdPlan,
-    QuadratureScheme,
-    _bilinear_hat,
-    _convolve_hat,
-    _div_u_grad_v,
-    etd_weights,
-)
+from .duhamel import EtdPlan, _bilinear_hat, _check_substeps, _convolve_hat, _div_u_grad_v, etd_weights
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .inequality_lab import AUTO_C, smallness_threshold
 from .norms import NormReport, default_besov_probe, grad_besov_sup, lp_norm, hs_norm
@@ -103,7 +95,7 @@ class SolverConfig:
     max_iter: int = 50
     tol: float = 1e-11
     mode: str = "thm1_L1Linf"
-    quadrature: QuadratureScheme = DEFAULT_SCHEME
+    substeps: int = 1  # ETD pieces per time interval (duhamel.EtdPlan)
     remark_ii: bool = False  # drop the unit damping in the chemical equation
 
     def __post_init__(self) -> None:
@@ -111,10 +103,11 @@ class SolverConfig:
             raise ValueError(f"unknown solver mode {self.mode!r}")
         if self.spacing not in ("geometric", "uniform"):
             raise ValueError(f"unknown time spacing {self.spacing!r}")
-        if self.c is not None and not self.c > 0:
-            raise ValueError("the estimate constant c must be positive")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if self.c is not None and not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"the estimate constant c must be finite and positive, got {self.c!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
+        _check_substeps(self.substeps)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -262,14 +255,13 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     times = tgrid.times
     n = grid.n
     c = cfg.resolve_c()
-    scheme = cfg.quadrature
     mode = cfg.mode
     thm2 = mode == "thm2_H1bH1"
     damped = not cfg.remark_ii
 
     # B and L convolve against the same rates every iteration: one plan each
-    b_plan = EtdPlan(grid.k2_half, tgrid, scheme)
-    l_plan = EtdPlan(grid.k2_half + (1.0 if damped else 0.0), tgrid, scheme)
+    b_plan = EtdPlan(grid.k2_half, tgrid, cfg.substeps)
+    l_plan = EtdPlan(grid.k2_half + (1.0 if damped else 0.0), tgrid, cfg.substeps)
 
     u0_hat, w0_hat = rfft2(u0.values), rfft2(w0.values)
     free_u_hat = _free_flow(u0_hat, times, grid.k2_half)

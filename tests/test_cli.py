@@ -3,6 +3,7 @@
 import ast
 import csv
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -71,10 +72,36 @@ class TestConfigParsing:
             parse_config_text("picard.c = -3\n")
         with pytest.raises(ConfigError):
             parse_config_text("data.kind = plume\n")
-        for bad in ("time.spacing = bogus", "picard.quadrature = bogus", "picard.substeps = 0",
-                    "picard.tol = 0", "picard.max_iter = 0"):
+        for bad in ("time.spacing = bogus", "picard.tol = 0", "picard.max_iter = 0"):
             with pytest.raises(ConfigError):
                 parse_config_text(bad + "\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config_text("picard.quadrature = bogus\n")
+        with pytest.raises(ConfigError, match="substeps must be an integer >= 1"):
+            parse_config_text("picard.substeps = 0\n")
+        # every float key and picard.c take finite numbers only, and the error names the key
+        for key, raw in (("picard.c", "inf"), ("picard.c", "nan"), ("data.mass", "nan"), ("data.mass", "inf"),
+                         ("data.mass", "-inf"), ("picard.tol", "inf"), ("time.t_max", "nan")):
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                parse_config_text(f"{key} = {raw}\n")
+
+    @pytest.mark.parametrize("setting", ["picard.c=inf", "data.mass=nan", "data.mass=inf", "picard.tol=inf"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, setting):
+        out = tmp_path / "out"
+        args = ["solve", "--config", write_config(tmp_path, FAST_SOLVE), "--override", setting, "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and setting.partition("=")[0] in err
+        assert not out.exists()
+
+    def test_config_keys_are_pinned(self):
+        """Adding or removing a config option means editing this list."""
+        assert sorted(kslab.cli._CASTERS) == [
+            "data.amplitude", "data.kind", "data.mass", "data.stripe_smoothing", "data.u_path", "data.v_amplitude",
+            "data.v_mass", "data.v_path", "data.v_width", "data.wavevector", "data.width", "grid.l", "grid.n",
+            "output.dir", "output.dump_fields", "picard.c", "picard.max_iter", "picard.mode", "picard.substeps",
+            "picard.tol", "time.k", "time.spacing", "time.t_max", "time.t_min", "variant.remark_ii",
+        ]
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# a comment\n\ngrid.n = 128\n")
@@ -179,7 +206,7 @@ class TestSolveCommand:
     def test_infinite_side_length_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["solve", "--override", "grid.l=inf", "--out", str(out)]) == 2
-        assert "side length must be positive and finite" in capsys.readouterr().err
+        assert "bad value for grid.l: 'inf' (must be finite)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("wavevector, code", [("17,0", 2), ("0,-17", 2), ("16,0", 0), ("-16,16", 0)])

@@ -5,7 +5,6 @@ import pytest
 
 from kslab import (
     LabSetup,
-    QuadratureScheme,
     ScalarField,
     SolverConfig,
     TimeGrid,
@@ -59,7 +58,7 @@ class TestWeights:
         np.testing.assert_allclose(_w_right(z), right_direct, rtol=1e-10)
 
     def test_weights_sum_to_constant_rule(self):
-        # left + right weight equals the piecewise-constant quadrature of 1
+        # left + right weight equals phi1, the exact weight of a constant integrand
         z = np.geomspace(1e-8, 30.0, 200)
         phi1 = -np.expm1(-z) / z
         np.testing.assert_allclose(_w_left(z) + _w_right(z), phi1, rtol=1e-12)
@@ -219,15 +218,16 @@ class TestMaximalRegT:
 
 
 class TestQuadratureScheme:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            QuadratureScheme("simpson", 1)
-        with pytest.raises(ValueError, match="substeps"):
-            QuadratureScheme("etd_piecewise_linear", 0)
+    def test_validation(self, tgrid):
+        for bad in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="substeps"):
+                duhamel.EtdPlan(np.zeros((4, 3)), tgrid, bad)
+            with pytest.raises(ValueError, match="substeps"):
+                SolverConfig(substeps=bad)
 
     def test_substep_refinement_orders(self, grid):
-        # smooth single-mode data: halving the substep length cuts the update
-        # by ~2x for the constant scheme and ~4x for the linear scheme
+        # smooth single-mode data: halving the substep length cuts the
+        # second-order update by ~4x
         tgrid = TimeGrid.geometric(0.05, 2.0, 8)
         f = cosine_mode_field(grid, (2, 0))
         decay = np.exp(-1.3 * tgrid.times)
@@ -235,29 +235,13 @@ class TestQuadratureScheme:
             grid, tgrid, decay[:, None, None] * f.values[None], initial=f
         )
 
-        def run(kind, substeps):
-            scheme = QuadratureScheme(kind, substeps)
-            return linear_L(traj, scheme).stacked
-
-        for kind, factor in (("etd_piecewise_constant", 2.0), ("etd_piecewise_linear", 4.0)):
-            outs = {s: run(kind, s) for s in (1, 2, 4, 8)}
-            change_12 = np.max(np.abs(outs[2] - outs[1]))
-            change_24 = np.max(np.abs(outs[4] - outs[2]))
-            change_48 = np.max(np.abs(outs[8] - outs[4]))
-            assert change_24 <= change_12 / (factor * 0.8)
-            assert change_48 <= change_24 / (factor * 0.8)
-
-    def test_piecewise_constant_uses_left_value(self, grid):
-        tgrid = TimeGrid.uniform(0.5, 1.0, 2)
-        f = cosine_mode_field(grid, (1, 0))
-        values = np.stack([f.values, 2 * f.values])
-        traj = Trajectory.from_values(grid, tgrid, values, initial=f)
-        out = maximal_reg_T(traj, QuadratureScheme("etd_piecewise_constant", 1))
-        lam = (2 * np.pi / grid.l) ** 2
-        # held-left reconstruction: g = f on [0, 0.5] and on [0.5, 1.0]
-        t = 1.0
-        expected = -(1 - np.exp(-t * lam)) * f.values
-        assert np.max(np.abs(out.stacked[1] - expected)) < 1e-10
+        factor = 4.0
+        outs = {s: linear_L(traj, s).stacked for s in (1, 2, 4, 8)}
+        change_12 = np.max(np.abs(outs[2] - outs[1]))
+        change_24 = np.max(np.abs(outs[4] - outs[2]))
+        change_48 = np.max(np.abs(outs[8] - outs[4]))
+        assert change_24 <= change_12 / (factor * 0.8)
+        assert change_48 <= change_24 / (factor * 0.8)
 
 
 class TestEtdConvolve:

@@ -30,7 +30,7 @@ from kslab import (
 )
 from kslab.cli import ExperimentConfig, parse_config_text, serialize_config
 from kslab.data import random_band_limited_field
-from kslab.duhamel import (EtdPlan, QuadratureScheme, _convolve_hat, _div_u_grad_v, _phi1, _profile_march,
+from kslab.duhamel import (EtdPlan, _convolve_hat, _div_u_grad_v, _phi1, _profile_march,
                            etd_weights)
 from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
 from kslab.inequality_lab import _PROFILES, _lab_fields, _time_lp
@@ -203,62 +203,58 @@ def _rates(grid, kind: str, seed: int) -> np.ndarray:
     return _half(np.maximum(r, _mirror(r)))
 
 
-def _dense_march(ghat, g0hat, times, lam, scheme):
+def _dense_march(ghat, g0hat, times, lam, substeps):
     """Reference march: the weights evaluated on the whole rate array, in either layout, every interval."""
     knot_t, knot_g = times, ghat
     if g0hat is not None:
         knot_t = np.concatenate(([0.0], times))
         knot_g = np.concatenate((g0hat[None], ghat), axis=0)
-    if scheme.substeps > 1:
+    if substeps > 1:
         from scipy.interpolate import CubicSpline
 
         spline = CubicSpline(knot_t, knot_g, axis=0)
     acc = np.zeros(lam.shape, dtype=np.complex128)
     out = [acc] if g0hat is None else []
     for i in range(knot_t.size - 1):
-        edges = np.linspace(knot_t[i], knot_t[i + 1], scheme.substeps + 1)
+        edges = np.linspace(knot_t[i], knot_t[i + 1], substeps + 1)
         vals = [knot_g[i], *(spline(tt) for tt in edges[1:-1]), knot_g[i + 1]]
-        for k in range(scheme.substeps):
+        for k in range(substeps):
             dt = edges[k + 1] - edges[k]
-            decay, phi1, w_left, w_right = etd_weights(lam * dt)
-            if scheme.kind == "etd_piecewise_linear":
-                acc = acc * decay + dt * (w_left * vals[k] + w_right * vals[k + 1])
-            else:
-                acc = acc * decay + dt * phi1 * vals[k]
+            decay, _, w_left, w_right = etd_weights(lam * dt)
+            acc = acc * decay + dt * (w_left * vals[k] + w_right * vals[k + 1])
         out.append(acc)
     return np.array(out)
 
 
-schemes = st.builds(QuadratureScheme, st.sampled_from(["etd_piecewise_constant", "etd_piecewise_linear"]),
-                    st.sampled_from([1, 3]))
+schemes = st.sampled_from([1, 3])  # substep counts
 
 
 class TestEtdPlans:
-    @given(seed=seeds, scheme=schemes, with_initial=st.booleans(),
+    @given(seed=seeds, substeps=schemes, with_initial=st.booleans(),
            rate=st.sampled_from(["heat", "damped", "repeated"]), with_prefactor=st.booleans())
-    def test_plan_reuse_is_bit_identical(self, seed, scheme, with_initial, rate, with_prefactor):
+    def test_plan_reuse_is_bit_identical(self, seed, substeps, with_initial, rate, with_prefactor):
         grid = make_grid(16, 8.0)
         lam = _rates(grid, rate, seed)
         pre = np.sqrt(grid.k2_half) if with_prefactor else None
-        plan = EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4), scheme)
-        assert plan.decay.shape == (4 * scheme.substeps, np.unique(lam).size)
+        plan = EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4), substeps)
+        assert plan.decay.shape == (4 * substeps, np.unique(lam).size)
         assert np.array_equal(plan.values[plan.inverse], lam)
         for g in (_trajectory(grid, seed, 4, with_initial), _trajectory(grid, seed + 1, 4, with_initial)):
             ghat = rfft2(g.stacked)
             g0hat = None if g.initial is None else rfft2(g.initial.values)
             planned, meta = _convolve_hat(ghat, g0hat, plan, pre)
-            own, own_meta = _convolve_hat(ghat, g0hat, EtdPlan(lam, g.tgrid, scheme), pre)
+            own, own_meta = _convolve_hat(ghat, g0hat, EtdPlan(lam, g.tgrid, substeps), pre)
             assert np.array_equal(planned, own)
             assert meta == own_meta
             if pre is not None:
                 ghat = pre * ghat
                 g0hat = None if g0hat is None else pre * g0hat
-            dense = irfft2(_dense_march(ghat, g0hat, g.tgrid.times, lam, scheme), grid.n)
+            dense = irfft2(_dense_march(ghat, g0hat, g.tgrid.times, lam, substeps), grid.n)
             assert np.array_equal(irfft2(planned, grid.n), dense)
 
-    @given(seed=seeds, scheme=schemes, with_initial=st.booleans(),
+    @given(seed=seeds, substeps=schemes, with_initial=st.booleans(),
            rate=st.sampled_from(["heat", "damped", "repeated"]), with_prefactor=st.booleans())
-    def test_half_layout_matches_full_layout(self, seed, scheme, with_initial, rate, with_prefactor):
+    def test_half_layout_matches_full_layout(self, seed, substeps, with_initial, rate, with_prefactor):
         grid = make_grid(16, 8.0)
         lam = _rates(grid, rate, seed)
         k2_full = _full_layout(grid)[2]
@@ -268,8 +264,8 @@ class TestEtdPlans:
         if with_prefactor:
             ghat = np.sqrt(k2_full) * ghat
             g0hat = None if g0hat is None else np.sqrt(k2_full) * g0hat
-        full = ifft2(_dense_march(ghat, g0hat, g.tgrid.times, _unfold(lam), scheme)).real
-        half = etd_convolve(g, lam, np.sqrt(grid.k2_half) if with_prefactor else None, scheme).stacked
+        full = ifft2(_dense_march(ghat, g0hat, g.tgrid.times, _unfold(lam), substeps)).real
+        half = etd_convolve(g, lam, np.sqrt(grid.k2_half) if with_prefactor else None, substeps).stacked
         assert np.max(np.abs(half - full)) <= 1e-13 * max(1.0, float(np.max(np.abs(full))))
 
     @given(seed=seeds, which=st.sampled_from(["lam", "prefactor"]))
@@ -312,23 +308,21 @@ class TestEtdPlans:
 
 
 class TestHalfLayoutRates:
-    @given(seed=seeds, scheme=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),
+    @given(seed=seeds, substeps=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),
            n=st.sampled_from([16, 32, 64]), l=lengths)
-    def test_half_rates_give_the_full_symbols_tables(self, seed, scheme, rate, n, l):
+    def test_half_rates_give_the_full_symbols_tables(self, seed, substeps, rate, n, l):
         """The half layout keeps every distinct rate of the full symbol, so the tables are the full symbol's."""
         grid = make_grid(n, l)
         lam = _rates(grid, rate, seed)
         tgrid = TimeGrid.geometric(1e-2, 1.0, 4)
-        plan = EtdPlan(lam, tgrid, scheme)
+        plan = EtdPlan(lam, tgrid, substeps)
         values = np.unique(_unfold(lam))
         assert np.array_equal(plan.values, values)
         assert np.array_equal(plan.values[plan.inverse], lam)
-        decay, phi1, w_left, w_right = etd_weights(plan.dts[:, None] * values)
-        linear = scheme.kind == "etd_piecewise_linear"
-        tables = {"decay": decay, "w_a": w_left if linear else phi1, "head_phi1": _phi1(values * tgrid.times[0])}
+        decay, _, w_left, w_right = etd_weights(plan.dts[:, None] * values)
+        tables = {"decay": decay, "w_left": w_left, "w_right": w_right, "head_phi1": _phi1(values * tgrid.times[0])}
         for name, table in tables.items():
             assert np.array_equal(getattr(plan, name), table), name
-        assert np.array_equal(plan.w_b, w_right) if linear else plan.w_b is None
 
     @given(n=st.sampled_from([16, 32, 64, 128]), l=lengths, shift=st.sampled_from([0.0, 1.0]))
     def test_rate_layout_of_the_grid(self, n, l, shift):
@@ -390,12 +384,12 @@ class TestLeanNormKernels:
 class TestRankOneMarch:
     """The lab's per-rate profile march with per-rate Parseval sums equals the full-plane march."""
 
-    @given(seed=st.integers(0, 2**31 - 1), scheme=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),
+    @given(seed=st.integers(0, 2**31 - 1), substeps=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),
            profile=st.sampled_from(sorted(_PROFILES)), s=st.sampled_from([0.0, 1.0]),
            homogeneous=st.booleans(), with_prefactor=st.booleans())
-    def test_matches_full_plane_march(self, seed, scheme, rate, profile, s, homogeneous, with_prefactor):
+    def test_matches_full_plane_march(self, seed, substeps, rate, profile, s, homogeneous, with_prefactor):
         grid = make_grid(16, 8.0)
-        plan = EtdPlan(_rates(grid, rate, seed), TimeGrid.geometric(1e-2, 1.0, 5), scheme)
+        plan = EtdPlan(_rates(grid, rate, seed), TimeGrid.geometric(1e-2, 1.0, 5), substeps)
         prof = _PROFILES[profile]
         fhat = rfft2(random_band_limited_field(grid, seed=seed, max_mode=4).values)
         pre = np.sqrt(grid.k2_half) if with_prefactor else np.ones_like(grid.k2_half)
@@ -599,7 +593,6 @@ class TestRoundTrips:
             picard_max_iter=data.draw(st.integers(1, 500)),
             picard_tol=data.draw(pos),
             picard_mode=data.draw(st.sampled_from(["thm1_L1Linf", "thm2_H1bH1"])),
-            picard_quadrature=data.draw(st.sampled_from(["etd_piecewise_linear", "etd_piecewise_constant"])),
             picard_substeps=data.draw(st.integers(1, 8)),
             data_kind=data.draw(st.sampled_from(["gaussian", "mode", "stripe", "file"])),
             data_mass=data.draw(st.floats(-1e3, 1e3)),

@@ -9,7 +9,6 @@ import pytest
 
 from kslab import (
     PicardBlowupError,
-    QuadratureScheme,
     ReferenceStepError,
     ScalarField,
     SolverConfig,
@@ -83,7 +82,7 @@ class TestPicardSolve:
         rep = small_report
         c = rep.c
         free_u = heat_trajectory(rep.u0, rep.u.tgrid)
-        bu = bilinear_B(rep.u, rep.w, cfg.quadrature)
+        bu = bilinear_B(rep.u, rep.w, cfg.substeps)
         u_again = free_u - (4.0 * c) * bu
         diff = xy_norms_thm1(u_again - rep.u, rep.w - rep.w).value("xy_norm")
         assert diff <= 2.0 * cfg.tol + 1e-15
@@ -379,6 +378,11 @@ class TestSolverConfig:
             SolverConfig(c=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="c must be finite"):
+                SolverConfig(c=bad)
+            with pytest.raises(ValueError, match="tolerance must be finite"):
+                SolverConfig(tol=bad)
 
     def test_unknown_spacing_rejected(self):
         with pytest.raises(ValueError, match="spacing"):
@@ -388,6 +392,7 @@ class TestSolverConfig:
         d = small_report.to_json_dict()
         assert d["converged"] is True
         assert d["config"]["n"] == 64
+        assert d["config"]["substeps"] == 1 and "quadrature" not in d["config"]
         assert "norms_thm1" in d and "norms_thm2" in d
         assert len(d["residuals"]) == small_report.iterations
 
@@ -418,7 +423,7 @@ class TestGaussSeidelSweep:
         free_response = irfft2(_free_chemical_response(grid, rfft2(rep.u0.values), tgrid.times, True), grid.n)
         w0 = (1.0 / (4.0 * rep.c)) * rep.v0
         want = (damped_heat_trajectory(w0, tgrid).stacked
-                + (free_response + linear_L(rep.u - free_u, cfg.quadrature).stacked) / (4.0 * rep.c))
+                + (free_response + linear_L(rep.u - free_u, cfg.substeps).stacked) / (4.0 * rep.c))
         scale = np.max(np.abs(rep.w.stacked))
         assert np.max(np.abs(rep.w.stacked - want)) <= 1e-12 * scale
         if max_iter == 1:
