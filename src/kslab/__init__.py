@@ -8,7 +8,6 @@ numerical verification lab for the underlying operator estimates.
 from .data import (
     cosine_mode_field,
     gaussian_field,
-    point_mass_field,
     random_band_limited_field,
     smoothed_stripe_field,
 )
@@ -19,7 +18,7 @@ from .duhamel import (
     linear_L,
     maximal_reg_T,
 )
-from .fields import Grid2D, ScalarField, gradient, load_field, make_grid, save_field
+from .fields import Grid2D, ScalarField, gradient, load_field, save_field
 from .inequality_lab import (
     ConstantsReport,
     CounterexampleResult,
@@ -57,7 +56,6 @@ from .semigroup import (
     KernelNormEntry,
     KernelNormTable,
     ResolutionError,
-    damped_heat,
     damped_heat_trajectory,
     grad_heat,
     grad_heat_kernel_norms,
@@ -68,7 +66,6 @@ from .semigroup import (
     kernel_norm_exact,
 )
 from .solver import (
-    MassSweepRow,
     PicardBlowupError,
     ReferenceStepError,
     SolutionReport,
@@ -77,7 +74,6 @@ from .solver import (
     Theorem2Verdict,
     check_theorem1_bound,
     check_theorem2_bound,
-    mass_sweep,
     picard_solve,
     reference_solve,
     relative_node_differences,

@@ -110,16 +110,6 @@ def _parse_wavevector(s: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _serialize(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     grid_n: int = 64
@@ -155,6 +145,11 @@ _PARSERS = {"int": int, "float": _parse_float, "str": str, "bool": _parse_bool,
             "tuple": _parse_wavevector, "object": _parse_c}
 _CASTERS = {f.name.replace("_", ".", 1): _PARSERS[f.type] for f in dataclass_fields(ExperimentConfig)}
 _KEY_TO_FIELD = {key: key.replace(".", "_") for key in _CASTERS}
+# SolverConfig field -> config key: make_solver_config reads the keys through
+# it, and a value the solver objects reject is reported under its key
+_SOLVER_KEYS = {"n": "grid.n", "l": "grid.l", "t_min": "time.t_min", "t_max": "time.t_max", "num_times": "time.k",
+                "spacing": "time.spacing", "c": "picard.c", "max_iter": "picard.max_iter", "tol": "picard.tol",
+                "mode": "picard.mode", "substeps": "picard.substeps", "remark_ii": "variant.remark_ii"}
 
 
 def apply_setting(cfg: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
@@ -182,21 +177,34 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
     return validate_config(cfg)
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for key in sorted(_CASTERS):
-        lines.append(f"{key} = {_serialize(getattr(cfg, _KEY_TO_FIELD[key]))}")
-    return "\n".join(lines) + "\n"
-
-
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Grid, time and picard keys are checked by building the solver objects."""
+def _solver_error(cfg: ExperimentConfig) -> ValueError | None:
+    """The error that building the solver config, grid and time grid raises, if any."""
     try:
         scfg = make_solver_config(cfg)
         scfg.make_grid()
         scfg.make_timegrid()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return exc
+    return None
+
+
+def _rejected_solver_keys(cfg: ExperimentConfig) -> list[str]:
+    """The solver keys whose value alone, over the defaults, is rejected.
+
+    When only a combination is rejected (time.t_min above time.t_max), every
+    solver key that differs from its default.
+    """
+    base = ExperimentConfig()
+    setting = {key: {_KEY_TO_FIELD[key]: getattr(cfg, _KEY_TO_FIELD[key])} for key in _SOLVER_KEYS.values()}
+    changed = [key for key, kw in setting.items() if replace(base, **kw) != base]
+    return [key for key in changed if _solver_error(replace(base, **setting[key]))] or changed
+
+
+def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Grid, time and picard keys are checked by building the solver objects; errors name the key."""
+    exc = _solver_error(cfg)
+    if exc is not None:
+        raise ConfigError(f"{', '.join(_rejected_solver_keys(cfg))}: {exc}") from exc
     if cfg.data_kind not in ("gaussian", "mode", "stripe", "file"):
         raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
     if cfg.data_kind in ("gaussian", "stripe") and not cfg.data_width > 0:
@@ -229,20 +237,9 @@ def load_config(path: str | None, overrides) -> ExperimentConfig:
 
 
 def make_solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(
-        n=cfg.grid_n,
-        l=cfg.grid_l,
-        t_min=cfg.time_t_min,
-        t_max=cfg.time_t_max,
-        num_times=cfg.time_k,
-        spacing=cfg.time_spacing,
-        c=None if cfg.picard_c == "auto" else float(cfg.picard_c),
-        max_iter=cfg.picard_max_iter,
-        tol=cfg.picard_tol,
-        mode=cfg.picard_mode,
-        substeps=cfg.picard_substeps,
-        remark_ii=cfg.variant_remark_ii,
-    )
+    values = {name: getattr(cfg, _KEY_TO_FIELD[key]) for name, key in _SOLVER_KEYS.items()}
+    values["c"] = None if cfg.picard_c == "auto" else float(cfg.picard_c)
+    return SolverConfig(**values)
 
 
 # the set-up default_constants() runs, whose c is the pin AUTO_C

@@ -47,13 +47,6 @@ def smoothed_stripe_field(grid: Grid2D, smoothing_time: float, amplitude: float 
     return ScalarField(grid, amplitude * np.repeat(profile[:, None], grid.n, axis=1))
 
 
-def point_mass_field(grid: Grid2D, mass: float = 1.0) -> ScalarField:
-    """Discrete delta at the origin: mass/h^2 at the centre grid point."""
-    values = np.zeros((grid.n, grid.n))
-    values[grid.n // 2, grid.n // 2] = mass / grid.cell_area
-    return ScalarField(grid, values)
-
-
 def random_band_limited_field(
     grid: Grid2D, seed: int = 0, max_mode: int = 8, decay: float = 8.0
 ) -> ScalarField:

@@ -27,8 +27,7 @@ they map a real field's spectrum to a real field's spectrum.
 
 Interval handling near t = 0: when the input trajectories carry an initial
 datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
-ETD interval; otherwise the head is dropped and its size is estimated in the
-output's ``meta``.
+ETD interval; otherwise the head is dropped.
 
 Plans: an ``EtdPlan`` holds what the march needs that does not depend on the
 integrand, for one (lam, time grid, substeps): the interval lengths and, per
@@ -63,7 +62,7 @@ def _check_substeps(substeps: int) -> None:
 
 
 # Entire-function weights for the exact per-interval integrals, z = lam * dt:
-#   phi1(z)    = (1 - e^-z)/z                      (sizes the dropped head)
+#   phi1(z)    = (1 - e^-z)/z                      (the reference stepper's predictor weight)
 #   w_left(z)  = (phi1(z) - e^-z)/z                (linear weight, left value)
 #   w_right(z) = (1 - phi1(z))/z                   (linear weight, right value)
 # Small z uses the Taylor series to avoid catastrophic cancellation.
@@ -132,8 +131,7 @@ class EtdPlan:
     ``w_left`` and ``w_right`` belongs to piece r of ``[0, t_1], [t_1, t_2],
     ...``, each interval split into ``substeps`` (a count, at least 1) equal
     pieces whose edges are ``edges``; ``w_left`` and ``w_right`` weigh the
-    integrand's values at a piece's two ends.  ``head_phi1`` sizes the
-    dropped head when there is no initial datum.
+    integrand's values at a piece's two ends.
     """
 
     def __init__(self, lam, tgrid: TimeGrid, substeps: int = 1):
@@ -158,8 +156,7 @@ class EtdPlan:
         self.decay = decay
         self.w_left = w_left
         self.w_right = w_right
-        self.head_phi1 = _phi1(values * tgrid.times[0])
-        for table in (values, inverse, edges, dts, decay, w_left, w_right, self.head_phi1):
+        for table in (values, inverse, edges, dts, decay, w_left, w_right):
             table.setflags(write=False)
 
     def gather(self, row: np.ndarray) -> np.ndarray:
@@ -168,7 +165,7 @@ class EtdPlan:
 
 
 def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
-               per_rate: bool = False) -> tuple[np.ndarray, dict]:
+               per_rate: bool = False) -> np.ndarray:
     """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes, on half spectra.
 
     With ``per_rate`` the march runs on the plan's rate layout: the integrand
@@ -178,20 +175,15 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
     times = plan.tgrid.times
     substeps = plan.substeps
     spread = (lambda row: row) if per_rate else plan.gather
-    meta: dict = {}
 
     if g0hat is not None:
         knot_t = np.concatenate(([0.0], times))
         knot_g = np.concatenate(([g0hat], ghat), axis=0)
         out_offset = 1
-        meta["head_included"] = True
     else:
         knot_t = times
         knot_g = ghat
         out_offset = 0
-        meta["head_included"] = False
-        deficit = times[0] * plan.gather(plan.head_phi1) * ghat[0]
-        meta["head_deficit_sup_linf"] = float(np.max(np.abs(irfft2(deficit, plan.inverse.shape[0]))))
 
     spline = None
     if substeps > 1:
@@ -218,7 +210,7 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
             acc = (acc * spread(plan.decay[row])
                    + dt * (spread(plan.w_left[row]) * vals[k] + spread(plan.w_right[row]) * vals[k + 1]))
         out[j] = acc
-    return out, meta
+    return out
 
 
 def _div_u_grad_v(grid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
@@ -235,7 +227,7 @@ def _div_u_grad_v(grid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
 
 
 def _convolve_hat(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
-                  prefactor: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+                  prefactor: np.ndarray | None = None) -> np.ndarray:
     """The etd_convolve kernel on half spectra: apply the half-layout prefactor, march."""
     if prefactor is not None:
         ghat = prefactor * ghat
@@ -245,7 +237,7 @@ def _convolve_hat(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
 
 
 def _bilinear_hat(grid, uhat: np.ndarray, vhat: np.ndarray, g0hat: np.ndarray | None,
-                  plan: EtdPlan) -> tuple[np.ndarray, dict]:
+                  plan: EtdPlan) -> np.ndarray:
     """The bilinear_B kernel on half spectra: the integrand div(u grad v), marched.
 
     ``g0hat`` is the integrand at t = 0 (or None), which callers that reuse
@@ -260,21 +252,20 @@ def _profile_march(prof, plan: EtdPlan) -> np.ndarray:
     An integrand prof(t) c(xi) is rank one, so its march is ``out[:, plan.inverse] * c``:
     one scalar march per distinct rate replaces a march over every mode.
     """
-    out, _ = _etd_march(prof(plan.tgrid.times), prof(0.0), plan, per_rate=True)
+    out = _etd_march(prof(plan.tgrid.times), prof(0.0), plan, per_rate=True)
     _require_finite(out)
     return out
 
 
-def _trajectory_of(g: Trajectory, out_hat: np.ndarray, meta: dict) -> Trajectory:
+def _trajectory_of(g: Trajectory, out_hat: np.ndarray) -> Trajectory:
     """Shared tail: back to real space; the trajectory rejects overflow."""
-    return Trajectory.from_values(g.grid, g.tgrid, irfft2(out_hat, g.grid.n),
-                                  initial=ScalarField.zero(g.grid), meta=meta)
+    return Trajectory.from_values(g.grid, g.tgrid, irfft2(out_hat, g.grid.n), initial=ScalarField.zero(g.grid))
 
 
 def _convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None, substeps: int) -> Trajectory:
     """The public convolutions: forward transform, a plan for ``lam``, the kernel, the trajectory."""
-    out_hat, meta = _convolve_hat(rfft2(g.stacked), _initial_hat(g), EtdPlan(lam, g.tgrid, substeps), prefactor)
-    return _trajectory_of(g, out_hat, meta)
+    out_hat = _convolve_hat(rfft2(g.stacked), _initial_hat(g), EtdPlan(lam, g.tgrid, substeps), prefactor)
+    return _trajectory_of(g, out_hat)
 
 
 def bilinear_B(u: Trajectory, v: Trajectory, substeps: int = 1) -> Trajectory:
@@ -289,8 +280,7 @@ def bilinear_B(u: Trajectory, v: Trajectory, substeps: int = 1) -> Trajectory:
     g0hat = None
     if u.initial is not None and v.initial is not None:
         g0hat = _div_u_grad_v(grid, _initial_hat(u), _initial_hat(v))
-    out_hat, meta = _bilinear_hat(grid, rfft2(u.stacked), rfft2(v.stacked), g0hat, plan)
-    return _trajectory_of(u, out_hat, meta)
+    return _trajectory_of(u, _bilinear_hat(grid, rfft2(u.stacked), rfft2(v.stacked), g0hat, plan))
 
 
 def linear_L(u: Trajectory, substeps: int = 1, damped: bool = True) -> Trajectory:

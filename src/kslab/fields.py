@@ -170,10 +170,6 @@ class Grid2D:
         return self.h * self.h
 
 
-def make_grid(n: int, l: float) -> Grid2D:
-    return Grid2D(n, l)
-
-
 def _rate_layout(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rate layout of a half-layout array such as ``k2_half + shift``.
 
@@ -189,7 +185,7 @@ class ScalarField:
     """Real samples of a scalar function on the torus grid.
 
     Values must be finite; the array is coerced to float64.  Fields behave
-    like immutable values and support +, -, and scalar multiplication.
+    like immutable values and support scalar multiplication.
     """
 
     grid: Grid2D
@@ -205,17 +201,6 @@ class ScalarField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
-
     def __mul__(self, a: float) -> "ScalarField":
         return ScalarField(self.grid, self.values * float(a))
 
@@ -228,11 +213,6 @@ class ScalarField:
     @classmethod
     def zero(cls, grid: Grid2D) -> "ScalarField":
         return cls(grid, np.zeros((grid.n, grid.n)))
-
-
-def _require_same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
 
 
 def _grad_values(grid: Grid2D, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

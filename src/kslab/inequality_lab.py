@@ -500,7 +500,7 @@ def estimate_constants(
 
     for uname, uf_hat, u_hat, _, unorm in free:
         # c3: chemical response of the density trajectory (zero initial datum)
-        lu_hat, _ = _convolve_hat(u_hat, uf_hat, l_plan)
+        lu_hat = _convolve_hat(u_hat, uf_hat, l_plan)
         lu_grad = _grad_values(grid, lu_hat)
         _add_sample(samples, "c3[thm1]", (("u", uname),),
                     _thm1_y(grid, times, lu_grad)["y_norm"].value, unorm["x1"])
@@ -509,7 +509,7 @@ def estimate_constants(
         del lu_grad
         for wname, wf_hat, _, w_hat, wnorm in free:
             # c2: only B's X norms enter; one (u, w) pair at a time bounds the memory
-            b_hat, _ = _bilinear_hat(grid, u_hat, w_hat, _div_u_grad_v(grid, uf_hat, wf_hat), b_plan)
+            b_hat = _bilinear_hat(grid, u_hat, w_hat, _div_u_grad_v(grid, uf_hat, wf_hat), b_plan)
             b_vals = irfft2(b_hat, grid.n)
             _require_finite(b_vals)
             params = (("u", uname), ("w", wname))
@@ -579,10 +579,6 @@ class CounterexampleResult:
     grid_values: np.ndarray | None = None
     smoothed_reference: np.ndarray | None = None
     max_rel_gap: float | None = None
-
-
-def default_counterexample_grid() -> Grid2D:
-    return Grid2D(512, 8.0)
 
 
 def counterexample_profile(
@@ -672,7 +668,7 @@ def counterexample_sweep(
 ) -> CounterexampleSweep:
     """A (t, x1) sweep inside the hypothesis window, two grid-aligned x1 per t."""
     if grid is None:
-        grid = default_counterexample_grid()
+        grid = Grid2D(512, 8.0)
     ts = np.linspace(0.004, 0.0145, num_t)
     results = []
     min_value = np.inf

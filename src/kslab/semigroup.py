@@ -3,7 +3,7 @@
 The flows act diagonally in Fourier space (exact semigroups of the grid
 Laplacian), so the semigroup law and mass conservation hold to rounding.
 ``_free_flow`` is the one batched form ``e^{-t lam} c`` over node times; the
-single-time flows ``heat``, ``damped_heat`` and ``grad_heat``, the
+single-time flows ``heat`` and ``grad_heat``, the
 trajectories, the solver's closed-form chemical response and the norms'
 heat-flow suprema all call it.
 The sampled real-space kernel appears only in the norm tables, as an
@@ -30,13 +30,6 @@ def heat(t: float, f: ScalarField) -> ScalarField:
         raise ValueError(f"heat flow needs t >= 0, got {t}")
     grid = f.grid
     return ScalarField(grid, irfft2(_free_flow(rfft2(f.values), (t,), grid.k2_half)[0], grid.n))
-
-
-def damped_heat(t: float, f: ScalarField) -> ScalarField:
-    """exp(-t) times the heat flow, matching that product bit for bit."""
-    if t < 0:
-        raise ValueError(f"damped heat flow needs t >= 0, got {t}")
-    return np.exp(-t) * heat(t, f)
 
 
 def grad_heat(t: float, f: ScalarField) -> tuple[ScalarField, ScalarField]:

@@ -296,13 +296,13 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     for m in range(1, cfg.max_iter + 1):
         iterations = m
         with _blowup_of("u", m, tgrid):
-            bu_hat, _ = _bilinear_hat(grid, u_hat, w_hat, b_head, b_plan)
+            bu_hat = _bilinear_hat(grid, u_hat, w_hat, b_head, b_plan)
             u_hat_next = free_u_hat - (4.0 * c) * bu_hat
             del bu_hat  # the operator outputs set the memory peak: drop each before the next call
             u_vals_next = irfft2(u_hat_next, n)
             _require_finite(u_vals_next)
         with _blowup_of("w", m, tgrid):
-            lu_hat, _ = _convolve_hat(u_hat_next - free_u_hat, l_head, l_plan)
+            lu_hat = _convolve_hat(u_hat_next - free_u_hat, l_head, l_plan)
             w_hat_next = w_affine + (1.0 / (4.0 * c)) * lu_hat
             del lu_hat
             _require_finite(w_hat_next)
@@ -601,55 +601,3 @@ def check_theorem2_bound(report: SolutionReport, eps0: float | None = None) -> T
         holds=holds,
         terms=terms,
     )
-
-
-# ---------------------------------------------------------------------------
-# Large-data probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MassSweepRow:
-    mass: float
-    a0: float
-    threshold: float
-    threshold_ok: bool
-    converged: bool
-    blew_up: bool
-    max_contraction: float | None
-
-
-def mass_sweep(masses, width: float, cfg: SolverConfig) -> list[MassSweepRow]:
-    """Run the solver over a family of Gaussian masses; divergence is recorded.
-
-    The first row with ``threshold_ok == False`` marks the loss of the
-    smallness guarantee; blow-ups of the iteration are caught and flagged.
-    ``max_contraction`` is the largest contraction factor after the first,
-    which measures the quadratic term, and None with fewer than two factors.
-    """
-    from .data import gaussian_field
-
-    grid = cfg.make_grid()
-    base = gaussian_field(grid, mass=1.0, width=width)
-    rows = []
-    for mass in masses:
-        u0 = float(mass) * base
-        w0 = ScalarField.zero(grid)
-        try:
-            rep = picard_solve(u0, w0, cfg)
-        except PicardBlowupError:
-            rows.append(
-                MassSweepRow(float(mass), float("inf"), smallness_threshold(cfg.resolve_c()),
-                             False, False, True, None)
-            )
-            continue
-        # the first factor measures the quadratic term, not the contraction
-        later = rep.contraction_factors[1:]
-        max_f = max(later) if later else None
-        rows.append(
-            MassSweepRow(
-                float(mass), rep.a0, rep.threshold, rep.threshold_ok,
-                rep.converged, False, max_f,
-            )
-        )
-    return rows

@@ -9,13 +9,14 @@ The node values are one read-only, C-contiguous (K, n, n) float64 array,
 ``stacked``.  Construction is the only validation: the shape, one finiteness
 pass (``TrajectoryOverflowError`` names the first bad node) and the initial
 datum's grid.  Strided input such as the real part of a complex transform is
-copied, so it does not keep the complex buffer alive.  Arithmetic is one array
-operation under the one compatibility rule, ``_require_compatible``.
+copied, so it does not keep the complex buffer alive.  The only arithmetic is
+scalar multiplication; ``_require_compatible`` is the one rule for operators
+that take two trajectories.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,7 +127,6 @@ class Trajectory:
     tgrid: TimeGrid
     stacked: np.ndarray
     initial: ScalarField | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         shape = (self.tgrid.count, self.grid.n, self.grid.n)
@@ -142,25 +142,8 @@ class Trajectory:
 
     @classmethod
     def from_values(cls, grid: Grid2D, tgrid: TimeGrid, values: np.ndarray,
-                    initial: ScalarField | None = None, meta: dict | None = None) -> "Trajectory":
-        return cls(grid, tgrid, values, initial, meta or {})
-
-    @classmethod
-    def zero(cls, grid: Grid2D, tgrid: TimeGrid) -> "Trajectory":
-        return cls(grid, tgrid, np.zeros((tgrid.count, grid.n, grid.n)), ScalarField.zero(grid))
-
-    def _combine(self, other: "Trajectory", op) -> "Trajectory":
-        _require_compatible(self, other)
-        init = None
-        if self.initial is not None and other.initial is not None:
-            init = op(self.initial, other.initial)
-        return Trajectory(self.grid, self.tgrid, op(self.stacked, other.stacked), init)
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        return self._combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        return self._combine(other, lambda a, b: a - b)
+                    initial: ScalarField | None = None) -> "Trajectory":
+        return cls(grid, tgrid, values, initial)
 
     def __mul__(self, a: float) -> "Trajectory":
         init = None if self.initial is None else self.initial * a

@@ -1,6 +1,7 @@
 """Shared pytest set-up: a deterministic hypothesis profile for the property tests,
-and counters of the real transforms the package makes, taken at the pocketfft
-binding that ``kslab.fields`` calls.
+counters of the real transforms the package makes, taken at the pocketfft
+binding that ``kslab.fields`` calls, two trajectory builders and a config
+text writer.
 
 Derandomized examples keep the suite reproducible run to run.  Without an
 example database, and with hypothesis' constants cache sent to the system
@@ -70,3 +71,35 @@ def fft_batches(monkeypatch):
     batches = {"rfft2": [], "irfft2": []}
     _route_transforms(monkeypatch, lambda name, a: batches[name].append(a.shape[:-2]))
     return batches
+
+
+def zero_trajectory(grid, tgrid):
+    """The zero trajectory on ``grid`` and ``tgrid``, with a zero initial datum."""
+    import numpy as np
+
+    from kslab import ScalarField, Trajectory
+
+    return Trajectory(grid, tgrid, np.zeros((tgrid.count, grid.n, grid.n)), ScalarField.zero(grid))
+
+
+def trajectory_difference(a, b):
+    """``a - b`` node by node; the initial datum is the difference of both data when both carry one."""
+    from kslab import ScalarField, Trajectory
+
+    initial = None
+    if a.initial is not None and b.initial is not None:
+        initial = ScalarField(a.grid, a.initial.values - b.initial.values)
+    return Trajectory(a.grid, a.tgrid, a.stacked - b.stacked, initial)
+
+
+def config_text(cfg):
+    """One ``key = value`` line per config key of ``cfg``, each value in a form its parser reads back exactly."""
+    from kslab.cli import _KEY_TO_FIELD
+
+    def text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, tuple):
+            return ",".join(map(str, value))
+        return repr(value) if isinstance(value, float) else str(value)
+    return "".join(f"{key} = {text(getattr(cfg, name))}\n" for key, name in _KEY_TO_FIELD.items())

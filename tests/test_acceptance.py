@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kslab import (
+    Grid2D,
     LabSetup,
     ScalarField,
     SolverConfig,
@@ -30,7 +31,6 @@ from kslab import (
     heat_kernel_norms,
     heat_trajectory,
     kernel_norm_exact,
-    make_grid,
     picard_solve,
     reference_solve,
     relative_node_differences,
@@ -67,7 +67,7 @@ def crit3(constants):
 
 
 def test_criterion_1_heat_kernel_bounds():
-    grid = make_grid(128, 16.0)
+    grid = Grid2D(128, 16.0)
     ps = (1.0, 2.0, np.inf)
     ts = (0.1, 0.5, 1.0)
     table = heat_kernel_norms(ps, ts, grid)
@@ -179,7 +179,7 @@ def test_criterion_7_conservation_and_structure(crit3):
     tg = TimeGrid.geometric(1e-2, 2.0, 12)
     from kslab import cosine_mode_field
 
-    g64 = make_grid(64, 32.0)
+    g64 = Grid2D(64, 32.0)
     uu = Trajectory.from_values(g64, tg, np.stack([cosine_mode_field(g64, (1, 0)).values] * 12),
                                 initial=cosine_mode_field(g64, (1, 0)))
     ww = Trajectory.from_values(g64, tg, np.stack([cosine_mode_field(g64, (2, 1)).values] * 12),
@@ -227,7 +227,7 @@ def test_criterion_8_inequality_suite():
 
 
 def test_criterion_9_besov_estimator():
-    grid = make_grid(256, 48.0)
+    grid = Grid2D(256, 48.0)
     mass, s0, T = 1.0, 0.5, 50.0
     f = gaussian_field(grid, mass, s0)
     probe = TimeGrid.geometric(T / 1.1e6, T, 64)

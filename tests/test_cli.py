@@ -1,4 +1,4 @@
-"""CLI tests: config round trips, subcommands, exit codes, determinism."""
+"""CLI tests: config parsing, subcommands, exit codes, determinism."""
 
 import ast
 import csv
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kslab
-from kslab import (Grid2D, ScalarField, SolverConfig, estimate_constants, gaussian_field, make_grid, picard_solve,
+from kslab import (Grid2D, ScalarField, SolverConfig, estimate_constants, gaussian_field, picard_solve,
                    save_field, sigma)
 from kslab.cli import (
     ConfigError,
@@ -21,10 +21,10 @@ from kslab.cli import (
     load_config,
     main,
     parse_config_text,
-    serialize_config,
 )
 from kslab.fields import rfft2, worker_count
 from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp
+from conftest import config_text
 
 FAST_SOLVE = """
 grid.n = 32
@@ -40,6 +40,36 @@ data.width = 0.5
 """
 
 
+# every key, each at a value other than its default
+EVERY_KEY = """
+grid.n = 32
+grid.l = 16.5
+time.t_min = 0.002
+time.t_max = 4.0
+time.k = 12
+time.spacing = uniform
+picard.c = 2.25
+picard.max_iter = 7
+picard.tol = 1e-09
+picard.mode = thm2_H1bH1
+picard.substeps = 3
+data.kind = file
+data.mass = -0.5
+data.width = 0.25
+data.amplitude = 1.5
+data.wavevector = -2,3
+data.v_mass = 0.125
+data.v_width = 0.75
+data.v_amplitude = -0.5
+data.stripe_smoothing = 0.02
+data.u_path = dumps/u0.ksf1
+data.v_path = dumps/v0.ksf1
+output.dir = runs/a
+output.dump_fields = yes
+variant.remark_ii = true
+"""
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -49,13 +79,29 @@ def write_config(tmp_path, text, name="run.cfg"):
 class TestConfigParsing:
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
-        text = serialize_config(cfg)
-        assert parse_config_text(text) == cfg
+        assert parse_config_text(config_text(cfg)) == cfg
+        assert parse_config_text("") == cfg
 
     def test_parse_serialize_parse_identity(self):
-        cfg1 = parse_config_text(FAST_SOLVE)
-        cfg2 = parse_config_text(serialize_config(cfg1))
-        assert cfg1 == cfg2
+        for text in (FAST_SOLVE, EVERY_KEY):
+            cfg1 = parse_config_text(text)
+            cfg2 = parse_config_text(config_text(cfg1))
+            assert cfg1 == cfg2
+
+    def test_every_key_parses(self):
+        expected = ExperimentConfig(
+            grid_n=32, grid_l=16.5, time_t_min=0.002, time_t_max=4.0, time_k=12, time_spacing="uniform",
+            picard_c=2.25, picard_max_iter=7, picard_tol=1e-9, picard_mode="thm2_H1bH1", picard_substeps=3,
+            data_kind="file", data_mass=-0.5, data_width=0.25, data_amplitude=1.5, data_wavevector=(-2, 3),
+            data_v_mass=0.125, data_v_width=0.75, data_v_amplitude=-0.5, data_stripe_smoothing=0.02,
+            data_u_path="dumps/u0.ksf1", data_v_path="dumps/v0.ksf1", output_dir="runs/a",
+            output_dump_fields=True, variant_remark_ii=True,
+        )
+        assert parse_config_text(EVERY_KEY) == expected
+        keys = [line.partition("=")[0].strip() for line in EVERY_KEY.strip().splitlines()]
+        assert sorted(keys) == sorted(kslab.cli._CASTERS)
+        defaults = ExperimentConfig()
+        assert all(getattr(expected, f) != getattr(defaults, f) for f in kslab.cli._KEY_TO_FIELD.values())
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -63,22 +109,22 @@ class TestConfigParsing:
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config_text("grid.n = 100\n")  # not a power of two
-        with pytest.raises(ConfigError):
-            parse_config_text("time.t_min = 2.0\ntime.t_max = 1.0\n")
-        with pytest.raises(ConfigError):
-            parse_config_text("picard.mode = bogus\n")
-        with pytest.raises(ConfigError):
             parse_config_text("picard.c = -3\n")
         with pytest.raises(ConfigError):
             parse_config_text("data.kind = plume\n")
-        for bad in ("time.spacing = bogus", "picard.tol = 0", "picard.max_iter = 0"):
-            with pytest.raises(ConfigError):
-                parse_config_text(bad + "\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text("picard.quadrature = bogus\n")
         with pytest.raises(ConfigError, match="substeps must be an integer >= 1"):
             parse_config_text("picard.substeps = 0\n")
+        # a value the solver objects reject is reported under its config key (grid.n = 100: not a power of two)
+        for setting in ("picard.substeps = 0", "picard.max_iter = 0", "picard.tol = 0", "picard.mode = bogus",
+                        "grid.n = 100", "time.t_min = 20", "time.k = 1", "time.spacing = bogus", "grid.l = 0"):
+            key = setting.partition(" ")[0]
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+                parse_config_text(setting + "\n")
+        # a combination that no single value breaks names every key it changed
+        with pytest.raises(ConfigError, match=r"^time\.t_min, time\.t_max: "):
+            parse_config_text("time.t_min = 2.0\ntime.t_max = 1.0\n")
         # every float key and picard.c take finite numbers only, and the error names the key
         for key, raw in (("picard.c", "inf"), ("picard.c", "nan"), ("data.mass", "nan"), ("data.mass", "inf"),
                          ("data.mass", "-inf"), ("picard.tol", "inf"), ("time.t_max", "nan")):
@@ -224,7 +270,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("fault", ["missing", "truncated", "non_finite"])
     def test_bad_initial_data_file_is_a_config_error(self, tmp_path, capsys, command, fault):
-        grid = make_grid(32, 32.0)
+        grid = Grid2D(32, 32.0)
         u_path, v_path = tmp_path / "u0.ksf1", tmp_path / "v0.ksf1"
         save_field(v_path, ScalarField.zero(grid))
         if fault != "missing":
@@ -274,10 +320,10 @@ class TestNormsCommand:
 
     @staticmethod
     def dump(path, n):
-        from kslab import TimeGrid, gaussian_field, heat_trajectory, make_grid, save_trajectory
+        from kslab import TimeGrid, gaussian_field, heat_trajectory, save_trajectory
 
         tgrid = TimeGrid.geometric(1e-2, 1.0, 6)
-        save_trajectory(path, heat_trajectory(gaussian_field(make_grid(n, 32.0), 1e-3, 0.5), tgrid))
+        save_trajectory(path, heat_trajectory(gaussian_field(Grid2D(n, 32.0), 1e-3, 0.5), tgrid))
 
     def test_mismatched_dumps_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -518,6 +564,35 @@ def test_single_spectral_layout():
                               if alias.name in full_layout or (alias.name == "ifft2" and path.name != "data.py")]
     assert offenders == []
     assert not hasattr(Grid2D(16, 8.0), "k2")
+
+
+# Exported names that only tests call; perfbench/tracing.py binds them by name,
+# so they go when the benchmark reads an in-package trace (ROADMAP item 3).
+TRACER_BOUND_EXPORTS = [
+    "besov_norm", "bilinear_B", "damped_heat_trajectory", "etd_convolve", "heat_trajectory", "hs_dot_norm",
+    "linear_L", "maximal_reg_T",
+]
+
+
+def test_public_surface_is_pinned():
+    """Adding or removing an export means editing one of these lists."""
+    tree = ast.parse(Path(kslab.__file__).read_text(encoding="utf-8"))
+    exported = sorted(alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names)
+    assert exported == sorted(TRACER_BOUND_EXPORTS + [
+        "BesovEstimate", "ConstantsReport", "CounterexampleResult", "CounterexampleSweep", "EtdPlan", "Grid2D",
+        "InequalityReport", "KernelNormEntry", "KernelNormTable", "LabSetup", "NormEntry", "NormReport",
+        "PicardBlowupError", "ReferenceStepError", "ResolutionError", "ScalarField", "SolutionReport",
+        "SolverConfig", "Theorem1Verdict", "Theorem2Verdict", "TimeGrid", "Trajectory",
+        "besov_equivalence_samples", "check_theorem1_bound", "check_theorem2_bound", "cosine_mode_field",
+        "counterexample_profile", "counterexample_sweep", "default_besov_probe", "default_constants",
+        "estimate_constants", "gaussian_field", "grad_besov_sup", "grad_heat", "grad_heat_kernel_norms",
+        "grad_kernel_l1_exact", "gradient", "heat", "heat_kernel_norms", "hs_norm", "kernel_norm_exact",
+        "load_field", "load_trajectory", "lp_norm", "picard_solve", "random_band_limited_field",
+        "reference_solve", "refinement_drift", "relative_node_differences", "save_field", "save_trajectory",
+        "sigma", "smoothed_stripe_field", "stripe_lower_constant", "stripe_profile_exact",
+        "verify_bilinear_lemma23", "verify_l4_interpolation", "verify_maximal_regularity",
+        "verify_multiplier_lemma", "xy_norms_thm1", "xy_norms_thm2",
+    ])
 
 
 def test_only_fields_imports_the_fft_backend():

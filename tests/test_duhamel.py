@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kslab import (
+    Grid2D,
     LabSetup,
     ScalarField,
     SolverConfig,
@@ -15,7 +16,6 @@ from kslab import (
     etd_convolve,
     gaussian_field,
     linear_L,
-    make_grid,
     maximal_reg_T,
     picard_solve,
     verify_bilinear_lemma23,
@@ -23,11 +23,12 @@ from kslab import (
 )
 from kslab import duhamel
 from kslab.duhamel import _w_left, _w_right
+from conftest import zero_trajectory
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return make_grid(64, 32.0)
+    return Grid2D(64, 32.0)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ class TestWeights:
 
 class TestLinearL:
     def test_zero_input(self, grid, tgrid):
-        out = linear_L(Trajectory.zero(grid, tgrid))
+        out = linear_L(zero_trajectory(grid, tgrid))
         assert np.max(np.abs(out.stacked)) == 0.0
 
     def test_single_mode_closed_form(self, grid, tgrid):
@@ -103,13 +104,14 @@ class TestLinearL:
         f = cosine_mode_field(grid, (1, 0))
         no_init = Trajectory.from_values(grid, tgrid, np.stack([f.values] * tgrid.count), initial=None)
         out = linear_L(no_init)
-        assert out.meta["head_included"] is False
-        assert out.meta["head_deficit_sup_linf"] > 0
         with_init = linear_L(const_traj(grid, tgrid, f))
-        assert with_init.meta["head_included"] is True
-        # the dropped head shows up as a deficit at the first node
+        # the dropped head shows up as a deficit at the first node: the whole
+        # integral over [0, t_1], (1 - e^{-t_1 lam}) / lam for this constant mode
+        assert np.max(np.abs(out.stacked[0])) == 0.0
+        lam = 1.0 + (2 * np.pi / grid.l) ** 2
+        head = -np.expm1(-tgrid.times[0] * lam) / lam * np.max(np.abs(f.values))
         gap = np.max(np.abs(out.stacked[0] - with_init.stacked[0]))
-        assert gap > 0.5 * out.meta["head_deficit_sup_linf"]
+        assert gap == pytest.approx(head, rel=1e-12)
 
 
 class TestBilinearB:
@@ -180,9 +182,9 @@ class TestBilinearB:
             )
 
     def test_mismatched_grids_rejected(self, grid, tgrid):
-        other = make_grid(32, 32.0)
-        u = Trajectory.zero(grid, tgrid)
-        v = Trajectory.zero(other, tgrid)
+        other = Grid2D(32, 32.0)
+        u = zero_trajectory(grid, tgrid)
+        v = zero_trajectory(other, tgrid)
         with pytest.raises(ValueError, match="different grids"):
             bilinear_B(u, v)
 
@@ -254,7 +256,7 @@ class TestEtdConvolve:
 
     def test_rejects_negative_rates(self, grid, tgrid):
         with pytest.raises(ValueError, match="non-negative"):
-            etd_convolve(Trajectory.zero(grid, tgrid), -np.ones_like(grid.k2_half))
+            etd_convolve(zero_trajectory(grid, tgrid), -np.ones_like(grid.k2_half))
 
     def test_prefactor_symbol(self, grid, tgrid):
         f = cosine_mode_field(grid, (3, 0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kslab import (
+    Grid2D,
     ScalarField,
     TimeGrid,
     Trajectory,
@@ -17,7 +18,6 @@ from kslab import (
     heat_trajectory,
     hs_norm,
     lp_norm,
-    make_grid,
     random_band_limited_field,
     sigma,
     smoothed_stripe_field,
@@ -28,11 +28,12 @@ from kslab import (
 from kslab.cli import _write_json
 from kslab.norms import NormEntry, NormReport, _hs_weight, _l2t_grad, _parseval_sum
 from kslab.trajectories import TrajectoryOverflowError
+from conftest import zero_trajectory
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return make_grid(64, 32.0)
+    return Grid2D(64, 32.0)
 
 
 class TestLpNorm:
@@ -44,7 +45,7 @@ class TestLpNorm:
         assert lp_norm(f, np.inf) == abs(c)
 
     def test_gaussian_closed_forms(self):
-        grid = make_grid(128, 32.0)
+        grid = Grid2D(128, 32.0)
         mass, s = 1.8, 0.5
         f = gaussian_field(grid, mass, s)
         assert abs(lp_norm(f, 1.0) - mass) / mass < 1e-8
@@ -63,7 +64,7 @@ class TestLpNorm:
         g = random_band_limited_field(grid, seed=3)
         for p in (1.0, 2.0, np.inf):
             assert np.isclose(lp_norm(-3.0 * f, p), 3.0 * lp_norm(f, p))
-            assert lp_norm(f + g, p) <= lp_norm(f, p) + lp_norm(g, p) + 1e-12
+            assert lp_norm(ScalarField(grid, f.values + g.values), p) <= lp_norm(f, p) + lp_norm(g, p) + 1e-12
 
 
 class TestHsNorm:
@@ -127,7 +128,7 @@ class TestBesov:
 
     def test_gaussian_order_minus2(self):
         # sup_t t M/(4 pi (t+s0)) over the probe equals M/(4 pi) T/(T+s0)
-        grid = make_grid(256, 48.0)
+        grid = Grid2D(256, 48.0)
         mass, s0, T = 1.0, 0.5, 50.0
         f = gaussian_field(grid, mass, s0)
         probe = TimeGrid.geometric(T / 1e6, T, 64)
@@ -140,7 +141,7 @@ class TestBesov:
         assert est.argmax_time == T
 
     def test_boundary_warning_emitted(self):
-        grid = make_grid(256, 48.0)
+        grid = Grid2D(256, 48.0)
         f = gaussian_field(grid, 1.0, 0.5)
         probe = TimeGrid.geometric(5e-5, 50.0, 48)
         with pytest.warns(UserWarning, match="boundary"):
@@ -148,7 +149,7 @@ class TestBesov:
 
     def test_stripe_gradient_exceeds_lower_constant(self):
         # order -1 norm of the stripe's gradient stays above the window constant
-        grid = make_grid(512, 8.0)
+        grid = Grid2D(512, 8.0)
         v0 = smoothed_stripe_field(grid, smoothing_time=(grid.h / 2) ** 2)
         probe = TimeGrid.geometric(2e-4, 2e2 * 1.1, 48)
         est = grad_besov_sup(v0, probe)
@@ -157,7 +158,7 @@ class TestBesov:
     def test_embedding_constant_l1_into_order_minus2(self):
         # t ||e^{t Lap} f||_inf <= ||f||_L1 / (4 pi), saturated by point-like
         # data; the probe stays inside the window where the box mimics the plane
-        grid = make_grid(128, 32.0)
+        grid = Grid2D(128, 32.0)
         probe = TimeGrid.geometric(1.1e-5, 12.0, 48)
         for seed, width in ((7, 0.3), (8, 1.0)):
             f = gaussian_field(grid, 1.0 + 0.3 * seed, width)
@@ -174,7 +175,7 @@ def _const_traj(grid, tgrid, field):
 class TestXYNormsThm1:
     def test_zero_trajectories(self, grid):
         tg = TimeGrid.geometric(1e-3, 10.0, 16)
-        z = Trajectory.zero(grid, tg)
+        z = zero_trajectory(grid, tg)
         report = xy_norms_thm1(z, z)
         assert report.value("x_norm") == 0.0
         assert report.value("y_norm") == 0.0
@@ -184,7 +185,7 @@ class TestXYNormsThm1:
         tg = TimeGrid.geometric(1e-3, 10.0, 32)
         mass = 0.7
         u = heat_trajectory(gaussian_field(grid, mass, 0.5), tg)
-        report = xy_norms_thm1(u, Trajectory.zero(grid, tg))
+        report = xy_norms_thm1(u, zero_trajectory(grid, tg))
         assert abs(report.value("u_sup_l1") - mass) / mass < 1e-8
 
     def test_free_evolution_bounded_by_twice_mass(self, grid):
@@ -193,12 +194,12 @@ class TestXYNormsThm1:
         mass = 0.7
         u0 = gaussian_field(grid, mass, 0.5)
         u = heat_trajectory(u0, tg)
-        report = xy_norms_thm1(u, Trajectory.zero(grid, tg))
+        report = xy_norms_thm1(u, zero_trajectory(grid, tg))
         assert report.value("x_norm") <= 2.0 * lp_norm(u0, 1.0)
 
     def test_requires_shared_timegrid(self, grid):
-        u = Trajectory.zero(grid, TimeGrid.geometric(1e-3, 10.0, 16))
-        w = Trajectory.zero(grid, TimeGrid.geometric(1e-3, 10.0, 17))
+        u = zero_trajectory(grid, TimeGrid.geometric(1e-3, 10.0, 16))
+        w = zero_trajectory(grid, TimeGrid.geometric(1e-3, 10.0, 17))
         with pytest.raises(ValueError, match="time grid"):
             xy_norms_thm1(u, w)
 
@@ -206,7 +207,7 @@ class TestXYNormsThm1:
 class TestXYNormsThm2:
     def test_zero_trajectories(self, grid):
         tg = TimeGrid.geometric(1e-3, 10.0, 16)
-        z = Trajectory.zero(grid, tg)
+        z = zero_trajectory(grid, tg)
         report = xy_norms_thm2(z, z)
         assert report.value("xy_norm") == 0.0
 
@@ -216,7 +217,7 @@ class TestXYNormsThm2:
         amp = 0.9
         u0 = cosine_mode_field(grid, (1, 0), amp)
         u = heat_trajectory(u0, tg)
-        report = xy_norms_thm2(u, Trajectory.zero(grid, tg))
+        report = xy_norms_thm2(u, zero_trajectory(grid, tg))
         k2 = (2 * np.pi / grid.l) ** 2
         l2_sq = (amp * grid.l / np.sqrt(2)) ** 2
         exact = np.sqrt(k2 * (1 + k2) * l2_sq * (1 - np.exp(-2 * tg.t_max * k2)) / (2 * k2))
@@ -226,10 +227,10 @@ class TestXYNormsThm2:
     def test_head_note_records_handling(self, grid):
         tg = TimeGrid.geometric(1e-3, 10.0, 16)
         with_initial = heat_trajectory(gaussian_field(grid, 1.0, 0.5), tg)
-        report = xy_norms_thm2(with_initial, Trajectory.zero(grid, tg))
+        report = xy_norms_thm2(with_initial, zero_trajectory(grid, tg))
         assert "closed form" in report["u_grad_l2t_h1"].note
         bare = Trajectory.from_values(grid, tg, with_initial.stacked, initial=None)
-        report2 = xy_norms_thm2(bare, Trajectory.zero(grid, tg))
+        report2 = xy_norms_thm2(bare, zero_trajectory(grid, tg))
         assert "dropped" in report2["u_grad_l2t_h1"].note
         assert report2.value("u_grad_l2t_h1") <= report.value("u_grad_l2t_h1")
 
@@ -238,7 +239,7 @@ class TestXYNormsThm2:
         tg = TimeGrid.geometric(1e-3, 10.0, 64)
         w0 = gaussian_field(grid, 1.0, 0.5)
         w = damped_heat_trajectory(w0, tg)
-        report = xy_norms_thm2(Trajectory.zero(grid, tg), w)
+        report = xy_norms_thm2(zero_trajectory(grid, tg), w)
         value = report.value("w_sigma_grad_linf")
         assert 0 < value <= hs_norm(w0, 1.0)
 
@@ -247,7 +248,7 @@ class TestXYNormsThm2:
         tg = TimeGrid.geometric(1e-3, 10.0, 32)
         vals = {}
         for n in (32, 64):
-            g = make_grid(n, 32.0)
+            g = Grid2D(n, 32.0)
             u = heat_trajectory(gaussian_field(g, 1.0, 1.0), tg)
             w = damped_heat_trajectory(gaussian_field(g, 0.5, 0.8), tg)
             r1 = xy_norms_thm1(u, w)
@@ -284,18 +285,18 @@ class TestSumOverflow:
     def test_x_norm_names_the_larger_addends_argmax_node(self):
         # 256 cells of area 1: L^1 peaks at node 3 (256 * 7e305 = 1.79e308) and t Linf at the
         # last node; both are finite, their sum is not
-        grid = make_grid(16, 16.0)
+        grid = Grid2D(16, 16.0)
         tg = TimeGrid.geometric(1e-3, 10.0, 8)
         level = np.full(tg.count, 6.9e305)
         level[3] = 7e305
         u = Trajectory.from_values(grid, tg, level[:, None, None] * np.ones((1, 16, 16)))
         with pytest.raises(TrajectoryOverflowError) as err:
-            xy_norms_thm1(u, Trajectory.zero(grid, tg))
+            xy_norms_thm1(u, zero_trajectory(grid, tg))
         assert err.value.node_index == 3
 
     def test_l2t_total_names_the_largest_node_sum(self):
         # finite node sums of 1e303 and 2e303 at nodes 3 and 4, a node gap of 7e6: the trapezoid overflows
-        grid = make_grid(16, 16.0)
+        grid = Grid2D(16, 16.0)
         times = TimeGrid.geometric(1.0, 1e12, 8).times
         weight = grid.k2_half * _hs_weight(grid, 1.0)
         unit = np.zeros((times.size,) + grid.k2_half.shape)
@@ -313,7 +314,7 @@ class TestReportSerialisation:
     def test_json_dict_shape(self, grid):
         tg = TimeGrid.geometric(1e-3, 10.0, 16)
         u = heat_trajectory(gaussian_field(grid, 1.0, 0.5), tg)
-        report = xy_norms_thm1(u, Trajectory.zero(grid, tg))
+        report = xy_norms_thm1(u, zero_trajectory(grid, tg))
         d = report.to_json_dict()
         assert set(d["u_sup_l1"]) >= {"value", "equation_tag", "argmax_time"}
         assert d["x_norm"]["equation_tag"].startswith("sup")
@@ -323,7 +324,7 @@ class TestReportSerialisation:
 
         tg = TimeGrid.geometric(1e-3, 10.0, 16)
         u = heat_trajectory(gaussian_field(grid, 1.0, 0.5), tg)
-        report = xy_norms_thm1(u, Trajectory.zero(grid, tg))
+        report = xy_norms_thm1(u, zero_trajectory(grid, tg))
         path = tmp_path / "norms.json"
         _write_json(path, report.to_json_dict())
         loaded = json.loads(path.read_text())

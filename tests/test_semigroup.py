@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from kslab import (
+    Grid2D,
     ResolutionError,
     ScalarField,
-    damped_heat,
+    damped_heat_trajectory,
     gaussian_field,
     grad_heat,
     grad_heat_kernel_norms,
@@ -17,8 +18,6 @@ from kslab import (
     heat_trajectory,
     kernel_norm_exact,
     lp_norm,
-    make_grid,
-    point_mass_field,
 )
 from kslab.cli import _write_csv
 from kslab.trajectories import TimeGrid
@@ -26,7 +25,7 @@ from kslab.trajectories import TimeGrid
 
 @pytest.fixture(scope="module")
 def grid():
-    return make_grid(128, 32.0)
+    return Grid2D(128, 32.0)
 
 
 class TestHeat:
@@ -77,17 +76,24 @@ class TestHeat:
 class TestDampedHeat:
     def test_zero_time_identity(self, grid):
         f = gaussian_field(grid, 1.0, 0.5)
-        np.testing.assert_allclose(damped_heat(0.0, f).values, f.values, atol=1e-14)
+        traj = damped_heat_trajectory(f, TimeGrid.geometric(1e-15, 1e-14, 2))
+        assert traj.initial is f
+        np.testing.assert_allclose(traj.stacked[0], f.values, atol=1e-14)
 
     def test_constant_field_decay(self, grid):
         ones = ScalarField(grid, np.ones((grid.n, grid.n)))
-        out = damped_heat(1.3, ones)
-        np.testing.assert_allclose(out.values, np.exp(-1.3) * np.ones((grid.n, grid.n)), atol=1e-14)
+        out = damped_heat_trajectory(ones, TimeGrid.geometric(1.3, 2.6, 2))
+        for t, values in zip(out.tgrid.times, out.stacked):
+            np.testing.assert_allclose(values, np.exp(-t) * np.ones((grid.n, grid.n)), atol=1e-14)
 
-    def test_bit_for_bit_factorisation(self, grid):
+    def test_factorisation(self, grid):
+        # e^{-t(|xi|^2 + 1)} = e^{-t} e^{-t |xi|^2}, one exponential per mode: equal to rounding
         f = gaussian_field(grid, 1.0, 0.5)
-        t = 0.77
-        assert np.array_equal(damped_heat(t, f).values, np.exp(-t) * heat(t, f).values)
+        tg = TimeGrid.geometric(0.77, 1.54, 2)
+        out = damped_heat_trajectory(f, tg)
+        for t, values in zip(tg.times, out.stacked):
+            expected = np.exp(-t) * heat(t, f).values
+            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-15 * np.max(np.abs(expected)))
 
 
 class TestGradHeat:
@@ -117,7 +123,9 @@ class TestGradHeat:
     def test_point_mass_gradient_l1(self, grid):
         # |grad kernel| integrates in closed form; quadrature cross-check below
         t = 0.5
-        f = point_mass_field(grid, 1.0)
+        delta = np.zeros((grid.n, grid.n))  # unit mass at the centre grid point
+        delta[grid.n // 2, grid.n // 2] = 1.0 / grid.cell_area
+        f = ScalarField(grid, delta)
         g1, g2 = grad_heat(t, f)
         mag = ScalarField(grid, np.sqrt(g1.values**2 + g2.values**2))
         exact = grad_kernel_l1_exact(t)
@@ -133,7 +141,7 @@ class TestGradHeat:
 
 class TestKernelNormTable:
     def test_values_match_analytic_and_bounds(self):
-        grid = make_grid(128, 16.0)
+        grid = Grid2D(128, 16.0)
         ps = (1.0, 2.0, np.inf)
         ts = (0.1, 0.5, 1.0)
         table = heat_kernel_norms(ps, ts, grid)
@@ -146,18 +154,18 @@ class TestKernelNormTable:
             assert abs(e.ratio - expect_ratio) < 1e-6
 
     def test_p1_value_is_unit_mass(self):
-        grid = make_grid(128, 16.0)
+        grid = Grid2D(128, 16.0)
         table = heat_kernel_norms((1.0,), (0.5,), grid)
         assert abs(table.entries[0].value - 1.0) < 1e-6
         assert table.entries[0].value <= 1.0 + 1e-12
 
     def test_pinfty_is_peak_value(self):
-        grid = make_grid(128, 16.0)
+        grid = Grid2D(128, 16.0)
         table = heat_kernel_norms((np.inf,), (1.0,), grid)
         assert np.isclose(table.entries[0].value, 1.0 / (4 * np.pi))
 
     def test_gradient_table(self):
-        grid = make_grid(128, 16.0)
+        grid = Grid2D(128, 16.0)
         table = grad_heat_kernel_norms((1.0,), (0.1, 0.5, 1.0), grid)
         assert table.all_within_bounds()
         for e in table.entries:
@@ -166,14 +174,14 @@ class TestKernelNormTable:
             assert e.value <= e.t ** (-0.5)
 
     def test_resolution_guard(self):
-        grid = make_grid(16, 16.0)  # h = 1
+        grid = Grid2D(16, 16.0)  # h = 1
         with pytest.raises(ResolutionError, match="under-resolved"):
             heat_kernel_norms((1.0,), (0.05,), grid)
         with pytest.raises(ResolutionError, match="too wide"):
             heat_kernel_norms((1.0,), (4.0,), grid)
 
     def test_csv_serialisation(self, tmp_path):
-        grid = make_grid(128, 16.0)
+        grid = Grid2D(128, 16.0)
         table = heat_kernel_norms((1.0, np.inf), (0.5,), grid)
         path = tmp_path / "kernels.csv"
         _write_csv(path, ["p", "t", "value", "bound", "ratio"],

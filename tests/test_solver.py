@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kslab import (
+    Grid2D,
     PicardBlowupError,
     ReferenceStepError,
     ScalarField,
@@ -19,8 +20,6 @@ from kslab import (
     gaussian_field,
     heat_trajectory,
     linear_L,
-    make_grid,
-    mass_sweep,
     picard_solve,
     reference_solve,
     relative_node_differences,
@@ -31,6 +30,7 @@ from kslab.fields import irfft2, rfft2
 from kslab.inequality_lab import smallness_threshold
 from kslab.norms import _batch_grad_linf, _batch_lp, _l2t_grad
 from kslab.semigroup import _free_flow
+from conftest import trajectory_difference
 
 C_TEST = 2.5  # admissible constant for these smoke-scale runs
 
@@ -83,8 +83,9 @@ class TestPicardSolve:
         c = rep.c
         free_u = heat_trajectory(rep.u0, rep.u.tgrid)
         bu = bilinear_B(rep.u, rep.w, cfg.substeps)
-        u_again = free_u - (4.0 * c) * bu
-        diff = xy_norms_thm1(u_again - rep.u, rep.w - rep.w).value("xy_norm")
+        u_again = trajectory_difference(free_u, (4.0 * c) * bu)
+        diff = xy_norms_thm1(trajectory_difference(u_again, rep.u),
+                             trajectory_difference(rep.w, rep.w)).value("xy_norm")
         assert diff <= 2.0 * cfg.tol + 1e-15
 
     def test_rescaled_chemical_is_returned_both_ways(self, small_report):
@@ -133,7 +134,7 @@ class TestPicardSolve:
         assert own.value("xy_norm") == rep.iterate_norms[-1]
 
     def test_wrong_grid_rejected(self, cfg):
-        other = make_grid(32, 32.0)
+        other = Grid2D(32, 32.0)
         with pytest.raises(ValueError, match="configured grid"):
             picard_solve(ScalarField.zero(other), ScalarField.zero(other), cfg)
 
@@ -317,40 +318,38 @@ class TestVerdictsReadTheReports:
         assert rep.a0 == rep.iterate_norms[0]
 
 
-class TestMassSweep:
+class TestSmallnessDiagnostics:
     def test_flags_threshold_violation(self):
         cfg = SolverConfig(
             n=32, l=32.0, t_min=1e-2, t_max=1.0, num_times=10,
             c=C_TEST, max_iter=8, tol=1e-12,
         )
+        grid = cfg.make_grid()
+        base = gaussian_field(grid, 1.0, 0.5)
+        small = picard_solve(1e-3 * base, ScalarField.zero(grid), cfg)
         with np.errstate(all="ignore"):
-            rows = mass_sweep((1e-3, 10.0), width=0.5, cfg=cfg)
-        assert rows[0].threshold_ok and rows[0].converged
-        assert not rows[1].threshold_ok
-        assert rows[1].blew_up or not rows[1].converged
-        # contraction worsens with mass when measurable
-        if rows[1].max_contraction is not None:
-            assert rows[1].max_contraction > rows[0].max_contraction
+            large = picard_solve(10.0 * base, ScalarField.zero(grid), cfg)
+        assert small.threshold_ok and small.converged
+        assert not large.threshold_ok and not large.converged
+        # contraction worsens with mass (the first factor measures the quadratic term)
+        assert max(large.contraction_factors[1:]) > max(small.contraction_factors[1:])
 
-    def test_blowup_row_threshold_equals_the_converged_rows(self):
+    def test_threshold_is_the_smallness_threshold_of_c(self):
         c = 2.00917  # a c where 3/(32 c**2) and 3/(32 c*c) differ by an ulp
         assert 3.0 / (32.0 * c**2) != 3.0 / (32.0 * c * c)
         cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=1.0, num_times=10, c=c, max_iter=8, tol=1e-12)
-        with np.errstate(all="ignore"):
-            small, large = mass_sweep((1e-3, 1e4), width=0.5, cfg=cfg)
-        assert small.converged and large.blew_up
-        assert large.threshold == small.threshold == smallness_threshold(c)
+        grid = cfg.make_grid()
+        rep = picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
+        assert rep.converged
+        assert rep.threshold == smallness_threshold(c)
 
-    def test_max_contraction_skips_the_first_factor(self):
+    def test_first_contraction_factor_measures_the_quadratic_term(self):
         cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=1.0, num_times=10, c=C_TEST, tol=1e-12)
         grid = cfg.make_grid()
-        zero, small = mass_sweep((0.0, 0.1), width=0.5, cfg=cfg)
         rep = picard_solve(0.1 * gaussian_field(grid, 1.0, 0.5), ScalarField.zero(grid), cfg)
         assert len(rep.contraction_factors) >= 2
         # the first ratio measures the quadratic term and dwarfs the contraction rate
         assert rep.contraction_factors[0] > 10.0 * max(rep.contraction_factors[1:])
-        assert small.max_contraction == max(rep.contraction_factors[1:])
-        assert zero.max_contraction is None  # one iteration: no factor at all
 
 
 class TestRemarkIIVariant:
@@ -422,8 +421,8 @@ class TestGaussSeidelSweep:
         free_u = heat_trajectory(rep.u0, tgrid)
         free_response = irfft2(_free_chemical_response(grid, rfft2(rep.u0.values), tgrid.times, True), grid.n)
         w0 = (1.0 / (4.0 * rep.c)) * rep.v0
-        want = (damped_heat_trajectory(w0, tgrid).stacked
-                + (free_response + linear_L(rep.u - free_u, cfg.substeps).stacked) / (4.0 * rep.c))
+        deviation = linear_L(trajectory_difference(rep.u, free_u), cfg.substeps).stacked
+        want = damped_heat_trajectory(w0, tgrid).stacked + (free_response + deviation) / (4.0 * rep.c)
         scale = np.max(np.abs(rep.w.stacked))
         assert np.max(np.abs(rep.w.stacked - want)) <= 1e-12 * scale
         if max_iter == 1:
@@ -441,7 +440,8 @@ class TestGaussSeidelSweep:
         for m in range(1, full.iterations + 1):
             _, rep = _sweep_run(mode, m)
             assert rep.residuals == full.residuals[:m]
-            expected = report_of(rep.u - prev[0], rep.w - prev[1]).value("xy_norm")
+            expected = report_of(trajectory_difference(rep.u, prev[0]),
+                                 trajectory_difference(rep.w, prev[1])).value("xy_norm")
             assert rep.residuals[-1] == pytest.approx(expected, rel=1e-10)
             prev = (rep.u, rep.w)
 
