@@ -57,7 +57,6 @@ from .semigroup import (
     KernelNormTable,
     ResolutionError,
     damped_heat_trajectory,
-    grad_heat,
     grad_heat_kernel_norms,
     grad_kernel_l1_exact,
     heat,

@@ -463,7 +463,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
           f"{'holds' if sweep.all_hold else 'violated'}")
     if not sweep.all_hold:
         failures.append("counterexample sweep did not hold")
-    if sweep.max_rel_gap is not None and sweep.max_rel_gap >= 0.01:
+    if sweep.max_rel_gap >= 0.01:
         failures.append(f"counterexample grid/closed-form gap {sweep.max_rel_gap:.4f} >= 1%")
 
     summary = {
@@ -523,14 +523,8 @@ def run_counterexample(cfg: ExperimentConfig, out_dir: Path) -> int:
     print(f"sweep over {sweep.point_count} points: "
           f"{'holds' if sweep.all_hold else 'violated'}")
     _write_json(out_dir / "counterexample.json", sweep.to_json_dict())
-    rows = []
-    for res in sweep.results:
-        for i in range(res.x1.size):
-            rows.append([
-                res.t, float(res.x1[i]), float(res.closed_form[i]),
-                float(res.grid_values[i]) if res.grid_values is not None else "",
-                res.verdict,
-            ])
+    rows = [[res.t, float(x), float(closed), float(value), res.verdict]
+            for res in sweep.results for x, closed, value in zip(res.x1, res.closed_form, res.grid_values)]
     _write_csv(out_dir / "counterexample.csv",
                ["t", "x1", "closed_form", "grid_value", "verdict"], rows)
     return 0 if sweep.all_hold else 1

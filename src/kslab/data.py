@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from .fields import Grid2D, ScalarField, ifft2
+from .fields import Grid2D, ScalarField, irfft2
 
 
 def gaussian_field(
@@ -66,5 +66,6 @@ def random_band_limited_field(
             coeffs[m1 % grid.n, m2 % grid.n] = weight * (re + 1j * im)
     flipped = np.conj(np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1)))
     coeffs = 0.5 * (coeffs + flipped)
-    # ifft2 carries 1/n^2; scale so the function is resolution independent
-    return ScalarField(grid, ifft2(coeffs * grid.n**2).real)
+    # irfft2 carries 1/n^2; scale so the function is resolution independent.  The
+    # coefficients are Hermitian, so their half spectrum determines the field.
+    return ScalarField(grid, irfft2((coeffs * grid.n**2)[:, : grid.n // 2 + 1], grid.n))

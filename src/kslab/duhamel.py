@@ -104,9 +104,12 @@ def _w_right(z: np.ndarray) -> np.ndarray:
     return _series_or_closed(z, _WR_COEFFS, lambda zl: (1.0 + np.expm1(-zl) / zl) / zl)
 
 
-def etd_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """exp(-z), phi1(z), w_left(z) and w_right(z), elementwise: the one weight builder."""
-    return np.exp(-z), _phi1(z), _w_left(z), _w_right(z)
+def etd_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(-z), w_left(z) and w_right(z), elementwise: the one weight builder.
+
+    The time-stepping oracle also needs phi1(z) and evaluates ``_phi1`` itself.
+    """
+    return np.exp(-z), _w_left(z), _w_right(z)
 
 
 def _half_symbol(sym, n: int, what: str) -> np.ndarray:
@@ -146,7 +149,7 @@ class EtdPlan:
         knots = np.concatenate(([0.0], tgrid.times))
         edges = np.array([np.linspace(a, b, substeps + 1) for a, b in zip(knots[:-1], knots[1:])])
         dts = np.diff(edges, axis=1).ravel()
-        decay, _, w_left, w_right = etd_weights(dts[:, None] * values)
+        decay, w_left, w_right = etd_weights(dts[:, None] * values)
         self.tgrid = tgrid
         self.substeps = substeps
         self.values = values

@@ -3,8 +3,10 @@
 Each ``verify_*`` function evaluates both sides of an estimate on declared
 sample families and reports the observed ratios; ``estimate_constants``
 turns the linear/bilinear ratios into the empirical constant that feeds the
-solver's smallness threshold.  ``counterexample_profile`` evaluates the
-stripe-data lower bound that rules out smallness for arbitrary bounded data.
+solver's smallness threshold.  ``counterexample_sweep`` evaluates the
+stripe-data lower bound that rules out smallness for arbitrary bounded data:
+the closed form gives each verdict (``counterexample_profile``), and one
+batched grid heat flow of the smoothed stripe cross-checks it.
 
 Every convolution the bilinear and maximal-regularity verifiers measure has
 a rank-one integrand prof(t) pre(xi) f(xi), and the ETD march is diagonal
@@ -53,7 +55,7 @@ from .norms import (
     lp_norm,
     trapezoid,
 )
-from .semigroup import _free_flow, grad_heat
+from .semigroup import _free_flow
 from .trajectories import TimeGrid, _require_finite
 
 
@@ -416,6 +418,10 @@ def smallness_threshold(c: float) -> float:
     return 3.0 / (32.0 * c * c)
 
 
+# the working constant c is the largest observed ratio times this factor
+SAFETY_FACTOR = 1.5
+
+
 @dataclass(frozen=True)
 class ConstantsReport:
     c1: float
@@ -451,13 +457,12 @@ def standard_families(grid: Grid2D) -> list[tuple[str, ScalarField]]:
 def estimate_constants(
     setup: LabSetup = LabSetup(),
     families: list[tuple[str, ScalarField]] | None = None,
-    safety_factor: float = 1.5,
 ) -> ConstantsReport:
     """Observed-ratio maxima for the linear/bilinear estimates, both norm modes.
 
     c1: free-evolution bounds; c2: bilinear bound; c3: chemical-response
-    bound.  The working constant is the observed maximum inflated by the
-    safety factor, and the smallness threshold is 3/(32 c^2).
+    bound.  The working constant is the observed maximum times
+    ``SAFETY_FACTOR``, and the smallness threshold is 3/(32 c^2).
     """
     grid = setup.make_grid()
     tgrid = setup.make_timegrid()
@@ -519,7 +524,7 @@ def estimate_constants(
                         unorm["x2"] * wnorm["y2"])
 
     c1, c2, c3 = (max(s.ratio for s in samples if s.family.startswith(g)) for g in ("c1", "c2", "c3"))
-    c = safety_factor * max(c1, c2, c3)
+    c = SAFETY_FACTOR * max(c1, c2, c3)
     meta = {
         "n": setup.n, "l": setup.l, "K": setup.num_times,
         "t_min": setup.t_min, "T": setup.t_max,
@@ -527,7 +532,7 @@ def estimate_constants(
         "skipped": skipped,
     }
     return ConstantsReport(
-        c1=c1, c2=c2, c3=c3, safety_factor=safety_factor, c=c,
+        c1=c1, c2=c2, c3=c3, safety_factor=SAFETY_FACTOR, c=c,
         threshold=smallness_threshold(c), samples=tuple(samples), metadata=meta,
     )
 
@@ -572,61 +577,24 @@ class CounterexampleResult:
     t: float
     x1: np.ndarray
     closed_form: np.ndarray
-    c0: float
-    in_window: bool
     verdict: str
-    grid_x1: np.ndarray | None = None
-    grid_values: np.ndarray | None = None
-    smoothed_reference: np.ndarray | None = None
-    max_rel_gap: float | None = None
+    grid_values: np.ndarray
+    max_rel_gap: float
 
 
-def counterexample_profile(
-    t: float,
-    x1_points,
-    grid: Grid2D | None = None,
-    smoothing_cells: float = 1.0,
-) -> CounterexampleResult:
-    """Evaluate the stripe gradient profile at (t, x1) points.
+def counterexample_profile(t: float, x1_points) -> tuple[np.ndarray, str]:
+    """The closed-form stripe gradient profile at (t, x1) points and its verdict.
 
-    The verdict uses the closed form: "holds" when every value meets the
-    lower constant inside the window 0 < t < 1/64, sqrt(t) < x1 < 2 sqrt(t);
-    points outside the window give "outside hypothesis".  When a grid is
-    supplied the same profile is recomputed through the grid heat flow on a
-    one-cell-smoothed stripe and cross-validated against the closed form at
-    the smoothing-shifted time.
+    The verdict is "holds" when every value meets the lower constant inside
+    the window 0 < t < 1/64, sqrt(t) < x1 < 2 sqrt(t); points outside the
+    window give "outside hypothesis".
     """
     x1 = np.atleast_1d(np.asarray(x1_points, dtype=np.float64))
-    c0 = stripe_lower_constant()
     rt = np.sqrt(t) if t > 0 else 0.0
-    in_window = bool(
-        0.0 < t < COUNTEREXAMPLE_T_MAX and np.all((x1 > rt) & (x1 < 2.0 * rt))
-    )
     closed = stripe_profile_exact(t, x1) if t > 0 else np.zeros_like(x1)
-    if not in_window:
-        verdict = "outside hypothesis"
-    elif np.all(closed >= c0):
-        verdict = "holds"
-    else:
-        verdict = "violated"
-
-    grid_x1 = grid_vals = reference = None
-    max_rel_gap = None
-    if grid is not None and t > 0:
-        s_m = (smoothing_cells * grid.h / 2.0) ** 2
-        v0 = smoothed_stripe_field(grid, smoothing_time=s_m)
-        d1 = grad_heat(t, v0)[0]
-        idx = np.clip(np.round((x1 + grid.l / 2.0) / grid.h).astype(int), 0, grid.n - 1)
-        grid_x1 = grid.x[idx]
-        grid_vals = np.sqrt(t) * np.abs(d1.values[idx, 0])
-        reference = stripe_profile_exact(t + s_m, grid_x1)
-        max_rel_gap = float(np.max(np.abs(grid_vals - reference) / reference))
-
-    return CounterexampleResult(
-        t=float(t), x1=x1, closed_form=closed, c0=c0, in_window=in_window,
-        verdict=verdict, grid_x1=grid_x1, grid_values=grid_vals,
-        smoothed_reference=reference, max_rel_gap=max_rel_gap,
-    )
+    if not (0.0 < t < COUNTEREXAMPLE_T_MAX and np.all((x1 > rt) & (x1 < 2.0 * rt))):
+        return closed, "outside hypothesis"
+    return closed, "holds" if np.all(closed >= stripe_lower_constant()) else "violated"
 
 
 @dataclass(frozen=True)
@@ -635,9 +603,9 @@ class CounterexampleSweep:
     c0: float
     all_hold: bool
     point_count: int
-    max_rel_gap: float | None
+    max_rel_gap: float
     normalized_lower_bound: float
-    smoothing_width: float = 0.0  # stripe mollification width in length units
+    smoothing_width: float  # stripe mollification width in length units
 
     def to_json_dict(self) -> dict:
         return {
@@ -653,7 +621,7 @@ class CounterexampleSweep:
                     "x1": r.x1.tolist(),
                     "closed_form": r.closed_form.tolist(),
                     "verdict": r.verdict,
-                    "grid_values": None if r.grid_values is None else r.grid_values.tolist(),
+                    "grid_values": r.grid_values.tolist(),
                     "max_rel_gap": r.max_rel_gap,
                 }
                 for r in self.results
@@ -661,36 +629,37 @@ class CounterexampleSweep:
         }
 
 
-def counterexample_sweep(
-    grid: Grid2D | None = None,
-    num_t: int = 5,
-    smoothing_cells: float = 1.0,
-) -> CounterexampleSweep:
-    """A (t, x1) sweep inside the hypothesis window, two grid-aligned x1 per t."""
-    if grid is None:
-        grid = Grid2D(512, 8.0)
-    ts = np.linspace(0.004, 0.0145, num_t)
+def counterexample_sweep() -> CounterexampleSweep:
+    """Five times in the hypothesis window, two grid-aligned x1 per time, on a 512-point grid of side 8.
+
+    Each point's verdict is the closed form's (``counterexample_profile``).
+    The grid cross-check evolves the one-cell-smoothed stripe (smoothing time
+    s = (h/2)^2) by the grid heat flow: one transform of the stripe gives
+    d_1 at all five times in one batch, compared with the closed form at
+    t + s.
+    """
+    grid = Grid2D(512, 8.0)
+    ts = np.linspace(0.004, 0.0145, 5)
+    s_m = (grid.h / 2.0) ** 2
+    v_hat = rfft2(smoothed_stripe_field(grid, smoothing_time=s_m).values)
+    d1 = _grad_values(grid, _free_flow(v_hat, ts, grid.k2_half))[0]
     results = []
-    min_value = np.inf
-    max_gap = 0.0
-    count = 0
-    for t in ts:
+    for t, d1_t in zip(ts, d1):
         rt = np.sqrt(t)
-        lo, hi = 1.05 * rt, 1.95 * rt
-        cols = grid.x[(grid.x > lo) & (grid.x < hi)]
-        if cols.size < 2:
-            raise ValueError("counterexample grid too coarse for the sweep window")
-        x1 = np.array([cols[0], cols[-1]])
-        res = counterexample_profile(t, x1, grid=grid, smoothing_cells=smoothing_cells)
-        results.append(res)
-        min_value = min(min_value, float(np.min(res.closed_form)))
-        if res.max_rel_gap is not None:
-            max_gap = max(max_gap, res.max_rel_gap)
-        count += x1.size
+        idx = np.flatnonzero((grid.x > 1.05 * rt) & (grid.x < 1.95 * rt))[[0, -1]]
+        x1 = grid.x[idx]
+        closed, verdict = counterexample_profile(t, x1)
+        grid_vals = np.sqrt(t) * np.abs(d1_t[idx, 0])
+        reference = stripe_profile_exact(t + s_m, x1)
+        results.append(CounterexampleResult(
+            t=float(t), x1=x1, closed_form=closed, verdict=verdict, grid_values=grid_vals,
+            max_rel_gap=float(np.max(np.abs(grid_vals - reference) / reference)),
+        ))
     c0 = stripe_lower_constant()
-    all_hold = all(r.verdict == "holds" for r in results)
     return CounterexampleSweep(
-        results=tuple(results), c0=c0, all_hold=all_hold, point_count=count,
-        max_rel_gap=max_gap, normalized_lower_bound=min_value / c0,
-        smoothing_width=smoothing_cells * grid.h,
+        results=tuple(results), c0=c0, all_hold=all(r.verdict == "holds" for r in results),
+        point_count=sum(r.x1.size for r in results),
+        max_rel_gap=max(r.max_rel_gap for r in results),
+        normalized_lower_bound=min(float(np.min(r.closed_form)) for r in results) / c0,
+        smoothing_width=grid.h,
     )

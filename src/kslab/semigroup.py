@@ -3,9 +3,10 @@
 The flows act diagonally in Fourier space (exact semigroups of the grid
 Laplacian), so the semigroup law and mass conservation hold to rounding.
 ``_free_flow`` is the one batched form ``e^{-t lam} c`` over node times; the
-single-time flows ``heat`` and ``grad_heat``, the
-trajectories, the solver's closed-form chemical response and the norms'
-heat-flow suprema all call it.
+single-time flow ``heat``, the trajectories, the solver's closed-form
+chemical response, the norms' heat-flow suprema and the stripe
+counterexample all call it.  The gradient of a flow is ``gradient(heat(t, f))``
+for one field, or ``fields._grad_values`` of the flowed half spectra.
 The sampled real-space kernel appears only in the norm tables, as an
 analytic cross-check against the bounds ``t^{-1+1/p}`` and ``t^{-3/2+1/p}``.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, gradient, irfft2, rfft2
+from .fields import Grid2D, ScalarField, irfft2, rfft2
 from .trajectories import TimeGrid, Trajectory
 
 
@@ -30,13 +31,6 @@ def heat(t: float, f: ScalarField) -> ScalarField:
         raise ValueError(f"heat flow needs t >= 0, got {t}")
     grid = f.grid
     return ScalarField(grid, irfft2(_free_flow(rfft2(f.values), (t,), grid.k2_half)[0], grid.n))
-
-
-def grad_heat(t: float, f: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Gradient of the heat flow; defined for t > 0 only."""
-    if not t > 0:
-        raise ValueError(f"gradient of the heat flow needs t > 0, got {t}")
-    return gradient(heat(t, f))
 
 
 def _free_flow(coeffs: np.ndarray, times: np.ndarray, lam: np.ndarray, scale=None) -> np.ndarray:
@@ -89,8 +83,8 @@ class KernelNormEntry:
 class KernelNormTable:
     entries: tuple[KernelNormEntry, ...]
 
-    def all_within_bounds(self, slack: float = 1e-9) -> bool:
-        return all(e.value <= e.bound * (1.0 + slack) for e in self.entries)
+    def all_within_bounds(self) -> bool:
+        return all(e.value <= e.bound * (1.0 + 1e-9) for e in self.entries)
 
 
 def _check_resolution(t: float, grid: Grid2D) -> None:

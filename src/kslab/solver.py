@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import norms as _norms
-from .duhamel import EtdPlan, _bilinear_hat, _check_substeps, _convolve_hat, _div_u_grad_v, etd_weights
+from .duhamel import EtdPlan, _bilinear_hat, _check_substeps, _convolve_hat, _div_u_grad_v, _phi1, etd_weights
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .inequality_lab import AUTO_C, smallness_threshold
 from .norms import NormReport, default_besov_probe, grad_besov_sup, lp_norm, hs_norm
@@ -414,8 +414,9 @@ def reference_solve(
         a, b = boundaries[seg], boundaries[seg + 1]
         steps = max(1, math.ceil((b - a) / h_cap))
         h = (b - a) / steps
-        eu, phi1u, w_left_u, w_right_u = etd_weights(h * lam_u)
-        ev, phi1v, w_left_v, w_right_v = etd_weights(h * lam_v)
+        eu, w_left_u, w_right_u = etd_weights(h * lam_u)
+        ev, w_left_v, w_right_v = etd_weights(h * lam_v)
+        phi1u, phi1v = _phi1(h * lam_u), _phi1(h * lam_v)
         wau = h * w_left_u
         # two-step form: h [ (phi1 + J) N_n - J N_{n-1} ], J = phi1 - w_left
         j_u = h * phi1u - wau

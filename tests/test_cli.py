@@ -555,13 +555,13 @@ def test_only_cli_imports_csv_or_json():
 
 def test_single_spectral_layout():
     """The rfft2 half spectrum is the only spectral layout: no module imports the full-layout transforms or view."""
-    full_layout = {"fft2", "SpectralField", "to_spectral", "from_spectral"}
+    full_layout = {"fft2", "ifft2", "SpectralField", "to_spectral", "from_spectral"}
     offenders = []
     for path in sorted(Path(kslab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
                 offenders += [f"{path.name}: {alias.name}" for alias in node.names
-                              if alias.name in full_layout or (alias.name == "ifft2" and path.name != "data.py")]
+                              if alias.name in full_layout]
     assert offenders == []
     assert not hasattr(Grid2D(16, 8.0), "k2")
 
@@ -585,7 +585,7 @@ def test_public_surface_is_pinned():
         "SolverConfig", "Theorem1Verdict", "Theorem2Verdict", "TimeGrid", "Trajectory",
         "besov_equivalence_samples", "check_theorem1_bound", "check_theorem2_bound", "cosine_mode_field",
         "counterexample_profile", "counterexample_sweep", "default_besov_probe", "default_constants",
-        "estimate_constants", "gaussian_field", "grad_besov_sup", "grad_heat", "grad_heat_kernel_norms",
+        "estimate_constants", "gaussian_field", "grad_besov_sup", "grad_heat_kernel_norms",
         "grad_kernel_l1_exact", "gradient", "heat", "heat_kernel_norms", "hs_norm", "kernel_norm_exact",
         "load_field", "load_trajectory", "lp_norm", "picard_solve", "random_band_limited_field",
         "reference_solve", "refinement_drift", "relative_node_differences", "save_field", "save_trajectory",

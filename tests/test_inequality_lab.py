@@ -23,6 +23,7 @@ from kslab import (
     linear_L,
     lp_norm,
     refinement_drift,
+    smoothed_stripe_field,
     stripe_lower_constant,
     stripe_profile_exact,
     verify_bilinear_lemma23,
@@ -33,8 +34,9 @@ from kslab import (
 )
 from kslab import inequality_lab
 from kslab.cli import _write_json, _write_samples
-from kslab.fields import Grid2D
+from kslab.fields import Grid2D, _grad_values, rfft2
 from kslab.inequality_lab import AUTO_C, standard_families
+from kslab.semigroup import _free_flow
 
 # small but inside the saturated mode x horizon regime, so observed constants
 # are already stable under doubling
@@ -303,18 +305,34 @@ class TestCounterexample:
 
     def test_window_verdicts(self):
         t = 0.01
-        inside = counterexample_profile(t, [0.15])
-        assert inside.verdict == "holds"
-        outside_t = counterexample_profile(0.5, [0.15])
-        assert outside_t.verdict == "outside hypothesis"
-        outside_x = counterexample_profile(t, [0.5])  # x1 > 2 sqrt(t)
-        assert outside_x.verdict == "outside hypothesis"
+        closed, verdict = counterexample_profile(t, [0.15])
+        assert verdict == "holds"
+        np.testing.assert_array_equal(closed, stripe_profile_exact(t, [0.15]))
+        assert counterexample_profile(0.5, [0.15])[1] == "outside hypothesis"
+        assert counterexample_profile(t, [0.5])[1] == "outside hypothesis"  # x1 > 2 sqrt(t)
 
     def test_grid_cross_validation(self):
+        sweep = counterexample_sweep()
         grid = Grid2D(512, 8.0)
-        res = counterexample_profile(0.01, [0.125, 0.1875], grid=grid)
-        assert res.max_rel_gap is not None and res.max_rel_gap < 0.01
-        np.testing.assert_allclose(res.grid_x1, [0.125, 0.1875])
+        for res in sweep.results:
+            assert res.max_rel_gap < 0.01
+            assert np.all(np.isin(res.x1, grid.x))
+            closed, verdict = counterexample_profile(res.t, res.x1)
+            np.testing.assert_array_equal(res.closed_form, closed)
+            assert res.verdict == verdict
+
+    def test_sweep_transforms_the_stripe_once(self, fft_calls):
+        counterexample_sweep()
+        assert fft_calls == {"rfft2": 1, "irfft2": 2}
+
+    def test_batched_values_equal_the_per_time_flow(self):
+        sweep = counterexample_sweep()
+        grid = Grid2D(512, 8.0)
+        v_hat = rfft2(smoothed_stripe_field(grid, smoothing_time=(grid.h / 2.0) ** 2).values)
+        for res in sweep.results:
+            d1 = _grad_values(grid, _free_flow(v_hat, (res.t,), grid.k2_half))[0][0]
+            idx = np.searchsorted(grid.x, res.x1)
+            np.testing.assert_array_equal(res.grid_values, np.sqrt(res.t) * np.abs(d1[idx, 0]))
 
     def test_sweep_holds_everywhere(self):
         sweep = counterexample_sweep()

@@ -16,10 +16,10 @@ from kslab import (
     TimeGrid,
     Trajectory,
     bilinear_B,
-    counterexample_profile,
+    counterexample_sweep,
     damped_heat_trajectory,
     etd_convolve,
-    grad_heat,
+    gradient,
     heat,
     hs_dot_norm,
     hs_norm,
@@ -220,7 +220,7 @@ def _dense_march(ghat, g0hat, times, lam, substeps):
         vals = [knot_g[i], *(spline(tt) for tt in edges[1:-1]), knot_g[i + 1]]
         for k in range(substeps):
             dt = edges[k + 1] - edges[k]
-            decay, _, w_left, w_right = etd_weights(lam * dt)
+            decay, w_left, w_right = etd_weights(lam * dt)
             acc = acc * decay + dt * (w_left * vals[k] + w_right * vals[k + 1])
         out.append(acc)
     return np.array(out)
@@ -318,7 +318,7 @@ class TestHalfLayoutRates:
         values = np.unique(_unfold(lam))
         assert np.array_equal(plan.values, values)
         assert np.array_equal(plan.values[plan.inverse], lam)
-        decay, _, w_left, w_right = etd_weights(plan.dts[:, None] * values)
+        decay, w_left, w_right = etd_weights(plan.dts[:, None] * values)
         tables = {"decay": decay, "w_left": w_left, "w_right": w_right}
         for name, table in tables.items():
             assert np.array_equal(getattr(plan, name), table), name
@@ -427,7 +427,7 @@ class TestSingleLayout:
         f = ScalarField(grid, values)
         cases = [(heat(t, f).values, np.exp(-t * k2))]
         if t > 0:
-            cases += zip((g.values for g in grad_heat(t, f)), (1j * kx * np.exp(-t * k2), 1j * ky * np.exp(-t * k2)))
+            cases += zip((g.values for g in gradient(heat(t, f))), (1j * kx * np.exp(-t * k2), 1j * ky * np.exp(-t * k2)))
             damped = damped_heat_trajectory(f, TimeGrid.geometric(t, 2.0 * t, 2))
             cases += zip(damped.stacked, (np.exp(-s) * np.exp(-s * k2) for s in damped.tgrid.times))
         for got, sym_full in cases:
@@ -476,18 +476,21 @@ class TestSingleLayout:
         np.testing.assert_allclose([(g.lhs, g.rhs) for g in got], [e[2:] for e in expected], rtol=1e-13, atol=0)
 
     def test_no_full_layout_transform(self, monkeypatch):
-        def refuse(a):
-            raise AssertionError("full-layout transform called")
+        class Refuse:
+            """Stands in for scipy.fft: every c2c transform, whoever bound it, goes through here."""
 
-        monkeypatch.setattr(kslab.fields, "fft2", refuse)
-        monkeypatch.setattr(kslab.fields, "ifft2", refuse)
+            def __getattr__(self, name):
+                raise AssertionError(f"full-layout transform scipy.fft.{name} called")
+
+        monkeypatch.setattr(kslab.fields, "_sfft", Refuse())
         grid = Grid2D(16, 8.0)
         f, g = (ScalarField(grid, v) for v in _stack(0, 2))
         _div_u_grad_v(grid, rfft2(f.values), rfft2(g.values))
         heat(0.1, f)
         damped_heat_trajectory(f, TimeGrid.geometric(0.1, 0.2, 2))
-        grad_heat(0.1, f)
-        counterexample_profile(0.01, [0.15], grid=Grid2D(64, 8.0))
+        gradient(heat(0.1, f))
+        random_band_limited_field(grid, seed=3, max_mode=4)
+        counterexample_sweep()
         verify_multiplier_lemma(LabSetup(n=32, num_times=12))
 
 
