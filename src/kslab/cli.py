@@ -117,7 +117,6 @@ class ExperimentConfig:
     time_t_min: float = 1e-3
     time_t_max: float = 10.0
     time_k: int = 64
-    time_spacing: str = "geometric"
     picard_c: object = "auto"
     picard_max_iter: int = 50
     picard_tol: float = 1e-11
@@ -148,8 +147,8 @@ _KEY_TO_FIELD = {key: key.replace(".", "_") for key in _CASTERS}
 # SolverConfig field -> config key: make_solver_config reads the keys through
 # it, and a value the solver objects reject is reported under its key
 _SOLVER_KEYS = {"n": "grid.n", "l": "grid.l", "t_min": "time.t_min", "t_max": "time.t_max", "num_times": "time.k",
-                "spacing": "time.spacing", "c": "picard.c", "max_iter": "picard.max_iter", "tol": "picard.tol",
-                "mode": "picard.mode", "substeps": "picard.substeps", "remark_ii": "variant.remark_ii"}
+                "c": "picard.c", "max_iter": "picard.max_iter", "tol": "picard.tol", "mode": "picard.mode",
+                "substeps": "picard.substeps", "remark_ii": "variant.remark_ii"}
 
 
 def apply_setting(cfg: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
@@ -164,8 +163,8 @@ def apply_setting(cfg: ExperimentConfig, key: str, raw: str) -> ExperimentConfig
     return replace(cfg, **{_KEY_TO_FIELD[key]: value})
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base or ExperimentConfig()
+def _apply_text(cfg: ExperimentConfig, text: str) -> ExperimentConfig:
+    """``cfg`` with each ``key = value`` line of ``text`` applied in order; not validated."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -174,7 +173,11 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         cfg = apply_setting(cfg, key.strip(), raw.strip())
-    return validate_config(cfg)
+    return cfg
+
+
+def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    return validate_config(_apply_text(base or ExperimentConfig(), text))
 
 
 def _solver_error(cfg: ExperimentConfig) -> ValueError | None:
@@ -221,13 +224,14 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def load_config(path: str | None, overrides) -> ExperimentConfig:
+    """The file's settings, then each override; the result is validated once."""
     cfg = ExperimentConfig()
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        cfg = parse_config_text(text, cfg)
+        cfg = _apply_text(cfg, text)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
@@ -247,10 +251,7 @@ _PIN_SETUP = LabSetup()
 
 
 def lab_setup(cfg: ExperimentConfig) -> LabSetup:
-    """The lab's grid and time window; the lab runs on geometric times only."""
-    if cfg.time_spacing != "geometric":
-        raise ConfigError(f"time.spacing = {cfg.time_spacing} is not supported by the lab, which "
-                          "runs on geometric time grids")
+    """The lab's grid and its geometric time nodes: time.k of them from time.t_min to time.t_max."""
     return LabSetup(cfg.grid_n, cfg.grid_l, cfg.time_t_min, cfg.time_t_max, cfg.time_k)
 
 

@@ -90,7 +90,6 @@ class SolverConfig:
     t_min: float = 1e-3
     t_max: float = 10.0
     num_times: int = 64
-    spacing: str = "geometric"
     c: float | None = None  # None: the pinned empirical constant inequality_lab.AUTO_C
     max_iter: int = 50
     tol: float = 1e-11
@@ -101,8 +100,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("thm1_L1Linf", "thm2_H1bH1"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
-        if self.spacing not in ("geometric", "uniform"):
-            raise ValueError(f"unknown time spacing {self.spacing!r}")
         if self.c is not None and not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"the estimate constant c must be finite and positive, got {self.c!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -115,9 +112,7 @@ class SolverConfig:
         return Grid2D(self.n, self.l)
 
     def make_timegrid(self) -> TimeGrid:
-        if self.spacing == "geometric":
-            return TimeGrid.geometric(self.t_min, self.t_max, self.num_times)
-        return TimeGrid.uniform(self.t_min, self.t_max, self.num_times)
+        return TimeGrid.geometric(self.t_min, self.t_max, self.num_times)
 
     def resolve_c(self) -> float:
         """The configured c, or the pinned ``AUTO_C`` without running the lab.
@@ -543,9 +538,7 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
 @dataclass(frozen=True)
 class Theorem2Verdict:
     norm_sum: float
-    eps0: float
     data_norm: float
-    hypothesis_satisfied: bool
     holds: bool
     terms: dict
 
@@ -553,14 +546,14 @@ class Theorem2Verdict:
         return asdict(self)
 
 
-def check_theorem2_bound(report: SolutionReport, eps0: float | None = None) -> Theorem2Verdict:
-    """Evaluate the Sobolev-mode norm sum against 2*eps0.
+def check_theorem2_bound(report: SolutionReport) -> Theorem2Verdict:
+    """Evaluate the Sobolev-mode norm sum against twice the data norm.
 
     The sum is sup_t ||u +- w||_H1 + sup_t ||u +- sigma grad w||_Linf
     (worst sign, worst gradient component) + ||grad u||_{L2_t L2}
     + ||grad w||_{L2_t H1}, with w = v/(4c); the last term is the final
-    Theorem-2 report's entry.  The hypothesis ||u0||_Linf + ||u0||_H1
-    + (1/4c) ||v0||_H1 <= eps0 gates the verdict; eps0 defaults to that data norm.
+    Theorem-2 report's entry.  The data norm ||u0||_Linf + ||u0||_H1
+    + (1/4c) ||v0||_H1 is the theorem's small-data size epsilon_0.
     """
     c = report.c
     u, w = report.u, report.w
@@ -568,9 +561,6 @@ def check_theorem2_bound(report: SolutionReport, eps0: float | None = None) -> T
     grid = u.grid
 
     data_norm = lp_norm(report.u0, np.inf) + hs_norm(report.u0, 1.0) + hs_norm(report.v0, 1.0) / (4.0 * c)
-    if eps0 is None:
-        eps0 = data_norm
-    hypothesis = data_norm <= eps0 * (1.0 + 1e-12)
 
     uc, u_power = _norms._spectrum(u)
     wc = rfft2(w.stacked)
@@ -593,12 +583,9 @@ def check_theorem2_bound(report: SolutionReport, eps0: float | None = None) -> T
         "l2t_l2_grad_u": term_grad_u,
         "l2t_h1_grad_w": term_grad_w,
     }
-    holds = bool(hypothesis and norm_sum <= 2.0 * eps0 * (1.0 + 1e-12))
     return Theorem2Verdict(
         norm_sum=float(norm_sum),
-        eps0=float(eps0),
         data_norm=float(data_norm),
-        hypothesis_satisfied=bool(hypothesis),
-        holds=holds,
+        holds=bool(norm_sum <= 2.0 * data_norm * (1.0 + 1e-12)),
         terms=terms,
     )

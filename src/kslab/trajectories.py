@@ -1,7 +1,8 @@
-"""Discrete space-time trajectories: ordered positive times plus one array of node values.
+"""Discrete space-time trajectories: geometric positive times plus one array of node values.
 
 A trajectory is the discrete stand-in for a function of (t, x) living on
-``(0, T]``: node times are strictly positive, and an optional initial datum
+``(0, T]``: node times are strictly positive and geometric (a constant ratio
+between neighbours, so small t is resolved), and an optional initial datum
 carries the ``t = 0`` state when one is known (free evolutions and Picard
 iterates always have one; generic integral-operator outputs start from zero).
 
@@ -27,10 +28,9 @@ _GEOMETRIC_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Ordered node times 0 < t_1 < ... < t_K with a declared spacing law."""
+    """Geometric node times 0 < t_1 < ... < t_K: the ratio t_{j+1}/t_j is constant."""
 
     times: np.ndarray
-    spacing: str = "geometric"
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=np.float64)
@@ -42,11 +42,9 @@ class TimeGrid:
             raise ValueError("the first node must be strictly positive")
         if not np.all(np.diff(t) > 0):
             raise ValueError("node times must be strictly increasing")
-        if self.spacing not in ("geometric", "uniform"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        steps, law = (t[1:] / t[:-1], "ratio") if self.spacing == "geometric" else (np.diff(t), "gap")
-        if np.max(np.abs(steps - steps[0])) > _GEOMETRIC_TOL * steps[0]:
-            raise ValueError(f"{self.spacing} spacing requires a constant node {law}")
+        ratios = t[1:] / t[:-1]
+        if np.max(np.abs(ratios - ratios[0])) > _GEOMETRIC_TOL * ratios[0]:
+            raise ValueError("node times must be geometric: a constant ratio between neighbours")
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
 
@@ -54,13 +52,7 @@ class TimeGrid:
     def geometric(cls, t_min: float, t_max: float, count: int) -> "TimeGrid":
         if not 0 < t_min < t_max:
             raise ValueError("need 0 < t_min < t_max")
-        return cls(np.geomspace(t_min, t_max, count), "geometric")
-
-    @classmethod
-    def uniform(cls, t_min: float, t_max: float, count: int) -> "TimeGrid":
-        if not 0 < t_min < t_max:
-            raise ValueError("need 0 < t_min < t_max")
-        return cls(np.linspace(t_min, t_max, count), "uniform")
+        return cls(np.geomspace(t_min, t_max, count))
 
     @property
     def t_min(self) -> float:
@@ -81,13 +73,12 @@ class TimeGrid:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TimeGrid)
-            and self.spacing == other.spacing
             and self.times.shape == other.times.shape
             and bool(np.all(self.times == other.times))
         )
 
     def __hash__(self):  # consistent with __eq__ for frozen use
-        return hash((self.spacing, self.times.tobytes()))
+        return hash(self.times.tobytes())
 
 
 class TrajectoryOverflowError(RuntimeError):
@@ -167,9 +158,10 @@ def save_trajectory(path, traj: Trajectory) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a KSF1 snapshot sequence; the spacing law is inferred from the times.
+    """Read a KSF1 snapshot sequence whose positive times are geometric.
 
-    Raises ValueError on a malformed or empty file, mixed grids or non-finite values.
+    Raises ValueError on a malformed or empty file, mixed grids, non-geometric
+    times or non-finite values.
     """
     rows: list[tuple[int, float, float, np.ndarray]] = []
     with open(path, "rb") as fh:
@@ -186,17 +178,9 @@ def load_trajectory(path) -> Trajectory:
         initial = ScalarField(grid, rows.pop(0)[3].copy())
     if not rows:
         raise ValueError("trajectory file holds no positive-time snapshots")
-    tgrid = _infer_timegrid(np.array([row[2] for row in rows]))
+    tgrid = TimeGrid(np.array([row[2] for row in rows]))
     try:
         return Trajectory(grid, tgrid, np.stack([row[3] for row in rows]), initial)
     except TrajectoryOverflowError as exc:
         raise ValueError(f"snapshot at t={tgrid.times[exc.node_index]:.6g} holds non-finite values") from exc
 
-
-def _infer_timegrid(times: np.ndarray) -> TimeGrid:
-    for spacing in ("geometric", "uniform"):
-        try:
-            return TimeGrid(times, spacing)
-        except ValueError:
-            continue
-    raise ValueError("snapshot times are neither geometric nor uniform")

@@ -22,7 +22,7 @@ from kslab.cli import (
     main,
     parse_config_text,
 )
-from kslab.fields import rfft2, worker_count
+from kslab.fields import rfft2, worker_count, write_snapshot
 from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp
 from conftest import config_text
 
@@ -47,7 +47,6 @@ grid.l = 16.5
 time.t_min = 0.002
 time.t_max = 4.0
 time.k = 12
-time.spacing = uniform
 picard.c = 2.25
 picard.max_iter = 7
 picard.tol = 1e-09
@@ -90,7 +89,7 @@ class TestConfigParsing:
 
     def test_every_key_parses(self):
         expected = ExperimentConfig(
-            grid_n=32, grid_l=16.5, time_t_min=0.002, time_t_max=4.0, time_k=12, time_spacing="uniform",
+            grid_n=32, grid_l=16.5, time_t_min=0.002, time_t_max=4.0, time_k=12,
             picard_c=2.25, picard_max_iter=7, picard_tol=1e-9, picard_mode="thm2_H1bH1", picard_substeps=3,
             data_kind="file", data_mass=-0.5, data_width=0.25, data_amplitude=1.5, data_wavevector=(-2, 3),
             data_v_mass=0.125, data_v_width=0.75, data_v_amplitude=-0.5, data_stripe_smoothing=0.02,
@@ -112,13 +111,14 @@ class TestConfigParsing:
             parse_config_text("picard.c = -3\n")
         with pytest.raises(ConfigError):
             parse_config_text("data.kind = plume\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config_text("picard.quadrature = bogus\n")
+        for removed in ("picard.quadrature = bogus", "time.spacing = geometric"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config_text(removed + "\n")
         with pytest.raises(ConfigError, match="substeps must be an integer >= 1"):
             parse_config_text("picard.substeps = 0\n")
         # a value the solver objects reject is reported under its config key (grid.n = 100: not a power of two)
         for setting in ("picard.substeps = 0", "picard.max_iter = 0", "picard.tol = 0", "picard.mode = bogus",
-                        "grid.n = 100", "time.t_min = 20", "time.k = 1", "time.spacing = bogus", "grid.l = 0"):
+                        "grid.n = 100", "time.t_min = 20", "time.k = 1", "grid.l = 0"):
             key = setting.partition(" ")[0]
             with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
                 parse_config_text(setting + "\n")
@@ -146,7 +146,7 @@ class TestConfigParsing:
             "data.amplitude", "data.kind", "data.mass", "data.stripe_smoothing", "data.u_path", "data.v_amplitude",
             "data.v_mass", "data.v_path", "data.v_width", "data.wavevector", "data.width", "grid.l", "grid.n",
             "output.dir", "output.dump_fields", "picard.c", "picard.max_iter", "picard.mode", "picard.substeps",
-            "picard.tol", "time.k", "time.spacing", "time.t_max", "time.t_min", "variant.remark_ii",
+            "picard.tol", "time.k", "time.t_max", "time.t_min", "variant.remark_ii",
         ]
 
     def test_comments_and_blank_lines(self):
@@ -158,6 +158,15 @@ class TestConfigParsing:
         cfg = load_config(path, ["grid.n=64", "picard.c=auto"])
         assert cfg.grid_n == 64
         assert cfg.picard_c == "auto"
+
+    def test_validated_once_after_the_overrides(self, tmp_path):
+        # the file's grid.n = 100 alone is rejected, an override mends it, and a bad override names its key
+        bad_file = write_config(tmp_path, FAST_SOLVE + "grid.n = 100\n", name="bad.cfg")
+        with pytest.raises(ConfigError, match=r"^grid\.n: "):
+            load_config(bad_file, [])
+        assert load_config(bad_file, ["grid.n=32"]).grid_n == 32
+        with pytest.raises(ConfigError, match=r"^grid\.n: "):
+            load_config(write_config(tmp_path, FAST_SOLVE), ["grid.n=100"])
 
     def test_malformed_override(self, tmp_path):
         path = write_config(tmp_path, FAST_SOLVE)
@@ -348,6 +357,20 @@ class TestNormsCommand:
         assert "fields_u.ksf1" in err and "truncated" in err
         assert not list(out.glob("norms_*.json"))
 
+    def test_uniform_time_dump_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        self.dump(out / "fields_v.ksf1", 32)
+        field = gaussian_field(Grid2D(32, 32.0), 1e-3, 0.5)
+        with open(out / "fields_u.ksf1", "wb") as fh:
+            for t in np.linspace(1e-2, 1.0, 6):
+                write_snapshot(fh, field, t)
+        cfg = write_config(tmp_path, self.CFG)
+        assert main(["norms", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "fields_u.ksf1" in err and "geometric" in err
+        assert not list(out.glob("norms_*.json"))
+
     @pytest.mark.parametrize("snapshot", [0, 3], ids=["initial", "node"])
     def test_non_finite_dump_rejected(self, tmp_path, capsys, snapshot):
         out = tmp_path / "out"
@@ -456,16 +479,6 @@ class TestVerifyCommand:
         summary = json.loads((out / "verify_summary.json").read_text())
         assert len(summary["failures"]) == 1 and "re-pin AUTO_C" in summary["failures"][0]
         assert "FAIL: the lab's c=" in capsys.readouterr().err
-
-
-class TestLabConfig:
-    @pytest.mark.parametrize("command", ["verify", "constants"])
-    def test_lab_commands_refuse_uniform_spacing(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, "grid.n = 32\ntime.k = 12\ntime.spacing = uniform\n")
-        out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert "time.spacing" in capsys.readouterr().err
-        assert not any(out.iterdir())
 
 
 class TestConstantsCommand:

@@ -540,7 +540,12 @@ class TestArrayTrajectory:
     @pytest.mark.parametrize("times", [[1.0, np.inf], [np.nan, 1.0], [0.5, 1.0, np.nan]])
     def test_non_finite_times_rejected(self, times):
         with pytest.raises(ValueError, match="finite"):
-            TimeGrid(np.array(times), "uniform")
+            TimeGrid(np.array(times))
+
+    @pytest.mark.parametrize("times", [[0.1, 0.2, 0.5], [1.0, 2.0, 3.0, 4.0]], ids=["ratios", "uniform"])
+    def test_non_geometric_times_rejected(self, times):
+        with pytest.raises(ValueError, match="geometric"):
+            TimeGrid(np.array(times))
 
     @pytest.mark.parametrize("with_initial", [False, True])
     def test_save_writes_the_per_node_snapshots(self, tmp_path, with_initial):
@@ -584,7 +589,6 @@ class TestRoundTrips:
             time_t_min=t_min,
             time_t_max=t_min * data.draw(st.floats(1.5, 1e4)),
             time_k=data.draw(st.integers(2, 200)),
-            time_spacing=data.draw(st.sampled_from(["geometric", "uniform"])),
             picard_c=data.draw(st.one_of(st.just("auto"), pos)),
             picard_max_iter=data.draw(st.integers(1, 500)),
             picard_tol=data.draw(pos),
