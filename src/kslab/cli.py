@@ -176,10 +176,6 @@ def _apply_text(cfg: ExperimentConfig, text: str) -> ExperimentConfig:
     return cfg
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    return validate_config(_apply_text(base or ExperimentConfig(), text))
-
-
 def _solver_error(cfg: ExperimentConfig) -> ValueError | None:
     """The error that building the solver config, grid and time grid raises, if any."""
     try:

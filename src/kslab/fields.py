@@ -33,26 +33,50 @@ Conventions used throughout the package:
   ``|k| > n//3`` on either axis are zeroed before and after the real-space
   multiplication.  ``d1_dealiased_half`` and ``d2_dealiased_half`` are the
   dealiased derivative symbols ``mask * 1j*xi_i`` of that product.
-* Transforms: ``rfft2``/``irfft2`` call scipy's pocketfft binding
+* Transforms: ``rfft2``/``irfft2`` call scipy's compiled pocketfft binding
   (``pypocketfft.r2c``/``c2r``) with the arguments ``scipy.fft`` passes,
   skipping its dispatch and argument handling: 15-25 us per call, against a
   34-40 us kernel at n=64, paid tens of thousands of times by the
-  time-stepping oracle.  ``tests/test_fields.py::TestTransformContract``
-  pins bit equality with ``scipy.fft``.  ``irfft2`` takes only the
-  ``(..., n, n//2+1)`` half layout, where scipy would pad or crop.  This is
-  the only module that imports the FFT backend.
+  time-stepping oracle.  The binding is loaded from its file inside the
+  installed scipy package (``fft/_pocketfft/pypocketfft<EXT_SUFFIX>``), found
+  with ``importlib.util.find_spec("scipy")``, which imports nothing; no
+  ``scipy`` module is imported.  ``import scipy.fft`` costs about 0.3 s (it
+  pulls in ``scipy._lib._array_api``, ``numpy.f2py``, ``unittest`` and
+  ``email``), about half of importing ``kslab.cli``.  The compiled code is
+  the one ``scipy.fft`` calls, so every transform is bit-identical to it;
+  ``tests/test_fields.py::TestTransformContract`` pins that.  ``irfft2``
+  takes only the ``(..., n, n//2+1)`` half layout, where scipy would pad or
+  crop.  This is the only module that names the FFT backend.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import struct
+import sysconfig
 from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
-import scipy.fft as _sfft
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft binding, loaded from its file without importing any scipy module."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("kslab needs scipy's pocketfft binding, and scipy is not installed")
+    path = os.path.join(scipy_spec.submodule_search_locations[0], "fft", "_pocketfft",
+                        "pypocketfft" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's pocketfft binding is missing: no file {path}")
+    spec = importlib.util.spec_from_file_location("pypocketfft", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_pocketfft()
 
 
 def worker_count() -> int:
@@ -68,11 +92,19 @@ def worker_count() -> int:
 
 
 def fft2(a: np.ndarray) -> np.ndarray:
-    return _sfft.fft2(a, axes=(-2, -1), workers=worker_count())
+    """Full spectrum of ``a`` over the last two axes, computed in complex128.
+
+    Bit-equal to ``scipy.fft.fft2(a)`` on complex128 input; on real input
+    scipy takes its r2c path, which differs in the last bits.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    return _pocketfft.c2c(a, (a.ndim - 2, a.ndim - 1), True, 0, None, worker_count())
 
 
 def ifft2(a: np.ndarray) -> np.ndarray:
-    return _sfft.ifft2(a, axes=(-2, -1), workers=worker_count())
+    """Inverse full spectrum over the last two axes; bit-equal to ``scipy.fft.ifft2(a)`` on complex input."""
+    a = np.asarray(a, dtype=np.complex128)
+    return _pocketfft.c2c(a, (a.ndim - 2, a.ndim - 1), False, 2, None, worker_count())
 
 
 def rfft2(a: np.ndarray) -> np.ndarray:

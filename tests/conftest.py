@@ -1,14 +1,17 @@
 """Shared pytest set-up: a deterministic hypothesis profile for the property tests,
 counters of the real transforms the package makes, taken at the pocketfft
-binding that ``kslab.fields`` calls, two trajectory builders and a config
-text writer.
+binding that ``kslab.fields`` calls, a fresh-interpreter runner, two
+trajectory builders, and a config text writer and reader.
 
 Derandomized examples keep the suite reproducible run to run.  Without an
 example database, and with hypothesis' constants cache sent to the system
 temporary directory, the suite writes no ``.hypothesis/`` directory.
 """
 
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import types
 
@@ -28,8 +31,9 @@ else:
 def _route_transforms(monkeypatch, record):
     """Send every pocketfft call of ``kslab.fields`` through ``record(name, input)`` first.
 
-    ``name`` is ``"rfft2"`` for an r2c call and ``"irfft2"`` for a c2r call;
-    ``fields.rfft2`` and ``fields.irfft2`` make exactly one such call each.
+    ``name`` is ``"rfft2"`` for an r2c call, ``"irfft2"`` for a c2r call and
+    ``"c2c"`` for a full-layout call; ``fields.rfft2`` and ``fields.irfft2``
+    make exactly one r2c or c2r call each.
     """
     import kslab.fields
 
@@ -42,7 +46,7 @@ def _route_transforms(monkeypatch, record):
         return call
 
     monkeypatch.setattr(kslab.fields, "_pocketfft", types.SimpleNamespace(
-        r2c=counted("rfft2", binding.r2c), c2r=counted("irfft2", binding.c2r)))
+        r2c=counted("rfft2", binding.r2c), c2r=counted("irfft2", binding.c2r), c2c=counted("c2c", binding.c2c)))
 
 
 @pytest.fixture
@@ -90,6 +94,24 @@ def trajectory_difference(a, b):
     if a.initial is not None and b.initial is not None:
         initial = ScalarField(a.grid, a.initial.values - b.initial.values)
     return Trajectory(a.grid, a.tgrid, a.stacked - b.stacked, initial)
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's kslab; its stdout's last line, as JSON."""
+    import kslab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kslab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def parse_config_text(text):
+    """The config a config file of ``text`` gives: its lines applied over the defaults, then validated."""
+    from kslab.cli import ExperimentConfig, _apply_text, validate_config
+
+    return validate_config(_apply_text(ExperimentConfig(), text))
 
 
 def config_text(cfg):

@@ -20,11 +20,10 @@ from kslab.cli import (
     lab_setup,
     load_config,
     main,
-    parse_config_text,
 )
 from kslab.fields import rfft2, worker_count, write_snapshot
 from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp
-from conftest import config_text
+from conftest import config_text, parse_config_text, run_fresh
 
 FAST_SOLVE = """
 grid.n = 32
@@ -609,10 +608,14 @@ def test_public_surface_is_pinned():
 
 
 def test_only_fields_imports_the_fft_backend():
-    """The transform backend is decided in one module: only fields imports scipy.fft or its pocketfft binding."""
-    offenders = []
+    """The transform backend is decided in one module: no module imports scipy.fft or its pocketfft binding,
+    and fields, which loads the binding from its file, is the only one that names it."""
+    offenders, naming = [], []
     for path in sorted(Path(kslab.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        source = path.read_text(encoding="utf-8")
+        if "pypocketfft" in source:
+            naming.append(path.name)
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -621,4 +624,37 @@ def test_only_fields_imports_the_fft_backend():
                 continue
             offenders += [f"{path.name}: {n}" for n in names
                           if n.startswith("scipy.fft") or "pocketfft" in n]
-    assert offenders and all(o.startswith("fields.py:") for o in offenders)
+    assert offenders == []
+    assert naming == ["fields.py"]
+
+
+def test_start_up_imports_no_scipy(tmp_path):
+    """kslab binds pocketfft's compiled module without importing scipy: neither ``import kslab.cli`` nor a solve
+    loads any ``scipy`` module.  Only a stripe loads scipy.special, for erf, and its values are the closed form's."""
+    config = write_config(tmp_path, FAST_SOLVE)
+    result = run_fresh(f"""
+import json, sys
+import numpy as np
+from kslab import Grid2D, cli
+from kslab.data import smoothed_stripe_field
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.startswith("scipy"))
+
+after_import = scipy_modules()
+code = cli.main(["solve", "--config", {config!r}, "--out", {str(tmp_path / "out")!r}])
+after_solve = scipy_modules()
+grid = Grid2D(32, 16.0)
+stripe = smoothed_stripe_field(grid, 0.05, amplitude=1.5).values
+after_stripe = scipy_modules()
+from scipy.special import erf
+w = 2.0 * np.sqrt(0.05)
+profile = 0.5 * (erf(grid.x / w) - erf((grid.x - 1.0) / w))
+closed_form = 1.5 * np.repeat(profile[:, None], 32, axis=1)
+print(json.dumps(dict(after_import=after_import, code=code, after_solve=after_solve,
+                      special="scipy.special" in after_stripe, equal=bool(np.array_equal(stripe, closed_form)))))
+""")
+    assert result["after_import"] == []
+    assert result["code"] == 0 and (tmp_path / "out" / "solution_report.json").exists()
+    assert result["after_solve"] == []
+    assert result["special"] and result["equal"]

@@ -7,6 +7,7 @@ import scipy.fft
 from kslab import Grid2D, ScalarField, TimeGrid, damped_heat_trajectory, gradient, heat, load_field, save_field
 from kslab.duhamel import _div_u_grad_v
 from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
+from conftest import run_fresh
 
 
 def random_field(grid, seed=0):
@@ -130,7 +131,8 @@ class TestTransforms:
 
 
 class TestTransformContract:
-    """rfft2/irfft2 call pocketfft directly: bit-equal to scipy.fft on the half layout, strict elsewhere."""
+    """The transforms call pocketfft's binding directly: bit-equal to scipy.fft on the half layout and on complex
+    full-layout input, strict elsewhere."""
 
     @staticmethod
     def values(shape, seed=0):
@@ -153,6 +155,30 @@ class TestTransformContract:
         assert np.array_equal(irfft2(spec, 32), scipy.fft.irfft2(spec, s=(32, 32)))
         half = scipy.fft.rfft2(self.values((4, 32, 32)))[::2]
         assert np.array_equal(irfft2(half, 32), scipy.fft.irfft2(half, s=(32, 32)))
+
+    @pytest.mark.parametrize("shape", [(16, 16), (3, 32, 32), (2, 64, 64)], ids=["single", "batched", "n64"])
+    def test_full_layout_bit_equal_to_scipy_on_complex_input(self, shape):
+        c = self.values(shape) + 1j * self.values(shape, seed=1)
+        assert np.array_equal(fft2(c), scipy.fft.fft2(c))
+        assert np.array_equal(ifft2(c), scipy.fft.ifft2(c))
+
+    def test_bit_equal_after_scipy_fft_is_imported(self):
+        """kslab loads the binding before scipy.fft loads its own copy of it; both compute the same bits."""
+        result = run_fresh("""
+import json, sys
+import numpy as np
+from kslab.fields import irfft2, rfft2
+a = np.random.default_rng(0).standard_normal((3, 32, 32))
+spec = rfft2(a)
+back = irfft2(spec, 32)
+before = sorted(k for k in sys.modules if k.startswith("scipy"))
+import scipy.fft
+print(json.dumps(dict(before=before, loaded="scipy.fft._pocketfft.pypocketfft" in sys.modules,
+                      r2c=bool(np.array_equal(rfft2(a), spec) and np.array_equal(spec, scipy.fft.rfft2(a))),
+                      c2r=bool(np.array_equal(irfft2(spec, 32), back)
+                               and np.array_equal(back, scipy.fft.irfft2(spec, s=(32, 32)))))))
+""")
+        assert result == {"before": [], "loaded": True, "r2c": True, "c2r": True}
 
     def test_complex_input_rejected(self):
         with pytest.raises(TypeError):

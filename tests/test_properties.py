@@ -28,7 +28,7 @@ from kslab import (
     maximal_reg_T,
     verify_multiplier_lemma,
 )
-from kslab.cli import ExperimentConfig, parse_config_text
+from kslab.cli import ExperimentConfig
 from kslab.data import random_band_limited_field
 from kslab.duhamel import EtdPlan, _convolve_hat, _div_u_grad_v, _profile_march, etd_weights
 from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
@@ -38,7 +38,7 @@ from kslab.norms import (_batch_grad_linf, _batch_hs, _batch_lp, _grad_sup, _hs_
                          _rank_one_norms, grad_linf, trapezoid)
 from kslab.semigroup import _free_flow
 from kslab.trajectories import TrajectoryOverflowError, _first_nonfinite_node, load_trajectory, save_trajectory
-from conftest import config_text, trajectory_difference
+from conftest import _route_transforms, config_text, parse_config_text, trajectory_difference
 
 seeds = st.integers(0, 2**32 - 1)
 lengths = st.sampled_from([4.0, 8.0, 32.0])
@@ -476,13 +476,14 @@ class TestSingleLayout:
         np.testing.assert_allclose([(g.lhs, g.rhs) for g in got], [e[2:] for e in expected], rtol=1e-13, atol=0)
 
     def test_no_full_layout_transform(self, monkeypatch):
-        class Refuse:
-            """Stands in for scipy.fft: every c2c transform, whoever bound it, goes through here."""
+        def refuse_c2c(name, a):
+            """Every pocketfft call of the package goes through here: a c2c call is a full-layout transform."""
+            if name == "c2c":
+                raise AssertionError(f"full-layout c2c transform called on shape {a.shape}")
 
-            def __getattr__(self, name):
-                raise AssertionError(f"full-layout transform scipy.fft.{name} called")
-
-        monkeypatch.setattr(kslab.fields, "_sfft", Refuse())
+        _route_transforms(monkeypatch, refuse_c2c)
+        with pytest.raises(AssertionError, match="full-layout"):  # the refusal is live
+            kslab.fields.fft2(np.zeros((16, 16)))
         grid = Grid2D(16, 8.0)
         f, g = (ScalarField(grid, v) for v in _stack(0, 2))
         _div_u_grad_v(grid, rfft2(f.values), rfft2(g.values))
