@@ -181,12 +181,6 @@ def trapezoid(times: np.ndarray, values: np.ndarray):
     return np.sum(0.5 * gaps * (values[1:] + values[:-1]), axis=0)
 
 
-def _spectrum(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Node half spectra (K, n, n//2+1) and their power |c|^2, computed once per report."""
-    coeffs = rfft2(traj.stacked)
-    return coeffs, np.abs(coeffs) ** 2
-
-
 # ---------------------------------------------------------------------------
 # Besov norms through the heat flow
 # ---------------------------------------------------------------------------

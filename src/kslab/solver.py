@@ -47,7 +47,6 @@ from .trajectories import (
     TimeGrid,
     Trajectory,
     TrajectoryOverflowError,
-    _initial_hat,
     _require_compatible,
     _require_finite,
 )
@@ -165,7 +164,10 @@ class SolutionReport:
     contraction; the later ones estimate the contraction rate.
     ``free_u_x_nodes`` holds ||u||_L1 + t ||u||_Linf at each node for
     iteration 0, u0's heat flow, which the Theorem-1 verdict reads; it is not
-    in the JSON.
+    in the JSON.  ``u_hat``, ``w_hat`` (half spectra) and ``w_grad`` (w's
+    gradient values) are the final iterate's arrays as the iteration held them,
+    frozen; the Theorem-2 verdict reads them.  Like ``NormEntry.nodes`` they are
+    working data, not results, so JSON, equality and repr leave them out.
     """
 
     config: SolverConfig
@@ -189,6 +191,9 @@ class SolutionReport:
     mass_initial: float
     mass_drift_max: float
     free_u_x_nodes: np.ndarray
+    u_hat: np.ndarray = field(compare=False, repr=False)
+    w_hat: np.ndarray = field(compare=False, repr=False)
+    w_grad: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -334,6 +339,8 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     w = Trajectory.from_values(grid, tgrid, irfft2(w_hat, n), initial=w0)
     v = (4.0 * c) * w
 
+    for held in (u_hat, w_hat, *w_grad):
+        held.setflags(write=False)
     diag = {}
     for key, entry in (("t_u_linf", report_thm1["u_sup_t_linf"]), ("sqrt_t_grad_w", report_thm1["y_norm"])):
         diag[f"{key}_argmax"] = entry.argmax_time
@@ -361,6 +368,9 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
         mass_initial=mass0,
         mass_drift_max=mass_drift,
         free_u_x_nodes=free_u_x_nodes,
+        u_hat=u_hat,
+        w_hat=w_hat,
+        w_grad=w_grad,
         diagnostics=diag,
     )
 
@@ -502,9 +512,11 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
     sup_t (||u||_L1 + t ||u||_Linf + (1/4c) t^{1/2} ||grad v||_Linf).  The left
     side sums the final Theorem-1 report's node series (v/(4c) = w: Y's term);
     the right side's u terms are Picard's iterate 0, u0's heat flow
-    (``free_u_x_nodes``), so only v0's heat flow is transformed.  Also evaluates
-    the data-level sufficient condition
+    (``free_u_x_nodes``), so only v0's heat flow is transformed, and nothing
+    when v0 = 0.  Also evaluates the data-level sufficient condition
     2 ||u0||_L1 + (1/4c) sup_t t^{1/2} ||grad e^{t Lap} v0||_Linf <= 3/(32 c^2).
+    Transform budget: none when v0 = 0, else two single-plane r2c of v0 and
+    two c2r each of K planes and of the Besov probe's planes.
     """
     c = report.c
     grid = report.u.grid
@@ -512,14 +524,14 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
 
     r = report.norms_thm1
     lhs = float(np.max(r["u_sup_l1"].nodes + r["u_sup_t_linf"].nodes + r["y_norm"].nodes))
-    # v0's plain heat flow is not Picard's damped w flow: it is transformed here
-    gv = _norms._batch_grad_linf(grid, _free_flow(rfft2(report.v0.values), times, grid.k2_half))
-    rhs = 2.0 * float(np.max(report.free_u_x_nodes + np.sqrt(times) * gv / (4.0 * c)))
-
+    free_nodes = report.free_u_x_nodes
+    grad_b = 0.0
     if float(np.max(np.abs(report.v0.values))) > 0:
+        # v0's plain heat flow is not Picard's damped w flow: it is transformed here
+        gv = _norms._batch_grad_linf(grid, _free_flow(rfft2(report.v0.values), times, grid.k2_half))
+        free_nodes = free_nodes + np.sqrt(times) * gv / (4.0 * c)
         grad_b = grad_besov_sup(report.v0, default_besov_probe()).value
-    else:
-        grad_b = 0.0
+    rhs = 2.0 * float(np.max(free_nodes))
     sufficient_lhs = 2.0 * lp_norm(report.u0, 1.0) + grad_b / (4.0 * c)
 
     holds = lhs <= rhs * (1.0 + 1e-12)
@@ -554,26 +566,27 @@ def check_theorem2_bound(report: SolutionReport) -> Theorem2Verdict:
     + ||grad w||_{L2_t H1}, with w = v/(4c); the last term is the final
     Theorem-2 report's entry.  The data norm ||u0||_Linf + ||u0||_H1
     + (1/4c) ||v0||_H1 is the theorem's small-data size epsilon_0.
+    Transform budget: two single-plane r2c, of u0 and v0; the solution's
+    spectra and w's gradient values are the ones ``picard_solve`` held.
     """
     c = report.c
-    u, w = report.u, report.w
-    times = u.tgrid.times
-    grid = u.grid
+    grid, times = report.u.grid, report.u.tgrid.times
+    u_hat, w_hat = report.u_hat, report.w_hat
 
-    data_norm = lp_norm(report.u0, np.inf) + hs_norm(report.u0, 1.0) + hs_norm(report.v0, 1.0) / (4.0 * c)
+    u0_hat = rfft2(report.u0.values)
+    data_norm = (lp_norm(report.u0, np.inf) + float(_norms._batch_hs(grid, u0_hat, 1.0))
+                 + hs_norm(report.v0, 1.0) / (4.0 * c))
 
-    uc, u_power = _norms._spectrum(u)
-    wc = rfft2(w.stacked)
     # sup_t ||u +- w||_H1 over both signs
-    term_h1 = float(max(np.max(_norms._batch_hs(grid, uc + sign * wc, 1.0)) for sign in (1.0, -1.0)))
+    term_h1 = float(max(np.max(_norms._batch_hs(grid, u_hat + sign * w_hat, 1.0)) for sign in (1.0, -1.0)))
 
     # sup_t ||u +- sigma(t) d_i w||_Linf over signs and components
     sig = _norms.sigma(times)[:, None, None]
-    term_mix = max(float(np.max(np.abs(u.stacked + sign * sig * comp)))
-                   for comp in _grad_values(grid, wc) for sign in (1.0, -1.0))
+    term_mix = max(float(np.max(np.abs(report.u.stacked + sign * sig * comp)))
+                   for comp in report.w_grad for sign in (1.0, -1.0))
 
     # ||grad u||_{L2_t L2} (head from u0's free flow); ||grad w||_{L2_t H1} is the report's
-    term_grad_u, _ = _norms._l2t_grad(grid, times, u_power, _initial_hat(u), damped=False, s=0.0)
+    term_grad_u, _ = _norms._l2t_grad(grid, times, np.abs(u_hat) ** 2, u0_hat, damped=False, s=0.0)
     term_grad_w = report.norms_thm2.value("w_grad_l2t_h1")
 
     norm_sum = term_h1 + term_mix + term_grad_u + term_grad_w

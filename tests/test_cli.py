@@ -579,7 +579,8 @@ def test_single_spectral_layout():
 
 
 # Exported names that only tests call; perfbench/tracing.py binds them by name,
-# so they go when the benchmark reads an in-package trace (ROADMAP item 3).
+# so they go when the benchmark reads an in-package trace and the operator layer
+# they belong to is deleted (ROADMAP items 4 and 9).
 TRACER_BOUND_EXPORTS = [
     "besov_norm", "bilinear_B", "damped_heat_trajectory", "etd_convolve", "heat_trajectory", "hs_dot_norm",
     "linear_L", "maximal_reg_T",

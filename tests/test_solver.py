@@ -1,5 +1,6 @@
 """Fixed-point solver tests: convergence, certificates, oracle agreement."""
 
+import functools
 import math
 import re
 from dataclasses import replace
@@ -13,22 +14,27 @@ from kslab import (
     ReferenceStepError,
     ScalarField,
     SolverConfig,
+    Theorem1Verdict,
     bilinear_B,
     check_theorem1_bound,
     check_theorem2_bound,
     damped_heat_trajectory,
+    default_besov_probe,
     gaussian_field,
     heat_trajectory,
+    hs_norm,
     linear_L,
+    lp_norm,
     picard_solve,
     reference_solve,
     relative_node_differences,
+    sigma,
     xy_norms_thm1,
     xy_norms_thm2,
 )
-from kslab.fields import irfft2, rfft2
+from kslab.fields import _grad_values, irfft2, rfft2
 from kslab.inequality_lab import smallness_threshold
-from kslab.norms import _batch_grad_linf, _batch_lp, _l2t_grad
+from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, _l2t_grad
 from kslab.semigroup import _free_flow
 from conftest import trajectory_difference
 
@@ -259,6 +265,16 @@ class TestTheoremBounds:
         assert verdict.norm_sum <= 2.0 * verdict.data_norm
 
 
+@pytest.fixture(scope="module")
+def solved(cfg, grid):
+    """The suite's Gaussian pair solved once per (mode, remark_ii, v_mass); v_mass = 0 gives v0 = 0."""
+    @functools.cache
+    def solve(mode, remark_ii, v_mass):
+        w0 = (1.0 / (4.0 * C_TEST)) * gaussian_field(grid, v_mass, 0.7)
+        return picard_solve(gaussian_field(grid, 1e-3, 0.5), w0, replace(cfg, mode=mode, remark_ii=remark_ii))
+    return solve
+
+
 class TestVerdictsReadTheReports:
     """The verdicts read the final reports' node series and entries instead of re-transforming u and v."""
 
@@ -273,9 +289,29 @@ class TestVerdictsReadTheReports:
         assert check_theorem1_bound(rep).lhs == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_theorem1_verdict_transforms_only_the_data(self, small_report, fft_calls):
-        # v0's heat flow: 1 r2c, then its gradient, 2 c2r; u0's heat flow is Picard's iterate 0
+        # v0 = 0 here: nothing is transformed; u0's heat flow is Picard's iterate 0
         check_theorem1_bound(small_report)
-        assert fft_calls == {"rfft2": 1, "irfft2": 2}
+        assert fft_calls == {"rfft2": 0, "irfft2": 0}
+
+    def test_theorem1_verdict_transforms_a_chemical_datum(self, cfg, solved, fft_batches):
+        rep = solved("thm1_L1Linf", False, 1e-3)
+        fft_batches.update(rfft2=[], irfft2=[])
+        check_theorem1_bound(rep)
+        # v0 twice (its heat flow on the grid, then the Besov probe), each flow's gradient: 2 c2r
+        probe = (default_besov_probe().count,)
+        assert fft_batches == {"rfft2": [(), ()], "irfft2": [(cfg.num_times,)] * 2 + [probe] * 2}
+
+    def test_theorem1_verdict_without_a_chemical_datum_equals_the_transformed_zero_flow(self, small_report):
+        rep = small_report
+        c, grid, times = rep.c, rep.u.grid, rep.u.tgrid.times
+        r = rep.norms_thm1
+        lhs = float(np.max(r["u_sup_l1"].nodes + r["u_sup_t_linf"].nodes + r["y_norm"].nodes))
+        gv = _batch_grad_linf(grid, _free_flow(rfft2(rep.v0.values), times, grid.k2_half))
+        rhs = 2.0 * float(np.max(rep.free_u_x_nodes + np.sqrt(times) * gv / (4.0 * c)))
+        sufficient_lhs = 2.0 * lp_norm(rep.u0, 1.0) + 0.0 / (4.0 * c)
+        assert check_theorem1_bound(rep) == Theorem1Verdict(
+            lhs, rhs, lhs <= rhs * (1.0 + 1e-12), lhs / rhs, sufficient_lhs, rep.threshold,
+            sufficient_lhs <= rep.threshold)
 
     @pytest.mark.parametrize("mode", ["thm1_L1Linf", "thm2_H1bH1"])
     def test_theorem1_rhs_equals_the_transformed_heat_flows(self, cfg, grid, mode):
@@ -302,6 +338,44 @@ class TestVerdictsReadTheReports:
         expected, _ = _l2t_grad(grid, rep.w.tgrid.times, power, rfft2(w0.values), damped=not remark_ii)
         assert entry == pytest.approx(expected, rel=1e-13, abs=0)
         assert rep.a0 == rep.iterate_norms[0]
+
+    def test_theorem2_verdict_transforms_only_the_data(self, solved, fft_batches):
+        rep = solved("thm2_H1bH1", False, 1e-3)
+        fft_batches.update(rfft2=[], irfft2=[])
+        check_theorem2_bound(rep)
+        # u0 and v0, one plane each; the solution's spectra and w's gradient are Picard's
+        assert fft_batches == {"rfft2": [(), ()], "irfft2": []}
+
+    @pytest.mark.parametrize("remark_ii", [False, True])
+    @pytest.mark.parametrize("v_mass", [0.0, 1e-3])
+    def test_theorem2_verdict_equals_the_retransformed_formula(self, grid, solved, remark_ii, v_mass):
+        rep = solved("thm2_H1bH1", remark_ii, v_mass)
+        c, times = rep.c, rep.u.tgrid.times
+        # the same sums over spectra and gradients taken again from the node values of u and w
+        uc, wc = rfft2(rep.u.stacked), rfft2(rep.w.stacked)
+        sig = sigma(times)[:, None, None]
+        expected = {
+            "sup_h1_u_pm_w": float(max(np.max(_batch_hs(grid, uc + sign * wc, 1.0)) for sign in (1.0, -1.0))),
+            "sup_linf_u_pm_sigma_grad_w": max(float(np.max(np.abs(rep.u.stacked + sign * sig * comp)))
+                                              for comp in _grad_values(grid, wc) for sign in (1.0, -1.0)),
+            "l2t_l2_grad_u": _l2t_grad(grid, times, np.abs(uc) ** 2, rfft2(rep.u0.values), damped=False, s=0.0)[0],
+            "l2t_h1_grad_w": rep.norms_thm2.value("w_grad_l2t_h1"),
+        }
+        verdict = check_theorem2_bound(rep)
+        assert verdict.data_norm == lp_norm(rep.u0, np.inf) + hs_norm(rep.u0, 1.0) + hs_norm(rep.v0, 1.0) / (4.0 * c)
+        assert verdict.terms.keys() == expected.keys()
+        for name, value in expected.items():
+            assert verdict.terms[name] == pytest.approx(value, rel=1e-13, abs=0), name
+
+    def test_report_holds_the_final_iterates_arrays(self, grid, solved):
+        rep = solved("thm2_H1bH1", False, 1e-3)
+        # the node values and gradient of the same spectra, bit for bit
+        assert np.array_equal(irfft2(rep.u_hat, grid.n), rep.u.stacked)
+        assert np.array_equal(irfft2(rep.w_hat, grid.n), rep.w.stacked)
+        for held, again in zip(rep.w_grad, _grad_values(grid, rep.w_hat)):
+            assert np.array_equal(held, again)
+        assert not any(a.flags.writeable for a in (rep.u_hat, rep.w_hat, *rep.w_grad))
+        assert "u_hat" not in repr(rep) and "w_grad" not in rep.to_json_dict()
 
 
 class TestSmallnessDiagnostics:
