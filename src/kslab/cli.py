@@ -121,7 +121,6 @@ class ExperimentConfig:
     picard_max_iter: int = 50
     picard_tol: float = 1e-11
     picard_mode: str = "thm1_L1Linf"
-    picard_substeps: int = 1
     data_kind: str = "gaussian"
     data_mass: float = 1e-3
     data_width: float = 0.5
@@ -148,7 +147,7 @@ _KEY_TO_FIELD = {key: key.replace(".", "_") for key in _CASTERS}
 # it, and a value the solver objects reject is reported under its key
 _SOLVER_KEYS = {"n": "grid.n", "l": "grid.l", "t_min": "time.t_min", "t_max": "time.t_max", "num_times": "time.k",
                 "c": "picard.c", "max_iter": "picard.max_iter", "tol": "picard.tol", "mode": "picard.mode",
-                "substeps": "picard.substeps", "remark_ii": "variant.remark_ii"}
+                "remark_ii": "variant.remark_ii"}
 
 
 def apply_setting(cfg: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
@@ -507,7 +506,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     if worst > COMPARE_TOLERANCE:
         print(
             f"compare: max relative difference {worst:.3e} exceeds {COMPARE_TOLERANCE:.0e}; "
-            "refine the time grid (raise time.k) or the quadrature (raise picard.substeps)",
+            "refine the time grid (raise time.k)",
             file=sys.stderr,
         )
         return 1

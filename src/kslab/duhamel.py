@@ -5,9 +5,10 @@ the factor ``exp(-(t - tau) * lam)`` is integrated exactly over each time
 interval against the piecewise-linear interpolant of the integrand (the
 second-order ETD rule; Hochbruck & Ostermann 2010), and the running integral
 is marched from node to node (the semigroup factorises exactly, so marching
-equals the full sum per mode).  ``substeps`` (a count, default 1) splits each
-interval into that many equal pieces, the integrand sampled on a cubic
-spline through the nodes; doubling it estimates the quadrature's own error.
+equals the full sum per mode).  The time grid is the refinement: each ETD
+interval runs from one node to the next, so more nodes (``time.k``) is the
+one way to shrink the quadrature error.  A geometric grid of 2K - 1 nodes
+holds the K-node grid's nodes, so the change on them estimates that error.
 
 The apparently singular kernels of the underlying estimates stay benign
 here: the differentiation sits inside the exactly integrated multiplier.
@@ -30,10 +31,10 @@ datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
 ETD interval; otherwise the head is dropped.
 
 Plans: an ``EtdPlan`` holds what the march needs that does not depend on the
-integrand, for one (lam, time grid, substeps): the interval lengths and, per
-interval (head and substeps included), ``exp(-z)`` and the two quadrature
-weights at z = lam * dt.  The tables are stored per distinct value of lam,
-with an (n, n//2+1) index back to the half-layout modes, so a radial rate
+integrand, for one (lam, time grid): the interval lengths and, per interval
+(head included), ``exp(-z)`` and the two quadrature weights at z = lam * dt.
+The tables are stored per distinct value of lam, with an (n, n//2+1) index
+back to the half-layout modes, so a radial rate
 such as |xi|^2 costs 3 x intervals x (distinct rates) floats instead of
 3 x intervals x n^2: about 2.9 MB at n = 128, K = 64 (1911 distinct rates;
 the index adds 67 kB) and 42 MB at n = 512, K = 64 (the index adds 1 MB).
@@ -53,12 +54,6 @@ import numpy as np
 
 from .fields import ScalarField, _rate_layout, irfft2, rfft2
 from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatible, _require_finite
-
-
-def _check_substeps(substeps: int) -> None:
-    """``substeps`` counts pieces per interval: an integer of at least 1, else ``ValueError``."""
-    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
-        raise ValueError(f"substeps must be an integer >= 1, got {substeps!r}")
 
 
 # Entire-function weights for the exact per-interval integrals, z = lam * dt:
@@ -126,19 +121,17 @@ def _half_symbol(sym, n: int, what: str) -> np.ndarray:
 
 
 class EtdPlan:
-    """Per-interval ETD decay and weights for one (lam, time grid, substeps).
+    """Per-interval ETD decay and weights for one (lam, time grid).
 
     ``lam`` holds the half-layout rates, such as ``grid.k2_half + 1.0``;
     ``values`` are the distinct rates and ``inverse`` maps every half-layout
-    mode to its rate (``fields._rate_layout``).  Row r of ``decay``,
-    ``w_left`` and ``w_right`` belongs to piece r of ``[0, t_1], [t_1, t_2],
-    ...``, each interval split into ``substeps`` (a count, at least 1) equal
-    pieces whose edges are ``edges``; ``w_left`` and ``w_right`` weigh the
-    integrand's values at a piece's two ends.
+    mode to its rate (``fields._rate_layout``).  Row j of ``dts``, ``decay``,
+    ``w_left`` and ``w_right`` belongs to interval j of ``[0, t_1], [t_1, t_2],
+    ...``; ``w_left`` and ``w_right`` weigh the integrand's values at the
+    interval's two ends.
     """
 
-    def __init__(self, lam, tgrid: TimeGrid, substeps: int = 1):
-        _check_substeps(substeps)
+    def __init__(self, lam, tgrid: TimeGrid):
         lam = np.asarray(lam, dtype=np.float64)
         if np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("decay rates must be finite and non-negative")
@@ -146,20 +139,16 @@ class EtdPlan:
             raise ValueError(f"decay rates must be in the half layout (n, n//2+1), got shape {lam.shape}")
         lam = _half_symbol(lam, lam.shape[0], "decay rates")
         values, inverse = _rate_layout(lam)
-        knots = np.concatenate(([0.0], tgrid.times))
-        edges = np.array([np.linspace(a, b, substeps + 1) for a, b in zip(knots[:-1], knots[1:])])
-        dts = np.diff(edges, axis=1).ravel()
+        dts = np.diff(np.concatenate(([0.0], tgrid.times)))
         decay, w_left, w_right = etd_weights(dts[:, None] * values)
         self.tgrid = tgrid
-        self.substeps = substeps
         self.values = values
         self.inverse = inverse
-        self.edges = edges
         self.dts = dts
         self.decay = decay
         self.w_left = w_left
         self.w_right = w_right
-        for table in (values, inverse, edges, dts, decay, w_left, w_right):
+        for table in (values, inverse, dts, decay, w_left, w_right):
             table.setflags(write=False)
 
     def gather(self, row: np.ndarray) -> np.ndarray:
@@ -175,43 +164,24 @@ def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
     is one time profile, (K,) node values and its value ``g0hat`` at t = 0,
     and output column r is its convolution against the rate ``plan.values[r]``.
     """
-    times = plan.tgrid.times
-    substeps = plan.substeps
     spread = (lambda row: row) if per_rate else plan.gather
 
     if g0hat is not None:
-        knot_t = np.concatenate(([0.0], times))
         knot_g = np.concatenate(([g0hat], ghat), axis=0)
         out_offset = 1
     else:
-        knot_t = times
         knot_g = ghat
         out_offset = 0
 
-    spline = None
-    if substeps > 1:
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(knot_t, knot_g, axis=0)
-
     acc = np.zeros(plan.values.shape if per_rate else plan.inverse.shape, dtype=np.result_type(knot_g, np.float64))
-    out = np.empty((times.size,) + acc.shape, dtype=acc.dtype)
+    out = np.empty((plan.dts.size,) + acc.shape, dtype=acc.dtype)
     if out_offset == 0:
         out[0] = acc  # the [0, t_1] contribution was dropped
 
-    for i in range(knot_t.size - 1):
+    for i in range(len(knot_g) - 1):
         j = i + 1 - out_offset  # interval j of the plan ends at output node j
-        if substeps == 1:
-            vals = (knot_g[i], knot_g[i + 1])
-        else:
-            vals = [knot_g[i]]
-            vals.extend(spline(tt) for tt in plan.edges[j, 1:-1])
-            vals.append(knot_g[i + 1])
-        for k in range(substeps):
-            row = j * substeps + k
-            dt = plan.dts[row]
-            acc = (acc * spread(plan.decay[row])
-                   + dt * (spread(plan.w_left[row]) * vals[k] + spread(plan.w_right[row]) * vals[k + 1]))
+        acc = (acc * spread(plan.decay[j])
+               + plan.dts[j] * (spread(plan.w_left[j]) * knot_g[i] + spread(plan.w_right[j]) * knot_g[i + 1]))
         out[j] = acc
     return out
 
@@ -265,13 +235,13 @@ def _trajectory_of(g: Trajectory, out_hat: np.ndarray) -> Trajectory:
     return Trajectory.from_values(g.grid, g.tgrid, irfft2(out_hat, g.grid.n), initial=ScalarField.zero(g.grid))
 
 
-def _convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None, substeps: int) -> Trajectory:
+def _convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None) -> Trajectory:
     """The public convolutions: forward transform, a plan for ``lam``, the kernel, the trajectory."""
-    out_hat = _convolve_hat(rfft2(g.stacked), _initial_hat(g), EtdPlan(lam, g.tgrid, substeps), prefactor)
+    out_hat = _convolve_hat(rfft2(g.stacked), _initial_hat(g), EtdPlan(lam, g.tgrid), prefactor)
     return _trajectory_of(g, out_hat)
 
 
-def bilinear_B(u: Trajectory, v: Trajectory, substeps: int = 1) -> Trajectory:
+def bilinear_B(u: Trajectory, v: Trajectory) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} div(u grad v) dtau on the shared time grid.
 
     The divergence structure kills the zero mode of the integrand exactly, so
@@ -279,25 +249,24 @@ def bilinear_B(u: Trajectory, v: Trajectory, substeps: int = 1) -> Trajectory:
     """
     _require_compatible(u, v)
     grid = u.grid
-    plan = EtdPlan(grid.k2_half, u.tgrid, substeps)
+    plan = EtdPlan(grid.k2_half, u.tgrid)
     g0hat = None
     if u.initial is not None and v.initial is not None:
         g0hat = _div_u_grad_v(grid, _initial_hat(u), _initial_hat(v))
     return _trajectory_of(u, _bilinear_hat(grid, rfft2(u.stacked), rfft2(v.stacked), g0hat, plan))
 
 
-def linear_L(u: Trajectory, substeps: int = 1, damped: bool = True) -> Trajectory:
+def linear_L(u: Trajectory, damped: bool = True) -> Trajectory:
     """int_0^t e^{(t-tau)(Lap - 1)} u dtau; ``damped=False`` drops the -1."""
-    return _convolve(u, u.grid.k2_half + (1.0 if damped else 0.0), None, substeps)
+    return _convolve(u, u.grid.k2_half + (1.0 if damped else 0.0), None)
 
 
-def maximal_reg_T(g: Trajectory, substeps: int = 1) -> Trajectory:
+def maximal_reg_T(g: Trajectory) -> Trajectory:
     """int_0^t e^{(t-tau) Lap} Lap g dtau: the maximal-regularity operator."""
-    return _convolve(g, g.grid.k2_half, -g.grid.k2_half, substeps)
+    return _convolve(g, g.grid.k2_half, -g.grid.k2_half)
 
 
-def etd_convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None = None,
-                 substeps: int = 1) -> Trajectory:
+def etd_convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None = None) -> Trajectory:
     """General form int_0^t e^{-(t-tau) lam(xi)} prefactor(xi) g(tau) dtau.
 
     ``lam`` (non-negative) and ``prefactor`` (any real, time-independent
@@ -308,4 +277,4 @@ def etd_convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None = 
         if np.iscomplexobj(prefactor) or not np.all(np.isfinite(prefactor)):
             raise ValueError("prefactor symbol must be real and finite on the grid")
         prefactor = _half_symbol(prefactor, g.grid.n, "prefactor symbol")
-    return _convolve(g, _half_symbol(lam, g.grid.n, "decay rates"), prefactor, substeps)
+    return _convolve(g, _half_symbol(lam, g.grid.n, "decay rates"), prefactor)

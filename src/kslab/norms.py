@@ -193,12 +193,11 @@ class BesovEstimate:
     at_boundary: bool
 
 
-def _weighted_heat_sup(f: ScalarField, probe: TimeGrid, weight_exp: float, p: float, grad: bool) -> BesovEstimate:
-    """max over probe times of t^{weight_exp} * ||e^{t Lap} f||-type quantities."""
+def _weighted_heat_sup(grid: Grid2D, coeffs: np.ndarray, probe: TimeGrid, weight_exp: float, p: float,
+                       grad: bool) -> BesovEstimate:
+    """max over probe times of t^{weight_exp} * ||e^{t Lap} f||-type quantities, f's half spectrum ``coeffs``."""
     if probe.t_max / probe.t_min < 10.0**BESOV_MIN_DECADES * (1.0 - 1e-12):
         raise ValueError("the probe grid must span at least six decades of time")
-    grid = f.grid
-    coeffs = rfft2(f.values)
     times = probe.times
     norms = np.empty(times.size)
     chunk = max(1, (1 << 22) // (grid.n * grid.n))
@@ -231,12 +230,12 @@ def besov_norm(f: ScalarField, s: float, p: float, probe: TimeGrid) -> BesovEsti
     if not s < 0:
         raise ValueError(f"the heat-flow characterisation needs s < 0, got {s}")
     _check_p(p)
-    return _weighted_heat_sup(f, probe, -s / 2.0, p, grad=False)
+    return _weighted_heat_sup(f.grid, rfft2(f.values), probe, -s / 2.0, p, grad=False)
 
 
 def grad_besov_sup(f: ScalarField, probe: TimeGrid) -> BesovEstimate:
     """sup_t t^{1/2} ||grad e^{t Lap} f||_{L^inf}: the gradient's order -1 norm."""
-    return _weighted_heat_sup(f, probe, 0.5, np.inf, grad=True)
+    return _weighted_heat_sup(f.grid, rfft2(f.values), probe, 0.5, np.inf, grad=True)
 
 
 def default_besov_probe() -> TimeGrid:

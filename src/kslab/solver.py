@@ -38,10 +38,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import norms as _norms
-from .duhamel import EtdPlan, _bilinear_hat, _check_substeps, _convolve_hat, _div_u_grad_v, _phi1, etd_weights
+from .duhamel import EtdPlan, _bilinear_hat, _convolve_hat, _div_u_grad_v, _phi1, etd_weights
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .inequality_lab import AUTO_C, smallness_threshold
-from .norms import NormReport, default_besov_probe, grad_besov_sup, lp_norm, hs_norm
+from .norms import NormReport, default_besov_probe, lp_norm, hs_norm
 from .semigroup import _free_flow
 from .trajectories import (
     TimeGrid,
@@ -93,7 +93,6 @@ class SolverConfig:
     max_iter: int = 50
     tol: float = 1e-11
     mode: str = "thm1_L1Linf"
-    substeps: int = 1  # ETD pieces per time interval (duhamel.EtdPlan)
     remark_ii: bool = False  # drop the unit damping in the chemical equation
 
     def __post_init__(self) -> None:
@@ -103,7 +102,6 @@ class SolverConfig:
             raise ValueError(f"the estimate constant c must be finite and positive, got {self.c!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
-        _check_substeps(self.substeps)
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -260,8 +258,8 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     damped = not cfg.remark_ii
 
     # B and L convolve against the same rates every iteration: one plan each
-    b_plan = EtdPlan(grid.k2_half, tgrid, cfg.substeps)
-    l_plan = EtdPlan(grid.k2_half + (1.0 if damped else 0.0), tgrid, cfg.substeps)
+    b_plan = EtdPlan(grid.k2_half, tgrid)
+    l_plan = EtdPlan(grid.k2_half + (1.0 if damped else 0.0), tgrid)
 
     u0_hat, w0_hat = rfft2(u0.values), rfft2(w0.values)
     free_u_hat = _free_flow(u0_hat, times, grid.k2_half)
@@ -515,8 +513,9 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
     (``free_u_x_nodes``), so only v0's heat flow is transformed, and nothing
     when v0 = 0.  Also evaluates the data-level sufficient condition
     2 ||u0||_L1 + (1/4c) sup_t t^{1/2} ||grad e^{t Lap} v0||_Linf <= 3/(32 c^2).
-    Transform budget: none when v0 = 0, else two single-plane r2c of v0 and
-    two c2r each of K planes and of the Besov probe's planes.
+    Transform budget: none when v0 = 0, else one single-plane r2c of v0 (its
+    heat flow and Besov norm share it) and two c2r each of K planes and of the
+    Besov probe's planes.
     """
     c = report.c
     grid = report.u.grid
@@ -528,9 +527,10 @@ def check_theorem1_bound(report: SolutionReport) -> Theorem1Verdict:
     grad_b = 0.0
     if float(np.max(np.abs(report.v0.values))) > 0:
         # v0's plain heat flow is not Picard's damped w flow: it is transformed here
-        gv = _norms._batch_grad_linf(grid, _free_flow(rfft2(report.v0.values), times, grid.k2_half))
+        v0_hat = rfft2(report.v0.values)
+        gv = _norms._batch_grad_linf(grid, _free_flow(v0_hat, times, grid.k2_half))
         free_nodes = free_nodes + np.sqrt(times) * gv / (4.0 * c)
-        grad_b = grad_besov_sup(report.v0, default_besov_probe()).value
+        grad_b = _norms._weighted_heat_sup(grid, v0_hat, default_besov_probe(), 0.5, np.inf, grad=True).value
     rhs = 2.0 * float(np.max(free_nodes))
     sufficient_lhs = 2.0 * lp_norm(report.u0, 1.0) + grad_b / (4.0 * c)
 

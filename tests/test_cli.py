@@ -50,7 +50,6 @@ picard.c = 2.25
 picard.max_iter = 7
 picard.tol = 1e-09
 picard.mode = thm2_H1bH1
-picard.substeps = 3
 data.kind = file
 data.mass = -0.5
 data.width = 0.25
@@ -89,7 +88,7 @@ class TestConfigParsing:
     def test_every_key_parses(self):
         expected = ExperimentConfig(
             grid_n=32, grid_l=16.5, time_t_min=0.002, time_t_max=4.0, time_k=12,
-            picard_c=2.25, picard_max_iter=7, picard_tol=1e-9, picard_mode="thm2_H1bH1", picard_substeps=3,
+            picard_c=2.25, picard_max_iter=7, picard_tol=1e-9, picard_mode="thm2_H1bH1",
             data_kind="file", data_mass=-0.5, data_width=0.25, data_amplitude=1.5, data_wavevector=(-2, 3),
             data_v_mass=0.125, data_v_width=0.75, data_v_amplitude=-0.5, data_stripe_smoothing=0.02,
             data_u_path="dumps/u0.ksf1", data_v_path="dumps/v0.ksf1", output_dir="runs/a",
@@ -110,13 +109,11 @@ class TestConfigParsing:
             parse_config_text("picard.c = -3\n")
         with pytest.raises(ConfigError):
             parse_config_text("data.kind = plume\n")
-        for removed in ("picard.quadrature = bogus", "time.spacing = geometric"):
+        for removed in ("picard.quadrature = bogus", "time.spacing = geometric", "picard.substeps = 1"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 parse_config_text(removed + "\n")
-        with pytest.raises(ConfigError, match="substeps must be an integer >= 1"):
-            parse_config_text("picard.substeps = 0\n")
         # a value the solver objects reject is reported under its config key (grid.n = 100: not a power of two)
-        for setting in ("picard.substeps = 0", "picard.max_iter = 0", "picard.tol = 0", "picard.mode = bogus",
+        for setting in ("picard.max_iter = 0", "picard.tol = 0", "picard.mode = bogus",
                         "grid.n = 100", "time.t_min = 20", "time.k = 1", "grid.l = 0"):
             key = setting.partition(" ")[0]
             with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
@@ -144,8 +141,8 @@ class TestConfigParsing:
         assert sorted(kslab.cli._CASTERS) == [
             "data.amplitude", "data.kind", "data.mass", "data.stripe_smoothing", "data.u_path", "data.v_amplitude",
             "data.v_mass", "data.v_path", "data.v_width", "data.wavevector", "data.width", "grid.l", "grid.n",
-            "output.dir", "output.dump_fields", "picard.c", "picard.max_iter", "picard.mode", "picard.substeps",
-            "picard.tol", "time.k", "time.t_max", "time.t_min", "variant.remark_ii",
+            "output.dir", "output.dump_fields", "picard.c", "picard.max_iter", "picard.mode", "picard.tol",
+            "time.k", "time.t_max", "time.t_min", "variant.remark_ii",
         ]
 
     def test_comments_and_blank_lines(self):
@@ -420,7 +417,7 @@ class TestCompareCommand:
         summary = json.loads((out / "compare_summary.json").read_text())
         assert code == 1
         assert "refine the time grid" in captured.err
-        assert "time.k" in captured.err and "picard.substeps" in captured.err
+        assert "time.k" in captured.err and "picard.substeps" not in captured.err
         assert summary["max_rel_diff"] > 1e-4
 
 
@@ -582,8 +579,8 @@ def test_single_spectral_layout():
 # so they go when the benchmark reads an in-package trace and the operator layer
 # they belong to is deleted (ROADMAP items 4 and 9).
 TRACER_BOUND_EXPORTS = [
-    "besov_norm", "bilinear_B", "damped_heat_trajectory", "etd_convolve", "heat_trajectory", "hs_dot_norm",
-    "linear_L", "maximal_reg_T",
+    "besov_norm", "bilinear_B", "damped_heat_trajectory", "etd_convolve", "grad_besov_sup", "heat_trajectory",
+    "hs_dot_norm", "linear_L", "maximal_reg_T",
 ]
 
 
@@ -598,7 +595,7 @@ def test_public_surface_is_pinned():
         "SolverConfig", "Theorem1Verdict", "Theorem2Verdict", "TimeGrid", "Trajectory",
         "besov_equivalence_samples", "check_theorem1_bound", "check_theorem2_bound", "cosine_mode_field",
         "counterexample_profile", "counterexample_sweep", "default_besov_probe", "default_constants",
-        "estimate_constants", "gaussian_field", "grad_besov_sup", "grad_heat_kernel_norms",
+        "estimate_constants", "gaussian_field", "grad_heat_kernel_norms",
         "grad_kernel_l1_exact", "gradient", "heat", "heat_kernel_norms", "hs_norm", "kernel_norm_exact",
         "load_field", "load_trajectory", "lp_norm", "picard_solve", "random_band_limited_field",
         "reference_solve", "refinement_drift", "relative_node_differences", "save_field", "save_trajectory",
@@ -627,6 +624,29 @@ def test_only_fields_imports_the_fft_backend():
                           if n.startswith("scipy.fft") or "pocketfft" in n]
     assert offenders == []
     assert naming == ["fields.py"]
+
+
+def _imports_by_scope(node, scope=None):
+    """(innermost enclosing function's name or None, dotted name) for every absolute import under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports_by_scope(child, child.name)
+        elif isinstance(child, ast.Import):
+            yield from ((scope, alias.name) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield from ((scope, f"{child.module}.{alias.name}") for alias in child.names)
+        else:
+            yield from _imports_by_scope(child, scope)
+
+
+def test_the_only_scipy_import_is_the_stripes_erf():
+    """No module imports scipy at module level, and the one scipy import anywhere in src is
+    ``smoothed_stripe_field``'s function-local ``from scipy.special import erf``."""
+    found = [(path.name, scope, name)
+             for path in sorted(Path(kslab.__file__).parent.glob("*.py"))
+             for scope, name in _imports_by_scope(ast.parse(path.read_text(encoding="utf-8")))
+             if name.split(".")[0] == "scipy"]
+    assert found == [("data.py", "smoothed_stripe_field", "scipy.special.erf")]
 
 
 def test_start_up_imports_no_scipy(tmp_path):

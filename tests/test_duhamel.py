@@ -220,30 +220,24 @@ class TestMaximalRegT:
 
 
 class TestQuadratureScheme:
-    def test_validation(self, tgrid):
-        for bad in (0, -1, 1.5):
-            with pytest.raises(ValueError, match="substeps"):
-                duhamel.EtdPlan(np.zeros((4, 3)), tgrid, bad)
-            with pytest.raises(ValueError, match="substeps"):
-                SolverConfig(substeps=bad)
-
-    def test_substep_refinement_orders(self, grid):
-        # smooth single-mode data: halving the substep length cuts the
-        # second-order update by ~4x
-        tgrid = TimeGrid.geometric(0.05, 2.0, 8)
+    def test_nested_grid_refinement_orders(self, grid):
+        # smooth single-mode data: the time grid is the refinement, and on
+        # nested geometric grids (K = 7 * 2^m + 1, every 2^m-th node the
+        # coarse one) halving the log-spacing cuts the second-order update by ~4x
         f = cosine_mode_field(grid, (2, 0))
-        decay = np.exp(-1.3 * tgrid.times)
-        traj = Trajectory.from_values(
-            grid, tgrid, decay[:, None, None] * f.values[None], initial=f
-        )
+        coarse = TimeGrid.geometric(0.05, 2.0, 8).times
+        outs = []
+        for m in range(4):
+            tgrid = TimeGrid.geometric(0.05, 2.0, 7 * 2**m + 1)
+            assert np.array_equal(tgrid.times[:: 2**m], coarse)
+            decay = np.exp(-1.3 * tgrid.times)
+            traj = Trajectory.from_values(grid, tgrid, decay[:, None, None] * f.values[None], initial=f)
+            outs.append(linear_L(traj).stacked[:: 2**m])
 
         factor = 4.0
-        outs = {s: linear_L(traj, s).stacked for s in (1, 2, 4, 8)}
-        change_12 = np.max(np.abs(outs[2] - outs[1]))
-        change_24 = np.max(np.abs(outs[4] - outs[2]))
-        change_48 = np.max(np.abs(outs[8] - outs[4]))
-        assert change_24 <= change_12 / (factor * 0.8)
-        assert change_48 <= change_24 / (factor * 0.8)
+        changes = [np.max(np.abs(b - a)) for a, b in zip(outs, outs[1:])]
+        for coarse_change, fine_change in zip(changes, changes[1:]):
+            assert fine_change <= coarse_change / (factor * 0.8)
 
 
 class TestEtdConvolve:

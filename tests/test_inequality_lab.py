@@ -1,6 +1,7 @@
 """Lab tests: estimate ratios, constants, refinement drift, counterexample."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,20 @@ class TestMeasuredRatios:
         report = besov_equivalence_samples(SMALL)
         assert report.samples
         assert all(np.isfinite(s.ratio) and s.ratio > 0 for s in report.samples)
+
+    def test_besov_equivalence_transforms_each_field_once(self, fft_batches):
+        # both heat-flow sups of a field read its one spectrum; the gradient side is grad_besov_sup's bits
+        from kslab import TimeGrid, besov_equivalence_samples, grad_besov_sup
+        from kslab.inequality_lab import _lab_fields
+
+        report = besov_equivalence_samples(SMALL)
+        fields = _lab_fields(SMALL.make_grid(), 0)
+        assert fft_batches["rfft2"] == [()] * len(fields)
+        probe = TimeGrid.geometric(SMALL.t_max * 1e-6 / 1.1, SMALL.t_max, 48)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = {(("field", name),): grad_besov_sup(f, probe).value for name, f in fields}
+        assert {s.params: s.rhs for s in report.samples} == {k: v for k, v in expected.items() if v != 0}
 
 
 class TestCounterexample:

@@ -203,57 +203,47 @@ def _rates(grid, kind: str, seed: int) -> np.ndarray:
     return _half(np.maximum(r, _mirror(r)))
 
 
-def _dense_march(ghat, g0hat, times, lam, substeps):
+def _dense_march(ghat, g0hat, times, lam):
     """Reference march: the weights evaluated on the whole rate array, in either layout, every interval."""
     knot_t, knot_g = times, ghat
     if g0hat is not None:
         knot_t = np.concatenate(([0.0], times))
         knot_g = np.concatenate((g0hat[None], ghat), axis=0)
-    if substeps > 1:
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(knot_t, knot_g, axis=0)
     acc = np.zeros(lam.shape, dtype=np.complex128)
     out = [acc] if g0hat is None else []
     for i in range(knot_t.size - 1):
-        edges = np.linspace(knot_t[i], knot_t[i + 1], substeps + 1)
-        vals = [knot_g[i], *(spline(tt) for tt in edges[1:-1]), knot_g[i + 1]]
-        for k in range(substeps):
-            dt = edges[k + 1] - edges[k]
-            decay, w_left, w_right = etd_weights(lam * dt)
-            acc = acc * decay + dt * (w_left * vals[k] + w_right * vals[k + 1])
+        dt = knot_t[i + 1] - knot_t[i]
+        decay, w_left, w_right = etd_weights(lam * dt)
+        acc = acc * decay + dt * (w_left * knot_g[i] + w_right * knot_g[i + 1])
         out.append(acc)
     return np.array(out)
 
 
-schemes = st.sampled_from([1, 3])  # substep counts
-
-
 class TestEtdPlans:
-    @given(seed=seeds, substeps=schemes, with_initial=st.booleans(),
+    @given(seed=seeds, with_initial=st.booleans(),
            rate=st.sampled_from(["heat", "damped", "repeated"]), with_prefactor=st.booleans())
-    def test_plan_reuse_is_bit_identical(self, seed, substeps, with_initial, rate, with_prefactor):
+    def test_plan_reuse_is_bit_identical(self, seed, with_initial, rate, with_prefactor):
         grid = Grid2D(16, 8.0)
         lam = _rates(grid, rate, seed)
         pre = np.sqrt(grid.k2_half) if with_prefactor else None
-        plan = EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4), substeps)
-        assert plan.decay.shape == (4 * substeps, np.unique(lam).size)
+        plan = EtdPlan(lam, TimeGrid.geometric(1e-2, 1.0, 4))
+        assert plan.decay.shape == (4, np.unique(lam).size)
         assert np.array_equal(plan.values[plan.inverse], lam)
         for g in (_trajectory(grid, seed, 4, with_initial), _trajectory(grid, seed + 1, 4, with_initial)):
             ghat = rfft2(g.stacked)
             g0hat = None if g.initial is None else rfft2(g.initial.values)
             planned = _convolve_hat(ghat, g0hat, plan, pre)
-            own = _convolve_hat(ghat, g0hat, EtdPlan(lam, g.tgrid, substeps), pre)
+            own = _convolve_hat(ghat, g0hat, EtdPlan(lam, g.tgrid), pre)
             assert np.array_equal(planned, own)
             if pre is not None:
                 ghat = pre * ghat
                 g0hat = None if g0hat is None else pre * g0hat
-            dense = irfft2(_dense_march(ghat, g0hat, g.tgrid.times, lam, substeps), grid.n)
+            dense = irfft2(_dense_march(ghat, g0hat, g.tgrid.times, lam), grid.n)
             assert np.array_equal(irfft2(planned, grid.n), dense)
 
-    @given(seed=seeds, substeps=schemes, with_initial=st.booleans(),
+    @given(seed=seeds, with_initial=st.booleans(),
            rate=st.sampled_from(["heat", "damped", "repeated"]), with_prefactor=st.booleans())
-    def test_half_layout_matches_full_layout(self, seed, substeps, with_initial, rate, with_prefactor):
+    def test_half_layout_matches_full_layout(self, seed, with_initial, rate, with_prefactor):
         grid = Grid2D(16, 8.0)
         lam = _rates(grid, rate, seed)
         k2_full = _full_layout(grid)[2]
@@ -263,8 +253,8 @@ class TestEtdPlans:
         if with_prefactor:
             ghat = np.sqrt(k2_full) * ghat
             g0hat = None if g0hat is None else np.sqrt(k2_full) * g0hat
-        full = ifft2(_dense_march(ghat, g0hat, g.tgrid.times, _unfold(lam), substeps)).real
-        half = etd_convolve(g, lam, np.sqrt(grid.k2_half) if with_prefactor else None, substeps).stacked
+        full = ifft2(_dense_march(ghat, g0hat, g.tgrid.times, _unfold(lam))).real
+        half = etd_convolve(g, lam, np.sqrt(grid.k2_half) if with_prefactor else None).stacked
         assert np.max(np.abs(half - full)) <= 1e-13 * max(1.0, float(np.max(np.abs(full))))
 
     @given(seed=seeds, which=st.sampled_from(["lam", "prefactor"]))
@@ -307,14 +297,14 @@ class TestEtdPlans:
 
 
 class TestHalfLayoutRates:
-    @given(seed=seeds, substeps=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),
+    @given(seed=seeds, rate=st.sampled_from(["heat", "damped", "repeated"]),
            n=st.sampled_from([16, 32, 64]), l=lengths)
-    def test_half_rates_give_the_full_symbols_tables(self, seed, substeps, rate, n, l):
+    def test_half_rates_give_the_full_symbols_tables(self, seed, rate, n, l):
         """The half layout keeps every distinct rate of the full symbol, so the tables are the full symbol's."""
         grid = Grid2D(n, l)
         lam = _rates(grid, rate, seed)
         tgrid = TimeGrid.geometric(1e-2, 1.0, 4)
-        plan = EtdPlan(lam, tgrid, substeps)
+        plan = EtdPlan(lam, tgrid)
         values = np.unique(_unfold(lam))
         assert np.array_equal(plan.values, values)
         assert np.array_equal(plan.values[plan.inverse], lam)
@@ -383,12 +373,12 @@ class TestLeanNormKernels:
 class TestRankOneMarch:
     """The lab's per-rate profile march with per-rate Parseval sums equals the full-plane march."""
 
-    @given(seed=st.integers(0, 2**31 - 1), substeps=schemes, rate=st.sampled_from(["heat", "damped", "repeated"]),
+    @given(seed=st.integers(0, 2**31 - 1), rate=st.sampled_from(["heat", "damped", "repeated"]),
            profile=st.sampled_from(sorted(_PROFILES)), s=st.sampled_from([0.0, 1.0]),
            homogeneous=st.booleans(), with_prefactor=st.booleans())
-    def test_matches_full_plane_march(self, seed, substeps, rate, profile, s, homogeneous, with_prefactor):
+    def test_matches_full_plane_march(self, seed, rate, profile, s, homogeneous, with_prefactor):
         grid = Grid2D(16, 8.0)
-        plan = EtdPlan(_rates(grid, rate, seed), TimeGrid.geometric(1e-2, 1.0, 5), substeps)
+        plan = EtdPlan(_rates(grid, rate, seed), TimeGrid.geometric(1e-2, 1.0, 5))
         prof = _PROFILES[profile]
         fhat = rfft2(random_band_limited_field(grid, seed=seed, max_mode=4).values)
         pre = np.sqrt(grid.k2_half) if with_prefactor else np.ones_like(grid.k2_half)
@@ -594,7 +584,6 @@ class TestRoundTrips:
             picard_max_iter=data.draw(st.integers(1, 500)),
             picard_tol=data.draw(pos),
             picard_mode=data.draw(st.sampled_from(["thm1_L1Linf", "thm2_H1bH1"])),
-            picard_substeps=data.draw(st.integers(1, 8)),
             data_kind=data.draw(st.sampled_from(["gaussian", "mode", "stripe", "file"])),
             data_mass=data.draw(st.floats(-1e3, 1e3)),
             data_width=data.draw(pos),

@@ -21,6 +21,7 @@ from kslab import (
     damped_heat_trajectory,
     default_besov_probe,
     gaussian_field,
+    grad_besov_sup,
     heat_trajectory,
     hs_norm,
     linear_L,
@@ -88,7 +89,7 @@ class TestPicardSolve:
         rep = small_report
         c = rep.c
         free_u = heat_trajectory(rep.u0, rep.u.tgrid)
-        bu = bilinear_B(rep.u, rep.w, cfg.substeps)
+        bu = bilinear_B(rep.u, rep.w)
         u_again = trajectory_difference(free_u, (4.0 * c) * bu)
         diff = xy_norms_thm1(trajectory_difference(u_again, rep.u),
                              trajectory_difference(rep.w, rep.w)).value("xy_norm")
@@ -296,10 +297,12 @@ class TestVerdictsReadTheReports:
     def test_theorem1_verdict_transforms_a_chemical_datum(self, cfg, solved, fft_batches):
         rep = solved("thm1_L1Linf", False, 1e-3)
         fft_batches.update(rfft2=[], irfft2=[])
-        check_theorem1_bound(rep)
-        # v0 twice (its heat flow on the grid, then the Besov probe), each flow's gradient: 2 c2r
+        verdict = check_theorem1_bound(rep)
+        # v0 once (its heat flow on the grid and the Besov probe share it), each flow's gradient: 2 c2r
         probe = (default_besov_probe().count,)
-        assert fft_batches == {"rfft2": [(), ()], "irfft2": [(cfg.num_times,)] * 2 + [probe] * 2}
+        assert fft_batches == {"rfft2": [()], "irfft2": [(cfg.num_times,)] * 2 + [probe] * 2}
+        grad_b = grad_besov_sup(rep.v0, default_besov_probe()).value
+        assert verdict.sufficient_lhs == 2.0 * lp_norm(rep.u0, 1.0) + grad_b / (4.0 * rep.c)
 
     def test_theorem1_verdict_without_a_chemical_datum_equals_the_transformed_zero_flow(self, small_report):
         rep = small_report
@@ -447,7 +450,7 @@ class TestSolverConfig:
         d = small_report.to_json_dict()
         assert d["converged"] is True
         assert d["config"]["n"] == 64
-        assert d["config"]["substeps"] == 1 and "quadrature" not in d["config"]
+        assert "substeps" not in d["config"] and "quadrature" not in d["config"]
         assert "norms_thm1" in d and "norms_thm2" in d
         assert len(d["residuals"]) == small_report.iterations
 
@@ -477,7 +480,7 @@ class TestGaussSeidelSweep:
         free_u = heat_trajectory(rep.u0, tgrid)
         free_response = irfft2(_free_chemical_response(grid, rfft2(rep.u0.values), tgrid.times, True), grid.n)
         w0 = (1.0 / (4.0 * rep.c)) * rep.v0
-        deviation = linear_L(trajectory_difference(rep.u, free_u), cfg.substeps).stacked
+        deviation = linear_L(trajectory_difference(rep.u, free_u)).stacked
         want = damped_heat_trajectory(w0, tgrid).stacked + (free_response + deviation) / (4.0 * rep.c)
         scale = np.max(np.abs(rep.w.stacked))
         assert np.max(np.abs(rep.w.stacked - want)) <= 1e-12 * scale
