@@ -18,13 +18,14 @@ are symbol choices over it, (lam, prefactor) = (|xi|^2 + 1 or |xi|^2, none)
 and (|xi|^2, -|xi|^2).  ``bilinear_B`` builds its own spectral integrand.
 
 Layout: the operators march the ``(n, n//2+1)`` half spectra of ``rfft2``
-(see ``fields``).  The array kernels ``_convolve_hat`` (prefactor, march)
-and ``_bilinear_hat`` (dealiased div(u grad v), march) take and return half
-spectra; the Picard loop and the lab call them directly.  The public
-operators are thin wrappers: forward transform, kernel, inverse transform,
-trajectory (which rejects non-finite output).  Symbols are half-layout
-too (``grid.k2_half + shift``) and even in xi (``sym[k] == sym[-k]``), so
-they map a real field's spectrum to a real field's spectrum.
+(see ``fields``).  There are two array kernels: ``_div_u_grad_v`` (the
+dealiased integrand div(u grad v)) and ``_etd_march`` (the march).  The
+Picard loop, the lab and the public operators build their integrand and
+call ``_etd_march`` directly; the public operators add only the forward
+transform, any prefactor, the inverse transform and the trajectory (which
+rejects non-finite output).  Symbols are half-layout too (``grid.k2_half +
+shift``) and even in xi (``sym[k] == sym[-k]``), so they map a real field's
+spectrum to a real field's spectrum.
 
 Interval handling near t = 0: when the input trajectories carry an initial
 datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
@@ -41,9 +42,10 @@ the index adds 67 kB) and 42 MB at n = 512, K = 64 (the index adds 1 MB).
 A plan is a plain read-only object.  Its lifetime is the caller's: every
 public operator builds one for its call, and the Picard loop and the lab,
 which convolve many integrands against the same rates, build theirs once and
-call the kernels.  Nothing is cached at module level.  A plan also serves
-rank-one integrands prof(t) c(xi): ``_profile_march`` marches the scalar
-profile once per distinct rate, (K, R), on the same recurrence.
+march every integrand on it.  Nothing is cached at module level.  A plan
+also serves rank-one integrands prof(t) c(xi): given the 1-D profile,
+``_etd_march`` marches it once per distinct rate, (K, R), on the same
+recurrence (``_profile_march``).
 """
 
 from __future__ import annotations
@@ -151,38 +153,28 @@ class EtdPlan:
         for table in (values, inverse, dts, decay, w_left, w_right):
             table.setflags(write=False)
 
-    def gather(self, row: np.ndarray) -> np.ndarray:
-        """Spread one per-rate row over the half-layout modes."""
-        return np.take(row, self.inverse)
 
+def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> np.ndarray:
+    """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes.
 
-def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
-               per_rate: bool = False) -> np.ndarray:
-    """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes, on half spectra.
-
-    With ``per_rate`` the march runs on the plan's rate layout: the integrand
-    is one time profile, (K,) node values and its value ``g0hat`` at t = 0,
-    and output column r is its convolution against the rate ``plan.values[r]``.
+    The layout follows the integrand's shape.  A 1-D integrand (K,) is one
+    time profile: the march runs on the plan's rate layout, and output column
+    r is its convolution against the rate ``plan.values[r]``.  Any other
+    shape is a stack of half spectra, and each per-rate table row is spread
+    over the modes through ``plan.inverse``.  ``g0hat`` is the integrand at
+    t = 0; ``None`` drops the head ``[0, t_1]``, so ``out[0]`` is zero.
     """
-    spread = (lambda row: row) if per_rate else plan.gather
-
-    if g0hat is not None:
-        knot_g = np.concatenate(([g0hat], ghat), axis=0)
-        out_offset = 1
-    else:
-        knot_g = ghat
-        out_offset = 0
-
-    acc = np.zeros(plan.values.shape if per_rate else plan.inverse.shape, dtype=np.result_type(knot_g, np.float64))
-    out = np.empty((plan.dts.size,) + acc.shape, dtype=acc.dtype)
-    if out_offset == 0:
-        out[0] = acc  # the [0, t_1] contribution was dropped
-
-    for i in range(len(knot_g) - 1):
-        j = i + 1 - out_offset  # interval j of the plan ends at output node j
-        acc = (acc * spread(plan.decay[j])
-               + plan.dts[j] * (spread(plan.w_left[j]) * knot_g[i] + spread(plan.w_right[j]) * knot_g[i + 1]))
-        out[j] = acc
+    profile = ghat.ndim == 1
+    spread = (lambda row: row) if profile else (lambda row: np.take(row, plan.inverse))
+    acc = np.zeros(plan.values.shape if profile else plan.inverse.shape, dtype=np.result_type(ghat, np.float64))
+    out = np.zeros((plan.dts.size,) + acc.shape, dtype=acc.dtype)  # a dropped head leaves out[0] at zero
+    left = g0hat
+    for j, right in enumerate(ghat):  # interval j of the plan ends at output node j
+        if left is not None:
+            acc = (acc * spread(plan.decay[j])
+                   + plan.dts[j] * (spread(plan.w_left[j]) * left + spread(plan.w_right[j]) * right))
+            out[j] = acc
+        left = right
     return out
 
 
@@ -199,33 +191,13 @@ def _div_u_grad_v(grid, uhat: np.ndarray, vhat: np.ndarray) -> np.ndarray:
     return d1 * rfft2(u_r * g1) + d2 * rfft2(u_r * g2)
 
 
-def _convolve_hat(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan,
-                  prefactor: np.ndarray | None = None) -> np.ndarray:
-    """The etd_convolve kernel on half spectra: apply the half-layout prefactor, march."""
-    if prefactor is not None:
-        ghat = prefactor * ghat
-        if g0hat is not None:
-            g0hat = prefactor * g0hat
-    return _etd_march(ghat, g0hat, plan)
-
-
-def _bilinear_hat(grid, uhat: np.ndarray, vhat: np.ndarray, g0hat: np.ndarray | None,
-                  plan: EtdPlan) -> np.ndarray:
-    """The bilinear_B kernel on half spectra: the integrand div(u grad v), marched.
-
-    ``g0hat`` is the integrand at t = 0 (or None), which callers that reuse
-    it across calls compute once.
-    """
-    return _etd_march(_div_u_grad_v(grid, uhat, vhat), g0hat, plan)
-
-
 def _profile_march(prof, plan: EtdPlan) -> np.ndarray:
     """The march of the time profile ``prof`` against each of the plan's rates, (K, R), checked finite.
 
     An integrand prof(t) c(xi) is rank one, so its march is ``out[:, plan.inverse] * c``:
     one scalar march per distinct rate replaces a march over every mode.
     """
-    out = _etd_march(prof(plan.tgrid.times), prof(0.0), plan, per_rate=True)
+    out = _etd_march(prof(plan.tgrid.times), prof(0.0), plan)
     _require_finite(out)
     return out
 
@@ -236,9 +208,13 @@ def _trajectory_of(g: Trajectory, out_hat: np.ndarray) -> Trajectory:
 
 
 def _convolve(g: Trajectory, lam: np.ndarray, prefactor: np.ndarray | None) -> Trajectory:
-    """The public convolutions: forward transform, a plan for ``lam``, the kernel, the trajectory."""
-    out_hat = _convolve_hat(rfft2(g.stacked), _initial_hat(g), EtdPlan(lam, g.tgrid), prefactor)
-    return _trajectory_of(g, out_hat)
+    """The public convolutions: forward transform, prefactor, a plan for ``lam``, march, trajectory."""
+    ghat, g0hat = rfft2(g.stacked), _initial_hat(g)
+    if prefactor is not None:
+        ghat = prefactor * ghat
+        if g0hat is not None:
+            g0hat = prefactor * g0hat
+    return _trajectory_of(g, _etd_march(ghat, g0hat, EtdPlan(lam, g.tgrid)))
 
 
 def bilinear_B(u: Trajectory, v: Trajectory) -> Trajectory:
@@ -253,7 +229,7 @@ def bilinear_B(u: Trajectory, v: Trajectory) -> Trajectory:
     g0hat = None
     if u.initial is not None and v.initial is not None:
         g0hat = _div_u_grad_v(grid, _initial_hat(u), _initial_hat(v))
-    return _trajectory_of(u, _bilinear_hat(grid, rfft2(u.stacked), rfft2(v.stacked), g0hat, plan))
+    return _trajectory_of(u, _etd_march(_div_u_grad_v(grid, rfft2(u.stacked), rfft2(v.stacked)), g0hat, plan))
 
 
 def linear_L(u: Trajectory, damped: bool = True) -> Trajectory:

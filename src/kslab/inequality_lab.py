@@ -37,7 +37,7 @@ from .data import (
     random_band_limited_field,
     smoothed_stripe_field,
 )
-from .duhamel import EtdPlan, _bilinear_hat, _convolve_hat, _div_u_grad_v, _profile_march
+from .duhamel import EtdPlan, _div_u_grad_v, _etd_march, _profile_march
 from .fields import Grid2D, ScalarField, _grad_values, _rate_layout, irfft2, rfft2
 from .norms import (
     _batch_hs,
@@ -505,7 +505,7 @@ def estimate_constants(
 
     for uname, uf_hat, u_hat, _, unorm in free:
         # c3: chemical response of the density trajectory (zero initial datum)
-        lu_hat = _convolve_hat(u_hat, uf_hat, l_plan)
+        lu_hat = _etd_march(u_hat, uf_hat, l_plan)
         lu_grad = _grad_values(grid, lu_hat)
         _add_sample(samples, "c3[thm1]", (("u", uname),),
                     _thm1_y(grid, times, lu_grad)["y_norm"].value, unorm["x1"])
@@ -514,7 +514,7 @@ def estimate_constants(
         del lu_grad
         for wname, wf_hat, _, w_hat, wnorm in free:
             # c2: only B's X norms enter; one (u, w) pair at a time bounds the memory
-            b_hat = _bilinear_hat(grid, u_hat, w_hat, _div_u_grad_v(grid, uf_hat, wf_hat), b_plan)
+            b_hat = _etd_march(_div_u_grad_v(grid, u_hat, w_hat), _div_u_grad_v(grid, uf_hat, wf_hat), b_plan)
             b_vals = irfft2(b_hat, grid.n)
             _require_finite(b_vals)
             params = (("u", uname), ("w", wname))

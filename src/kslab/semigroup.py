@@ -7,8 +7,8 @@ single-time flow ``heat``, the trajectories, the solver's closed-form
 chemical response, the norms' heat-flow suprema and the stripe
 counterexample all call it.  The gradient of a flow is ``gradient(heat(t, f))``
 for one field, or ``fields._grad_values`` of the flowed half spectra.
-The sampled real-space kernel appears only in the norm tables, as an
-analytic cross-check against the bounds ``t^{-1+1/p}`` and ``t^{-3/2+1/p}``.
+The sampled kernel ``gaussian_field(grid, 1.0, t)`` appears only in the norm
+tables, as an analytic cross-check against ``t^{-1+1/p}`` and ``t^{-3/2+1/p}``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import gaussian_field
 from .fields import Grid2D, ScalarField, irfft2, rfft2
 from .trajectories import TimeGrid, Trajectory
 
@@ -99,12 +100,6 @@ def _check_resolution(t: float, grid: Grid2D) -> None:
         )
 
 
-def _kernel(grid: Grid2D, t: float) -> np.ndarray:
-    x1, x2 = grid.coords()
-    r2 = x1**2 + x2**2
-    return np.exp(-r2 / (4.0 * t)) / (4.0 * np.pi * t)
-
-
 def kernel_norm_exact(p: float, t: float) -> float:
     """Closed-form L^p norm of the kernel: p^{-1/p} (4 pi t)^{-1+1/p}."""
     if np.isinf(p):
@@ -123,7 +118,7 @@ def _kernel_table(p_list, t_list, grid: Grid2D, grad: bool) -> KernelNormTable:
     entries = []
     for t in t_list:
         _check_resolution(t, grid)
-        kern = _kernel(grid, t)
+        kern = gaussian_field(grid, 1.0, t).values  # the heat kernel
         if grad:
             x1, x2 = grid.coords()
             kern = kern * np.sqrt(x1**2 + x2**2) / (2.0 * t)

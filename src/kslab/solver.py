@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import norms as _norms
-from .duhamel import EtdPlan, _bilinear_hat, _convolve_hat, _div_u_grad_v, _phi1, etd_weights
+from .duhamel import EtdPlan, _div_u_grad_v, _etd_march, _phi1, etd_weights
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .inequality_lab import AUTO_C, smallness_threshold
 from .norms import NormReport, default_besov_probe, lp_norm, hs_norm
@@ -294,13 +294,13 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     for m in range(1, cfg.max_iter + 1):
         iterations = m
         with _blowup_of("u", m, tgrid):
-            bu_hat = _bilinear_hat(grid, u_hat, w_hat, b_head, b_plan)
+            bu_hat = _etd_march(_div_u_grad_v(grid, u_hat, w_hat), b_head, b_plan)
             u_hat_next = free_u_hat - (4.0 * c) * bu_hat
             del bu_hat  # the operator outputs set the memory peak: drop each before the next call
             u_vals_next = irfft2(u_hat_next, n)
             _require_finite(u_vals_next)
         with _blowup_of("w", m, tgrid):
-            lu_hat = _convolve_hat(u_hat_next - free_u_hat, l_head, l_plan)
+            lu_hat = _etd_march(u_hat_next - free_u_hat, l_head, l_plan)
             w_hat_next = w_affine + (1.0 / (4.0 * c)) * lu_hat
             del lu_hat
             _require_finite(w_hat_next)

@@ -1,5 +1,7 @@
 """Integral-operator tests: closed forms, structure invariants, refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,11 @@ from kslab import (
     verify_bilinear_lemma23,
     verify_maximal_regularity,
 )
+import kslab.inequality_lab
+import kslab.solver
 from kslab import duhamel
 from kslab.duhamel import _w_left, _w_right
+from kslab.fields import rfft2
 from conftest import zero_trajectory
 
 
@@ -240,6 +245,27 @@ class TestQuadratureScheme:
             assert fine_change <= coarse_change / (factor * 0.8)
 
 
+class TestEtdMarch:
+    @pytest.mark.parametrize("with_head", [True, False], ids=["head", "no-head"])
+    def test_march_does_not_copy_its_integrand(self, with_head):
+        # the march walks the node pairs in place: its working memory is a few
+        # half-spectrum planes, not a second copy of the (K, n, n//2+1) integrand
+        grid = Grid2D(32, 16.0)
+        plan = duhamel.EtdPlan(grid.k2_half, TimeGrid.geometric(1e-2, 2.0, 16))
+        rng = np.random.default_rng(0)
+        ghat = rfft2(rng.standard_normal((16, 32, 32)))
+        g0hat = rfft2(rng.standard_normal((32, 32))) if with_head else None
+        plane = ghat[0].nbytes
+        tracemalloc.start()
+        try:
+            out = duhamel._etd_march(ghat, g0hat, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == ghat.shape
+        assert (peak - out.nbytes) / plane < 10
+
+
 class TestEtdConvolve:
     def test_matches_linear_l(self, grid, tgrid):
         f = cosine_mode_field(grid, (2, 1))
@@ -288,7 +314,8 @@ class TestPlanReuse:
             calls.append(1)
             return march(*args, **kwargs)
 
-        monkeypatch.setattr(duhamel, "_etd_march", counted)
+        for module in (duhamel, kslab.solver, kslab.inequality_lab):  # every caller binds the march by name
+            monkeypatch.setattr(module, "_etd_march", counted)
         return calls
 
     def test_bilinear_verifier_builds_two(self, plan_builds, convolutions):

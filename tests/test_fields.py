@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import kslab.fields
 from kslab import Grid2D, ScalarField, TimeGrid, damped_heat_trajectory, gradient, heat, load_field, save_field
 from kslab.duhamel import _div_u_grad_v
 from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
@@ -192,6 +193,7 @@ print(json.dumps(dict(before=before, loaded="scipy.fft._pocketfft.pypocketfft" i
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_malformed_threads_raises(self, monkeypatch, raw):
+        monkeypatch.setattr(kslab.fields, "_workers", 0)  # the cap is read once per process: forget it
         monkeypatch.setenv("KS_THREADS", raw)
         a = self.values((16, 16))
         with pytest.raises(ValueError, match="KS_THREADS"):

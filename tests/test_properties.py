@@ -30,7 +30,7 @@ from kslab import (
 )
 from kslab.cli import ExperimentConfig
 from kslab.data import random_band_limited_field
-from kslab.duhamel import EtdPlan, _convolve_hat, _div_u_grad_v, _profile_march, etd_weights
+from kslab.duhamel import EtdPlan, _div_u_grad_v, _etd_march, _profile_march, etd_weights
 from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
 from kslab.inequality_lab import _PROFILES, _lab_fields, _time_lp
 from kslab.fields import _grad_values
@@ -232,12 +232,12 @@ class TestEtdPlans:
         for g in (_trajectory(grid, seed, 4, with_initial), _trajectory(grid, seed + 1, 4, with_initial)):
             ghat = rfft2(g.stacked)
             g0hat = None if g.initial is None else rfft2(g.initial.values)
-            planned = _convolve_hat(ghat, g0hat, plan, pre)
-            own = _convolve_hat(ghat, g0hat, EtdPlan(lam, g.tgrid), pre)
-            assert np.array_equal(planned, own)
             if pre is not None:
                 ghat = pre * ghat
                 g0hat = None if g0hat is None else pre * g0hat
+            planned = _etd_march(ghat, g0hat, plan)
+            own = _etd_march(ghat, g0hat, EtdPlan(lam, g.tgrid))
+            assert np.array_equal(planned, own)
             dense = irfft2(_dense_march(ghat, g0hat, g.tgrid.times, lam), grid.n)
             assert np.array_equal(irfft2(planned, grid.n), dense)
 
@@ -386,7 +386,7 @@ class TestRankOneMarch:
 
         rank_one = _rank_one_norms(grid, _profile_march(prof, plan), plan.inverse, pre * fhat, weight)
         times = plan.tgrid.times
-        full = _convolve_hat(prof(times)[:, None, None] * fhat, prof(0.0) * fhat, plan, pre)
+        full = _etd_march(pre * (prof(times)[:, None, None] * fhat), pre * (prof(0.0) * fhat), plan)
         np.testing.assert_allclose(rank_one, _batch_hs(grid, full, s, homogeneous), rtol=1e-13, atol=0.0)
 
 

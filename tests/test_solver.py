@@ -114,17 +114,22 @@ class TestPicardSolve:
         assert err.value.iteration >= 1
         assert err.value.which in ("u", "w")
 
-    # the kernels Picard calls for B and L, under the operators' names
-    @pytest.mark.parametrize("operator, which", [("_bilinear_hat", "u"), ("_convolve_hat", "w")],
-                             ids=["bilinear_B-u", "linear_L-w"])
-    def test_blowup_names_the_overflowing_component(self, monkeypatch, cfg, grid, operator, which):
+    # Picard marches B (for u), then L (for w), in each iteration: overflow on march 1 or march 2
+    @pytest.mark.parametrize("march, which", [(1, "u"), (2, "w")], ids=["bilinear_B-u", "linear_L-w"])
+    def test_blowup_names_the_overflowing_component(self, monkeypatch, cfg, grid, march, which):
         import kslab.solver
         from kslab.trajectories import TrajectoryOverflowError
 
-        def overflow(*args, **kwargs):
-            raise TrajectoryOverflowError(3)
+        calls = []
+        etd_march = kslab.solver._etd_march
 
-        monkeypatch.setattr(kslab.solver, operator, overflow)
+        def overflow(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == march:
+                raise TrajectoryOverflowError(3)
+            return etd_march(*args, **kwargs)
+
+        monkeypatch.setattr(kslab.solver, "_etd_march", overflow)
         with pytest.raises(PicardBlowupError) as err:
             picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
         assert err.value.which == which
