@@ -281,11 +281,6 @@ def _write_raw_snapshot(fh: BinaryIO, grid: Grid2D, values: np.ndarray, t: float
     fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
-def write_snapshot(fh: BinaryIO, field: ScalarField, t: float) -> None:
-    """Write one KSF1 snapshot of a field."""
-    _write_raw_snapshot(fh, field.grid, field.values, t)
-
-
 def _read_raw_snapshot(fh: BinaryIO) -> tuple[int, float, float, np.ndarray]:
     """Read one KSF1 snapshot's n, l, t and its read-only (n, n) values from a seekable stream.
 
@@ -320,7 +315,7 @@ def read_snapshot(fh: BinaryIO) -> tuple[ScalarField, float]:
 
 def save_field(path, field: ScalarField, t: float = 0.0) -> None:
     with open(path, "wb") as fh:
-        write_snapshot(fh, field, t)
+        _write_raw_snapshot(fh, field.grid, field.values, t)
 
 
 def load_field(path) -> tuple[ScalarField, float]:

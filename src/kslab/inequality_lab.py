@@ -237,9 +237,10 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     times = tgrid.times
     k2 = grid.k2_half
 
-    modes = [m for m in _SWEEP_MODES if m <= setup.effective_mode_cap()]
+    # every swept mode is transformed once: the samples and the uniformity sweep share the spectra
+    mode_hats = {m: rfft2(cosine_mode_field(grid, (m, 0)).values) for m in range(1, setup.effective_mode_cap() + 1)}
     field_samples: list[tuple[str, tuple, np.ndarray]] = [
-        (f"mode{m}", (("mode", m),), rfft2(cosine_mode_field(grid, (m, 0)).values)) for m in modes
+        (f"mode{m}", (("mode", m),), mode_hats[m]) for m in _SWEEP_MODES if m in mode_hats
     ]
     field_samples.append(("random", (("seed", seed),),
                           rfft2(random_band_limited_field(grid, seed=seed, max_mode=8).values)))
@@ -277,18 +278,16 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
 
     # Uniformity sweep: per tuple, compare max ratio over low modes with the
     # max over the full swept range (constant-profile, s = 0).
-    sweep_modes = list(range(1, setup.effective_mode_cap() + 1))
     for label, rate, pre, homog in (
         ("damped[theta=0,p1=inf,r=inf,s=0]", "damped", np.ones_like(k2), True),
         ("plain[p=inf,r=inf,s=0]", "plain", np.sqrt(k2) ** 2.0, False),
     ):
         ratios = []
-        for m in sweep_modes:
-            fhat = rfft2(cosine_mode_field(grid, (m, 0)).values)
+        for fhat in mode_hats.values():
             lhs, rhs = sides(fhat, "const", rate, pre, np.inf, np.inf, 0.0, homog)
             ratios.append(lhs / rhs)
         ratios = np.array(ratios)
-        low = float(np.max(ratios[: max(1, len(sweep_modes) // 2)]))
+        low = float(np.max(ratios[: max(1, len(mode_hats) // 2)]))
         full = float(np.max(ratios))
         uniformity[label] = {"low_modes_max": low, "full_sweep_max": full,
                              "gap": abs(full - low) / full if full > 0 else 0.0}
@@ -360,7 +359,7 @@ def verify_l4_interpolation(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
         l4 = _batch_lp(u_vals, 4.0, grid.cell_area)
         lhs = float(np.sqrt(trapezoid(times, l4**4) + times[0] * lp_norm(f, 4.0) ** 4))
         sup_l2 = max(float(np.max(_batch_lp(u_vals, 2.0, grid.cell_area))), lp_norm(f, 2.0))
-        grad_l2t, _ = _l2t_grad(grid, times, np.abs(u_hat) ** 2, f_hat, damped=False)
+        grad_l2t = _l2t_grad(grid, times, np.abs(u_hat) ** 2, f_hat, damped=False)
         _add_sample(samples, "l4_interpolation", (("field", fname),), lhs, sup_l2 * grad_l2t)
     return InequalityReport("l4_interpolation", tuple(samples), _meta(setup, seed))
 
@@ -386,13 +385,15 @@ def besov_equivalence_samples(setup: LabSetup = LabSetup(), seed: int = 0) -> In
     return InequalityReport("besov_equivalence", tuple(samples), meta)
 
 
-def refinement_drift(verifier, setup: LabSetup = LabSetup(), seed: int = 0) -> dict:
-    """Per-family observed-constant drift under simultaneous (n, K, T) doubling.
+def refinement_drift(verifier, setup: LabSetup = LabSetup()) -> dict:
+    """Per-family observed-constant drift under simultaneous (n, K, T) doubling, at the verifiers' seed 0.
 
-    ``base_report`` is the verifier's report on ``setup``, for callers that also need it.
+    ``per_group`` holds each family's relative change of its largest ratio,
+    ``max_drift`` the largest of them, and ``base_report`` the verifier's
+    report on ``setup``, for callers that also need it.
     """
-    base = verifier(setup, seed=seed)
-    fine = verifier(setup.doubled(), seed=seed)
+    base = verifier(setup)
+    fine = verifier(setup.doubled())
     g1, g2 = base.group_max(), fine.group_max()
     per_group = {
         key: abs(g2[key] - g1[key]) / g1[key]
@@ -402,8 +403,6 @@ def refinement_drift(verifier, setup: LabSetup = LabSetup(), seed: int = 0) -> d
     return {
         "per_group": per_group,
         "max_drift": max(per_group.values()) if per_group else 0.0,
-        "base": g1,
-        "fine": g2,
         "base_report": base,
     }
 
@@ -454,11 +453,8 @@ def standard_families(grid: Grid2D) -> list[tuple[str, ScalarField]]:
     ]
 
 
-def estimate_constants(
-    setup: LabSetup = LabSetup(),
-    families: list[tuple[str, ScalarField]] | None = None,
-) -> ConstantsReport:
-    """Observed-ratio maxima for the linear/bilinear estimates, both norm modes.
+def estimate_constants(setup: LabSetup = LabSetup()) -> ConstantsReport:
+    """Observed-ratio maxima for the linear/bilinear estimates, both norm modes, on ``standard_families``.
 
     c1: free-evolution bounds; c2: bilinear bound; c3: chemical-response
     bound.  The working constant is the observed maximum times
@@ -466,8 +462,7 @@ def estimate_constants(
     """
     grid = setup.make_grid()
     tgrid = setup.make_timegrid()
-    if families is None:
-        families = standard_families(grid)
+    families = standard_families(grid)
 
     samples: list[RatioSample] = []
     skipped: list[str] = []

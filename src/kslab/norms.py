@@ -284,7 +284,7 @@ class NormReport:
         return out
 
 
-def _sup_entry(times: np.ndarray, values: np.ndarray, equation: str, note: str | None = None) -> NormEntry:
+def _sup_entry(times: np.ndarray, values: np.ndarray, equation: str) -> NormEntry:
     """The maximum of per-node values with its time, keeping ``values`` (frozen) as the node series.
 
     A non-finite value raises ``TrajectoryOverflowError``.
@@ -292,7 +292,7 @@ def _sup_entry(times: np.ndarray, values: np.ndarray, equation: str, note: str |
     _require_finite(values)
     values.setflags(write=False)
     j = int(np.argmax(values))
-    return NormEntry(float(values[j]), equation, argmax_time=float(times[j]), note=note, nodes=values)
+    return NormEntry(float(values[j]), equation, argmax_time=float(times[j]), nodes=values)
 
 
 def _sum_entry(addends, equation: str, leaves=None) -> NormEntry:
@@ -350,7 +350,7 @@ def _free_head_integral(grid: Grid2D, f0_hat: np.ndarray, t1: float, damped: boo
 
 
 def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: np.ndarray | None,
-              damped: bool, s: float = 1.0) -> tuple[float, str]:
+              damped: bool, s: float = 1.0) -> float:
     """Trapezoid ||grad .||_{L^2_t H^s} over the nodes plus the [0, t_min] head.
 
     ``power`` is the trajectory's half-layout power spectrum; the head is
@@ -362,15 +362,10 @@ def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: n
     nodes = _parseval_sum(grid, power, weight)
     _require_finite(nodes)
     body = trapezoid(times, nodes)
-    if initial_hat is not None:
-        head = _free_head_integral(grid, initial_hat, float(times[0]), damped, weight)
-        note = "head [0, t_min] added in closed form from the initial datum's free flow"
-    else:
-        head = 0.0
-        note = "no initial datum: the [0, t_min] head of the time integral was dropped"
+    head = 0.0 if initial_hat is None else _free_head_integral(grid, initial_hat, float(times[0]), damped, weight)
     if not np.isfinite(body + head):
         raise TrajectoryOverflowError(0 if head > body else int(np.argmax(nodes)))
-    return float(np.sqrt(body + head)), note
+    return float(np.sqrt(body + head))
 
 
 def _sobolev_entries(grid: Grid2D, times: np.ndarray, coeffs: np.ndarray, initial_hat: np.ndarray | None,
@@ -378,7 +373,9 @@ def _sobolev_entries(grid: Grid2D, times: np.ndarray, coeffs: np.ndarray, initia
     """sup_j ||f(t_j)||_H1 and ||grad f||_{L2_t H1} from half spectra: the H1 part of either Theorem-2 half."""
     power = np.abs(coeffs) ** 2
     e_h1 = _sup_entry(times, np.sqrt(_parseval_sum(grid, power, _hs_weight(grid, 1.0))), f"sup_j ||{name}(t_j)||_H1")
-    grad, note = _l2t_grad(grid, times, power, initial_hat, damped)
+    grad = _l2t_grad(grid, times, power, initial_hat, damped)
+    note = ("no initial datum: the [0, t_min] head of the time integral was dropped" if initial_hat is None
+            else "head [0, t_min] added in closed form from the initial datum's free flow")
     return e_h1, NormEntry(grad, f"||grad {name}||_{{L2_t H1}}", note=note)
 
 

@@ -162,10 +162,12 @@ class SolutionReport:
     contraction; the later ones estimate the contraction rate.
     ``free_u_x_nodes`` holds ||u||_L1 + t ||u||_Linf at each node for
     iteration 0, u0's heat flow, which the Theorem-1 verdict reads; it is not
-    in the JSON.  ``u_hat``, ``w_hat`` (half spectra) and ``w_grad`` (w's
-    gradient values) are the final iterate's arrays as the iteration held them,
-    frozen; the Theorem-2 verdict reads them.  Like ``NormEntry.nodes`` they are
-    working data, not results, so JSON, equality and repr leave them out.
+    in the JSON.  The chemical trajectory is the paper's v = 4c w, whose
+    initial datum is ``v0``; the iterated w is held only as ``w_hat``.
+    ``u_hat``, ``w_hat`` (half spectra) and ``w_grad`` (w's gradient values)
+    are the final iterate's arrays as the iteration held them, frozen; the
+    Theorem-2 verdict reads them.  Like ``NormEntry.nodes`` they are working
+    data, not results, so JSON, equality and repr leave them out.
     """
 
     config: SolverConfig
@@ -180,7 +182,6 @@ class SolutionReport:
     threshold_ok: bool
     contraction_bound: float
     u: Trajectory
-    w: Trajectory
     v: Trajectory
     u0: ScalarField
     v0: ScalarField
@@ -334,8 +335,10 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
                        u_vals, w_grad, u_hat, w_hat, u0_hat, w0_hat, damped)
     report_thm1, report_thm2 = (other, report) if thm2 else (report, other)
     u = Trajectory.from_values(grid, tgrid, u_vals, initial=u0)
-    w = Trajectory.from_values(grid, tgrid, irfft2(w_hat, n), initial=w0)
-    v = (4.0 * c) * w
+    v0 = (4.0 * c) * w0
+    v_vals = irfft2(w_hat, n)
+    v_vals *= 4.0 * c
+    v = Trajectory.from_values(grid, tgrid, v_vals, initial=v0)
 
     for held in (u_hat, w_hat, *w_grad):
         held.setflags(write=False)
@@ -357,10 +360,9 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
         threshold_ok=bool(a0 < threshold),
         contraction_bound=contraction_bound,
         u=u,
-        w=w,
         v=v,
         u0=u0,
-        v0=(4.0 * c) * w0,
+        v0=v0,
         norms_thm1=report_thm1,
         norms_thm2=report_thm2,
         mass_initial=mass0,
@@ -378,18 +380,15 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
 # ---------------------------------------------------------------------------
 
 
-def reference_solve(
-    u0: ScalarField,
-    v0: ScalarField,
-    cfg: SolverConfig,
-    nonlinear: bool = True,
-) -> tuple[Trajectory, Trajectory]:
+def reference_solve(u0: ScalarField, v0: ScalarField, cfg: SolverConfig) -> tuple[Trajectory, Trajectory]:
     """Semi-implicit spectral time stepping for the original (u, v) system.
 
     The linear parts decay through exact integrating factors; the coupling
     and the dealiased nonlinearity are reconstructed linearly within each
-    step (a two-stage exponential integrator).  The fixed micro-step is at
-    most a quarter of the smallest node gap and lands exactly on every node.
+    step (a two-stage exponential integrator).  Every micro-step carries the
+    nonlinear term: the linear heat flow is the small-mass limit, not a
+    separate path.  The fixed micro-step is at most a quarter of the
+    smallest node gap and lands exactly on every node.
 
     Transform budget: two r2c for the data; per micro-step one nonlinear
     term (2 r2c, 3 c2r); per segment one extra predictor term (2 r2c, 3 c2r)
@@ -431,29 +430,26 @@ def reference_solve(
         d_prev = None
         d_prev_scale = 0.0
         for k in range(steps):
-            if nonlinear:
-                d0 = _div_u_grad_v(grid, uh, vh)
-                scale0 = _l2(d0)
-                # doubling counts as instability only when the nonlinear
-                # increment rivals the state itself (CFL-style criterion)
-                if not math.isfinite(scale0) or (
-                    d_prev_scale > 0.0
-                    and scale0 > 2.0 * d_prev_scale
-                    and h * scale0 > 0.1 * _l2(uh)
-                ):
-                    raise ReferenceStepError(a + k * h)
-                if d_prev is None:
-                    # segment startup: one predictor-corrector step
-                    ua = eu * uh - p1u * d0
-                    va = ev * vh + p1v * uh
-                    d1 = _div_u_grad_v(grid, ua, va)
-                    u_new = eu * uh - wau * d0 - wru * d1
-                else:
-                    u_new = eu * uh - ab_new * d0 + j_u * d_prev
-                d_prev = d0
-                d_prev_scale = scale0
+            d0 = _div_u_grad_v(grid, uh, vh)
+            scale0 = _l2(d0)
+            # doubling counts as instability only when the nonlinear
+            # increment rivals the state itself (CFL-style criterion)
+            if not math.isfinite(scale0) or (
+                d_prev_scale > 0.0
+                and scale0 > 2.0 * d_prev_scale
+                and h * scale0 > 0.1 * _l2(uh)
+            ):
+                raise ReferenceStepError(a + k * h)
+            if d_prev is None:
+                # segment startup: one predictor-corrector step
+                ua = eu * uh - p1u * d0
+                va = ev * vh + p1v * uh
+                d1 = _div_u_grad_v(grid, ua, va)
+                u_new = eu * uh - wau * d0 - wru * d1
             else:
-                u_new = eu * uh
+                u_new = eu * uh - ab_new * d0 + j_u * d_prev
+            d_prev = d0
+            d_prev_scale = scale0
             # chemical source reconstructed linearly between u_n and u_{n+1}
             vh = ev * vh + wlv * uh + wrv * u_new
             uh = u_new
@@ -586,7 +582,7 @@ def check_theorem2_bound(report: SolutionReport) -> Theorem2Verdict:
                    for comp in report.w_grad for sign in (1.0, -1.0))
 
     # ||grad u||_{L2_t L2} (head from u0's free flow); ||grad w||_{L2_t H1} is the report's
-    term_grad_u, _ = _norms._l2t_grad(grid, times, np.abs(u_hat) ** 2, u0_hat, damped=False, s=0.0)
+    term_grad_u = _norms._l2t_grad(grid, times, np.abs(u_hat) ** 2, u0_hat, damped=False, s=0.0)
     term_grad_w = report.norms_thm2.value("w_grad_l2t_h1")
 
     norm_sum = term_h1 + term_mix + term_grad_u + term_grad_w

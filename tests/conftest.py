@@ -1,6 +1,6 @@
 """Shared pytest set-up: a deterministic hypothesis profile for the property tests,
 counters of the real transforms the package makes, taken at the pocketfft
-binding that ``kslab.fields`` calls, a fresh-interpreter runner, two
+binding that ``kslab.fields`` calls, a fresh-interpreter runner, three
 trajectory builders, and a config text writer and reader.
 
 Derandomized examples keep the suite reproducible run to run.  Without an
@@ -94,6 +94,17 @@ def trajectory_difference(a, b):
     if a.initial is not None and b.initial is not None:
         initial = ScalarField(a.grid, a.initial.values - b.initial.values)
     return Trajectory(a.grid, a.tgrid, a.stacked - b.stacked, initial)
+
+
+def rescaled_chemical(rep, w0=None):
+    """Picard's w = v/(4c) of the solve report ``rep``: the node values of ``rep.w_hat``, with ``w0`` at t = 0.
+
+    ``w0`` is the rescaled chemical datum the solve was given; tests that read only node values omit it.
+    """
+    from kslab import Trajectory
+    from kslab.fields import irfft2
+
+    return Trajectory(rep.u.grid, rep.u.tgrid, irfft2(rep.w_hat, rep.u.grid.n), initial=w0)
 
 
 def run_fresh(code):

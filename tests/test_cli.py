@@ -21,7 +21,7 @@ from kslab.cli import (
     load_config,
     main,
 )
-from kslab.fields import rfft2, worker_count, write_snapshot
+from kslab.fields import _write_raw_snapshot, rfft2, worker_count
 from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp
 from conftest import config_text, parse_config_text, run_fresh
 
@@ -360,7 +360,7 @@ class TestNormsCommand:
         field = gaussian_field(Grid2D(32, 32.0), 1e-3, 0.5)
         with open(out / "fields_u.ksf1", "wb") as fh:
             for t in np.linspace(1e-2, 1.0, 6):
-                write_snapshot(fh, field, t)
+                _write_raw_snapshot(fh, field.grid, field.values, t)
         cfg = write_config(tmp_path, self.CFG)
         assert main(["norms", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -7,7 +7,7 @@ import scipy.fft
 import kslab.fields
 from kslab import Grid2D, ScalarField, TimeGrid, damped_heat_trajectory, gradient, heat, load_field, save_field
 from kslab.duhamel import _div_u_grad_v
-from kslab.fields import fft2, ifft2, irfft2, read_snapshot, rfft2, write_snapshot
+from kslab.fields import _write_raw_snapshot, fft2, ifft2, irfft2, read_snapshot, rfft2
 from conftest import run_fresh
 
 
@@ -393,7 +393,7 @@ class TestSnapshotIO:
         g = Grid2D(16, 8.0)
         f = random_field(g, 20)
         buf = io.BytesIO()
-        write_snapshot(buf, f, 1.0)
+        _write_raw_snapshot(buf, f.grid, f.values, 1.0)
         raw = buf.getvalue()[:-8]
         with pytest.raises(ValueError, match="truncated"):
             read_snapshot(io.BytesIO(raw))

@@ -116,6 +116,12 @@ class TestBilinearLemma:
         for label, info in report.metadata["uniformity"].items():
             assert info["gap"] < 0.10, (label, info)
 
+    def test_each_swept_mode_is_transformed_once(self, fft_calls):
+        # the samples and the uniformity sweep share one r2c per swept mode; the random field
+        # adds one r2c and the c2r that builds it
+        verify_bilinear_lemma23(SMALL)
+        assert fft_calls == {"rfft2": SMALL.effective_mode_cap() + 1, "irfft2": 1}
+
 
 class TestMaximalRegularity:
     def test_constant_profile_closed_form_ratio(self):
@@ -168,15 +174,6 @@ class TestConstants:
         rows = [s for s in report.samples if s.family == "c1[free_u_mass]"]
         assert rows
         assert all(s.ratio <= 2.0 for s in rows)
-
-    def test_monotone_in_family(self):
-        grid = SMALL.make_grid()
-        fams = standard_families(grid)
-        small = estimate_constants(SMALL, families=fams[:3])
-        full = estimate_constants(SMALL, families=fams)
-        assert small.c1 <= full.c1 + 1e-12
-        assert small.c2 <= full.c2 + 1e-12
-        assert small.c3 <= full.c3 + 1e-12
 
     def test_samples_match_the_public_operators(self):
         # every ratio rebuilt from real-space trajectories, B, L and the norm reports
@@ -277,8 +274,8 @@ class TestMeasuredRatios:
             l4 = _batch_lp(traj.stacked, 4.0, cell)
             lhs = np.sqrt(trapezoid(times, l4**4) + times[0] * lp_norm(f, 4.0) ** 4)
             sup_l2 = max(float(np.max(_batch_lp(traj.stacked, 2.0, cell))), lp_norm(f, 2.0))
-            grad_l2t, _ = _l2t_grad(grid, times, np.abs(rfft2(traj.stacked)) ** 2, _initial_hat(traj),
-                                     damped=False)
+            grad_l2t = _l2t_grad(grid, times, np.abs(rfft2(traj.stacked)) ** 2, _initial_hat(traj),
+                                 damped=False)
             if grad_l2t != 0:
                 expected[(("field", fname),)] = (lhs, sup_l2 * grad_l2t)
         got = {s.params: (s.lhs, s.rhs) for s in verify_l4_interpolation(setup).samples}
