@@ -92,15 +92,7 @@ def _parse_float(s: str) -> float:
 
 
 def _parse_c(s: str):
-    if s.strip().lower() == "auto":
-        return "auto"
-    try:
-        value = _parse_float(s)
-    except ValueError as exc:
-        raise ConfigError(f"picard.c must be 'auto' or a finite number, got {s!r}") from exc
-    if not value > 0:
-        raise ConfigError("picard.c must be positive")
-    return value
+    return "auto" if s.strip().lower() == "auto" else _parse_float(s)
 
 
 def _parse_wavevector(s: str) -> tuple[int, int]:
@@ -251,6 +243,11 @@ def lab_setup(cfg: ExperimentConfig) -> LabSetup:
 
 
 def initial_data(cfg: ExperimentConfig, grid: Grid2D) -> tuple[ScalarField, ScalarField, dict]:
+    """(u0, v0) on ``grid`` and their report entry.
+
+    A data.kind=file path names a field file (``save_field``): one KSF1 snapshot
+    at t = 0 on the configured grid; anything else is a ConfigError naming the key.
+    """
     kind = cfg.data_kind
     if kind == "gaussian":
         u0 = gaussian_field(grid, cfg.data_mass, cfg.data_width)
@@ -278,8 +275,8 @@ def initial_data(cfg: ExperimentConfig, grid: Grid2D) -> tuple[ScalarField, Scal
                 "amplitude": cfg.data_amplitude,
                 "stripe_smoothing": cfg.data_stripe_smoothing}
     else:  # file
-        u0, _ = _load(load_field, cfg.data_u_path, "data.u_path")
-        v0, _ = _load(load_field, cfg.data_v_path, "data.v_path")
+        u0 = _load(load_field, cfg.data_u_path, "data.u_path")
+        v0 = _load(load_field, cfg.data_v_path, "data.v_path")
         if u0.grid != grid or v0.grid != grid:
             raise ConfigError("field files do not match the configured grid")
         desc = {"kind": kind, "u_path": cfg.data_u_path, "v_path": cfg.data_v_path}

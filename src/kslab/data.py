@@ -23,12 +23,10 @@ def gaussian_field(
     return ScalarField(grid, mass * np.exp(-r2 / (4.0 * width)) / (4.0 * np.pi * width))
 
 
-def cosine_mode_field(
-    grid: Grid2D, kvec: tuple[int, int] = (1, 0), amplitude: float = 1.0, phase: float = 0.0
-) -> ScalarField:
-    """amplitude * cos(2 pi (k1 x1 + k2 x2)/l + phase) for integer mode numbers."""
+def cosine_mode_field(grid: Grid2D, kvec: tuple[int, int] = (1, 0), amplitude: float = 1.0) -> ScalarField:
+    """amplitude * cos(2 pi (k1 x1 + k2 x2)/l) for integer mode numbers."""
     x1, x2 = grid.coords()
-    arg = 2.0 * np.pi * (kvec[0] * x1 + kvec[1] * x2) / grid.l + phase
+    arg = 2.0 * np.pi * (kvec[0] * x1 + kvec[1] * x2) / grid.l
     return ScalarField(grid, amplitude * np.cos(arg))
 
 
@@ -52,25 +50,22 @@ def smoothed_stripe_field(grid: Grid2D, smoothing_time: float, amplitude: float 
     return ScalarField(grid, amplitude * np.repeat(profile[:, None], grid.n, axis=1))
 
 
-def random_band_limited_field(
-    grid: Grid2D, seed: int = 0, max_mode: int = 8, decay: float = 8.0
-) -> ScalarField:
-    """Seeded random field supported on integer modes |m_i| <= max_mode.
+def random_band_limited_field(grid: Grid2D, seed: int = 0, max_mode: int = 8) -> ScalarField:
+    """Seeded random field supported on integer modes |m_i| <= max_mode, weighted exp(-|m|^2/8).
 
-    The underlying function depends only on (seed, max_mode, decay, l), not
-    on the resolution, so refinement studies see the same data at every n.
+    The underlying function depends only on (seed, max_mode, l), not on the
+    resolution, so refinement studies see the same data at every n.
     """
-    if max_mode >= grid.n // 2:
+    n = grid.n
+    if max_mode >= n // 2:
         raise ValueError("max_mode must fit strictly inside the grid spectrum")
-    rng = np.random.default_rng(seed)
-    coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    for m1 in range(-max_mode, max_mode + 1):
-        for m2 in range(-max_mode, max_mode + 1):
-            re, im = rng.standard_normal(2)
-            weight = np.exp(-(m1 * m1 + m2 * m2) / decay)
-            coeffs[m1 % grid.n, m2 % grid.n] = weight * (re + 1j * im)
+    m = np.arange(-max_mode, max_mode + 1)
+    draws = np.random.default_rng(seed).standard_normal((m.size, m.size, 2))  # (m1, m2, re/im), in draw order
+    coeffs = np.zeros((n, n), dtype=np.complex128)
+    coeffs[np.ix_(m % n, m % n)] = np.exp(-(m[:, None] ** 2 + m[None, :] ** 2) / 8.0) * (
+        draws[..., 0] + 1j * draws[..., 1])
     flipped = np.conj(np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1)))
     coeffs = 0.5 * (coeffs + flipped)
     # irfft2 carries 1/n^2; scale so the function is resolution independent.  The
     # coefficients are Hermitian, so their half spectrum determines the field.
-    return ScalarField(grid, irfft2((coeffs * grid.n**2)[:, : grid.n // 2 + 1], grid.n))
+    return ScalarField(grid, irfft2((coeffs * n**2)[:, : n // 2 + 1], n))

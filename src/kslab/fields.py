@@ -281,43 +281,50 @@ def _write_raw_snapshot(fh: BinaryIO, grid: Grid2D, values: np.ndarray, t: float
     fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
-def _read_raw_snapshot(fh: BinaryIO) -> tuple[int, float, float, np.ndarray]:
-    """Read one KSF1 snapshot's n, l, t and its read-only (n, n) values from a seekable stream.
+def _read_snapshots(path) -> tuple[Grid2D, np.ndarray, np.ndarray]:
+    """Every KSF1 snapshot of the file at ``path``: their one grid, times (S,) and values (S, n, n).
 
-    Raises ValueError on bad magic, a header grid that breaks the Grid2D
-    rules, or a payload shorter than the header claims; the size checks run
-    before any payload is read.  The values are not checked for finiteness.
+    Raises ValueError on bad magic, a header grid that breaks the Grid2D rules,
+    a header or payload cut short, an empty file or mixed grids.  Each payload
+    size is checked before the payload is read, so a header claiming a huge
+    grid allocates nothing.  The values are not checked for finiteness.
     """
-    header = fh.read(_KSF1_HEADER.size)
-    if len(header) != _KSF1_HEADER.size:
-        raise ValueError("truncated KSF1 header")
-    magic, n, l, t = _KSF1_HEADER.unpack(header)
-    if magic != KSF1_MAGIC:
-        raise ValueError(f"bad KSF1 magic: {magic!r}")
-    try:
-        _check_grid(n, l)
-    except ValueError as exc:
-        raise ValueError(f"bad KSF1 header: {exc}") from exc
-    need = 8 * n * n
-    here = fh.tell()
-    remaining = fh.seek(0, os.SEEK_END) - here
-    fh.seek(here)
-    if remaining < need:
-        raise ValueError(f"truncated KSF1 payload: header n={n} needs {need} bytes, {remaining} remain")
-    return int(n), float(l), float(t), np.frombuffer(fh.read(need), dtype="<f8").reshape(n, n)
-
-
-def read_snapshot(fh: BinaryIO) -> tuple[ScalarField, float]:
-    """Read one KSF1 snapshot from a seekable stream as a (finite) field and its time."""
-    n, l, t, values = _read_raw_snapshot(fh)
-    return ScalarField(Grid2D(n, l), values.copy()), t
-
-
-def save_field(path, field: ScalarField, t: float = 0.0) -> None:
-    with open(path, "wb") as fh:
-        _write_raw_snapshot(fh, field.grid, field.values, t)
-
-
-def load_field(path) -> tuple[ScalarField, float]:
+    heads, rows = [], []
     with open(path, "rb") as fh:
-        return read_snapshot(fh)
+        size = os.fstat(fh.fileno()).st_size
+        while fh.tell() < size:
+            header = fh.read(_KSF1_HEADER.size)
+            if len(header) != _KSF1_HEADER.size:
+                raise ValueError("truncated KSF1 header")
+            magic, n, l, t = _KSF1_HEADER.unpack(header)
+            if magic != KSF1_MAGIC:
+                raise ValueError(f"bad KSF1 magic: {magic!r}")
+            try:
+                _check_grid(n, l)
+            except ValueError as exc:
+                raise ValueError(f"bad KSF1 header: {exc}") from exc
+            need, remaining = 8 * n * n, size - fh.tell()
+            if remaining < need:
+                raise ValueError(f"truncated KSF1 payload: header n={n} needs {need} bytes, {remaining} remain")
+            heads.append((n, l, t))
+            rows.append(np.frombuffer(fh.read(need), dtype="<f8").reshape(n, n))
+    if not rows:
+        raise ValueError("empty KSF1 file")
+    if len({head[:2] for head in heads}) > 1:
+        raise ValueError("KSF1 file mixes snapshots on different grids")
+    return Grid2D(*heads[0][:2]), np.array([head[2] for head in heads]), np.stack(rows)
+
+
+def save_field(path, field: ScalarField) -> None:
+    """Write ``field`` as a field file: one KSF1 snapshot, at t = 0."""
+    with open(path, "wb") as fh:
+        _write_raw_snapshot(fh, field.grid, field.values, 0.0)
+
+
+def load_field(path) -> ScalarField:
+    """The field of a field file; ValueError unless it is well formed, finite and one snapshot at t = 0."""
+    grid, times, values = _read_snapshots(path)
+    if times.size != 1 or times[0] != 0.0:
+        got = f"{times.size} snapshots" if times.size != 1 else f"one at t={times[0]:.6g}"
+        raise ValueError(f"a field file holds one snapshot at t = 0, this one holds {got}")
+    return ScalarField(grid, values[0])

@@ -50,7 +50,6 @@ from .norms import (
     _thm2_x,
     _thm2_y,
     _weighted_heat_sup,
-    hs_norm,
     lp_norm,
     trapezoid,
 )
@@ -194,7 +193,8 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
                     msym = sym * np.sqrt(k2) ** delta if delta else sym
                     per_xi = np.sqrt(np.maximum(trapezoid(times, np.abs(msym) ** 2), 0.0))
                     rhs = float(np.max(per_xi)) * hs_f
-                    lhs = _time_lp(times, _rank_one_norms(grid, msym, inverse, vhat, weight), 2.0)
+                    nodes = _rank_one_norms(grid, msym, inverse, vhat, weight) if delta else lhs_nodes
+                    lhs = _time_lp(times, nodes, 2.0)
                     _add_sample(samples, f"formB[rho=2,delta={int(delta)},s={int(s)}]",
                                 (("multiplier", mname), ("field", fname)), lhs, rhs)
 
@@ -486,7 +486,7 @@ def estimate_constants(setup: LabSetup = LabSetup()) -> ConstantsReport:
         del w_grad
         free.append((name, f_hat, u_hat, w_hat, {"x1": x1, "x2": x2, "y1": y1, "y2": w2["y_norm"].value}))
 
-        l1, linf, h1 = lp_norm(f, 1.0), lp_norm(f, np.inf), hs_norm(f, 1.0)
+        l1, linf, h1 = lp_norm(f, 1.0), lp_norm(f, np.inf), float(_batch_hs(grid, f_hat, 1.0))
         if not l1 > 0:
             skipped.append(f"{name}: zero L1 norm")
         for family, lhs, rhs in (

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid2D, ScalarField, _read_raw_snapshot, _write_raw_snapshot, rfft2
+from .fields import Grid2D, ScalarField, _read_snapshots, _write_raw_snapshot, rfft2
 
 _GEOMETRIC_TOL = 1e-12
 
@@ -158,29 +158,21 @@ def save_trajectory(path, traj: Trajectory) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a KSF1 snapshot sequence whose positive times are geometric.
+    """A trajectory dump: KSF1 snapshots at geometric positive times, after an optional t = 0 initial datum.
 
-    Raises ValueError on a malformed or empty file, mixed grids, non-geometric
-    times or non-finite values.
+    Raises ValueError on a malformed file (see ``fields._read_snapshots``), a
+    file with no positive-time snapshot, non-geometric times or non-finite
+    values.
     """
-    rows: list[tuple[int, float, float, np.ndarray]] = []
-    with open(path, "rb") as fh:
-        while fh.read(1):
-            fh.seek(-1, 1)
-            rows.append(_read_raw_snapshot(fh))
-    if not rows:
-        raise ValueError("empty trajectory file")
-    if any(row[:2] != rows[0][:2] for row in rows):
-        raise ValueError("trajectory file mixes snapshots on different grids")
-    grid = Grid2D(*rows[0][:2])
+    grid, times, values = _read_snapshots(path)
     initial = None
-    if rows[0][2] == 0.0:
-        initial = ScalarField(grid, rows.pop(0)[3].copy())
-    if not rows:
+    if times[0] == 0.0:
+        initial = ScalarField(grid, values[0])
+        times, values = times[1:], values[1:]
+    if not times.size:
         raise ValueError("trajectory file holds no positive-time snapshots")
-    tgrid = TimeGrid(np.array([row[2] for row in rows]))
+    tgrid = TimeGrid(times)
     try:
-        return Trajectory(grid, tgrid, np.stack([row[3] for row in rows]), initial)
+        return Trajectory(grid, tgrid, values, initial)
     except TrajectoryOverflowError as exc:
         raise ValueError(f"snapshot at t={tgrid.times[exc.node_index]:.6g} holds non-finite values") from exc
-

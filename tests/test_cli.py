@@ -273,17 +273,28 @@ class TestSolveCommand:
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
-    @pytest.mark.parametrize("fault", ["missing", "truncated", "non_finite"])
+    @pytest.mark.parametrize("fault", ["missing", "truncated", "non_finite", "two_snapshots", "trailing_bytes",
+                                       "nonzero_time"])
     def test_bad_initial_data_file_is_a_config_error(self, tmp_path, capsys, command, fault):
+        """A field file is exactly one finite KSF1 snapshot at t = 0; anything else exits 2 naming the key."""
         grid = Grid2D(32, 32.0)
         u_path, v_path = tmp_path / "u0.ksf1", tmp_path / "v0.ksf1"
         save_field(v_path, ScalarField.zero(grid))
         if fault != "missing":
-            save_field(u_path, gaussian_field(grid, 1e-3, 0.5))
+            u0 = gaussian_field(grid, 1e-3, 0.5)
+            save_field(u_path, u0)
             raw = u_path.read_bytes()
             header = 24  # KSF1: magic, n, l, t; then n*n float64
-            raw = raw[:-100] if fault == "truncated" else \
-                raw[: header + 40] + struct.pack("<d", float("nan")) + raw[header + 48 :]
+            if fault == "truncated":
+                raw = raw[:-100]
+            elif fault == "non_finite":
+                raw = raw[: header + 40] + struct.pack("<d", float("nan")) + raw[header + 48 :]
+            elif fault == "two_snapshots":  # a trajectory dump with its t = 0 datum is not a field file
+                raw = raw + raw[:16] + struct.pack("<d", 0.5) + raw[header:]
+            elif fault == "trailing_bytes":
+                raw = raw + b"\0" * 4
+            else:
+                raw = raw[:16] + struct.pack("<d", 0.5) + raw[header:]
             u_path.write_bytes(raw)
         out = tmp_path / "out"
         args = [command, "--config", write_config(tmp_path, FAST_SOLVE), "--override", "data.kind=file",
@@ -624,6 +635,20 @@ def test_only_fields_imports_the_fft_backend():
                           if n.startswith("scipy.fft") or "pocketfft" in n]
     assert offenders == []
     assert naming == ["fields.py"]
+
+
+def test_only_the_ksf1_reader_opens_files_for_reading():
+    """Every KSF1 file is parsed by one function: the only ``open(..., "rb")`` in the package is in it."""
+    readers = []
+    for path in sorted(Path(kslab.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            readers += [f"{path.name}::{fn.name}" for call in ast.walk(fn)
+                        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "open"
+                        and any(isinstance(a, ast.Constant) and a.value == "rb"
+                                for a in call.args + [k.value for k in call.keywords])]
+    assert readers == ["fields.py::_read_snapshots"]
 
 
 def _imports_by_scope(node, scope=None):

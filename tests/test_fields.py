@@ -7,7 +7,7 @@ import scipy.fft
 import kslab.fields
 from kslab import Grid2D, ScalarField, TimeGrid, damped_heat_trajectory, gradient, heat, load_field, save_field
 from kslab.duhamel import _div_u_grad_v
-from kslab.fields import _write_raw_snapshot, fft2, ifft2, irfft2, read_snapshot, rfft2
+from kslab.fields import _write_raw_snapshot, fft2, ifft2, irfft2, rfft2
 from conftest import run_fresh
 
 
@@ -374,11 +374,15 @@ class TestSnapshotIO:
         g = Grid2D(32, 8.0)
         f = random_field(g, 19)
         path = tmp_path / "field.ksf1"
-        save_field(path, f, t=0.625)
-        back, t = load_field(path)
-        assert t == 0.625
+        save_field(path, f)
+        back = load_field(path)
         assert back.grid == g
         assert np.array_equal(back.values, f.values)  # bit exact
+        # a field file is one snapshot at t = 0: a snapshot at any other time is refused, naming it
+        with open(path, "wb") as fh:
+            _write_raw_snapshot(fh, g, f.values, 0.625)
+        with pytest.raises(ValueError, match=r"holds one at t=0\.625"):
+            load_field(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ksf1"
@@ -387,21 +391,20 @@ class TestSnapshotIO:
             load_field(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        import io
         import struct
 
         g = Grid2D(16, 8.0)
         f = random_field(g, 20)
-        buf = io.BytesIO()
-        _write_raw_snapshot(buf, f.grid, f.values, 1.0)
-        raw = buf.getvalue()[:-8]
+        path = tmp_path / "cut.ksf1"
+        save_field(path, f)
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
-            read_snapshot(io.BytesIO(raw))
+            load_field(path)
         # headers claiming huge grids are rejected before any payload read
         for n in (2**31, 2**20):
-            header = struct.pack("<4sIdd", b"KSF1", n, 8.0, 1.0)
+            path.write_bytes(struct.pack("<4sIdd", b"KSF1", n, 8.0, 1.0))
             with pytest.raises(ValueError, match="truncated"):
-                read_snapshot(io.BytesIO(header))
+                load_field(path)
 
     def test_infinite_side_length_rejected(self, tmp_path):
         import struct

@@ -175,6 +175,17 @@ class TestConstants:
         assert rows
         assert all(s.ratio <= 2.0 for s in rows)
 
+    def test_transform_budget(self, fft_calls):
+        """Each family's datum is transformed once, its H1 norm included; every other transform is counted below.
+
+        Per family: u's values, w's gradient and L u's gradient (5 c2r).  Per
+        (u, w) pair: two ``_div_u_grad_v`` products (2 r2c and 3 c2r each) and
+        B's values (1 c2r).
+        """
+        count = len(standard_families(SMALL.make_grid()))
+        estimate_constants(SMALL)
+        assert fft_calls == {"rfft2": count + 4 * count**2, "irfft2": 5 * count + 7 * count**2}
+
     def test_samples_match_the_public_operators(self):
         # every ratio rebuilt from real-space trajectories, B, L and the norm reports
         setup = LabSetup(n=32, num_times=12)

@@ -1,6 +1,8 @@
 """Property tests for the single kernels: batched norms, ETD operators and plans, trajectories, KSF1 and config I/O."""
 
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from kslab import (
 from kslab.cli import ExperimentConfig
 from kslab.data import random_band_limited_field
 from kslab.duhamel import EtdPlan, _div_u_grad_v, _etd_march, _profile_march, etd_weights
-from kslab.fields import _write_raw_snapshot, fft2, ifft2, irfft2, read_snapshot, rfft2
+from kslab.fields import _read_snapshots, _write_raw_snapshot, fft2, ifft2, irfft2, rfft2
 from kslab.inequality_lab import _PROFILES, _lab_fields, _time_lp
 from kslab.fields import _grad_values
 from kslab.norms import (_batch_grad_linf, _batch_hs, _batch_lp, _grad_sup, _hs_weight, _parseval_sum,
@@ -558,17 +560,39 @@ class TestArrayTrajectory:
             load_trajectory(path)
 
 
+def _band_limited_loop(grid, seed, max_mode):
+    """The per-mode loop form of ``random_band_limited_field``: one (re, im) draw per (m1, m2), m2 fastest."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    for m1 in range(-max_mode, max_mode + 1):
+        for m2 in range(-max_mode, max_mode + 1):
+            re, im = rng.standard_normal(2)
+            coeffs[m1 % grid.n, m2 % grid.n] = np.exp(-(m1 * m1 + m2 * m2) / 8.0) * (re + 1j * im)
+    coeffs = 0.5 * (coeffs + np.conj(np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1))))
+    return irfft2((coeffs * grid.n**2)[:, : grid.n // 2 + 1], grid.n)
+
+
+class TestDataBuilders:
+    @given(seed=seeds, n=st.sampled_from([16, 32, 64]), max_mode=st.integers(0, 7))
+    def test_band_limited_field_equals_the_loop_form(self, seed, n, max_mode):
+        grid = Grid2D(n, 8.0)
+        assert np.array_equal(random_band_limited_field(grid, seed, max_mode).values,
+                              _band_limited_loop(grid, seed, max_mode))
+
+
 class TestRoundTrips:
     @given(seed=seeds, n=st.sampled_from([16, 32]), l=lengths,
            t=st.floats(0.0, 1e6, allow_nan=False))
     def test_ksf1(self, seed, n, l, t):
         f = ScalarField(Grid2D(n, l), _stack(seed, 1, n)[0])
-        buf = io.BytesIO()
-        _write_raw_snapshot(buf, f.grid, f.values, t)
-        buf.seek(0)
-        back, t_back = read_snapshot(buf)
-        assert back.grid == f.grid and t_back == t
-        assert np.array_equal(back.values, f.values)
+        # a file made here, not a tmp_path fixture: hypothesis rejects function-scoped fixtures
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.ksf1")
+            with open(path, "wb") as fh:
+                _write_raw_snapshot(fh, f.grid, f.values, t)
+            grid, times, values = _read_snapshots(path)
+        assert grid == f.grid and times.tolist() == [t]
+        assert np.array_equal(values[0], f.values)
 
     @given(data=st.data())
     def test_config_parse_serialize(self, data):
