@@ -277,8 +277,10 @@ def initial_data(cfg: ExperimentConfig, grid: Grid2D) -> tuple[ScalarField, Scal
     else:  # file
         u0 = _load(load_field, cfg.data_u_path, "data.u_path")
         v0 = _load(load_field, cfg.data_v_path, "data.v_path")
-        if u0.grid != grid or v0.grid != grid:
-            raise ConfigError("field files do not match the configured grid")
+        for key, path, f in (("data.u_path", cfg.data_u_path, u0), ("data.v_path", cfg.data_v_path, v0)):
+            if f.grid != grid:
+                raise ConfigError(f"{key} {path} holds a field on the grid (n, l) = ({f.grid.n}, {f.grid.l!r}), "
+                                  f"not on the configured grid ({grid.n}, {grid.l!r})")
         desc = {"kind": kind, "u_path": cfg.data_u_path, "v_path": cfg.data_v_path}
     return u0, v0, desc
 

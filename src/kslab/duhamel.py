@@ -19,13 +19,15 @@ and (|xi|^2, -|xi|^2).  ``bilinear_B`` builds its own spectral integrand.
 
 Layout: the operators march the ``(n, n//2+1)`` half spectra of ``rfft2``
 (see ``fields``).  There are two array kernels: ``_div_u_grad_v`` (the
-dealiased integrand div(u grad v)) and ``_etd_march`` (the march).  The
-Picard loop, the lab and the public operators build their integrand and
-call ``_etd_march`` directly; the public operators add only the forward
-transform, any prefactor, the inverse transform and the trajectory (which
-rejects non-finite output).  Symbols are half-layout too (``grid.k2_half +
-shift``) and even in xi (``sym[k] == sym[-k]``), so they map a real field's
-spectrum to a real field's spectrum.
+dealiased integrand div(u grad v)) and ``_etd_step`` (one interval of the
+march, in place on one plane or one per-rate row).  ``_etd_march`` runs the
+step over whole integrand stacks: the lab and the public operators build
+their integrand and call it directly, and add only the forward transform,
+any prefactor, the inverse transform and the trajectory (which rejects
+non-finite output).  The Picard sweep calls ``_etd_step`` node by node, so
+its integrands and its outputs are single planes.  Symbols are half-layout
+too (``grid.k2_half + shift``) and even in xi (``sym[k] == sym[-k]``), so
+they map a real field's spectrum to a real field's spectrum.
 
 Interval handling near t = 0: when the input trajectories carry an initial
 datum, the integrand is known at t = 0 and the head ``[0, t_1]`` is one more
@@ -40,7 +42,7 @@ such as |xi|^2 costs 3 x intervals x (distinct rates) floats instead of
 3 x intervals x n^2: about 2.9 MB at n = 128, K = 64 (1911 distinct rates;
 the index adds 67 kB) and 42 MB at n = 512, K = 64 (the index adds 1 MB).
 A plan is a plain read-only object.  Its lifetime is the caller's: every
-public operator builds one for its call, and the Picard loop and the lab,
+public operator builds one for its call, and the Picard sweep and the lab,
 which convolve many integrands against the same rates, build theirs once and
 march every integrand on it.  Nothing is cached at module level.  A plan
 also serves rank-one integrands prof(t) c(xi): given the 1-D profile,
@@ -154,26 +156,36 @@ class EtdPlan:
             table.setflags(write=False)
 
 
+def _etd_step(acc: np.ndarray, left, right, plan: EtdPlan, j: int) -> np.ndarray:
+    """Interval j of the march, in place: acc <- acc decay_j + dt_j (w_left_j left + w_right_j right).
+
+    ``acc`` is a per-rate row (R,) for a time profile, with scalar ends, or a
+    half-spectrum plane with plane ends, over which the per-rate table rows
+    are spread through ``plan.inverse``.  Returns ``acc``.
+    """
+    rows = plan.decay[j], plan.w_left[j], plan.w_right[j]
+    decay, w_left, w_right = rows if acc.ndim == 1 else (np.take(row, plan.inverse) for row in rows)
+    acc *= decay
+    acc += plan.dts[j] * (w_left * left + w_right * right)
+    return acc
+
+
 def _etd_march(ghat: np.ndarray, g0hat: np.ndarray | None, plan: EtdPlan) -> np.ndarray:
-    """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes.
+    """March int_0^{t_j} e^{-(t_j-tau) lam} g(tau) dtau over all output nodes, one ``_etd_step`` per node.
 
     The layout follows the integrand's shape.  A 1-D integrand (K,) is one
     time profile: the march runs on the plan's rate layout, and output column
     r is its convolution against the rate ``plan.values[r]``.  Any other
-    shape is a stack of half spectra, and each per-rate table row is spread
-    over the modes through ``plan.inverse``.  ``g0hat`` is the integrand at
-    t = 0; ``None`` drops the head ``[0, t_1]``, so ``out[0]`` is zero.
+    shape is a stack of half spectra.  ``g0hat`` is the integrand at t = 0;
+    ``None`` drops the head ``[0, t_1]``, so ``out[0]`` is zero.
     """
-    profile = ghat.ndim == 1
-    spread = (lambda row: row) if profile else (lambda row: np.take(row, plan.inverse))
-    acc = np.zeros(plan.values.shape if profile else plan.inverse.shape, dtype=np.result_type(ghat, np.float64))
+    shape = plan.values.shape if ghat.ndim == 1 else plan.inverse.shape
+    acc = np.zeros(shape, dtype=np.result_type(ghat, np.float64))
     out = np.zeros((plan.dts.size,) + acc.shape, dtype=acc.dtype)  # a dropped head leaves out[0] at zero
     left = g0hat
     for j, right in enumerate(ghat):  # interval j of the plan ends at output node j
         if left is not None:
-            acc = (acc * spread(plan.decay[j])
-                   + plan.dts[j] * (spread(plan.w_left[j]) * left + spread(plan.w_right[j]) * right))
-            out[j] = acc
+            out[j] = _etd_step(acc, left, right, plan, j)
         left = right
     return out
 

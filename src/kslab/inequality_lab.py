@@ -42,9 +42,15 @@ from .fields import Grid2D, ScalarField, _grad_values, _rate_layout, irfft2, rff
 from .norms import (
     _batch_hs,
     _batch_lp,
+    _grad_sup,
     _hs_weight,
     _l2t_grad,
+    _l2t_head,
+    _node_series,
+    _parseval_sum,
     _rank_one_norms,
+    _rate_parts,
+    _sobolev_nodes,
     _thm1_x,
     _thm1_y,
     _thm2_x,
@@ -143,6 +149,12 @@ def _add_sample(samples: list, family: str, params: tuple, lhs: float, rhs: floa
 _SWEEP_MODES = (1, 2, 3, 4, 6, 8, 12, 16)
 
 
+def _hs_norms(grid: Grid2D, coeffs: np.ndarray, weights: dict) -> dict:
+    """``_batch_hs`` of the half spectrum ``coeffs`` under each precomputed ``_hs_weight``, from one power spectrum."""
+    power = np.abs(coeffs) ** 2
+    return {key: np.sqrt(_parseval_sum(grid, power, weight)) for key, weight in weights.items()}
+
+
 def _lab_fields(grid: Grid2D, seed: int) -> list[tuple[str, ScalarField]]:
     return [
         ("const", ScalarField(grid, np.ones((grid.n, grid.n)))),
@@ -173,30 +185,35 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     t, k2 = times[:, None], rates[None, :]
     syms = {"identity": np.ones((times.size, rates.size)), "heat": np.exp(-t * k2),
             "damped": np.exp(-t) * np.exp(-t * k2)}
+    # no field enters a symbol's side: its L^r_t sup_xi norms (Form A), and for Form B
+    # m_d = |xi|^delta m with its sup_xi L^2_t norm, once per symbol
+    sym_lp = {(mname, r): _time_lp(times, np.max(np.abs(sym), axis=1), r)
+              for mname, sym in syms.items() for r in (np.inf, 2.0)}
+    msyms = {(mname, delta): sym * np.sqrt(k2) ** delta if delta else sym
+             for mname, sym in syms.items() for delta in (0.0, 1.0)}
+    msym_sup = {key: float(np.max(np.sqrt(np.maximum(trapezoid(times, np.abs(msym) ** 2), 0.0))))
+                for key, msym in msyms.items()}
     samples: list[RatioSample] = []
 
+    weights = {s: _hs_weight(grid, s) for s in (0.0, 1.0)}
     for fname, f in _lab_fields(grid, seed):
         vhat = rfft2(f.values)
+        # the binning does not depend on the symbol: once per (field, s) for every symbol
+        parts = {s: _rate_parts(grid, inverse, vhat, weight, rates.size) for s, weight in weights.items()}
+        hs_f = _hs_norms(grid, vhat, weights)
         for mname, sym in syms.items():
             for s in (0.0, 1.0):
-                weight = _hs_weight(grid, s)
-                hs_f = _batch_hs(grid, vhat, s)
-                lhs_nodes = _rank_one_norms(grid, sym, inverse, vhat, weight)
-                sup_xi = np.max(np.abs(sym), axis=1)
+                lhs_nodes = _rank_one_norms(sym, parts[s])
                 for r in (np.inf, 2.0):
-                    lhs = _time_lp(times, lhs_nodes, r)
-                    rhs = _time_lp(times, sup_xi, r) * hs_f
                     _add_sample(samples, f"formA[r={'inf' if np.isinf(r) else int(r)},s={int(s)}]",
-                                (("multiplier", mname), ("field", fname)), lhs, rhs)
+                                (("multiplier", mname), ("field", fname)), _time_lp(times, lhs_nodes, r),
+                                sym_lp[mname, r] * hs_f[s])
                 # Form B with |xi|^delta weights, rho = 2
                 for delta in (0.0, 1.0):
-                    msym = sym * np.sqrt(k2) ** delta if delta else sym
-                    per_xi = np.sqrt(np.maximum(trapezoid(times, np.abs(msym) ** 2), 0.0))
-                    rhs = float(np.max(per_xi)) * hs_f
-                    nodes = _rank_one_norms(grid, msym, inverse, vhat, weight) if delta else lhs_nodes
-                    lhs = _time_lp(times, nodes, 2.0)
+                    nodes = _rank_one_norms(msyms[mname, delta], parts[s]) if delta else lhs_nodes
                     _add_sample(samples, f"formB[rho=2,delta={int(delta)},s={int(s)}]",
-                                (("multiplier", mname), ("field", fname)), lhs, rhs)
+                                (("multiplier", mname), ("field", fname)), _time_lp(times, nodes, 2.0),
+                                msym_sup[mname, delta] * hs_f[s])
 
     return InequalityReport("multiplier_lemma", tuple(samples), _meta(setup, seed))
 
@@ -253,16 +270,28 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
              "plain": EtdPlan(grid.k2_half, tgrid)}
     marches = {(pname, rate): _profile_march(prof, plan)
                for pname, prof in _PROFILES.items() for rate, plan in plans.items()}
+    # the damped cases measure homogeneous norms and the plain ones inhomogeneous, each at s = 0 and 1
+    weights = {(s, homogeneous): _hs_weight(grid, s, homogeneous) for s in (0.0, 1.0) for homogeneous in (True, False)}
+    f_norms: dict = {}  # each field's four norms, computed at its first case
 
-    def sides(fhat: np.ndarray, pname: str, rate: str, pre: np.ndarray, p_out: float, r_in: float,
-              s: float, homogeneous: bool) -> tuple[float, float]:
-        """Both sides for the integrand prof(t) f: the convolution's time norm and f's."""
-        prof = _PROFILES[pname]
-        nodes = _rank_one_norms(grid, marches[pname, rate], plans[rate].inverse, pre * fhat,
-                                _hs_weight(grid, s, homogeneous))
-        f_norm = _batch_hs(grid, fhat, s, homogeneous)
-        return (_time_lp(times, nodes, p_out, v0=0.0),
-                _time_lp(times, prof(times) * f_norm, r_in, v0=float(prof(0.0)) * f_norm))
+    def sides(fname: str, fhat: np.ndarray, rate: str, pre: np.ndarray, s: float, homogeneous: bool,
+              p_out: float, r_in: float, profiles=tuple(_PROFILES)) -> dict:
+        """Both sides per time profile for the integrands prof(t) pre f: the convolution's time norm and f's.
+
+        The integrand's rate parts are binned once and contracted with each profile's march.
+        """
+        if fname not in f_norms:
+            f_norms[fname] = _hs_norms(grid, fhat, weights)
+        f_norm = f_norms[fname][s, homogeneous]
+        plan = plans[rate]
+        parts = _rate_parts(grid, plan.inverse, pre * fhat, weights[s, homogeneous], plan.values.size)
+        out = {}
+        for pname in profiles:
+            prof = _PROFILES[pname]
+            nodes = _rank_one_norms(marches[pname, rate], parts)
+            out[pname] = (_time_lp(times, nodes, p_out, v0=0.0),
+                          _time_lp(times, prof(times) * f_norm, r_in, v0=float(prof(0.0)) * f_norm))
+        return out
 
     cases = [(f"damped[theta={_fmt(theta)},p1={_fmt(p1)},r={_fmt(r)},s={int(s)}]", "damped",
               np.sqrt(k2) ** theta if theta else np.ones_like(k2), p1, r, s, True)
@@ -272,8 +301,7 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
               for p, r in _EQ26_TUPLES for s in (0.0, 1.0)]
     for group, rate, pre, p_out, r_in, s, homogeneous in cases:
         for fname, fparams, fhat in field_samples:
-            for pname in _PROFILES:
-                lhs, rhs = sides(fhat, pname, rate, pre, p_out, r_in, s, homogeneous)
+            for pname, (lhs, rhs) in sides(fname, fhat, rate, pre, s, homogeneous, p_out, r_in).items():
                 _add_sample(samples, group, fparams + (("field", fname), ("profile", pname)), lhs, rhs)
 
     # Uniformity sweep: per tuple, compare max ratio over low modes with the
@@ -283,8 +311,8 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
         ("plain[p=inf,r=inf,s=0]", "plain", np.sqrt(k2) ** 2.0, False),
     ):
         ratios = []
-        for fhat in mode_hats.values():
-            lhs, rhs = sides(fhat, "const", rate, pre, np.inf, np.inf, 0.0, homog)
+        for m, fhat in mode_hats.items():
+            lhs, rhs = sides(f"mode{m}", fhat, rate, pre, 0.0, homog, np.inf, np.inf, ("const",))["const"]
             ratios.append(lhs / rhs)
         ratios = np.array(ratios)
         low = float(np.max(ratios[: max(1, len(mode_hats) // 2)]))
@@ -327,11 +355,13 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
         prof_l2[pname] = float(np.sqrt(np.sum(gaps * (pv[:-1] ** 2 + pv[:-1] * pv[1:] + pv[1:] ** 2) / 3.0)))
 
     samples: list[RatioSample] = []
+    weight = _hs_weight(grid, 0.0)
     for m in modes:
         f = cosine_mode_field(grid, (m, 0))
         tf_hat, f_l2 = -grid.k2_half * rfft2(f.values), lp_norm(f, 2.0)  # T's symbol is -|xi|^2
+        parts = _rate_parts(grid, plan.inverse, tf_hat, weight, plan.values.size)
         for pname in profiles:
-            nodes = _rank_one_norms(grid, marches[pname], plan.inverse, tf_hat, _hs_weight(grid, 0.0))
+            nodes = _rank_one_norms(marches[pname], parts)
             _add_sample(samples, "maxreg[p=q=2]", (("mode", m), ("profile", pname)),
                         _time_lp(times, nodes, 2.0, v0=0.0), f_l2 * prof_l2[pname])
 
@@ -476,14 +506,12 @@ def estimate_constants(setup: LabSetup = LabSetup()) -> ConstantsReport:
         f_hat = rfft2(f.values)
         u_hat = _free_flow(f_hat, times, grid.k2_half)
         w_hat = _free_flow(f_hat, times, grid.k2_half + 1.0)
-        u_vals = irfft2(u_hat, grid.n)
-        x1 = _thm1_x(grid, times, u_vals)["x_norm"].value
-        x2 = _thm2_x(grid, times, u_vals, u_hat, f_hat)["x_norm"].value
-        # one gradient transform serves both Y halves; dropped before the next family (set-up memory)
-        w_grad = _grad_values(grid, w_hat)
-        y1 = _thm1_y(grid, times, w_grad)["y_norm"].value
-        w2 = _thm2_y(grid, times, w_hat, w_grad, f_hat)
-        del w_grad
+        # one gradient transform and one set of L^inf and grad-sup series serve both modes
+        l1, linf, grad_sup = _node_series(grid, irfft2(u_hat, grid.n), _grad_values(grid, w_hat))
+        x1 = _thm1_x(times, l1, linf)["x_norm"].value
+        x2 = _thm2_x(times, *_sobolev_nodes(grid, u_hat), linf, _l2t_head(grid, f_hat, times[0], False))["x_norm"].value
+        y1 = _thm1_y(times, grad_sup)["y_norm"].value
+        w2 = _thm2_y(times, *_sobolev_nodes(grid, w_hat), grad_sup, _l2t_head(grid, f_hat, times[0], True))
         free.append((name, f_hat, u_hat, w_hat, {"x1": x1, "x2": x2, "y1": y1, "y2": w2["y_norm"].value}))
 
         l1, linf, h1 = lp_norm(f, 1.0), lp_norm(f, np.inf), float(_batch_hs(grid, f_hat, 1.0))
@@ -501,21 +529,22 @@ def estimate_constants(setup: LabSetup = LabSetup()) -> ConstantsReport:
     for uname, uf_hat, u_hat, _, unorm in free:
         # c3: chemical response of the density trajectory (zero initial datum)
         lu_hat = _etd_march(u_hat, uf_hat, l_plan)
-        lu_grad = _grad_values(grid, lu_hat)
-        _add_sample(samples, "c3[thm1]", (("u", uname),),
-                    _thm1_y(grid, times, lu_grad)["y_norm"].value, unorm["x1"])
+        grad_sup = _grad_sup(*_grad_values(grid, lu_hat))
+        _add_sample(samples, "c3[thm1]", (("u", uname),), _thm1_y(times, grad_sup)["y_norm"].value, unorm["x1"])
         _add_sample(samples, "c3[thm2]", (("u", uname),),
-                    _thm2_y(grid, times, lu_hat, lu_grad, None)["y_norm"].value, unorm["x2"])
-        del lu_grad
+                    _thm2_y(times, *_sobolev_nodes(grid, lu_hat), grad_sup, None)["y_norm"].value, unorm["x2"])
         for wname, wf_hat, _, w_hat, wnorm in free:
             # c2: only B's X norms enter; one (u, w) pair at a time bounds the memory
             b_hat = _etd_march(_div_u_grad_v(grid, u_hat, w_hat), _div_u_grad_v(grid, uf_hat, wf_hat), b_plan)
             b_vals = irfft2(b_hat, grid.n)
             _require_finite(b_vals)
             params = (("u", uname), ("w", wname))
-            _add_sample(samples, "c2[thm1]", params, _thm1_x(grid, times, b_vals)["x_norm"].value,
+            linf = _batch_lp(b_vals, np.inf, grid.cell_area)
+            _add_sample(samples, "c2[thm1]", params,
+                        _thm1_x(times, _batch_lp(b_vals, 1.0, grid.cell_area), linf)["x_norm"].value,
                         unorm["x1"] * wnorm["y1"])
-            _add_sample(samples, "c2[thm2]", params, _thm2_x(grid, times, b_vals, b_hat, None)["x_norm"].value,
+            _add_sample(samples, "c2[thm2]", params,
+                        _thm2_x(times, *_sobolev_nodes(grid, b_hat), linf, None)["x_norm"].value,
                         unorm["x2"] * wnorm["y2"])
 
     c1, c2, c3 = (max(s.ratio for s in samples if s.family.startswith(g)) for g in ("c1", "c2", "c3"))

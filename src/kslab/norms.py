@@ -25,16 +25,19 @@ single-field norms are calls into them:
   (``_batch_hs``, the H^1 and grad-H^s node sums, the closed-form head of
   the time integrals);
 * ``semigroup._free_flow`` for the heat flow inside the Besov suprema;
-* ``_rank_one_norms`` for the same sums split by decay rate and contracted
-  with per-rate time profiles: the lab's rank-one convolutions and its
-  multiplier symbols m(t, |xi|^2);
+* ``_rate_parts`` for the same sums split by decay rate, and
+  ``_rank_one_norms`` contracting them with per-rate time profiles: the
+  lab's rank-one convolutions and its multiplier symbols m(t, |xi|^2), where
+  one binning serves every profile;
 * ``_report`` for the two trajectory reports, joining an X half of u
-  (``_thm1_x``, ``_thm2_x``: node values, and in Theorem-2 mode half
-  spectra) and a Y half of w (``_thm1_y``, ``_thm2_y``: gradient values,
-  and in Theorem-2 mode half spectra) that callers needing one side use
-  alone.  ``xy_norms_thm1``/``xy_norms_thm2`` transform a trajectory pair
-  and call them; the Picard loop, which keeps its iterates' spectra and
-  gradient values, calls them directly.
+  (``_thm1_x``, ``_thm2_x``) and a Y half of w (``_thm1_y``, ``_thm2_y``)
+  that callers needing one side use alone.  The halves are built from node
+  series, not arrays: ``_node_series`` gives the L^1, L^inf and grad-sup
+  series of u's values and w's gradient values and, in Theorem-2 mode, the
+  ``_sobolev_nodes`` of both spectra; ``_l2t_head`` closes an L^2_t integral
+  from the initial datum.  The series kernels take any leading shape, so
+  ``xy_norms_thm1``/``xy_norms_thm2`` call them on whole trajectories and
+  the Picard sweep on one node at a time.
 
 Supremum entries keep the node series they maximise (``NormEntry.nodes``,
 which JSON leaves out).  A per-node norm that is not finite raises
@@ -114,15 +117,19 @@ def _parseval_sum(grid: Grid2D, power: np.ndarray, weight: np.ndarray) -> np.nda
     return _parseval_factor(grid) * np.sum((grid.parseval_mult_half * weight) * power, axis=(-2, -1))
 
 
-def _rank_one_norms(grid: Grid2D, march: np.ndarray, inverse: np.ndarray, coeffs: np.ndarray,
-                    weight: np.ndarray) -> np.ndarray:
+def _rate_parts(grid: Grid2D, inverse: np.ndarray, coeffs: np.ndarray, weight: np.ndarray,
+                rates: int) -> np.ndarray:
+    """``_parseval_sum`` of |coeffs|^2 split by rate, (rates,): entry r sums the modes with ``inverse == r``."""
+    summand = (grid.parseval_mult_half * weight) * np.abs(coeffs) ** 2
+    return _parseval_factor(grid) * np.bincount(inverse.ravel(), summand.ravel(), minlength=rates)
+
+
+def _rank_one_norms(march: np.ndarray, parts: np.ndarray) -> np.ndarray:
     """Node norms of the rank-one spectra ``march[:, inverse] * coeffs``, checked finite.
 
-    ``_parseval_sum`` of |coeffs|^2 split by rate (entry r sums the modes with
-    ``inverse == r``) and contracted with the per-rate |march|^2, (K, R).
+    ``parts`` is ``_rate_parts`` of ``coeffs``, so one binning serves every
+    per-rate march (K, R) of the same coefficients and weight.
     """
-    summand = (grid.parseval_mult_half * weight) * np.abs(coeffs) ** 2
-    parts = _parseval_factor(grid) * np.bincount(inverse.ravel(), summand.ravel(), minlength=march.shape[1])
     nodes = np.sqrt(march**2 @ parts)
     _require_finite(nodes)
     return nodes
@@ -308,18 +315,36 @@ def _sum_entry(addends, equation: str, leaves=None) -> NormEntry:
     return NormEntry(value, equation)
 
 
-def _thm1_x(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray) -> dict:
-    """The Theorem-1 X entries of u from its node values (K, n, n)."""
-    e_l1 = _sup_entry(times, _batch_lp(u_vals, 1.0, grid.cell_area), "sup_j ||u(t_j)||_L1")
-    e_tlinf = _sup_entry(times, times * _batch_lp(u_vals, np.inf, grid.cell_area), "sup_j t_j ||u(t_j)||_Linf")
+def _sobolev_nodes(grid: Grid2D, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H^1 norms and the Parseval sums of ||grad .||_{H1}^2 (the L^2_t integrand) of half spectra, batched."""
+    power = np.abs(coeffs) ** 2
+    weight = _hs_weight(grid, 1.0)
+    return np.sqrt(_parseval_sum(grid, power, weight)), _parseval_sum(grid, power, grid.k2_half * weight)
+
+
+def _node_series(grid: Grid2D, u_vals: np.ndarray, w_grad: tuple[np.ndarray, np.ndarray],
+                 u_hat: np.ndarray | None = None, w_hat: np.ndarray | None = None) -> tuple:
+    """The node series the reports read, batched over the leading axes (a single node gives scalars).
+
+    L^1 and L^inf of u's node values and the grad-sup of w's gradient values
+    (``_grad_values`` of its half spectra); given both half spectra, also
+    ``_sobolev_nodes`` of u's and then of w's.
+    """
+    series = (_batch_lp(u_vals, 1.0, grid.cell_area), _batch_lp(u_vals, np.inf, grid.cell_area), _grad_sup(*w_grad))
+    return series if u_hat is None else series + _sobolev_nodes(grid, u_hat) + _sobolev_nodes(grid, w_hat)
+
+
+def _thm1_x(times: np.ndarray, l1: np.ndarray, linf: np.ndarray) -> dict:
+    """The Theorem-1 X entries of u from its L^1 and L^inf node series."""
+    e_l1 = _sup_entry(times, l1, "sup_j ||u(t_j)||_L1")
+    e_tlinf = _sup_entry(times, times * linf, "sup_j t_j ||u(t_j)||_Linf")
     x_norm = _sum_entry((e_l1, e_tlinf), "sup ||u||_L1 + sup t ||u||_Linf")
     return {"u_sup_l1": e_l1, "u_sup_t_linf": e_tlinf, "x_norm": x_norm}
 
 
-def _thm1_y(grid: Grid2D, times: np.ndarray, w_grad: tuple[np.ndarray, np.ndarray]) -> dict:
-    """The Theorem-1 Y entry of w from its gradient values (``_grad_values`` of its half spectra)."""
-    gw = np.sqrt(times) * _grad_sup(*w_grad)
-    return {"y_norm": _sup_entry(times, gw, "sup_j t_j^{1/2} ||grad w(t_j)||_Linf")}
+def _thm1_y(times: np.ndarray, grad_sup: np.ndarray) -> dict:
+    """The Theorem-1 Y entry of w from its grad-sup node series."""
+    return {"y_norm": _sup_entry(times, np.sqrt(times) * grad_sup, "sup_j t_j^{1/2} ||grad w(t_j)||_Linf")}
 
 
 def _report(x: dict, y: dict) -> NormReport:
@@ -335,64 +360,69 @@ def xy_norms_thm1(u: Trajectory, w: Trajectory) -> NormReport:
     X(u) = sup ||u||_L1 + sup t ||u||_Linf;  Y(w) = sup t^{1/2} ||grad w||_Linf.
     """
     _require_compatible(u, w)
-    times = u.tgrid.times
-    return _report(_thm1_x(u.grid, times, u.stacked), _thm1_y(u.grid, times, _grad_values(w.grid, rfft2(w.stacked))))
+    l1, linf, grad_sup = _node_series(u.grid, u.stacked, _grad_values(w.grid, rfft2(w.stacked)))
+    return _report(_thm1_x(u.tgrid.times, l1, linf), _thm1_y(u.tgrid.times, grad_sup))
 
 
-def _free_head_integral(grid: Grid2D, f0_hat: np.ndarray, t1: float, damped: bool,
-                        weight: np.ndarray) -> float:
-    """Closed-form int_0^{t1} ||e^{tA} f0||_weight^2 dt for the free flow of f0's half spectrum."""
+def _l2t_head(grid: Grid2D, f0_hat: np.ndarray | None, t1: float, damped: bool, s: float = 1.0) -> float | None:
+    """Closed-form int_0^{t1} ||grad e^{tA} f0||_{H^s}^2 dt for the free flow of f0's half spectrum; None without f0."""
+    if f0_hat is None:
+        return None
     lam = grid.k2_half + (1.0 if damped else 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        time_factor = np.where(lam > 0, -np.expm1(-2.0 * t1 * lam) / (2.0 * lam), t1)
+        time_factor = np.where(lam > 0, -np.expm1(-2.0 * float(t1) * lam) / (2.0 * lam), float(t1))
     # the time integral weights each mode of the weighted power by time_factor
-    return float(_parseval_sum(grid, weight * np.abs(f0_hat) ** 2, time_factor))
+    return float(_parseval_sum(grid, grid.k2_half * _hs_weight(grid, s) * np.abs(f0_hat) ** 2, time_factor))
 
 
-def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: np.ndarray | None,
-              damped: bool, s: float = 1.0) -> float:
-    """Trapezoid ||grad .||_{L^2_t H^s} over the nodes plus the [0, t_min] head.
+def _l2t(times: np.ndarray, nodes: np.ndarray, head: float | None) -> float:
+    """Trapezoid L^2_t norm from the squared node norms ``nodes``, plus the closed-form [0, t_min] head.
 
-    ``power`` is the trajectory's half-layout power spectrum; the head is
-    closed from the initial datum's half spectrum ``initial_hat`` under the
-    free flow that ``damped`` selects, and dropped without one.  An overflowing
-    total names the largest node sum's node, or node 0 for a larger head.
+    ``head`` is ``_l2t_head``'s, dropped when None.  A non-finite node, or an
+    overflowing total, raises ``TrajectoryOverflowError``; the total names the
+    largest node's node, or node 0 for a larger head.
     """
-    weight = grid.k2_half * _hs_weight(grid, s)
-    nodes = _parseval_sum(grid, power, weight)
     _require_finite(nodes)
     body = trapezoid(times, nodes)
-    head = 0.0 if initial_hat is None else _free_head_integral(grid, initial_hat, float(times[0]), damped, weight)
+    head = 0.0 if head is None else head
     if not np.isfinite(body + head):
         raise TrajectoryOverflowError(0 if head > body else int(np.argmax(nodes)))
     return float(np.sqrt(body + head))
 
 
-def _sobolev_entries(grid: Grid2D, times: np.ndarray, coeffs: np.ndarray, initial_hat: np.ndarray | None,
-                     damped: bool, name: str) -> tuple[NormEntry, NormEntry]:
-    """sup_j ||f(t_j)||_H1 and ||grad f||_{L2_t H1} from half spectra: the H1 part of either Theorem-2 half."""
-    power = np.abs(coeffs) ** 2
-    e_h1 = _sup_entry(times, np.sqrt(_parseval_sum(grid, power, _hs_weight(grid, 1.0))), f"sup_j ||{name}(t_j)||_H1")
-    grad = _l2t_grad(grid, times, power, initial_hat, damped)
-    note = ("no initial datum: the [0, t_min] head of the time integral was dropped" if initial_hat is None
+def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: np.ndarray | None,
+              damped: bool, s: float = 1.0) -> float:
+    """Trapezoid ||grad .||_{L^2_t H^s} over the nodes plus the [0, t_min] head (``_l2t``).
+
+    ``power`` is the trajectory's half-layout power spectrum; the head is
+    closed from the initial datum's half spectrum ``initial_hat`` under the
+    free flow that ``damped`` selects, and dropped without one.
+    """
+    nodes = _parseval_sum(grid, power, grid.k2_half * _hs_weight(grid, s))
+    return _l2t(times, nodes, _l2t_head(grid, initial_hat, times[0], damped, s))
+
+
+def _sobolev_entries(times: np.ndarray, h1: np.ndarray, grad2: np.ndarray, head: float | None,
+                     name: str) -> tuple[NormEntry, NormEntry]:
+    """sup_j ||f(t_j)||_H1 and ||grad f||_{L2_t H1} from ``_sobolev_nodes``: the H1 part of either Theorem-2 half."""
+    e_h1 = _sup_entry(times, h1, f"sup_j ||{name}(t_j)||_H1")
+    note = ("no initial datum: the [0, t_min] head of the time integral was dropped" if head is None
             else "head [0, t_min] added in closed form from the initial datum's free flow")
-    return e_h1, NormEntry(grad, f"||grad {name}||_{{L2_t H1}}", note=note)
+    return e_h1, NormEntry(_l2t(times, grad2, head), f"||grad {name}||_{{L2_t H1}}", note=note)
 
 
-def _thm2_x(grid: Grid2D, times: np.ndarray, u_vals: np.ndarray, u_hat: np.ndarray,
-            u0_hat: np.ndarray | None) -> dict:
-    """The Theorem-2 X entries of u from its node values, half spectra and initial datum's."""
-    e_h1, e_grad = _sobolev_entries(grid, times, u_hat, u0_hat, False, "u")
-    e_linf = _sup_entry(times, _batch_lp(u_vals, np.inf, grid.cell_area), "sup_j ||u(t_j)||_Linf")
+def _thm2_x(times: np.ndarray, h1: np.ndarray, grad2: np.ndarray, linf: np.ndarray, head: float | None) -> dict:
+    """The Theorem-2 X entries of u from its node series and its ``_l2t_head`` (undamped)."""
+    e_h1, e_grad = _sobolev_entries(times, h1, grad2, head, "u")
+    e_linf = _sup_entry(times, linf, "sup_j ||u(t_j)||_Linf")
     x_norm = _sum_entry((e_h1, e_grad, e_linf), "sup ||u||_H1 + ||grad u||_{L2_t H1} + sup ||u||_Linf")
     return {"u_sup_h1": e_h1, "u_grad_l2t_h1": e_grad, "u_sup_linf": e_linf, "x_norm": x_norm}
 
 
-def _thm2_y(grid: Grid2D, times: np.ndarray, w_hat: np.ndarray, w_grad: tuple[np.ndarray, np.ndarray],
-            w0_hat: np.ndarray | None, damped: bool = True) -> dict:
-    """The Theorem-2 Y entries of w from its spectra and gradient values; w0's ``damped`` flow closes the head."""
-    e_h1, e_grad = _sobolev_entries(grid, times, w_hat, w0_hat, damped, "w")
-    e_sig = _sup_entry(times, sigma(times) * _grad_sup(*w_grad), "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
+def _thm2_y(times: np.ndarray, h1: np.ndarray, grad2: np.ndarray, grad_sup: np.ndarray, head: float | None) -> dict:
+    """The Theorem-2 Y entries of w from its node series and its ``_l2t_head`` (w's own flow)."""
+    e_h1, e_grad = _sobolev_entries(times, h1, grad2, head, "w")
+    e_sig = _sup_entry(times, sigma(times) * grad_sup, "sup_j sigma(t_j) ||grad w(t_j)||_Linf")
     y_norm = _sum_entry((e_h1, e_grad, e_sig), "sup ||w||_H1 + ||grad w||_{L2_t H1} + sup sigma ||grad w||_Linf")
     return {"w_sup_h1": e_h1, "w_grad_l2t_h1": e_grad, "w_sigma_grad_linf": e_sig, "y_norm": y_norm}
 
@@ -408,5 +438,8 @@ def xy_norms_thm2(u: Trajectory, w: Trajectory, *, damped: bool = True) -> NormR
     _require_compatible(u, w)
     grid, times = u.grid, u.tgrid.times
     w_hat = rfft2(w.stacked)
-    return _report(_thm2_x(grid, times, u.stacked, rfft2(u.stacked), _initial_hat(u)),
-                   _thm2_y(grid, times, w_hat, _grad_values(grid, w_hat), _initial_hat(w), damped))
+    x = _thm2_x(times, *_sobolev_nodes(grid, rfft2(u.stacked)), _batch_lp(u.stacked, np.inf, grid.cell_area),
+                _l2t_head(grid, _initial_hat(u), times[0], False))
+    y = _thm2_y(times, *_sobolev_nodes(grid, w_hat), _grad_sup(*_grad_values(grid, w_hat)),
+                _l2t_head(grid, _initial_hat(w), times[0], damped))
+    return _report(x, y)

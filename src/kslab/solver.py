@@ -17,11 +17,10 @@ space-time norm the chosen theorem mode quantifies.
 The sweep is Gauss-Seidel: u_{m+1} = e^{t Lap} u0 - 4c B(u_m, w_m), then
 w_{m+1} = e^{t(Lap-1)} w0 + L(u_{m+1})/(4c) from the new density rather than
 from u_m.  The fixed point is the same; at the benchmark's small data the
-iteration count drops from 4 to 3.  Each iteration costs six c2r and two r2c
-batched transforms of K planes: B's dealiased product (three and two),
-u_{m+1}'s node values (one) and w_{m+1}'s gradient (two).  The iterate's
-report and the residual's both read those gradient values, the residual's
-as differences of consecutive iterates' values.
+iteration count drops from 4 to 3.  An iteration is one sweep over the time
+nodes that runs every step on single, cache-resident planes and overwrites
+the held iterate node by node (``picard_solve``): six c2r and two r2c
+one-plane transforms per node, and a memory of a few (K, n, n) arrays.
 
 ``reference_solve`` integrates the differential system directly with an
 exact integrating factor for the linear parts and an explicit dealiased
@@ -38,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import norms as _norms
-from .duhamel import EtdPlan, _div_u_grad_v, _etd_march, _phi1, etd_weights
+from .duhamel import EtdPlan, _div_u_grad_v, _etd_step, _phi1, etd_weights
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .inequality_lab import AUTO_C, smallness_threshold
 from .norms import NormReport, default_besov_probe, lp_norm, hs_norm
@@ -48,7 +47,6 @@ from .trajectories import (
     Trajectory,
     TrajectoryOverflowError,
     _require_compatible,
-    _require_finite,
 )
 
 
@@ -120,21 +118,19 @@ class SolverConfig:
         return AUTO_C if self.c is None else float(self.c)
 
 
-def _xy_report(mode: str, grid: Grid2D, tgrid: TimeGrid, iteration: int, u_vals: np.ndarray,
-               w_grad: tuple[np.ndarray, np.ndarray], u_hat: np.ndarray | None, w_hat: np.ndarray | None,
-               u0_hat: np.ndarray | None, w0_hat: np.ndarray | None, damped: bool) -> NormReport:
-    """The given mode's report from node values, w's gradient values and half spectra.
+def _xy_report(thm2: bool, tgrid: TimeGrid, iteration: int, series, heads=(None, None)) -> NormReport:
+    """The given mode's report from ``norms._node_series`` rows and the two ``_l2t_head``s (Theorem 2).
 
-    The kernels of xy_norms_thm1/2 (``damped`` picks w's flow); Theorem-1 mode
-    reads no spectra.  A non-finite norm of the X half (Y half, or the larger
-    half of an overflowing sum) is a blow-up of u (w) at ``iteration``.
+    A non-finite norm of the X half (Y half, or the larger half of an
+    overflowing sum) is a blow-up of u (w) at ``iteration``.
     """
-    times, thm1 = tgrid.times, mode == "thm1_L1Linf"
-    with _blowup_of("u", iteration, tgrid, "norm"):
-        x = _norms._thm1_x(grid, times, u_vals) if thm1 else _norms._thm2_x(grid, times, u_vals, u_hat, u0_hat)
-    with _blowup_of("w", iteration, tgrid, "norm"):
-        y = _norms._thm1_y(grid, times, w_grad) if thm1 else _norms._thm2_y(grid, times, w_hat, w_grad, w0_hat, damped)
-    with _blowup_of("u" if x["x_norm"].value >= y["y_norm"].value else "w", iteration, tgrid, "norm"):
+    times = tgrid.times
+    l1, linf, grad_sup = series[:3]
+    with _blowup_of("u", iteration, tgrid):
+        x = _norms._thm2_x(times, *series[3:5], linf, heads[0]) if thm2 else _norms._thm1_x(times, l1, linf)
+    with _blowup_of("w", iteration, tgrid):
+        y = _norms._thm2_y(times, *series[5:7], grad_sup, heads[1]) if thm2 else _norms._thm1_y(times, grad_sup)
+    with _blowup_of("u" if x["x_norm"].value >= y["y_norm"].value else "w", iteration, tgrid):
         return _norms._report(x, y)
 
 
@@ -216,17 +212,16 @@ class SolutionReport:
 
 
 @contextmanager
-def _blowup_of(which: str, iteration: int, tgrid: TimeGrid, quantity: str = "iterate"):
-    """Report a non-finite ``quantity`` found inside the block as a blow-up of ``which``."""
+def _blowup_of(which: str, iteration: int, tgrid: TimeGrid):
+    """Report a non-finite per-node norm found inside the block as a norm blow-up of ``which``."""
     try:
         yield
     except TrajectoryOverflowError as exc:
         j = exc.node_index
-        raise PicardBlowupError(iteration, j, which, float(tgrid.times[j]), quantity) from exc
+        raise PicardBlowupError(iteration, j, which, float(tgrid.times[j]), "norm") from exc
 
 
-def _mass_drift(values: np.ndarray, cell: float, mass0: float) -> float:
-    masses = values.sum(axis=(1, 2)) * cell
+def _mass_drift(masses: np.ndarray, mass0: float) -> float:
     scale = abs(mass0) if mass0 != 0 else 1.0
     return float(np.max(np.abs(masses - mass0)) / scale)
 
@@ -240,22 +235,33 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     :class:`PicardBlowupError` naming the iteration, the component and the
     first offending node.
 
-    Iteration m computes u_m from (u_{m-1}, w_{m-1}) and then w_m from the
-    new u_m (Gauss-Seidel order).  The iterates stay half spectra between
-    iterations, and each w_m's gradient values are transformed once and kept
-    for one iteration, for w_m's Y entry and the residual's.  An iteration
-    costs six c2r and two r2c batched transforms: B's dealiased product,
-    u_m's node values (for L^1, L^inf and mass) and w_m's gradient.
+    Iteration m is one sweep over the time nodes j = 0..K-1.  At node j it
+    forms B's integrand from node j of (u_{m-1}, w_{m-1}), steps B's march,
+    takes u_m(t_j), steps L's march on u_m(t_j)'s deviation from the free
+    flow, takes w_m(t_j), transforms u_m's node values and w_m's gradient,
+    reduces them to the node series both reports read (the iterate's, and
+    the residual's from the differences with node j of the held iterate),
+    and then overwrites node j of the held iterate: its half spectra, u's
+    node values and w's gradient values.  Nothing reads the old node j
+    again.  Every transform is one plane: per node six c2r and two r2c, as
+    B's dealiased product (three and two), u_m's node values (one) and w_m's
+    gradient (two).  Every temporary is a plane too, so the memory is the
+    held iterate, the map's two free parts (u0's heat flow and w's affine
+    part) and the plans.
+
+    The first non-finite u_m(t_j) raises at once.  A non-finite w_m(t_j) is
+    remembered and raised after the sweep, since u_m at later nodes does not
+    read it.  Norm overflows are raised from the series after the sweep: the
+    iterate's report (X, Y, their sum) before the residual's.
     """
     grid = cfg.make_grid()
     if u0.grid != grid or w0.grid != grid:
         raise ValueError("initial data must live on the configured grid")
     tgrid = cfg.make_timegrid()
     times = tgrid.times
-    n = grid.n
+    n, k = grid.n, tgrid.count
     c = cfg.resolve_c()
-    mode = cfg.mode
-    thm2 = mode == "thm2_H1bH1"
+    thm2 = cfg.mode == "thm2_H1bH1"
     damped = not cfg.remark_ii
 
     # B and L convolve against the same rates every iteration: one plan each
@@ -272,71 +278,94 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     # deviation that L convolves starts from zero
     b_head = _div_u_grad_v(grid, u0_hat, w0_hat)
     l_head = np.zeros_like(u0_hat)
+    heads = (_norms._l2t_head(grid, u0_hat, times[0], False), _norms._l2t_head(grid, w0_hat, times[0], damped))
 
-    u_hat = free_u_hat
-    u_vals = irfft2(u_hat, n)
-    w_grad = _grad_values(grid, w_hat)
-    report = _xy_report(mode, grid, tgrid, 0, u_vals, w_grad, u_hat, w_hat, u0_hat, w0_hat, damped)
-    a0 = report.value("xy_norm")
-    # the Theorem-1 verdict's right side reads u0's heat flow, which is this iterate
-    free_u_x_nodes = (_norms._batch_lp(u_vals, 1.0, grid.cell_area)
-                      + times * _norms._batch_lp(u_vals, np.inf, grid.cell_area))
-    threshold = smallness_threshold(c)
-    contraction_bound = 8.0 * c * c * a0 + 0.25
-
+    # iteration 0 is the free evolution; the sweeps overwrite the held iterate in place
+    u_hat = free_u_hat.copy()
+    u_vals = np.empty((k, n, n))
+    w_grad = (np.empty((k, n, n)), np.empty((k, n, n)))
+    rows = 7 if thm2 else 3  # norms._node_series: L1, Linf, grad-sup, then the Sobolev series of u and w
     mass0 = u0.integral()
     residuals: list[float] = []
     factors: list[float] = []
-    iterate_norms: list[float] = [a0]
-    mass_drift = _mass_drift(u_vals, grid.cell_area, mass0)
+    iterate_norms: list[float] = []
     converged = False
-    iterations = 0
 
-    for m in range(1, cfg.max_iter + 1):
-        iterations = m
-        with _blowup_of("u", m, tgrid):
-            bu_hat = _etd_march(_div_u_grad_v(grid, u_hat, w_hat), b_head, b_plan)
-            u_hat_next = free_u_hat - (4.0 * c) * bu_hat
-            del bu_hat  # the operator outputs set the memory peak: drop each before the next call
-            u_vals_next = irfft2(u_hat_next, n)
-            _require_finite(u_vals_next)
-        with _blowup_of("w", m, tgrid):
-            lu_hat = _etd_march(u_hat_next - free_u_hat, l_head, l_plan)
-            w_hat_next = w_affine + (1.0 / (4.0 * c)) * lu_hat
-            del lu_hat
-            _require_finite(w_hat_next)
-        w_grad_next = _grad_values(grid, w_hat_next)
-        report = _xy_report(mode, grid, tgrid, m, u_vals_next, w_grad_next, u_hat_next, w_hat_next,
-                            u0_hat, w0_hat, damped)
+    for m in range(cfg.max_iter + 1):
+        series, change, masses = np.empty((rows, k)), np.empty((rows, k)), np.empty(k)
+        acc_b, acc_l = np.zeros_like(u0_hat), np.zeros_like(u0_hat)
+        left_b, left_l = b_head, l_head
+        w_bad = None
+        for j in range(k):
+            if m == 0:
+                un_hat, wn_hat = u_hat[j], w_hat[j]
+                un_vals = irfft2(un_hat, n)
+            else:
+                right_b = _div_u_grad_v(grid, u_hat[j], w_hat[j])
+                _etd_step(acc_b, left_b, right_b, b_plan, j)
+                left_b = right_b
+                un_hat = free_u_hat[j] - (4.0 * c) * acc_b
+                un_vals = irfft2(un_hat, n)
+                if not np.all(np.isfinite(un_vals)):
+                    raise PicardBlowupError(m, j, "u", float(times[j]))
+                if w_bad is not None:
+                    continue
+                right_l = un_hat - free_u_hat[j]
+                _etd_step(acc_l, left_l, right_l, l_plan, j)
+                left_l = right_l
+                wn_hat = w_affine[j] + (1.0 / (4.0 * c)) * acc_l
+                if not np.all(np.isfinite(wn_hat)):
+                    w_bad = j
+                    continue
+            wn_grad = _grad_values(grid, wn_hat)
+            spectra = (un_hat, wn_hat) if thm2 else ()
+            series[:, j] = _norms._node_series(grid, un_vals, wn_grad, *spectra)
+            masses[j] = un_vals.sum() * grid.cell_area
+            if m:
+                # the residual reads differences of the kept values (the gradient
+                # is linear); they start from u0 - u0 = 0 and w0 - w0 = 0: no heads
+                d_grad = (wn_grad[0] - w_grad[0][j], wn_grad[1] - w_grad[1][j])
+                d_spectra = (un_hat - u_hat[j], wn_hat - w_hat[j]) if thm2 else ()
+                change[:, j] = _norms._node_series(grid, un_vals - u_vals[j], d_grad, *d_spectra)
+                u_hat[j], w_hat[j] = un_hat, wn_hat
+            u_vals[j], w_grad[0][j], w_grad[1][j] = un_vals, *wn_grad
+        if w_bad is not None:
+            raise PicardBlowupError(m, w_bad, "w", float(times[w_bad]))
+
+        report = _xy_report(thm2, tgrid, m, series, heads)
         iterate_norms.append(report.value("xy_norm"))
-        mass_drift = max(mass_drift, _mass_drift(u_vals_next, grid.cell_area, mass0))
-
-        # The residual reads differences of the kept values (the gradient is
-        # linear), formed in place of the previous iterate's, which are not
-        # read again.  The difference starts from u0 - u0 = 0 and w0 - w0 = 0:
-        # no head terms.
-        np.subtract(u_vals_next, u_vals, out=u_vals)
-        np.subtract(w_grad_next[0], w_grad[0], out=w_grad[0])
-        np.subtract(w_grad_next[1], w_grad[1], out=w_grad[1])
-        d_hat = (u_hat_next - u_hat, w_hat_next - w_hat) if thm2 else (None, None)
-        diff = _xy_report(mode, grid, tgrid, m, u_vals, w_grad, *d_hat, None, None, damped).value("xy_norm")
-        del d_hat
+        drift = _mass_drift(masses, mass0)
+        if m == 0:
+            # the Theorem-1 verdict's right side reads u0's heat flow, which is this iterate
+            free_u_x_nodes = series[0] + times * series[1]
+            mass_drift = drift
+            continue
+        mass_drift = max(mass_drift, drift)
+        diff = _xy_report(thm2, tgrid, m, change).value("xy_norm")
         residuals.append(diff)
         if len(residuals) >= 2 and residuals[-2] > 0:
             factors.append(residuals[-1] / residuals[-2])
-
-        u_hat, w_hat, u_vals, w_grad = u_hat_next, w_hat_next, u_vals_next, w_grad_next
         if diff <= cfg.tol:
             converged = True
             break
+    iterations = m
+    del free_u_hat, w_affine  # only the sweeps read them: the final reports and v do not hold them
+    a0 = iterate_norms[0]
+    threshold = smallness_threshold(c)
+    contraction_bound = 8.0 * c * c * a0 + 0.25
 
-    # the last report is the configured mode's report of the final iterate
-    other = _xy_report("thm1_L1Linf" if thm2 else "thm2_H1bH1", grid, tgrid, iterations,
-                       u_vals, w_grad, u_hat, w_hat, u0_hat, w0_hat, damped)
+    # the last report is the configured mode's report of the final iterate; the other
+    # mode's reads the same series, and in Theorem-1 mode the spectra's Sobolev series too
+    if not thm2:
+        sobolev = [_norms._sobolev_nodes(grid, u_hat[j]) + _norms._sobolev_nodes(grid, w_hat[j]) for j in range(k)]
+        series = np.concatenate((series, np.array(sobolev).T))
+    other = _xy_report(not thm2, tgrid, iterations, series, heads)
     report_thm1, report_thm2 = (other, report) if thm2 else (report, other)
     u = Trajectory.from_values(grid, tgrid, u_vals, initial=u0)
     v0 = (4.0 * c) * w0
-    v_vals = irfft2(w_hat, n)
+    v_vals = np.empty((k, n, n))
+    for j in range(k):
+        v_vals[j] = irfft2(w_hat[j], n)
     v_vals *= 4.0 * c
     v = Trajectory.from_values(grid, tgrid, v_vals, initial=v0)
 

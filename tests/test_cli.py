@@ -304,6 +304,21 @@ class TestSolveCommand:
         assert err.startswith("config error:") and f"data.u_path {u_path}" in err
         assert not list(out.glob("*.json"))
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("key", ["data.u_path", "data.v_path"])
+    def test_field_file_on_another_grid_names_the_key_and_both_grids(self, tmp_path, capsys, command, key):
+        paths = {"data.u_path": tmp_path / "u0.ksf1", "data.v_path": tmp_path / "v0.ksf1"}
+        for name, path in paths.items():
+            save_field(path, ScalarField.zero(Grid2D(64, 16.0) if name == key else Grid2D(32, 32.0)))
+        out = tmp_path / "out"
+        args = [command, "--config", write_config(tmp_path, FAST_SOLVE), "--override", "data.kind=file",
+                "--out", str(out)] + [arg for name, path in paths.items() for arg in ("--override", f"{name}={path}")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} {paths[key]}" in err
+        assert "(n, l) = (64, 16.0)" in err and "configured grid (32, 32.0)" in err
+        assert not list(out.glob("*.json"))
+
 
 class TestNormCsvRows:
     """norms.csv reads the solver's final reports; v's columns are 4c times w's entries."""

@@ -314,9 +314,22 @@ class TestPlanReuse:
             calls.append(1)
             return march(*args, **kwargs)
 
-        for module in (duhamel, kslab.solver, kslab.inequality_lab):  # every caller binds the march by name
+        for module in (duhamel, kslab.inequality_lab):  # every caller binds the march by name
             monkeypatch.setattr(module, "_etd_march", counted)
         return calls
+
+    @pytest.fixture
+    def sweep_steps(self, monkeypatch):
+        """The plan of every ``_etd_step`` the Picard sweep takes."""
+        plans = []
+        step = duhamel._etd_step
+
+        def counted(acc, left, right, plan, j):
+            plans.append(plan)
+            return step(acc, left, right, plan, j)
+
+        monkeypatch.setattr(kslab.solver, "_etd_step", counted)
+        return plans
 
     def test_bilinear_verifier_builds_two(self, plan_builds, convolutions):
         verify_bilinear_lemma23(self.SETUP)
@@ -334,10 +347,13 @@ class TestPlanReuse:
         assert len(convolutions) == 42  # 6 L and 36 B over the 6 families
 
     @pytest.mark.parametrize("max_iter, iterations", [(1, 1), (3, 3), (50, 3)])
-    def test_picard_solve_builds_two(self, plan_builds, convolutions, max_iter, iterations):
+    def test_picard_solve_builds_two(self, plan_builds, convolutions, sweep_steps, max_iter, iterations):
         cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=2.5, max_iter=max_iter)
         grid = cfg.make_grid()
         report = picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
         assert report.iterations == iterations
         assert len(plan_builds) == 2
-        assert len(convolutions) == 2 * report.iterations
+        # no whole-stack march: each iteration steps B's and L's march once per node, on the two plans
+        assert len(convolutions) == 0
+        assert len(sweep_steps) == 2 * cfg.num_times * report.iterations
+        assert len({id(plan) for plan in sweep_steps}) == 2

@@ -123,6 +123,37 @@ class TestBilinearLemma:
         assert fft_calls == {"rfft2": SMALL.effective_mode_cap() + 1, "irfft2": 1}
 
 
+@pytest.fixture
+def binnings(monkeypatch):
+    """Count the lab's rate binnings (``norms._rate_parts``) from now on."""
+    calls = []
+    rate_parts = inequality_lab._rate_parts
+
+    def counted(*args):
+        calls.append(1)
+        return rate_parts(*args)
+
+    monkeypatch.setattr(inequality_lab, "_rate_parts", counted)
+    return calls
+
+
+class TestRateBinning:
+    """One binning of an integrand's rate parts serves every time profile and symbol it is contracted with."""
+
+    def test_bilinear_bins_each_case_and_field_once(self, binnings):
+        report = verify_bilinear_lemma23(SMALL)
+        # both profiles of a (case, field) share its binning; the uniformity sweep bins each swept mode per tuple
+        assert len(binnings) == len(report.samples) // len(inequality_lab._PROFILES) + 2 * SMALL.effective_mode_cap()
+
+    def test_multiplier_bins_each_field_once_per_order(self, binnings):
+        verify_multiplier_lemma(SMALL)
+        assert len(binnings) == 2 * len(inequality_lab._lab_fields(SMALL.make_grid(), 0))
+
+    def test_maximal_regularity_bins_each_mode_once(self, binnings):
+        report = verify_maximal_regularity(SMALL)
+        assert len(binnings) == len({dict(s.params)["mode"] for s in report.samples})
+
+
 class TestMaximalRegularity:
     def test_constant_profile_closed_form_ratio(self):
         # per-mode: ||Tg||^2 = int (1-e^{-t lam})^2, ||g||^2 = T

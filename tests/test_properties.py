@@ -37,7 +37,7 @@ from kslab.fields import _read_snapshots, _write_raw_snapshot, fft2, ifft2, irff
 from kslab.inequality_lab import _PROFILES, _lab_fields, _time_lp
 from kslab.fields import _grad_values
 from kslab.norms import (_batch_grad_linf, _batch_hs, _batch_lp, _grad_sup, _hs_weight, _parseval_sum,
-                         _rank_one_norms, grad_linf, trapezoid)
+                         _rank_one_norms, _rate_parts, grad_linf, trapezoid)
 from kslab.semigroup import _free_flow
 from kslab.trajectories import TrajectoryOverflowError, _first_nonfinite_node, load_trajectory, save_trajectory
 from conftest import _route_transforms, config_text, parse_config_text, trajectory_difference
@@ -386,7 +386,8 @@ class TestRankOneMarch:
         pre = np.sqrt(grid.k2_half) if with_prefactor else np.ones_like(grid.k2_half)
         weight = _hs_weight(grid, s, homogeneous)
 
-        rank_one = _rank_one_norms(grid, _profile_march(prof, plan), plan.inverse, pre * fhat, weight)
+        parts = _rate_parts(grid, plan.inverse, pre * fhat, weight, plan.values.size)
+        rank_one = _rank_one_norms(_profile_march(prof, plan), parts)
         times = plan.tgrid.times
         full = _etd_march(pre * (prof(times)[:, None, None] * fhat), pre * (prof(0.0) * fhat), plan)
         np.testing.assert_allclose(rank_one, _batch_hs(grid, full, s, homogeneous), rtol=1e-13, atol=0.0)

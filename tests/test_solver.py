@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +36,7 @@ from kslab import (
 )
 from kslab.fields import _grad_values, irfft2, rfft2
 from kslab.inequality_lab import smallness_threshold
-from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, _l2t_grad
+from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, _l2t_grad, _l2t_head
 from kslab.semigroup import _free_flow
 from conftest import rescaled_chemical, trajectory_difference
 
@@ -116,25 +117,27 @@ class TestPicardSolve:
         assert err.value.iteration >= 1
         assert err.value.which in ("u", "w")
 
-    # Picard marches B (for u), then L (for w), in each iteration: overflow on march 1 or march 2
+    # at each node the sweep steps B's march (for u), then L's (for w): overflow on step 1 or step 2 of node 3
     @pytest.mark.parametrize("march, which", [(1, "u"), (2, "w")], ids=["bilinear_B-u", "linear_L-w"])
     def test_blowup_names_the_overflowing_component(self, monkeypatch, cfg, grid, march, which):
         import kslab.solver
-        from kslab.trajectories import TrajectoryOverflowError
 
         calls = []
-        etd_march = kslab.solver._etd_march
+        etd_step = kslab.solver._etd_step
 
-        def overflow(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == march:
-                raise TrajectoryOverflowError(3)
-            return etd_march(*args, **kwargs)
+        def overflow(acc, left, right, plan, j):
+            etd_step(acc, left, right, plan, j)
+            if j == 3:
+                calls.append(1)
+                if len(calls) == march:
+                    acc[...] = np.inf
+            return acc
 
-        monkeypatch.setattr(kslab.solver, "_etd_march", overflow)
-        with pytest.raises(PicardBlowupError) as err:
+        monkeypatch.setattr(kslab.solver, "_etd_step", overflow)
+        with np.errstate(all="ignore"), pytest.raises(PicardBlowupError) as err:
             picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
         assert err.value.which == which
+        assert err.value.quantity == "iterate"
         assert err.value.node_index == 3
         assert err.value.iteration == 1
         assert err.value.t == cfg.make_timegrid().times[3]
@@ -467,10 +470,10 @@ class TestSolverConfig:
 MODES = ["thm1_L1Linf", "thm2_H1bH1"]
 
 
-def _sweep_run(mode: str, max_iter: int):
+def _sweep_run(mode: str, max_iter: int, remark_ii: bool = False):
     """The config, the solve report and the rescaled chemical w of a Gaussian pair."""
     cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST, mode=mode,
-                       max_iter=max_iter, tol=1e-12)
+                       max_iter=max_iter, tol=1e-12, remark_ii=remark_ii)
     grid = cfg.make_grid()
     u0, w0 = gaussian_field(grid, 0.1, 0.5), gaussian_field(grid, 0.02, 0.7)
     rep = picard_solve(u0, w0, cfg)
@@ -515,8 +518,60 @@ class TestGaussSeidelSweep:
             assert rep.residuals[-1] == pytest.approx(expected, rel=1e-10)
             prev = (rep.u, w)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("remark_ii", [False, True], ids=["damped", "remark_ii"])
+    def test_one_sweep_equals_the_batched_kernels(self, mode, remark_ii):
+        # iterate 2 from iterate 1's held arrays with whole-stack kernels: the node-by-node sweep is bit-equal
+        from kslab.duhamel import EtdPlan, _div_u_grad_v, _etd_march
+        from kslab.norms import _node_series
+        from kslab.solver import _free_chemical_response, _xy_report
+
+        _, prev, _ = _sweep_run(mode, 1, remark_ii)
+        cfg, rep, w = _sweep_run(mode, 2, remark_ii)
+        assert rep.iterations == 2
+        grid, tgrid, c, damped = rep.u.grid, rep.u.tgrid, rep.c, not remark_ii
+        times, lam = tgrid.times, grid.k2_half + (1.0 if damped else 0.0)
+        u0_hat, w0_hat = rfft2(rep.u0.values), rfft2(w.initial.values)
+        free_u_hat = _free_flow(u0_hat, times, grid.k2_half)
+        b_hat = _etd_march(_div_u_grad_v(grid, prev.u_hat, prev.w_hat), _div_u_grad_v(grid, u0_hat, w0_hat),
+                           EtdPlan(grid.k2_half, tgrid))
+        u_hat = free_u_hat - (4.0 * c) * b_hat
+        w_affine = _free_flow(w0_hat, times, lam) + (1.0 / (4.0 * c)) * _free_chemical_response(grid, u0_hat, times,
+                                                                                               damped)
+        l_hat = _etd_march(u_hat - free_u_hat, np.zeros_like(u0_hat), EtdPlan(lam, tgrid))
+        w_hat = w_affine + (1.0 / (4.0 * c)) * l_hat
+        u_vals, w_grad = irfft2(u_hat, grid.n), _grad_values(grid, w_hat)
+        assert np.array_equal(rep.u_hat, u_hat) and np.array_equal(rep.w_hat, w_hat)
+        assert np.array_equal(rep.u.stacked, u_vals)
+        assert all(np.array_equal(got, want) for got, want in zip(rep.w_grad, w_grad))
+
+        # the iterate's and the residual's reports from whole-stack node series
+        thm2 = mode == "thm2_H1bH1"
+        heads = (_l2t_head(grid, u0_hat, times[0], False), _l2t_head(grid, w0_hat, times[0], damped))
+        spectra = (u_hat, w_hat) if thm2 else ()
+        report = _xy_report(thm2, tgrid, 2, _node_series(grid, u_vals, w_grad, *spectra), heads)
+        assert rep.iterate_norms[-1] == report.value("xy_norm")
+        d_spectra = (u_hat - prev.u_hat, w_hat - prev.w_hat) if thm2 else ()
+        d_grad = tuple(g - p for g, p in zip(w_grad, prev.w_grad))
+        change = _node_series(grid, u_vals - prev.u.stacked, d_grad, *d_spectra)
+        assert rep.residuals[-1] == _xy_report(thm2, tgrid, 2, change).value("xy_norm")
+
+    def test_memory_peak_is_a_few_trajectory_arrays(self):
+        # the sweep holds the iterate, the two free flows and the plans; every temporary is one plane
+        cfg = SolverConfig(n=64, l=32.0, t_min=1e-3, t_max=10.0, num_times=64, c=C_TEST)
+        grid = cfg.make_grid()
+        u0 = gaussian_field(grid, 1e-3, 0.5)
+        tracemalloc.start()
+        try:
+            rep = picard_solve(u0, ScalarField.zero(grid), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak / (cfg.num_times * cfg.n**2 * 8) < 11
+
     def test_transform_budget_per_iteration(self, fft_batches):
-        """Thm1 mode: six c2r and two r2c batches of K planes per Picard iteration."""
+        """Thm1 mode: 6K c2r and 2K r2c planes per Picard iteration, and every call is one plane."""
         cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST, tol=1e-300)
         grid = cfg.make_grid()
         u0 = gaussian_field(grid, 1e-3, 0.5)
@@ -528,9 +583,9 @@ class TestGaussSeidelSweep:
             assert rep.iterations == max_iter
             counts.append({name: list(calls) for name, calls in fft_batches.items()})
         extra = {name: counts[1][name][len(counts[0][name]):] for name in fft_batches}
-        assert len(extra["irfft2"]) == 6
-        assert len(extra["rfft2"]) == 2
-        assert all(shape == (cfg.num_times,) for calls in extra.values() for shape in calls)
+        assert len(extra["irfft2"]) == 6 * cfg.num_times
+        assert len(extra["rfft2"]) == 2 * cfg.num_times
+        assert all(shape == () for run in counts for calls in run.values() for shape in calls)
 
 
 class TestNormOverflow:
@@ -548,19 +603,20 @@ class TestNormOverflow:
         assert "non-finite u norm at iteration 0" in str(err.value)
 
     def test_iterate_norm_overflow_names_component_and_node(self, monkeypatch, cfg, grid):
+        # the Y entry reads the grad-sup node series; from iteration 1 on, node 3's overflows
         import kslab.norms
 
-        grad_sup = kslab.norms._grad_sup
+        thm1_y = kslab.norms._thm1_y
         calls = []
 
-        def overflow_after_a0(*args, **kwargs):
-            out = grad_sup(*args, **kwargs)
+        def overflow_after_a0(times, grad_sup):
             calls.append(1)
             if len(calls) > 1:
-                out[3] = np.inf
-            return out
+                grad_sup = grad_sup.copy()
+                grad_sup[3] = np.inf
+            return thm1_y(times, grad_sup)
 
-        monkeypatch.setattr(kslab.norms, "_grad_sup", overflow_after_a0)
+        monkeypatch.setattr(kslab.norms, "_thm1_y", overflow_after_a0)
         with pytest.raises(PicardBlowupError) as err:
             picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
         assert (err.value.iteration, err.value.which, err.value.quantity) == (1, "w", "norm")
@@ -569,31 +625,30 @@ class TestNormOverflow:
 
     @pytest.mark.parametrize("l1_peak, which, node", [(1.5e308, "u", 2), (6e307, "w", 22)])
     def test_overflowing_xy_sum_names_the_larger_half(self, monkeypatch, cfg, grid, l1_peak, which, node):
-        # from iteration 1 on, L^1 peaks at node 2 and t^{1/2} |grad w| at node 22 at 1.3e308:
-        # both halves are finite, their sum is not
+        # from iteration 1 on, the L^1 node series peaks at node 2 and t^{1/2} |grad w| at node 22
+        # at 1.3e308: both halves are finite, their sum is not
         import kslab.norms
 
         times = cfg.make_timegrid().times
-        batch_lp, grad_sup = kslab.norms._batch_lp, kslab.norms._grad_sup
-        seen = {"l1": 0, "grad": 0}
+        thm1_x, thm1_y = kslab.norms._thm1_x, kslab.norms._thm1_y
+        seen = {"x": 0, "y": 0}
 
-        def big_l1(values, p, cell):
-            out = batch_lp(values, p, cell)
-            if p == 1.0:
-                seen["l1"] += 1
-                if seen["l1"] > 1:
-                    out[2] = l1_peak
-            return out
+        def big_l1(times, l1, linf):
+            seen["x"] += 1
+            if seen["x"] > 1:
+                l1 = l1.copy()
+                l1[2] = l1_peak
+            return thm1_x(times, l1, linf)
 
-        def big_grad(*args, **kwargs):
-            out = grad_sup(*args, **kwargs)
-            seen["grad"] += 1
-            if seen["grad"] > 1:
-                out[22] = 1.3e308 / np.sqrt(times[22])
-            return out
+        def big_grad(times, grad_sup):
+            seen["y"] += 1
+            if seen["y"] > 1:
+                grad_sup = grad_sup.copy()
+                grad_sup[22] = 1.3e308 / np.sqrt(times[22])
+            return thm1_y(times, grad_sup)
 
-        monkeypatch.setattr(kslab.norms, "_batch_lp", big_l1)
-        monkeypatch.setattr(kslab.norms, "_grad_sup", big_grad)
+        monkeypatch.setattr(kslab.norms, "_thm1_x", big_l1)
+        monkeypatch.setattr(kslab.norms, "_thm1_y", big_grad)
         with pytest.raises(PicardBlowupError) as err:
             picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
         assert (err.value.iteration, err.value.which, err.value.quantity) == (1, which, "norm")
