@@ -23,11 +23,19 @@ def gaussian_field(
     return ScalarField(grid, mass * np.exp(-r2 / (4.0 * width)) / (4.0 * np.pi * width))
 
 
+def _cosine_modes(grid: Grid2D, kvecs, amplitude: float = 1.0) -> np.ndarray:
+    """Values (M, n, n) of amplitude * cos(2 pi (k1 x1 + k2 x2)/l) for M integer mode pairs (k1, k2)."""
+    x1, x2 = grid.coords()
+    k = np.asarray(kvecs)[:, :, None, None]
+    arg = k[:, 0] * x1 + k[:, 1] * x2  # then 2 pi (k.x) / l in place, with the same roundings: one stack held
+    arg *= 2.0 * np.pi
+    arg /= grid.l
+    return np.multiply(amplitude, np.cos(arg, out=arg), out=arg)
+
+
 def cosine_mode_field(grid: Grid2D, kvec: tuple[int, int] = (1, 0), amplitude: float = 1.0) -> ScalarField:
     """amplitude * cos(2 pi (k1 x1 + k2 x2)/l) for integer mode numbers."""
-    x1, x2 = grid.coords()
-    arg = 2.0 * np.pi * (kvec[0] * x1 + kvec[1] * x2) / grid.l
-    return ScalarField(grid, amplitude * np.cos(arg))
+    return ScalarField(grid, _cosine_modes(grid, [kvec], amplitude)[0])
 
 
 def smoothed_stripe_field(grid: Grid2D, smoothing_time: float, amplitude: float = 1.0) -> ScalarField:

@@ -174,13 +174,16 @@ class Grid2D:
         k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=h)  # (n,) in FFT ordering
         k1h = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)  # (n//2+1,) non-negative
         object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2_half", k1[:, None] ** 2 + k1h[None, :] ** 2)
+        k2 = k1[:, None] ** 2 + k1h[None, :] ** 2
+        object.__setattr__(self, "k2_half", k2)
 
-        # Half layout: column multiplicity for Parseval sums and the
-        # derivative wavenumbers with the Nyquist row and column zeroed.
+        # Half layout: column multiplicity for Parseval sums, alone and times the H^1 and ||grad .||_{H^1}^2
+        # weights (1+|xi|^2, |xi|^2 (1+|xi|^2)), and the derivative wavenumbers with Nyquist zeroed.
         mult = np.full(n // 2 + 1, 2.0)
         mult[0] = mult[-1] = 1.0
         object.__setattr__(self, "parseval_mult_half", mult[None, :])
+        object.__setattr__(self, "parseval_h1_half", mult[None, :] * (1.0 + k2))
+        object.__setattr__(self, "parseval_grad_h1_half", mult[None, :] * (k2 * (1.0 + k2)))
         kd, kdh = k1.copy(), k1h.copy()
         kd[n // 2] = kdh[n // 2] = 0.0
         object.__setattr__(self, "kx_deriv", kd[:, None])

@@ -11,11 +11,14 @@ batched grid heat flow of the smoothed stripe cross-checks it.
 Every convolution the bilinear and maximal-regularity verifiers measure has
 a rank-one integrand prof(t) pre(xi) f(xi), and the ETD march is diagonal
 per rate, so each (profile, plan) pair is marched once as a scalar per
-distinct rate (``duhamel._profile_march``).  A case's node norms are then
-sum_r |m_j(r)|^2 P_r, with P_r the Parseval weight times |pre f|^2 summed
-over the modes of rate r (``norms._rank_one_norms``); the maximal-regularity
-L^2 norm is one of them.  The multiplier verifier's symbols m(t, |xi|^2) are
-such per-rate profiles too, and go through the same contraction.
+distinct rate (``duhamel._profile_march``).  Each verifier bins its field
+stack once (``norms._rate_parts``): P_r is a field's binned power spectrum,
+summed over the modes of rate r.  A case's prefactor pre and weight w are
+radial, constant on each rate class (the damped rates 1+|xi|^2 have the
+classes of |xi|^2), so pre_r^2 w_r scales P_r per rate: the node norms
+sum_r |m_j(r)|^2 pre_r^2 w_r P_r of all fields are one product
+(``norms._rank_one_norms``), and a field's norm is sqrt(sum_r w_r P_r).  The
+multiplier verifier's symbols m(t, |xi|^2) are such per-rate profiles too.
 
 Discrete conventions: time norms on both sides of an estimate use the same
 trapezoid rule on the shared node set (suprema become node maxima), so a
@@ -32,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import (
+    _cosine_modes,
     cosine_mode_field,
     gaussian_field,
     random_band_limited_field,
@@ -47,7 +51,6 @@ from .norms import (
     _l2t_grad,
     _l2t_head,
     _node_series,
-    _parseval_sum,
     _rank_one_norms,
     _rate_parts,
     _sobolev_nodes,
@@ -131,13 +134,14 @@ class InequalityReport:
         }
 
 
-def _time_lp(times: np.ndarray, values: np.ndarray, p: float, v0: float | None = None) -> float:
-    """Discrete L^p norm in time over [0, T]: node trapezoid, optional t=0 knot."""
+def _time_lp(times: np.ndarray, values: np.ndarray, p: float, v0=None):
+    """Discrete L^p norms in time over [0, T] of (K, ...) node values: node trapezoid, optional t=0 knot(s) v0."""
     if v0 is not None:
-        times, values = np.concatenate(([0.0], times)), np.concatenate(([v0], values))
+        times = np.concatenate(([0.0], times))
+        values = np.concatenate((np.broadcast_to(v0, (1,) + values.shape[1:]), values))
     if np.isinf(p):
-        return float(np.max(values))
-    return float(trapezoid(times, values**p) ** (1.0 / p))
+        return np.max(values, axis=0)
+    return trapezoid(times, values**p) ** (1.0 / p)
 
 
 def _add_sample(samples: list, family: str, params: tuple, lhs: float, rhs: float) -> None:
@@ -147,12 +151,6 @@ def _add_sample(samples: list, family: str, params: tuple, lhs: float, rhs: floa
 
 
 _SWEEP_MODES = (1, 2, 3, 4, 6, 8, 12, 16)
-
-
-def _hs_norms(grid: Grid2D, coeffs: np.ndarray, weights: dict) -> dict:
-    """``_batch_hs`` of the half spectrum ``coeffs`` under each precomputed ``_hs_weight``, from one power spectrum."""
-    power = np.abs(coeffs) ** 2
-    return {key: np.sqrt(_parseval_sum(grid, power, weight)) for key, weight in weights.items()}
 
 
 def _lab_fields(grid: Grid2D, seed: int) -> list[tuple[str, ScalarField]]:
@@ -176,8 +174,8 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     Form B:  ||m_d(t,D) v||_{L^rho_t H^s} <= ||m_d||_{L^inf_xi L^rho_t} ||v||_{H^s}
     with m in {1, heat, damped heat} and m_d = |xi|^delta * m.  Every symbol
     is m(t, |xi|^2), so it is a (K, R) profile over the distinct rates of
-    |xi|^2: the node norms are ``_rank_one_norms`` and the suprema over xi
-    are maxima over the rates.
+    |xi|^2: the node norms of every field are one ``_rank_one_norms`` product
+    and the suprema over xi are maxima over the rates.
     """
     grid = setup.make_grid()
     times = setup.make_timegrid().times
@@ -193,27 +191,29 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
              for mname, sym in syms.items() for delta in (0.0, 1.0)}
     msym_sup = {key: float(np.max(np.sqrt(np.maximum(trapezoid(times, np.abs(msym) ** 2), 0.0))))
                 for key, msym in msyms.items()}
-    samples: list[RatioSample] = []
 
-    weights = {s: _hs_weight(grid, s) for s in (0.0, 1.0)}
-    for fname, f in _lab_fields(grid, seed):
-        vhat = rfft2(f.values)
-        # the binning does not depend on the symbol: once per (field, s) for every symbol
-        parts = {s: _rate_parts(grid, inverse, vhat, weight, rates.size) for s, weight in weights.items()}
-        hs_f = _hs_norms(grid, vhat, weights)
-        for mname, sym in syms.items():
+    # one transform and one binning of the field stack; the H^s weight scales each rate's power
+    fields = _lab_fields(grid, seed)
+    power = _rate_parts(grid, inverse, rfft2(np.stack([f.values for _, f in fields])), rates.size)
+    weights = {s: _hs_weight(rates, s) for s in (0.0, 1.0)}
+    hs_f = {s: np.sqrt(power @ w) for s, w in weights.items()}
+    # every field's node norms per (symbol, delta, s), and their time norms, (F,), per r
+    nodes = {(mname, delta, s): _rank_one_norms(msym, (power * w).T)
+             for s, w in weights.items() for (mname, delta), msym in msyms.items()}
+    lhs = {key + (r,): _time_lp(times, series, r) for key, series in nodes.items() for r in (np.inf, 2.0)}
+
+    samples: list[RatioSample] = []
+    for i, (fname, _) in enumerate(fields):
+        for mname in syms:
+            params = (("multiplier", mname), ("field", fname))
             for s in (0.0, 1.0):
-                lhs_nodes = _rank_one_norms(sym, parts[s])
                 for r in (np.inf, 2.0):
-                    _add_sample(samples, f"formA[r={'inf' if np.isinf(r) else int(r)},s={int(s)}]",
-                                (("multiplier", mname), ("field", fname)), _time_lp(times, lhs_nodes, r),
-                                sym_lp[mname, r] * hs_f[s])
+                    _add_sample(samples, f"formA[r={'inf' if np.isinf(r) else int(r)},s={int(s)}]", params,
+                                lhs[mname, 0.0, s, r][i], sym_lp[mname, r] * hs_f[s][i])
                 # Form B with |xi|^delta weights, rho = 2
                 for delta in (0.0, 1.0):
-                    nodes = _rank_one_norms(msyms[mname, delta], parts[s]) if delta else lhs_nodes
-                    _add_sample(samples, f"formB[rho=2,delta={int(delta)},s={int(s)}]",
-                                (("multiplier", mname), ("field", fname)), _time_lp(times, nodes, 2.0),
-                                msym_sup[mname, delta] * hs_f[s])
+                    _add_sample(samples, f"formB[rho=2,delta={int(delta)},s={int(s)}]", params,
+                                lhs[mname, delta, s, 2.0][i], msym_sup[mname, delta] * hs_f[s][i])
 
     return InequalityReport("multiplier_lemma", tuple(samples), _meta(setup, seed))
 
@@ -252,46 +252,26 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     grid = setup.make_grid()
     tgrid = setup.make_timegrid()
     times = tgrid.times
-    k2 = grid.k2_half
+    cap = setup.effective_mode_cap()
 
-    # every swept mode is transformed once: the samples and the uniformity sweep share the spectra
-    mode_hats = {m: rfft2(cosine_mode_field(grid, (m, 0)).values) for m in range(1, setup.effective_mode_cap() + 1)}
-    field_samples: list[tuple[str, tuple, np.ndarray]] = [
-        (f"mode{m}", (("mode", m),), mode_hats[m]) for m in _SWEEP_MODES if m in mode_hats
-    ]
-    field_samples.append(("random", (("seed", seed),),
-                          rfft2(random_band_limited_field(grid, seed=seed, max_mode=8).values)))
-
-    samples: list[RatioSample] = []
-    uniformity: dict = {}
-    # every convolution below decays at one of two rates: one plan each, and
-    # one profile march per (profile, plan) serves every field and weight
+    # one plan per decay rate and one march per (profile, plan) serve every field and case.  Prefactors and
+    # weights are evaluated per rate class of |xi|^2; rounding can merge two of them in 1+|xi|^2 (n = 128
+    # does), so each damped march is read per class of |xi|^2
     plans = {"damped": EtdPlan(1.0 + grid.k2_half, tgrid),
              "plain": EtdPlan(grid.k2_half, tgrid)}
-    marches = {(pname, rate): _profile_march(prof, plan)
+    k2, inverse = plans["plain"].values, plans["plain"].inverse
+    classes = {"plain": slice(None), "damped": np.searchsorted(plans["damped"].values, 1.0 + k2)}
+    marches = {(pname, rate): _profile_march(prof, plan)[:, classes[rate]]
                for pname, prof in _PROFILES.items() for rate, plan in plans.items()}
+    # one stack, transform and binning: the swept modes 1..cap (column m-1), then the random field
+    modes = [(m, 0) for m in range(1, cap + 1)]
+    random = random_band_limited_field(grid, seed=seed, max_mode=8).values[None]
+    power = _rate_parts(grid, inverse, rfft2(np.concatenate((_cosine_modes(grid, modes), random))), k2.size)
+    columns = [(f"mode{m}", (("mode", m),), m - 1) for m in _SWEEP_MODES if m <= cap]
+    columns.append(("random", (("seed", seed),), cap))
     # the damped cases measure homogeneous norms and the plain ones inhomogeneous, each at s = 0 and 1
-    weights = {(s, homogeneous): _hs_weight(grid, s, homogeneous) for s in (0.0, 1.0) for homogeneous in (True, False)}
-    f_norms: dict = {}  # each field's four norms, computed at its first case
-
-    def sides(fname: str, fhat: np.ndarray, rate: str, pre: np.ndarray, s: float, homogeneous: bool,
-              p_out: float, r_in: float, profiles=tuple(_PROFILES)) -> dict:
-        """Both sides per time profile for the integrands prof(t) pre f: the convolution's time norm and f's.
-
-        The integrand's rate parts are binned once and contracted with each profile's march.
-        """
-        if fname not in f_norms:
-            f_norms[fname] = _hs_norms(grid, fhat, weights)
-        f_norm = f_norms[fname][s, homogeneous]
-        plan = plans[rate]
-        parts = _rate_parts(grid, plan.inverse, pre * fhat, weights[s, homogeneous], plan.values.size)
-        out = {}
-        for pname in profiles:
-            prof = _PROFILES[pname]
-            nodes = _rank_one_norms(marches[pname, rate], parts)
-            out[pname] = (_time_lp(times, nodes, p_out, v0=0.0),
-                          _time_lp(times, prof(times) * f_norm, r_in, v0=float(prof(0.0)) * f_norm))
-        return out
+    weights = {(s, homogeneous): _hs_weight(k2, s, homogeneous) for s in (0.0, 1.0) for homogeneous in (True, False)}
+    f_norms = {key: np.sqrt(power @ w) for key, w in weights.items()}
 
     cases = [(f"damped[theta={_fmt(theta)},p1={_fmt(p1)},r={_fmt(r)},s={int(s)}]", "damped",
               np.sqrt(k2) ** theta if theta else np.ones_like(k2), p1, r, s, True)
@@ -299,23 +279,26 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     cases += [(f"plain[p={_fmt(p)},r={_fmt(r)},s={int(s)}]", "plain",
                np.sqrt(k2) ** (2.0 + (0.0 if np.isinf(p) else 2.0 / p) - 2.0 / r), p, r, s, False)
               for p, r in _EQ26_TUPLES for s in (0.0, 1.0)]
+    samples: list[RatioSample] = []
+    sides: dict = {}  # per (case, profile): the convolution's time norms and the integrand's, (F,) each
     for group, rate, pre, p_out, r_in, s, homogeneous in cases:
-        for fname, fparams, fhat in field_samples:
-            for pname, (lhs, rhs) in sides(fname, fhat, rate, pre, s, homogeneous, p_out, r_in).items():
-                _add_sample(samples, group, fparams + (("field", fname), ("profile", pname)), lhs, rhs)
+        parts = (power * (pre**2 * weights[s, homogeneous])).T
+        f_norm = f_norms[s, homogeneous]
+        for pname, prof in _PROFILES.items():
+            sides[group, pname] = (_time_lp(times, _rank_one_norms(marches[pname, rate], parts), p_out, v0=0.0),
+                                   _time_lp(times, prof(times)[:, None] * f_norm, r_in, v0=prof(0.0) * f_norm))
+        for fname, fparams, col in columns:
+            for pname in _PROFILES:
+                lhs, rhs = sides[group, pname]
+                _add_sample(samples, group, fparams + (("field", fname), ("profile", pname)), lhs[col], rhs[col])
 
     # Uniformity sweep: per tuple, compare max ratio over low modes with the
     # max over the full swept range (constant-profile, s = 0).
-    for label, rate, pre, homog in (
-        ("damped[theta=0,p1=inf,r=inf,s=0]", "damped", np.ones_like(k2), True),
-        ("plain[p=inf,r=inf,s=0]", "plain", np.sqrt(k2) ** 2.0, False),
-    ):
-        ratios = []
-        for m, fhat in mode_hats.items():
-            lhs, rhs = sides(f"mode{m}", fhat, rate, pre, 0.0, homog, np.inf, np.inf, ("const",))["const"]
-            ratios.append(lhs / rhs)
-        ratios = np.array(ratios)
-        low = float(np.max(ratios[: max(1, len(mode_hats) // 2)]))
+    uniformity: dict = {}
+    for label in ("damped[theta=0,p1=inf,r=inf,s=0]", "plain[p=inf,r=inf,s=0]"):
+        lhs, rhs = sides[label, "const"]
+        ratios = lhs[:cap] / rhs[:cap]
+        low = float(np.max(ratios[: max(1, cap // 2)]))
         full = float(np.max(ratios))
         uniformity[label] = {"low_modes_max": low, "full_sweep_max": full,
                              "gap": abs(full - low) / full if full > 0 else 0.0}
@@ -354,16 +337,16 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
         pv = np.concatenate(([float(prof(0.0))], prof(times)))
         prof_l2[pname] = float(np.sqrt(np.sum(gaps * (pv[:-1] ** 2 + pv[:-1] * pv[1:] + pv[1:] ** 2) / 3.0)))
 
+    # one stack, transform and binning of the modes; T's symbol -|xi|^2 squared scales each rate's power
+    stack = _cosine_modes(grid, [(m, 0) for m in modes])
+    parts = (_rate_parts(grid, plan.inverse, rfft2(stack), plan.values.size) * plan.values**2).T
+    f_l2 = _batch_lp(stack, 2.0, grid.cell_area)
+    lhs = {pname: _time_lp(times, _rank_one_norms(march, parts), 2.0, v0=0.0) for pname, march in marches.items()}
     samples: list[RatioSample] = []
-    weight = _hs_weight(grid, 0.0)
-    for m in modes:
-        f = cosine_mode_field(grid, (m, 0))
-        tf_hat, f_l2 = -grid.k2_half * rfft2(f.values), lp_norm(f, 2.0)  # T's symbol is -|xi|^2
-        parts = _rate_parts(grid, plan.inverse, tf_hat, weight, plan.values.size)
+    for i, m in enumerate(modes):
         for pname in profiles:
-            nodes = _rank_one_norms(marches[pname], parts)
             _add_sample(samples, "maxreg[p=q=2]", (("mode", m), ("profile", pname)),
-                        _time_lp(times, nodes, 2.0, v0=0.0), f_l2 * prof_l2[pname])
+                        lhs[pname][i], f_l2[i] * prof_l2[pname])
 
     by_subset = {
         "all": max(s.ratio for s in samples),

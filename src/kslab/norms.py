@@ -25,10 +25,10 @@ single-field norms are calls into them:
   (``_batch_hs``, the H^1 and grad-H^s node sums, the closed-form head of
   the time integrals);
 * ``semigroup._free_flow`` for the heat flow inside the Besov suprema;
-* ``_rate_parts`` for the same sums split by decay rate, and
-  ``_rank_one_norms`` contracting them with per-rate time profiles: the
-  lab's rank-one convolutions and its multiplier symbols m(t, |xi|^2), where
-  one binning serves every profile;
+* ``_rate_parts`` for a stack's unweighted sums split by decay rate, and
+  ``_rank_one_norms`` contracting them, scaled per rate by a radial weight,
+  with per-rate time profiles: the lab's rank-one convolutions and its
+  symbols m(t, |xi|^2), where one binning serves every weight and profile;
 * ``_report`` for the two trajectory reports, joining an X half of u
   (``_thm1_x``, ``_thm2_x``) and a Y half of w (``_thm1_y``, ``_thm2_y``)
   that callers needing one side use alone.  The halves are built from node
@@ -97,9 +97,8 @@ def _parseval_factor(grid: Grid2D) -> float:
     return grid.l**2 / grid.n**4
 
 
-def _hs_weight(grid: Grid2D, s: float, homogeneous: bool = False) -> np.ndarray:
-    """Half-layout Sobolev weight (1+|xi|^2)^s, or |xi|^{2s} whose zero mode drops for s != 0."""
-    k2 = grid.k2_half
+def _hs_weight(k2: np.ndarray, s: float, homogeneous: bool = False) -> np.ndarray:
+    """Sobolev weight (1+|xi|^2)^s, or |xi|^{2s} whose zero mode drops for s != 0, at |xi|^2 = ``k2`` (any shape)."""
     if not homogeneous:
         return (1.0 + k2) ** s
     if s == 0:
@@ -117,18 +116,23 @@ def _parseval_sum(grid: Grid2D, power: np.ndarray, weight: np.ndarray) -> np.nda
     return _parseval_factor(grid) * np.sum((grid.parseval_mult_half * weight) * power, axis=(-2, -1))
 
 
-def _rate_parts(grid: Grid2D, inverse: np.ndarray, coeffs: np.ndarray, weight: np.ndarray,
-                rates: int) -> np.ndarray:
-    """``_parseval_sum`` of |coeffs|^2 split by rate, (rates,): entry r sums the modes with ``inverse == r``."""
-    summand = (grid.parseval_mult_half * weight) * np.abs(coeffs) ** 2
-    return _parseval_factor(grid) * np.bincount(inverse.ravel(), summand.ravel(), minlength=rates)
+def _rate_parts(grid: Grid2D, inverse: np.ndarray, coeffs: np.ndarray, rates: int) -> np.ndarray:
+    """Unweighted ``_parseval_sum`` of |coeffs|^2 split by rate, (..., rates) from (..., n, n//2+1): one ``bincount``.
+
+    Entry [..., r] sums the modes with ``inverse == r``; a weight constant on each rate class scales it afterwards.
+    """
+    lead = coeffs.shape[:-2]
+    rows = np.arange(int(np.prod(lead, dtype=np.int64)))[:, None, None] * rates
+    summand = np.square(np.abs(coeffs))
+    summand *= grid.parseval_mult_half
+    parts = np.bincount((inverse + rows).ravel(), summand.ravel(), minlength=rows.size * rates)
+    return _parseval_factor(grid) * parts.reshape(lead + (rates,))
 
 
 def _rank_one_norms(march: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """Node norms of the rank-one spectra ``march[:, inverse] * coeffs``, checked finite.
+    """Node norms (K, ...) of the rank-one spectra ``march[:, inverse] * coeffs``, checked finite.
 
-    ``parts`` is ``_rate_parts`` of ``coeffs``, so one binning serves every
-    per-rate march (K, R) of the same coefficients and weight.
+    ``parts`` (R, ...) is ``_rate_parts`` of ``coeffs`` transposed and scaled per rate by the weight.
     """
     nodes = np.sqrt(march**2 @ parts)
     _require_finite(nodes)
@@ -137,7 +141,7 @@ def _rank_one_norms(march: np.ndarray, parts: np.ndarray) -> np.ndarray:
 
 def _batch_hs(grid: Grid2D, coeffs: np.ndarray, s: float, homogeneous: bool = False) -> np.ndarray:
     """Sobolev norms of half spectra batched over the leading axes."""
-    return np.sqrt(_parseval_sum(grid, np.abs(coeffs) ** 2, _hs_weight(grid, s, homogeneous)))
+    return np.sqrt(_parseval_sum(grid, np.abs(coeffs) ** 2, _hs_weight(grid.k2_half, s, homogeneous)))
 
 
 def hs_norm(f: ScalarField, s: float) -> float:
@@ -316,10 +320,11 @@ def _sum_entry(addends, equation: str, leaves=None) -> NormEntry:
 
 
 def _sobolev_nodes(grid: Grid2D, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H^1 norms and the Parseval sums of ||grad .||_{H1}^2 (the L^2_t integrand) of half spectra, batched."""
+    """H^1 norms and Parseval sums of ||grad .||_{H1}^2 (the L^2_t integrand) of half spectra, batched."""
     power = np.abs(coeffs) ** 2
-    weight = _hs_weight(grid, 1.0)
-    return np.sqrt(_parseval_sum(grid, power, weight)), _parseval_sum(grid, power, grid.k2_half * weight)
+    h1, grad2 = (_parseval_factor(grid) * np.sum(plane * power, axis=(-2, -1))
+                 for plane in (grid.parseval_h1_half, grid.parseval_grad_h1_half))
+    return np.sqrt(h1), grad2
 
 
 def _node_series(grid: Grid2D, u_vals: np.ndarray, w_grad: tuple[np.ndarray, np.ndarray],
@@ -372,7 +377,7 @@ def _l2t_head(grid: Grid2D, f0_hat: np.ndarray | None, t1: float, damped: bool, 
     with np.errstate(divide="ignore", invalid="ignore"):
         time_factor = np.where(lam > 0, -np.expm1(-2.0 * float(t1) * lam) / (2.0 * lam), float(t1))
     # the time integral weights each mode of the weighted power by time_factor
-    return float(_parseval_sum(grid, grid.k2_half * _hs_weight(grid, s) * np.abs(f0_hat) ** 2, time_factor))
+    return float(_parseval_sum(grid, grid.k2_half * _hs_weight(grid.k2_half, s) * np.abs(f0_hat) ** 2, time_factor))
 
 
 def _l2t(times: np.ndarray, nodes: np.ndarray, head: float | None) -> float:
@@ -398,7 +403,7 @@ def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: n
     closed from the initial datum's half spectrum ``initial_hat`` under the
     free flow that ``damped`` selects, and dropped without one.
     """
-    nodes = _parseval_sum(grid, power, grid.k2_half * _hs_weight(grid, s))
+    nodes = _parseval_sum(grid, power, grid.k2_half * _hs_weight(grid.k2_half, s))
     return _l2t(times, nodes, _l2t_head(grid, initial_hat, times[0], damped, s))
 
 

@@ -35,7 +35,8 @@ from kslab import (
 )
 from kslab import inequality_lab
 from kslab.cli import _write_json, _write_samples
-from kslab.fields import Grid2D, _grad_values, rfft2
+from kslab.duhamel import EtdPlan
+from kslab.fields import Grid2D, _grad_values, _rate_layout, rfft2
 from kslab.inequality_lab import AUTO_C, standard_families
 from kslab.semigroup import _free_flow
 
@@ -116,11 +117,11 @@ class TestBilinearLemma:
         for label, info in report.metadata["uniformity"].items():
             assert info["gap"] < 0.10, (label, info)
 
-    def test_each_swept_mode_is_transformed_once(self, fft_calls):
-        # the samples and the uniformity sweep share one r2c per swept mode; the random field
-        # adds one r2c and the c2r that builds it
+    def test_each_swept_mode_is_transformed_once(self, fft_batches):
+        # the samples and the uniformity sweep share one r2c of the swept modes and the random
+        # field, stacked; the c2r builds the random field
         verify_bilinear_lemma23(SMALL)
-        assert fft_calls == {"rfft2": SMALL.effective_mode_cap() + 1, "irfft2": 1}
+        assert fft_batches == {"rfft2": [(SMALL.effective_mode_cap() + 1,)], "irfft2": [()]}
 
 
 @pytest.fixture
@@ -138,20 +139,130 @@ def binnings(monkeypatch):
 
 
 class TestRateBinning:
-    """One binning of an integrand's rate parts serves every time profile and symbol it is contracted with."""
+    """Each verifier bins its whole field stack once; every case, weight, profile and symbol scales that binning."""
 
-    def test_bilinear_bins_each_case_and_field_once(self, binnings):
-        report = verify_bilinear_lemma23(SMALL)
-        # both profiles of a (case, field) share its binning; the uniformity sweep bins each swept mode per tuple
-        assert len(binnings) == len(report.samples) // len(inequality_lab._PROFILES) + 2 * SMALL.effective_mode_cap()
+    @pytest.mark.parametrize("verifier", [verify_bilinear_lemma23, verify_multiplier_lemma, verify_maximal_regularity])
+    def test_one_binning_per_verifier_call(self, binnings, verifier):
+        verifier(SMALL)
+        assert len(binnings) == 1
 
-    def test_multiplier_bins_each_field_once_per_order(self, binnings):
-        verify_multiplier_lemma(SMALL)
-        assert len(binnings) == 2 * len(inequality_lab._lab_fields(SMALL.make_grid(), 0))
+    @pytest.mark.parametrize("setup", [SMALL, LabSetup(), LabSetup().doubled()], ids=["small", "benchmark", "n128"])
+    def test_samples_equal_the_per_field_binning(self, setup):
+        """Every sample rebuilt per (case, field): bin pre f with the case weight, contract, scalar time norms."""
+        expected = _per_field_samples(setup, seed=0)
+        grid, tgrid = setup.make_grid(), setup.make_timegrid()
+        # every class of |xi|^2, on which the verifiers evaluate each weight, lies in one class of the damped
+        # rates 1+|xi|^2; at n = 128 rounding merges two of them (1911 classes against 1910)
+        k2, inverse = _rate_layout(grid.k2_half)
+        damped = EtdPlan(1.0 + grid.k2_half, tgrid)
+        np.testing.assert_array_equal(np.searchsorted(damped.values, 1.0 + k2)[inverse], damped.inverse)
+        assert damped.values.size == k2.size - (setup.n == 128)
+        for verifier, name in ((verify_bilinear_lemma23, "bilinear_convolution"),
+                               (verify_maximal_regularity, "maximal_regularity"),
+                               (verify_multiplier_lemma, "multiplier_lemma")):
+            report = verifier(setup)
+            assert [(s.family, s.params) for s in report.samples] == [e[:2] for e in expected[name]]
+            np.testing.assert_allclose([(s.lhs, s.rhs) for s in report.samples], [e[2:] for e in expected[name]],
+                                       rtol=1e-13, atol=0, err_msg=name)
+        for label, (low, full) in expected["uniformity"].items():
+            info = verify_bilinear_lemma23(setup).metadata["uniformity"][label]
+            np.testing.assert_allclose((info["low_modes_max"], info["full_sweep_max"]), (low, full), rtol=1e-13)
 
-    def test_maximal_regularity_bins_each_mode_once(self, binnings):
-        report = verify_maximal_regularity(SMALL)
-        assert len(binnings) == len({dict(s.params)["mode"] for s in report.samples})
+
+def _per_field_samples(setup, seed):
+    """The three verifiers' samples (family, params, lhs, rhs), each (case, field) binned and normed on its own."""
+    from kslab.data import random_band_limited_field
+    from kslab.duhamel import _profile_march
+    from kslab.inequality_lab import _EQ26_TUPLES, _EQ27_TUPLES, _PROFILES, _SWEEP_MODES, _fmt, _lab_fields
+    from kslab.norms import _hs_weight, _parseval_sum, _rank_one_norms, trapezoid
+
+    grid, tgrid = setup.make_grid(), setup.make_timegrid()
+    times, k2, cap = tgrid.times, grid.k2_half, setup.effective_mode_cap()
+
+    def time_lp(values, p, v0=None):
+        t = times if v0 is None else np.concatenate(([0.0], times))
+        values = values if v0 is None else np.concatenate(([v0], values))
+        return float(np.max(values)) if np.isinf(p) else float(trapezoid(t, values**p) ** (1.0 / p))
+
+    def binned(plan, coeffs, weight):
+        summand = grid.parseval_mult_half * weight * np.abs(coeffs) ** 2
+        return grid.l**2 / grid.n**4 * np.bincount(plan.inverse.ravel(), summand.ravel(), minlength=plan.values.size)
+
+    def norm(coeffs, weight):
+        return float(np.sqrt(_parseval_sum(grid, np.abs(coeffs) ** 2, weight)))
+
+    def add(out, family, params, lhs, rhs):
+        if rhs != 0:
+            out.append((family, params, lhs, rhs))
+
+    out = {name: [] for name in ("bilinear_convolution", "maximal_regularity", "multiplier_lemma")}
+    # bilinear: 14 cases x the swept modes and the random field x 2 profiles
+    plans = {"damped": EtdPlan(1.0 + k2, tgrid), "plain": EtdPlan(k2, tgrid)}
+    marches = {(pname, rate): _profile_march(prof, plan) for pname, prof in _PROFILES.items()
+               for rate, plan in plans.items()}
+    mode_hats = {m: rfft2(cosine_mode_field(grid, (m, 0)).values) for m in range(1, cap + 1)}
+    fields = [(f"mode{m}", (("mode", m),), mode_hats[m]) for m in _SWEEP_MODES if m <= cap]
+    fields.append(("random", (("seed", seed),), rfft2(random_band_limited_field(grid, seed=seed, max_mode=8).values)))
+    cases = [(f"damped[theta={_fmt(theta)},p1={_fmt(p1)},r={_fmt(r)},s={int(s)}]", "damped",
+              np.sqrt(k2) ** theta if theta else np.ones_like(k2), p1, r, s, True)
+             for theta, p1, r in _EQ27_TUPLES for s in (0.0, 1.0)]
+    cases += [(f"plain[p={_fmt(p)},r={_fmt(r)},s={int(s)}]", "plain",
+               np.sqrt(k2) ** (2.0 + (0.0 if np.isinf(p) else 2.0 / p) - 2.0 / r), p, r, s, False)
+              for p, r in _EQ26_TUPLES for s in (0.0, 1.0)]
+
+    def sides(fhat, rate, pre, p_out, r_in, s, homogeneous, pname):
+        weight = _hs_weight(k2, s, homogeneous)
+        nodes = _rank_one_norms(marches[pname, rate], binned(plans[rate], pre * fhat, weight))
+        prof, f_norm = _PROFILES[pname], norm(fhat, weight)
+        return (time_lp(nodes, p_out, v0=0.0),
+                time_lp(prof(times) * f_norm, r_in, v0=float(prof(0.0)) * f_norm))
+
+    for group, rate, pre, p_out, r_in, s, homogeneous in cases:
+        for fname, fparams, fhat in fields:
+            for pname in _PROFILES:
+                add(out["bilinear_convolution"], group, fparams + (("field", fname), ("profile", pname)),
+                    *sides(fhat, rate, pre, p_out, r_in, s, homogeneous, pname))
+    out["uniformity"] = {}
+    for label, case in (("damped[theta=0,p1=inf,r=inf,s=0]", ("damped", np.ones_like(k2), np.inf, np.inf, 0.0, True)),
+                        ("plain[p=inf,r=inf,s=0]", ("plain", k2, np.inf, np.inf, 0.0, False))):
+        ratios = [lhs / rhs for lhs, rhs in (sides(fhat, *case, "const") for fhat in mode_hats.values())]
+        out["uniformity"][label] = (max(ratios[: max(1, cap // 2)]), max(ratios))
+
+    # maximal regularity: T g = -|xi|^2 f times each profile's march, over the swept modes
+    profiles = {**_PROFILES, "square": lambda t: (np.floor(2.0 * np.asarray(t, dtype=float)) % 2 == 0).astype(float)}
+    gaps = np.diff(np.concatenate(([0.0], times)))
+    for m in (m for m in _SWEEP_MODES if m <= cap):
+        f = cosine_mode_field(grid, (m, 0))
+        parts = binned(plans["plain"], -k2 * rfft2(f.values), np.ones_like(k2))
+        for pname, prof in profiles.items():
+            pv = np.concatenate(([float(prof(0.0))], prof(times)))
+            prof_l2 = float(np.sqrt(np.sum(gaps * (pv[:-1] ** 2 + pv[:-1] * pv[1:] + pv[1:] ** 2) / 3.0)))
+            nodes = _rank_one_norms(_profile_march(prof, plans["plain"]), parts)
+            add(out["maximal_regularity"], "maxreg[p=q=2]", (("mode", m), ("profile", pname)),
+                time_lp(nodes, 2.0, v0=0.0), lp_norm(f, 2.0) * prof_l2)
+
+    # multiplier: per field, both H^s weights, every symbol m and m_d = |xi|^delta m over the rates
+    rates = plans["plain"].values
+    t = times[:, None]
+    syms = {"identity": np.ones((times.size, rates.size)), "heat": np.exp(-t * rates),
+            "damped": np.exp(-t) * np.exp(-t * rates)}
+    for fname, f in _lab_fields(grid, seed):
+        vhat = rfft2(f.values)
+        for mname, sym in syms.items():
+            params = (("multiplier", mname), ("field", fname))
+            for s in (0.0, 1.0):
+                weight = _hs_weight(k2, s)
+                parts, hs_f = binned(plans["plain"], vhat, weight), norm(vhat, weight)
+                nodes = _rank_one_norms(sym, parts)
+                for r, tag in ((np.inf, "inf"), (2.0, "2")):
+                    add(out["multiplier_lemma"], f"formA[r={tag},s={int(s)}]", params,
+                        time_lp(nodes, r), time_lp(np.max(np.abs(sym), axis=1), r) * hs_f)
+                for delta in (0.0, 1.0):
+                    msym = sym * np.sqrt(rates) ** delta if delta else sym
+                    sup = float(np.max(np.sqrt(trapezoid(times, msym**2))))
+                    add(out["multiplier_lemma"], f"formB[rho=2,delta={int(delta)},s={int(s)}]", params,
+                        time_lp(_rank_one_norms(msym, parts), 2.0), sup * hs_f)
+    return out
 
 
 class TestMaximalRegularity:

@@ -298,7 +298,7 @@ class TestSumOverflow:
         # finite node sums of 1e303 and 2e303 at nodes 3 and 4, a node gap of 7e6: the trapezoid overflows
         grid = Grid2D(16, 16.0)
         times = TimeGrid.geometric(1.0, 1e12, 8).times
-        weight = grid.k2_half * _hs_weight(grid, 1.0)
+        weight = grid.k2_half * _hs_weight(grid.k2_half, 1.0)
         unit = np.zeros((times.size,) + grid.k2_half.shape)
         unit[:, 0, -1] = 1.0
         target = np.ones(times.size)

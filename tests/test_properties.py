@@ -31,7 +31,7 @@ from kslab import (
     verify_multiplier_lemma,
 )
 from kslab.cli import ExperimentConfig
-from kslab.data import random_band_limited_field
+from kslab.data import _cosine_modes, cosine_mode_field, random_band_limited_field
 from kslab.duhamel import EtdPlan, _div_u_grad_v, _etd_march, _profile_march, etd_weights
 from kslab.fields import _read_snapshots, _write_raw_snapshot, fft2, ifft2, irfft2, rfft2
 from kslab.inequality_lab import _PROFILES, _lab_fields, _time_lp
@@ -119,7 +119,15 @@ class TestBatchedKernelsMatchSingleFieldForms:
         np.testing.assert_allclose(
             _parseval_sum(grid, np.abs(half) ** 2, weight[:, : grid.n // 2 + 1]),
             factor * np.sum(weight * np.abs(full) ** 2, axis=(1, 2)), rtol=1e-13, atol=0)
-        np.testing.assert_array_equal(_hs_weight(grid, s), weight_full[:, : grid.n // 2 + 1])
+        np.testing.assert_array_equal(_hs_weight(grid.k2_half, s), weight_full[:, : grid.n // 2 + 1])
+
+    @given(n=st.sampled_from([16, 64]), l=lengths)
+    def test_grid_sobolev_planes_are_the_weight_rule(self, n, l):
+        """``_sobolev_nodes`` reads these planes: bit for bit the multiplicity times the H^1 weights."""
+        grid = Grid2D(n, l)
+        weight = _hs_weight(grid.k2_half, 1.0)
+        np.testing.assert_array_equal(grid.parseval_h1_half, grid.parseval_mult_half * weight)
+        np.testing.assert_array_equal(grid.parseval_grad_h1_half, grid.parseval_mult_half * (grid.k2_half * weight))
 
     @given(seed=seeds, l=lengths)
     def test_h0_is_l2(self, seed, l):
@@ -384,9 +392,10 @@ class TestRankOneMarch:
         prof = _PROFILES[profile]
         fhat = rfft2(random_band_limited_field(grid, seed=seed, max_mode=4).values)
         pre = np.sqrt(grid.k2_half) if with_prefactor else np.ones_like(grid.k2_half)
-        weight = _hs_weight(grid, s, homogeneous)
+        weight = _hs_weight(grid.k2_half, s, homogeneous)
 
-        parts = _rate_parts(grid, plan.inverse, pre * fhat, weight, plan.values.size)
+        # the repeated rates are not radial: the weight enters the binned coefficients, not a per-rate scale
+        parts = _rate_parts(grid, plan.inverse, np.sqrt(weight) * pre * fhat, plan.values.size)
         rank_one = _rank_one_norms(_profile_march(prof, plan), parts)
         times = plan.tgrid.times
         full = _etd_march(pre * (prof(times)[:, None, None] * fhat), pre * (prof(0.0) * fhat), plan)
@@ -574,6 +583,22 @@ def _band_limited_loop(grid, seed, max_mode):
 
 
 class TestDataBuilders:
+    @given(n=st.sampled_from([16, 32, 64]), l=lengths, amplitude=st.sampled_from([1.0, 0.5, 2.3]))
+    def test_stacked_cosine_modes_equal_the_single_fields(self, n, l, amplitude):
+        # values (the one-mode formula), one batched r2c and L^p norms, bit for bit
+        grid = Grid2D(n, l)
+        x1, x2 = grid.coords()
+        kvecs = [(m, 0) for m in range(1, n // 3 + 1)] + [(3, 1), (2, 1), (0, 0), (-2, 5)]
+        stack = _cosine_modes(grid, kvecs, amplitude)
+        hats = rfft2(stack)
+        for j, kvec in enumerate(kvecs):
+            f = ScalarField(grid, amplitude * np.cos(2.0 * np.pi * (kvec[0] * x1 + kvec[1] * x2) / grid.l))
+            assert np.array_equal(stack[j], f.values)
+            assert np.array_equal(cosine_mode_field(grid, kvec, amplitude).values, f.values)
+            assert np.array_equal(hats[j], rfft2(f.values))
+            for p in (1.0, 2.0, np.inf):
+                assert _batch_lp(stack, p, grid.cell_area)[j] == lp_norm(f, p)
+
     @given(seed=seeds, n=st.sampled_from([16, 32, 64]), max_mode=st.integers(0, 7))
     def test_band_limited_field_equals_the_loop_form(self, seed, n, max_mode):
         grid = Grid2D(n, 8.0)
