@@ -7,12 +7,15 @@ trailing newline) and ``_write_csv`` (RFC-4180 rows, repr'd floats) take the
 reports' data (``to_json_dict()``, ``samples``, ``entries``).  No output has a
 timestamp, so identical configs give bit-identical files.
 
-``picard.c = auto`` (the default) takes the pinned constant
-``inequality_lab.AUTO_C``, which is ``default_constants().c``: ``solve``,
-``compare`` and ``norms`` run no lab.  A test recomputes the pin, and every
-``verify`` does: it reuses its own constants run when its lab set-up is
-``LabSetup()`` and runs ``default_constants()`` otherwise, and fails when
-that ``c`` differs from the pin.
+The ``grid.*``/``time.*`` keys are one ``Window`` (``make_window``): the
+solver config and the lab set-up are built from it.  ``picard.c = auto``
+(the default) takes the pinned ``inequality_lab.AUTO_C``, the lab's c on
+``LabSetup()`` (``default_constants().c``): ``solve``, ``compare`` and
+``norms`` run no lab.  A test recomputes the pin, and every ``verify`` does:
+it reuses its own constants run when its lab set-up is ``LabSetup()`` and
+runs ``default_constants()`` otherwise, and fails when that ``c`` differs
+from the pin.  ``verify_summary.json`` names the pin and its set-up under
+``auto_c``, beside the lab's constants on the configured window.
 
 ``norms.csv`` (from ``solve``) holds the node series of the solver's final
 norm reports, the v columns as 4c times w's.
@@ -28,7 +31,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +69,7 @@ from .solver import (
     reference_solve,
     relative_node_differences,
 )
-from .trajectories import _require_compatible, load_trajectory, save_trajectory
+from .trajectories import Window, _require_compatible, load_trajectory, save_trajectory
 
 COMPARE_TOLERANCE = 1e-4
 
@@ -104,11 +107,11 @@ def _parse_wavevector(s: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    grid_n: int = 64
-    grid_l: float = 32.0
-    time_t_min: float = 1e-3
-    time_t_max: float = 10.0
-    time_k: int = 64
+    grid_n: int = Window.n
+    grid_l: float = Window.l
+    time_t_min: float = Window.t_min
+    time_t_max: float = Window.t_max
+    time_k: int = Window.num_times
     picard_c: object = "auto"
     picard_max_iter: int = 50
     picard_tol: float = 1e-11
@@ -135,11 +138,6 @@ _PARSERS = {"int": int, "float": _parse_float, "str": str, "bool": _parse_bool,
             "tuple": _parse_wavevector, "object": _parse_c}
 _CASTERS = {f.name.replace("_", ".", 1): _PARSERS[f.type] for f in dataclass_fields(ExperimentConfig)}
 _KEY_TO_FIELD = {key: key.replace(".", "_") for key in _CASTERS}
-# SolverConfig field -> config key: make_solver_config reads the keys through
-# it, and a value the solver objects reject is reported under its key
-_SOLVER_KEYS = {"n": "grid.n", "l": "grid.l", "t_min": "time.t_min", "t_max": "time.t_max", "num_times": "time.k",
-                "c": "picard.c", "max_iter": "picard.max_iter", "tol": "picard.tol", "mode": "picard.mode",
-                "remark_ii": "variant.remark_ii"}
 
 
 def apply_setting(cfg: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
@@ -170,22 +168,21 @@ def _apply_text(cfg: ExperimentConfig, text: str) -> ExperimentConfig:
 def _solver_error(cfg: ExperimentConfig) -> ValueError | None:
     """The error that building the solver config, grid and time grid raises, if any."""
     try:
-        scfg = make_solver_config(cfg)
-        scfg.make_grid()
-        scfg.make_timegrid()
+        make_solver_config(cfg).grids()
     except ValueError as exc:
         return exc
     return None
 
 
 def _rejected_solver_keys(cfg: ExperimentConfig) -> list[str]:
-    """The solver keys whose value alone, over the defaults, is rejected.
+    """The solver keys (grid, time, picard, variant) whose value alone, over the defaults, is rejected.
 
     When only a combination is rejected (time.t_min above time.t_max), every
     solver key that differs from its default.
     """
     base = ExperimentConfig()
-    setting = {key: {_KEY_TO_FIELD[key]: getattr(cfg, _KEY_TO_FIELD[key])} for key in _SOLVER_KEYS.values()}
+    setting = {key: {_KEY_TO_FIELD[key]: getattr(cfg, _KEY_TO_FIELD[key])} for key in _CASTERS
+               if key.partition(".")[0] in ("grid", "time", "picard", "variant")}
     changed = [key for key, kw in setting.items() if replace(base, **kw) != base]
     return [key for key in changed if _solver_error(replace(base, **setting[key]))] or changed
 
@@ -227,19 +224,19 @@ def load_config(path: str | None, overrides) -> ExperimentConfig:
     return validate_config(cfg)
 
 
+def make_window(cfg: ExperimentConfig) -> Window:
+    """The grid.* and time.* keys: the n x n grid of side l, and time.k geometric nodes in [t_min, t_max]."""
+    return Window(cfg.grid_n, cfg.grid_l, cfg.time_t_min, cfg.time_t_max, cfg.time_k)
+
+
 def make_solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    values = {name: getattr(cfg, _KEY_TO_FIELD[key]) for name, key in _SOLVER_KEYS.items()}
-    values["c"] = None if cfg.picard_c == "auto" else float(cfg.picard_c)
-    return SolverConfig(**values)
+    return SolverConfig(**asdict(make_window(cfg)), c=None if cfg.picard_c == "auto" else float(cfg.picard_c),
+                        max_iter=cfg.picard_max_iter, tol=cfg.picard_tol, mode=cfg.picard_mode,
+                        remark_ii=cfg.variant_remark_ii)
 
 
 # the set-up default_constants() runs, whose c is the pin AUTO_C
 _PIN_SETUP = LabSetup()
-
-
-def lab_setup(cfg: ExperimentConfig) -> LabSetup:
-    """The lab's grid and its geometric time nodes: time.k of them from time.t_min to time.t_max."""
-    return LabSetup(cfg.grid_n, cfg.grid_l, cfg.time_t_min, cfg.time_t_max, cfg.time_k)
 
 
 def initial_data(cfg: ExperimentConfig, grid: Grid2D) -> tuple[ScalarField, ScalarField, dict]:
@@ -333,16 +330,19 @@ def _norm_csv_rows(report) -> list[list]:
     return [[float(x) for x in row] for row in zip(*columns)]
 
 
-def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
+def _solver_setup(cfg: ExperimentConfig):
+    """``solve``'s and ``compare``'s solver config, u0, v0, w0 = v0/(4c), data entry and printed diffusion warning."""
     warning = _diffusion_warning(cfg)
     if warning:
         print(warning, file=sys.stderr)
     scfg = make_solver_config(cfg)
-    grid = scfg.make_grid()
-    u0, v0, desc = initial_data(cfg, grid)
-    c = scfg.resolve_c()
-    w0 = (1.0 / (4.0 * c)) * v0
+    u0, v0, desc = initial_data(cfg, scfg.make_grid())
+    w0 = (1.0 / (4.0 * scfg.resolve_c())) * v0
+    return scfg, u0, v0, w0, desc, warning
 
+
+def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
+    scfg, u0, _, w0, desc, warning = _solver_setup(cfg)
     try:
         report = picard_solve(u0, w0, scfg)
     except PicardBlowupError as exc:
@@ -381,7 +381,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     failures: list[str] = []
-    setup = lab_setup(cfg)
+    setup = LabSetup(**asdict(make_window(cfg)))
 
     # Heat-kernel norm tables on a dedicated fine grid.
     kernel_grid = Grid2D(128, 16.0)
@@ -467,6 +467,8 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         "drift": {name: {"max_drift": d["max_drift"], "per_group": d["per_group"]}
                   for name, d in drifts.items()},
         "constants": constants.to_json_dict(),
+        # c = auto is the pin, taken on its own window; "constants" holds the lab's c on the configured one
+        "auto_c": {"value": AUTO_C, "lab_setup": asdict(_PIN_SETUP)},
         "counterexample": sweep.to_json_dict(),
     }
     _write_json(out_dir / "verify_summary.json", summary)
@@ -476,11 +478,7 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
-    scfg = make_solver_config(cfg)
-    grid = scfg.make_grid()
-    u0, v0, _ = initial_data(cfg, grid)
-    c = scfg.resolve_c()
-    w0 = (1.0 / (4.0 * c)) * v0
+    scfg, u0, v0, w0, _, _ = _solver_setup(cfg)
     try:
         report = picard_solve(u0, w0, scfg)
         u_ref, v_ref = reference_solve(u0, v0, scfg)
@@ -526,8 +524,7 @@ def run_counterexample(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_constants(cfg: ExperimentConfig, out_dir: Path) -> int:
-    setup = lab_setup(cfg)
-    constants = estimate_constants(setup)
+    constants = estimate_constants(LabSetup(**asdict(make_window(cfg))))
     _write_json(out_dir / "constants_report.json", constants.to_json_dict())
     _write_samples(out_dir / "constants_samples.csv", constants.samples)
     print(f"c1={constants.c1:.4g} c2={constants.c2:.4g} c3={constants.c3:.4g} "

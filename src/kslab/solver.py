@@ -46,6 +46,7 @@ from .trajectories import (
     TimeGrid,
     Trajectory,
     TrajectoryOverflowError,
+    Window,
     _require_compatible,
 )
 
@@ -81,12 +82,9 @@ class ReferenceStepError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    n: int = 128
-    l: float = 32.0
-    t_min: float = 1e-3
-    t_max: float = 10.0
-    num_times: int = 64
+class SolverConfig(Window):
+    """A Picard run: a ``Window`` with its defaults, then c, the stopping rule, the theorem mode and the variant."""
+
     c: float | None = None  # None: the pinned empirical constant inequality_lab.AUTO_C
     max_iter: int = 50
     tol: float = 1e-11
@@ -102,12 +100,6 @@ class SolverConfig:
             raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-
-    def make_grid(self) -> Grid2D:
-        return Grid2D(self.n, self.l)
-
-    def make_timegrid(self) -> TimeGrid:
-        return TimeGrid.geometric(self.t_min, self.t_max, self.num_times)
 
     def resolve_c(self) -> float:
         """The configured c, or the pinned ``AUTO_C`` without running the lab.
@@ -254,10 +246,7 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     read it.  Norm overflows are raised from the series after the sweep: the
     iterate's report (X, Y, their sum) before the residual's.
     """
-    grid = cfg.make_grid()
-    if u0.grid != grid or w0.grid != grid:
-        raise ValueError("initial data must live on the configured grid")
-    tgrid = cfg.make_timegrid()
+    grid, tgrid = cfg.grids(u0, w0)
     times = tgrid.times
     n, k = grid.n, tgrid.count
     c = cfg.resolve_c()
@@ -425,10 +414,7 @@ def reference_solve(u0: ScalarField, v0: ScalarField, cfg: SolverConfig) -> tupl
     complex spectra, so each segment casts them to complex128 once: a real
     table would be re-cast on every product.
     """
-    grid = cfg.make_grid()
-    if u0.grid != grid or v0.grid != grid:
-        raise ValueError("initial data must live on the configured grid")
-    tgrid = cfg.make_timegrid()
+    grid, tgrid = cfg.grids(u0, v0)
     n = grid.n
     lam_u = grid.k2_half
     lam_v = lam_u + (0.0 if cfg.remark_ii else 1.0)

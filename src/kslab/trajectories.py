@@ -81,6 +81,34 @@ class TimeGrid:
         return hash(self.times.tobytes())
 
 
+@dataclass(frozen=True)
+class Window:
+    """The discretisation a run is checked on: an n x n torus of side l for R^2, K geometric nodes in [t_min, T].
+
+    The one default set: ``SolverConfig`` and the CLI's grid/time keys take it, ``LabSetup`` all but K.  Only
+    the builders check the values.
+    """
+
+    n: int = 64
+    l: float = 32.0
+    t_min: float = 1e-3
+    t_max: float = 10.0
+    num_times: int = 64
+
+    def make_grid(self) -> Grid2D:
+        return Grid2D(self.n, self.l)
+
+    def make_timegrid(self) -> TimeGrid:
+        return TimeGrid.geometric(self.t_min, self.t_max, self.num_times)
+
+    def grids(self, *data: ScalarField) -> tuple[Grid2D, TimeGrid]:
+        """The grid and the time grid; a ValueError unless every datum lives on that grid."""
+        grid = self.make_grid()
+        if any(f.grid != grid for f in data):
+            raise ValueError("initial data must live on the configured grid")
+        return grid, self.make_timegrid()
+
+
 class TrajectoryOverflowError(RuntimeError):
     """Trajectory values overflowed; carries the first bad node."""
 

@@ -5,24 +5,28 @@ import csv
 import json
 import re
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kslab
-from kslab import (Grid2D, ScalarField, SolverConfig, estimate_constants, gaussian_field, picard_solve,
+from kslab import (Grid2D, LabSetup, ScalarField, SolverConfig, estimate_constants, gaussian_field, picard_solve,
                    save_field, sigma)
 from kslab.cli import (
     ConfigError,
     ExperimentConfig,
     _norm_csv_rows,
-    lab_setup,
     load_config,
     main,
+    make_solver_config,
+    make_window,
 )
 from kslab.fields import _write_raw_snapshot, rfft2, worker_count
+from kslab.inequality_lab import AUTO_C
 from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp
+from kslab.trajectories import Window
 from conftest import config_text, parse_config_text, run_fresh
 
 FAST_SOLVE = """
@@ -144,6 +148,14 @@ class TestConfigParsing:
             "output.dir", "output.dump_fields", "picard.c", "picard.max_iter", "picard.mode", "picard.tol",
             "time.k", "time.t_max", "time.t_min", "variant.remark_ii",
         ]
+
+    def test_one_default_window(self):
+        """The CLI, the solver and the lab take Window's defaults; the lab set-up departs only in K = 32."""
+        window = asdict(Window())
+        assert asdict(make_window(ExperimentConfig())) == window
+        assert make_solver_config(ExperimentConfig()) == SolverConfig()
+        assert {name: getattr(SolverConfig(), name) for name in window} == window
+        assert {name: getattr(LabSetup(), name) for name in window} == {**window, "num_times": 32}
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# a comment\n\ngrid.n = 128\n")
@@ -430,6 +442,20 @@ class TestCompareCommand:
         summary = json.loads((out / "compare_summary.json").read_text())
         assert summary["max_rel_diff"] <= 1e-4
 
+    def test_large_time_window_warns_like_solve(self, tmp_path, capsys):
+        # sqrt(4T) = 20 exceeds l/4 = 8; the warning goes to stderr only, so the summary keeps its keys
+        cfg = write_config(tmp_path, FAST_SOLVE)
+        window = ["--override", "grid.n=16", "--override", "time.t_min=1", "--override", "time.t_max=100",
+                  "--override", "time.k=8", "--override", "data.mass=0.0"]
+        assert main(["solve", "--config", cfg, *window, "--out", str(tmp_path / "solve")]) == 0
+        solve_err = capsys.readouterr().err
+        assert solve_err.startswith("warning: diffusion length sqrt(4T)=20 exceeds l/4=8")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, *window, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == solve_err
+        assert sorted(json.loads((out / "compare_summary.json").read_text())) == [
+            "max_rel_diff", "picard_converged", "tolerance"]
+
     def test_coarse_grid_documented_failure(self, tmp_path, capsys):
         # K=3 starves the trajectory quadrature; the difference must be
         # reported honestly with a refinement hint and exit code 1
@@ -481,6 +507,17 @@ class TestVerifyCommand:
                 for column in ("lhs", "rhs", "ratio"):
                     float(row[column])
 
+    def test_summary_names_the_pinned_c_and_its_set_up(self, tmp_path):
+        cfg = write_config(tmp_path, self.VERIFY_CFG)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "verify_summary.json").read_text())
+        pin = summary["auto_c"]
+        assert struct.pack("<d", pin["value"]) == struct.pack("<d", AUTO_C)
+        assert pin["lab_setup"] == asdict(LabSetup())
+        # the lab's c on the configured window sits next to it, and is not the pin's window
+        assert summary["constants"]["metadata"]["n"] == 32 and summary["constants"]["c"] != AUTO_C
+
     def test_forced_inconsistent_c_flagged(self, tmp_path):
         cfg = write_config(tmp_path, self.VERIFY_CFG)
         out = tmp_path / "out"
@@ -493,7 +530,7 @@ class TestVerifyCommand:
     def test_lab_c_off_the_pin_fails(self, tmp_path, monkeypatch, capsys):
         # take VERIFY_CFG's lab set-up as the pin's and put the pin one ulp off its c
         cfg = write_config(tmp_path, self.VERIFY_CFG)
-        setup = lab_setup(load_config(cfg, []))
+        setup = LabSetup(**asdict(make_window(load_config(cfg, []))))
         monkeypatch.setattr(kslab.cli, "_PIN_SETUP", setup)
         monkeypatch.setattr(kslab.cli, "AUTO_C", float(np.nextafter(estimate_constants(setup).c, np.inf)))
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -146,17 +147,30 @@ class TestRateBinning:
         verifier(SMALL)
         assert len(binnings) == 1
 
-    @pytest.mark.parametrize("setup", [SMALL, LabSetup(), LabSetup().doubled()], ids=["small", "benchmark", "n128"])
-    def test_samples_equal_the_per_field_binning(self, setup):
-        """Every sample rebuilt per (case, field): bin pre f with the case weight, contract, scalar time norms."""
+    @pytest.mark.parametrize("setup, extra_mode", [(SMALL, None), (LabSetup(), None), (LabSetup().doubled(), None),
+                                                   (replace(LabSetup().doubled(), mode_cap=58), 58)],
+                             ids=["small", "benchmark", "n128", "n128_above_merge"])
+    def test_samples_equal_the_per_field_binning(self, monkeypatch, setup, extra_mode):
+        """Every sample rebuilt per (case, field): bin pre f with the case weight, contract, scalar time norms.
+
+        The lab's fields have no power above |xi|^2 ~ 17, and n = 128 merges two damped classes at
+        |xi|^2 ~ 127.4, so the last case also sweeps mode (58, 0), above the merge: a damped march read at
+        a shifted class moves its samples.
+        """
+        if extra_mode is not None:
+            monkeypatch.setattr(inequality_lab, "_SWEEP_MODES", inequality_lab._SWEEP_MODES + (extra_mode,))
         expected = _per_field_samples(setup, seed=0)
         grid, tgrid = setup.make_grid(), setup.make_timegrid()
         # every class of |xi|^2, on which the verifiers evaluate each weight, lies in one class of the damped
         # rates 1+|xi|^2; at n = 128 rounding merges two of them (1911 classes against 1910)
         k2, inverse = _rate_layout(grid.k2_half)
         damped = EtdPlan(1.0 + grid.k2_half, tgrid)
-        np.testing.assert_array_equal(np.searchsorted(damped.values, 1.0 + k2)[inverse], damped.inverse)
+        classes = np.searchsorted(damped.values, 1.0 + k2)
+        np.testing.assert_array_equal(classes[inverse], damped.inverse)
         assert damped.values.size == k2.size - (setup.n == 128)
+        if extra_mode is not None:
+            merged = k2[:-1][np.diff(classes) == 0]
+            assert (2.0 * np.pi * extra_mode / setup.l) ** 2 > merged.max()
         for verifier, name in ((verify_bilinear_lemma23, "bilinear_convolution"),
                                (verify_maximal_regularity, "maximal_regularity"),
                                (verify_multiplier_lemma, "multiplier_lemma")):
