@@ -24,13 +24,19 @@ def gaussian_field(
 
 
 def _cosine_modes(grid: Grid2D, kvecs, amplitude: float = 1.0) -> np.ndarray:
-    """Values (M, n, n) of amplitude * cos(2 pi (k1 x1 + k2 x2)/l) for M integer mode pairs (k1, k2)."""
+    """Values (M, n, n) of amplitude * cos(2 pi (k1 x1 + k2 x2)/l) for M integer mode pairs (k1, k2).
+
+    When every k2 is 0 the modes are constant along x2: the formula runs on one column per mode and the
+    last product broadcasts it over the plane.  k2 x2 is then exactly +-0, so the values are bit-equal to
+    the full plane's.
+    """
     x1, x2 = grid.coords()
     k = np.asarray(kvecs)[:, :, None, None]
-    arg = k[:, 0] * x1 + k[:, 1] * x2  # then 2 pi (k.x) / l in place, with the same roundings: one stack held
+    width = grid.n if np.any(k[:, 1]) else 1
+    arg = k[:, 0] * x1 + k[:, 1] * x2[:, :width]  # then 2 pi (k.x) / l in place, with the same roundings
     arg *= 2.0 * np.pi
     arg /= grid.l
-    return np.multiply(amplitude, np.cos(arg, out=arg), out=arg)
+    return np.multiply(amplitude, np.cos(arg, out=arg), out=np.empty((k.shape[0], grid.n, grid.n)))
 
 
 def cosine_mode_field(grid: Grid2D, kvec: tuple[int, int] = (1, 0), amplitude: float = 1.0) -> ScalarField:

@@ -43,8 +43,10 @@ such as |xi|^2 costs 3 x intervals x (distinct rates) floats instead of
 the index adds 67 kB) and 42 MB at n = 512, K = 64 (the index adds 1 MB).
 A plan is a plain read-only object.  Its lifetime is the caller's: every
 public operator builds one for its call, and the Picard sweep and the lab,
-which convolve many integrands against the same rates, build theirs once and
-march every integrand on it.  Nothing is cached at module level.  A plan
+which convolve many integrands against the same rates, take theirs from
+their window (``trajectories.Window.plan``), which builds one per damping
+and keeps it as long as the window lives.  Nothing is cached at module
+level.  A plan
 also serves rank-one integrands prof(t) c(xi): given the 1-D profile,
 ``_etd_march`` marches it once per distinct rate, (K, R), on the same
 recurrence (``_profile_march``).

@@ -158,7 +158,8 @@ class Grid2D:
 
     ``n`` must be a power of two (>= 16) so that dealiasing cutoffs and FFT
     sizes stay exact; ``l`` is the physical side length.  All derived arrays
-    (wavenumbers, dealiasing masks, coordinates) are precomputed once.
+    (wavenumbers, dealiasing masks, coordinates) are precomputed once and
+    read-only.
     """
 
     n: int
@@ -203,6 +204,10 @@ class Grid2D:
 
         x = (np.arange(n) - n // 2) * h
         object.__setattr__(self, "x", x)
+        # one grid serves every caller of a window (``trajectories.Window``), so no caller may write to it
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Broadcastable coordinate arrays ``(x1, x2)`` of shapes (n,1), (1,n)."""

@@ -20,6 +20,11 @@ sum_r |m_j(r)|^2 pre_r^2 w_r P_r of all fields are one product
 (``norms._rank_one_norms``), and a field's norm is sqrt(sum_r w_r P_r).  The
 multiplier verifier's symbols m(t, |xi|^2) are such per-rate profiles too.
 
+The set-up is a ``trajectories.Window``, which builds its grids and the plans
+of |xi|^2 and 1 + |xi|^2 once (``setup.plan``): every routine run on one set-up
+shares them.  The swept modes are all (m, 0), which ``data._cosine_modes``
+evaluates on one column each.
+
 Discrete conventions: time norms on both sides of an estimate use the same
 trapezoid rule on the shared node set (suprema become node maxima), so a
 ratio of 1 means the discrete inequality is tight, not a quadrature
@@ -41,8 +46,8 @@ from .data import (
     random_band_limited_field,
     smoothed_stripe_field,
 )
-from .duhamel import EtdPlan, _div_u_grad_v, _etd_march, _profile_march
-from .fields import Grid2D, ScalarField, _grad_values, _rate_layout, irfft2, rfft2
+from .duhamel import _div_u_grad_v, _etd_march, _profile_march
+from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .norms import (
     _batch_hs,
     _batch_lp,
@@ -167,9 +172,8 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     |xi|^2: the node norms of every field are one ``_rank_one_norms`` product
     and the suprema over xi are maxima over the rates.
     """
-    grid = setup.make_grid()
-    times = setup.make_timegrid().times
-    rates, inverse = _rate_layout(grid.k2_half)
+    grid, plan = setup.make_grid(), setup.plan(0.0)
+    times, rates, inverse = plan.tgrid.times, plan.values, plan.inverse
     t, k2 = times[:, None], rates[None, :]
     syms = {"identity": np.ones((times.size, rates.size)), "heat": np.exp(-t * k2),
             "damped": np.exp(-t) * np.exp(-t * k2)}
@@ -246,8 +250,7 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     # one plan per decay rate and one march per (profile, plan) serve every field and case.  Prefactors and
     # weights are evaluated per rate class of |xi|^2; rounding can merge two of them in 1+|xi|^2 (n = 128
     # does), so each damped march is read per class of |xi|^2
-    plans = {"damped": EtdPlan(1.0 + grid.k2_half, tgrid),
-             "plain": EtdPlan(grid.k2_half, tgrid)}
+    plans = {"damped": setup.plan(1.0), "plain": setup.plan(0.0)}
     k2, inverse = plans["plain"].values, plans["plain"].inverse
     classes = {"plain": slice(None), "damped": np.searchsorted(plans["damped"].values, 1.0 + k2)}
     marches = {(pname, rate): _profile_march(prof, plan)[:, classes[rate]]
@@ -317,7 +320,7 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
         return (np.floor(2.0 * t) % 2 == 0).astype(float)
 
     profiles = {**_PROFILES, "square": square_profile}
-    plan = EtdPlan(grid.k2_half, tgrid)
+    plan = setup.plan(0.0)
     marches = {pname: _profile_march(prof, plan) for pname, prof in profiles.items()}
     gaps = np.diff(np.concatenate(([0.0], times)))
     prof_l2 = {}  # exact L^2_t norm of each profile's piecewise-linear reconstruction
@@ -467,8 +470,7 @@ def estimate_constants(setup: LabSetup = LabSetup()) -> ConstantsReport:
     samples: list[RatioSample] = []
     skipped: list[str] = []
     times = tgrid.times
-    l_plan = EtdPlan(grid.k2_half + 1.0, tgrid)
-    b_plan = EtdPlan(grid.k2_half, tgrid)
+    l_plan, b_plan = setup.plan(1.0), setup.plan(0.0)
 
     # each family's free flows stay half spectra (u: heat, w: damped heat)
     free: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, dict]] = []

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import norms as _norms
-from .duhamel import EtdPlan, _div_u_grad_v, _etd_step, _phi1, etd_weights
+from .duhamel import _div_u_grad_v, _etd_step, _phi1, etd_weights
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .inequality_lab import AUTO_C, smallness_threshold
 from .norms import NormReport, default_besov_probe, lp_norm, hs_norm
@@ -253,9 +253,9 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     thm2 = cfg.mode == "thm2_H1bH1"
     damped = not cfg.remark_ii
 
-    # B and L convolve against the same rates every iteration: one plan each
-    b_plan = EtdPlan(grid.k2_half, tgrid)
-    l_plan = EtdPlan(grid.k2_half + (1.0 if damped else 0.0), tgrid)
+    # B and L convolve against the same rates every iteration: one plan each, built once per config
+    b_plan = cfg.plan(0.0)
+    l_plan = cfg.plan(1.0 if damped else 0.0)
 
     u0_hat, w0_hat = rfft2(u0.values), rfft2(w0.values)
     free_u_hat = _free_flow(u0_hat, times, grid.k2_half)

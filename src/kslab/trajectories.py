@@ -18,6 +18,7 @@ that take two trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,11 @@ class Window:
 
     The one default set: ``SolverConfig`` and the CLI's grid/time keys take it, ``LabSetup`` all but K.  Only
     the builders check the values.
+
+    A window builds its grid, its time grid and one ``EtdPlan`` per damping once, on first use, and keeps
+    them as long as it lives: every Picard solve and lab routine run on one window shares them, and
+    ``dataclasses.replace`` starts a new window with nothing built.  They are read-only and depend on the
+    window's fields alone, so the cache has no data key and a run cannot see what an earlier one computed.
     """
 
     n: int = 64
@@ -95,11 +101,31 @@ class Window:
     t_max: float = 10.0
     num_times: int = 64
 
-    def make_grid(self) -> Grid2D:
+    @cached_property
+    def _grid(self) -> Grid2D:
         return Grid2D(self.n, self.l)
 
-    def make_timegrid(self) -> TimeGrid:
+    @cached_property
+    def _tgrid(self) -> TimeGrid:
         return TimeGrid.geometric(self.t_min, self.t_max, self.num_times)
+
+    @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def make_grid(self) -> Grid2D:
+        return self._grid
+
+    def make_timegrid(self) -> TimeGrid:
+        return self._tgrid
+
+    def plan(self, damping: float):
+        """The ``EtdPlan`` of the rates |xi|^2 + damping on the time grid, built on the first call per damping."""
+        from .duhamel import EtdPlan  # duhamel imports this module
+
+        if damping not in self._plans:
+            self._plans[damping] = EtdPlan(self._grid.k2_half + damping, self._tgrid)
+        return self._plans[damping]
 
     def grids(self, *data: ScalarField) -> tuple[Grid2D, TimeGrid]:
         """The grid and the time grid; a ValueError unless every datum lives on that grid."""

@@ -5,8 +5,9 @@ methods by name, and ``perfbench/workloads.py`` builds its configs and lab
 set-ups by keyword and runs the solver, the oracle and the lab.  Installing
 the tracer and running one smoke-size operation of each workload here makes
 a deleted or renamed binding fail the unit suite, not only the benchmark
-run.  Both are loaded from their files; nothing under ``perfbench/`` is
-changed.
+run.  The ``lab`` workload keeps one set-up for every operation, so a reused
+set-up must give a fresh one's digest.  Both are loaded from their files;
+nothing under ``perfbench/`` is changed.
 """
 
 import importlib.util
@@ -34,6 +35,16 @@ def test_each_workload_runs_one_smoke_operation(name):
     workload = _load("workloads").Workload(kslab, name, seed=1, c=kslab.SolverConfig().resolve_c(), smoke=True)
     result = workload.run(workload.make_input(0))
     assert result.ok, result.reason
+
+
+@pytest.mark.parametrize("lab_seed", [5, 41, 977])
+def test_a_reused_lab_set_up_gives_a_fresh_set_ups_digest(lab_seed):
+    # a set-up keeps its grids and plans between operations, never data
+    workloads = _load("workloads")
+    c = kslab.SolverConfig().resolve_c()
+    reused, fresh = (workloads.Workload(kslab, "lab", seed=1, c=c) for _ in range(2))
+    reused.run(lab_seed + 1)  # an earlier operation, with another random field, on the same set-up
+    assert reused.run(lab_seed).digest == fresh.run(lab_seed).digest
 
 
 def test_tracer_installs_and_uninstalls():

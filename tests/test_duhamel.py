@@ -22,6 +22,7 @@ from kslab import (
     picard_solve,
     verify_bilinear_lemma23,
     verify_maximal_regularity,
+    verify_multiplier_lemma,
 )
 import kslab.inequality_lab
 import kslab.solver
@@ -289,9 +290,14 @@ class TestEtdConvolve:
 
 
 class TestPlanReuse:
-    """Callers that convolve many integrands against the same rates build each plan once."""
+    """Callers that convolve many integrands against the same rates build each plan once per window.
 
-    SETUP = LabSetup(n=32, num_times=12)
+    A window keeps the plans it built, so each test builds its own set-up or config.
+    """
+
+    @pytest.fixture
+    def setup(self):
+        return LabSetup(n=32, num_times=12)
 
     @pytest.fixture
     def plan_builds(self, monkeypatch):
@@ -331,29 +337,56 @@ class TestPlanReuse:
         monkeypatch.setattr(kslab.solver, "_etd_step", counted)
         return plans
 
-    def test_bilinear_verifier_builds_two(self, plan_builds, convolutions):
-        verify_bilinear_lemma23(self.SETUP)
+    @staticmethod
+    def _solve(cfg):
+        grid = cfg.make_grid()
+        return picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
+
+    def test_bilinear_verifier_builds_two(self, setup, plan_builds, convolutions):
+        verify_bilinear_lemma23(setup)
         assert len(plan_builds) == 2
         assert len(convolutions) == 4  # 2 profiles x 2 plans
 
-    def test_maximal_regularity_verifier_builds_one(self, plan_builds, convolutions):
-        verify_maximal_regularity(self.SETUP)
+    def test_maximal_regularity_verifier_builds_one(self, setup, plan_builds, convolutions):
+        verify_maximal_regularity(setup)
         assert len(plan_builds) == 1
         assert len(convolutions) == 3  # 3 profiles x 1 plan
 
-    def test_estimate_constants_builds_two(self, plan_builds, convolutions):
-        estimate_constants(self.SETUP)
+    def test_estimate_constants_builds_two(self, setup, plan_builds, convolutions):
+        estimate_constants(setup)
         assert len(plan_builds) == 2
         assert len(convolutions) == 42  # 6 L and 36 B over the 6 families
+
+    def test_lab_routines_on_one_set_up_build_two(self, setup, plan_builds):
+        # |xi|^2 and 1 + |xi|^2 are the only rates the lab convolves against
+        for routine in (verify_bilinear_lemma23, verify_maximal_regularity, verify_multiplier_lemma,
+                        estimate_constants):
+            routine(setup)
+        assert len(plan_builds) == 2
 
     @pytest.mark.parametrize("max_iter, iterations", [(1, 1), (3, 3), (50, 3)])
     def test_picard_solve_builds_two(self, plan_builds, convolutions, sweep_steps, max_iter, iterations):
         cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=2.5, max_iter=max_iter)
-        grid = cfg.make_grid()
-        report = picard_solve(gaussian_field(grid, 1e-3, 0.5), ScalarField.zero(grid), cfg)
+        report = self._solve(cfg)
         assert report.iterations == iterations
         assert len(plan_builds) == 2
         # no whole-stack march: each iteration steps B's and L's march once per node, on the two plans
         assert len(convolutions) == 0
         assert len(sweep_steps) == 2 * cfg.num_times * report.iterations
         assert len({id(plan) for plan in sweep_steps}) == 2
+
+    def test_second_picard_solve_on_one_config_builds_none(self, plan_builds, sweep_steps):
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=2.5)
+        self._solve(cfg)
+        first = {id(plan) for plan in sweep_steps}
+        sweep_steps.clear()
+        self._solve(cfg)
+        assert len(plan_builds) == 2
+        assert {id(plan) for plan in sweep_steps} == first
+
+    def test_remark_ii_picard_solve_builds_one(self, plan_builds, sweep_steps):
+        # without the damping L convolves against B's rates |xi|^2, so both marches step on one plan
+        cfg = SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=2.5, remark_ii=True)
+        self._solve(cfg)
+        assert len(plan_builds) == 1
+        assert len({id(plan) for plan in sweep_steps}) == 1

@@ -49,6 +49,16 @@ class TestGrid2D:
         with pytest.raises(ValueError, match="positive and finite"):
             Grid2D(16, l)
 
+    def test_derived_arrays_are_read_only(self):
+        # one grid serves every caller of a window, so an in-place write must raise, not leak into the next run
+        g = Grid2D(16, 8.0)
+        arrays = {name: value for name, value in vars(g).items() if isinstance(value, np.ndarray)}
+        assert {"k1", "k2_half", "x", "dealias_mask_half", "d1_dealiased_half", "parseval_mult_half"} <= set(arrays)
+        for name, value in [*arrays.items(), ("coords", g.coords()[0])]:
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] += 1
+            assert not value.flags.writeable, name
+
     def test_max_wavenumber(self):
         g = Grid2D(64, 16.0)
         assert np.isclose(np.max(np.abs(g.k1)), np.pi * g.n / g.l)

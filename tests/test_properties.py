@@ -10,6 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
+import kslab.data
 import kslab.fields
 from kslab import (
     Grid2D,
@@ -598,6 +599,38 @@ class TestDataBuilders:
             assert np.array_equal(hats[j], rfft2(f.values))
             for p in (1.0, 2.0, np.inf):
                 assert _batch_lp(stack, p, grid.cell_area)[j] == lp_norm(f, p)
+
+    @given(n=st.sampled_from([32, 64, 128]), l=lengths, amplitude=st.sampled_from([1.0, 0.5, 2.3, -1.7]))
+    def test_axis_aligned_columns_equal_the_full_plane(self, n, l, amplitude):
+        # every lab-swept (m, 0) mode, evaluated as a column and broadcast, bit for bit (signed zeros too)
+        grid = Grid2D(n, l)
+        x1, x2 = grid.coords()
+        kvecs = [(m, 0) for m in range(1, n // 3 + 1)]
+        stack = _cosine_modes(grid, kvecs, amplitude)
+        assert stack.shape == (len(kvecs), n, n) and stack.flags.c_contiguous
+        for j, (k1, k2) in enumerate(kvecs):
+            plane = amplitude * np.cos(2.0 * np.pi * (k1 * x1 + k2 * x2) / grid.l)
+            assert plane.shape == (n, n)
+            assert stack[j].tobytes() == plane.tobytes()
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_only_axis_aligned_stacks_take_the_column_path(self, monkeypatch, n):
+        shapes = []
+
+        class CosShapes:  # numpy, with the shape of every cos argument recorded
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def cos(self, x, **kwargs):
+                shapes.append(x.shape)
+                return np.cos(x, **kwargs)
+
+        monkeypatch.setattr(kslab.data, "np", CosShapes())
+        grid = Grid2D(n, 32.0)
+        swept = [(m, 0) for m in range(1, n // 3 + 1)]
+        for kvecs in (swept, [(3, 1)], [(2, 1)], [(1, 0), (3, 1)]):
+            _cosine_modes(grid, kvecs, 0.5)
+        assert shapes == [(len(swept), n, 1), (1, n, n), (1, n, n), (2, n, n)]
 
     @given(seed=seeds, n=st.sampled_from([16, 32, 64]), max_mode=st.integers(0, 7))
     def test_band_limited_field_equals_the_loop_form(self, seed, n, max_mode):

@@ -156,6 +156,33 @@ class TestPicardSolve:
             picard_solve(ScalarField.zero(other), ScalarField.zero(other), cfg)
 
 
+class TestWindowReuse:
+    """A config keeps its grids and plans between solves, never data: a reused config solves like a fresh one."""
+
+    @staticmethod
+    def _config():
+        return SolverConfig(n=32, l=32.0, t_min=1e-2, t_max=2.0, num_times=12, c=C_TEST, mode="thm2_H1bH1")
+
+    @staticmethod
+    def _data(grid, seed):
+        shift = np.random.default_rng(seed).integers(-4, 5, size=2) * grid.h
+        centre = (float(shift[0]), float(shift[1]))
+        return gaussian_field(grid, 0.3, 0.5, center=centre), gaussian_field(grid, 0.015, 0.7, center=centre)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reused_config_is_bit_identical_to_a_fresh_one(self, seed):
+        reused = self._config()
+        picard_solve(*self._data(reused.make_grid(), seed + 100), reused)  # an earlier solve on other data
+        again = picard_solve(*self._data(reused.make_grid(), seed), reused)
+        fresh_cfg = self._config()
+        fresh = picard_solve(*self._data(fresh_cfg.make_grid(), seed), fresh_cfg)
+        for name in ("u_hat", "w_hat"):
+            assert np.array_equal(getattr(again, name), getattr(fresh, name))
+        assert np.array_equal(again.u.stacked, fresh.u.stacked)
+        assert np.array_equal(again.v.stacked, fresh.v.stacked)
+        assert again.to_json_dict() == fresh.to_json_dict()
+
+
 class TestReferenceSolve:
     def test_zero_data(self, cfg, grid):
         u, v = reference_solve(ScalarField.zero(grid), ScalarField.zero(grid), cfg)
