@@ -38,7 +38,7 @@ import numpy as np
 
 from . import norms as _norms
 from .data import cosine_mode_field, gaussian_field, smoothed_stripe_field
-from .fields import Grid2D, ScalarField, load_field, worker_count
+from .fields import Grid2D, ScalarField, load_field
 from .inequality_lab import (
     AUTO_C,
     LabSetup,
@@ -572,10 +572,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        try:
-            worker_count()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         cfg = load_config(args.config, args.override)
         out_dir = Path(args.out) if args.out is not None else Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

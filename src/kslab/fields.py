@@ -46,8 +46,8 @@ Conventions used throughout the package:
   the one ``scipy.fft`` calls, so every transform is bit-identical to it;
   ``tests/test_fields.py::TestTransformContract`` pins that.  ``irfft2``
   takes only the ``(..., n, n//2+1)`` half layout, where scipy would pad or
-  crop.  This is the only module that names the FFT backend.  The worker
-  cap ``KS_THREADS`` is read once per process, at the first transform.
+  crop.  This is the only module that names the FFT backend.  Every
+  transform runs on one pocketfft worker.
 """
 
 from __future__ import annotations
@@ -78,25 +78,6 @@ def _load_pocketfft():
 
 
 _pocketfft = _load_pocketfft()
-_workers = 0  # the FFT worker cap: 0 until the first transform reads KS_THREADS
-
-
-def worker_count() -> int:
-    """Worker cap for FFT calls: the KS_THREADS environment variable, an integer >= 1 (1 when unset)."""
-    raw = os.environ.get("KS_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"KS_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
-def _read_workers() -> int:
-    global _workers
-    _workers = worker_count()
-    return _workers
 
 
 def fft2(a: np.ndarray) -> np.ndarray:
@@ -106,13 +87,13 @@ def fft2(a: np.ndarray) -> np.ndarray:
     scipy takes its r2c path, which differs in the last bits.
     """
     a = np.asarray(a, dtype=np.complex128)
-    return _pocketfft.c2c(a, (a.ndim - 2, a.ndim - 1), True, 0, None, _workers or _read_workers())
+    return _pocketfft.c2c(a, (a.ndim - 2, a.ndim - 1), True, 0, None, 1)
 
 
 def ifft2(a: np.ndarray) -> np.ndarray:
     """Inverse full spectrum over the last two axes; bit-equal to ``scipy.fft.ifft2(a)`` on complex input."""
     a = np.asarray(a, dtype=np.complex128)
-    return _pocketfft.c2c(a, (a.ndim - 2, a.ndim - 1), False, 2, None, _workers or _read_workers())
+    return _pocketfft.c2c(a, (a.ndim - 2, a.ndim - 1), False, 2, None, 1)
 
 
 def rfft2(a: np.ndarray) -> np.ndarray:
@@ -128,7 +109,7 @@ def rfft2(a: np.ndarray) -> np.ndarray:
     a = a.astype(np.float64, copy=False)
     if a.ndim < 2:
         raise ValueError(f"rfft2 transforms the last two axes, got shape {a.shape}")
-    return _pocketfft.r2c(a, (a.ndim - 2, a.ndim - 1), True, 0, None, _workers or _read_workers())
+    return _pocketfft.r2c(a, (a.ndim - 2, a.ndim - 1), True, 0, None, 1)
 
 
 def irfft2(a: np.ndarray, n: int) -> np.ndarray:
@@ -142,7 +123,7 @@ def irfft2(a: np.ndarray, n: int) -> np.ndarray:
     if a.shape[-2:] != (n, n // 2 + 1):
         raise ValueError(
             f"irfft2 takes the (..., n, n//2+1) half layout, got shape {a.shape} for n={n}")
-    return _pocketfft.c2r(a, (a.ndim - 2, a.ndim - 1), n, False, 2, None, _workers or _read_workers())
+    return _pocketfft.c2r(a, (a.ndim - 2, a.ndim - 1), n, False, 2, None, 1)
 
 
 def _check_grid(n: int, l: float) -> None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,7 +78,9 @@ class LabSetup(Window):
     Its one departure from the default window is K = 32: ``LabSetup()`` is the
     window of the pinned ``AUTO_C`` and of the benchmark's ``lab`` workload.
     ``mode_cap`` pins the largest swept integer mode; the doubled setup
-    inherits it so refinement studies compare the same sample family.
+    inherits it so refinement studies compare the same sample family.  Like
+    the grid and the plans, the doubled setup is built once per setup and
+    kept, so every refinement study of one setup shares its plans.
     """
 
     num_times: int = 32
@@ -87,9 +89,13 @@ class LabSetup(Window):
     def effective_mode_cap(self) -> int:
         return self.mode_cap if self.mode_cap is not None else self.n // 3
 
-    def doubled(self) -> "LabSetup":
+    @cached_property
+    def _doubled(self) -> "LabSetup":
         return replace(self, n=self.n * 2, t_max=self.t_max * 2, num_times=self.num_times * 2,
                        mode_cap=self.effective_mode_cap())
+
+    def doubled(self) -> "LabSetup":
+        return self._doubled
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from kslab.cli import (
     make_solver_config,
     make_window,
 )
-from kslab.fields import _write_raw_snapshot, rfft2, worker_count
+from kslab.fields import _write_raw_snapshot, rfft2
 from kslab.inequality_lab import AUTO_C
 from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp
 from kslab.trajectories import Window
@@ -588,28 +588,6 @@ class TestDeterminism:
             assert data == files[1][fname], f"{fname} differs between identical runs"
 
 
-class TestThreadsEnvironment:
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "2.5"])
-    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, monkeypatch, raw):
-        monkeypatch.setenv("KS_THREADS", raw)
-        with pytest.raises(ValueError, match=f"KS_THREADS .*{raw!r}"):
-            worker_count()
-        out = tmp_path / "out"
-        assert main(["solve", "--config", write_config(tmp_path, FAST_SOLVE), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "KS_THREADS" in err and repr(raw) in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("raw, workers", [(None, 1), ("2", 2)], ids=["unset", "two"])
-    def test_valid_value_runs(self, tmp_path, monkeypatch, raw, workers):
-        if raw is None:
-            monkeypatch.delenv("KS_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("KS_THREADS", raw)
-        assert worker_count() == workers
-        assert main(["solve", "--config", write_config(tmp_path, FAST_SOLVE), "--out", str(tmp_path / "out")]) == 0
-
-
 def test_only_cli_imports_csv_or_json():
     """The output formats are decided in one module: no other kslab module imports csv or json."""
     offenders = []
@@ -724,6 +702,20 @@ def test_the_only_scipy_import_is_the_stripes_erf():
              for scope, name in _imports_by_scope(ast.parse(path.read_text(encoding="utf-8")))
              if name.split(".")[0] == "scipy"]
     assert found == [("data.py", "smoothed_stripe_field", "scipy.special.erf")]
+
+
+def test_no_module_reads_the_environment():
+    """kslab reads no environment variable: no module in src names ``environ`` or ``getenv``, as an
+    attribute (``os.environ``, ``os.getenv``), a bare name or an imported name."""
+    found = sorted({(path.name, name)
+                    for path in sorted(Path(kslab.__file__).parent.glob("*.py"))
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    for name in ([node.attr] if isinstance(node, ast.Attribute)
+                                 else [node.id] if isinstance(node, ast.Name)
+                                 else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                                 else [])
+                    if name in ("environ", "environb", "getenv", "getenvb")})
+    assert found == []
 
 
 def test_start_up_imports_no_scipy(tmp_path):

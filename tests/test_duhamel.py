@@ -20,6 +20,7 @@ from kslab import (
     linear_L,
     maximal_reg_T,
     picard_solve,
+    refinement_drift,
     verify_bilinear_lemma23,
     verify_maximal_regularity,
     verify_multiplier_lemma,
@@ -226,6 +227,16 @@ class TestMaximalRegT:
 
 
 class TestQuadratureScheme:
+    @pytest.mark.parametrize("window", [
+        SolverConfig(n=128, l=32.0, t_min=1e-3, t_max=10.0, num_times=64),  # the solve and crit3 windows
+        SolverConfig(n=64, l=32.0, t_min=1e-2, t_max=8.0, num_times=32),  # the compare window
+        LabSetup(),
+    ], ids=["solve-crit3", "compare", "lab"])
+    def test_every_other_node_of_the_2k_minus_1_grid_is_the_k_grid(self, window):
+        # the nested-grid law a time refinement of these windows reads, bit for bit
+        fine = TimeGrid.geometric(window.t_min, window.t_max, 2 * window.num_times - 1)
+        assert np.array_equal(fine.times[::2], window.make_timegrid().times)
+
     def test_nested_grid_refinement_orders(self, grid):
         # smooth single-mode data: the time grid is the refinement, and on
         # nested geometric grids (K = 7 * 2^m + 1, every 2^m-th node the
@@ -363,6 +374,16 @@ class TestPlanReuse:
                         estimate_constants):
             routine(setup)
         assert len(plan_builds) == 2
+
+    def test_refinement_drifts_on_one_set_up_share_one_doubled_window(self, setup, plan_builds):
+        # kslab verify's three drift runs: each window builds the plain and the damped plan once
+        for verifier in (verify_multiplier_lemma, verify_bilinear_lemma23, verify_maximal_regularity):
+            refinement_drift(verifier, setup)
+        fine = setup.doubled()
+        assert fine is setup.doubled()
+        assert len(plan_builds) == 4
+        plain = [tgrid for rates, tgrid in plan_builds if np.array_equal(rates, fine.make_grid().k2_half)]
+        assert plain == [fine.make_timegrid()]
 
     @pytest.mark.parametrize("max_iter, iterations", [(1, 1), (3, 3), (50, 3)])
     def test_picard_solve_builds_two(self, plan_builds, convolutions, sweep_steps, max_iter, iterations):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.fft
 
-import kslab.fields
 from kslab import Grid2D, ScalarField, TimeGrid, damped_heat_trajectory, gradient, heat, load_field, save_field
 from kslab.duhamel import _div_u_grad_v
 from kslab.fields import _write_raw_snapshot, fft2, ifft2, irfft2, rfft2
@@ -200,16 +199,6 @@ print(json.dumps(dict(before=before, loaded="scipy.fft._pocketfft.pypocketfft" i
     def test_irfft2_wrong_shape_names_half_layout(self, shape):
         with pytest.raises(ValueError, match=r"half layout"):
             irfft2(np.zeros(shape, dtype=complex), 16)
-
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_malformed_threads_raises(self, monkeypatch, raw):
-        monkeypatch.setattr(kslab.fields, "_workers", 0)  # the cap is read once per process: forget it
-        monkeypatch.setenv("KS_THREADS", raw)
-        a = self.values((16, 16))
-        with pytest.raises(ValueError, match="KS_THREADS"):
-            rfft2(a)
-        with pytest.raises(ValueError, match="KS_THREADS"):
-            irfft2(scipy.fft.rfft2(a), 16)
 
 
 class TestMultipliers:
