@@ -478,6 +478,12 @@ def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """``picard_solve`` against the oracle ``reference_solve``, node by node.
+
+    Both share ``_div_u_grad_v``, ``etd_weights`` and the grid's dealiasing and derivative arrays, so
+    this cannot see an error there; ``tests/test_duhamel.py::TestWeights`` (the closed forms) and the
+    full-layout tests in ``tests/test_fields.py`` guard that code.
+    """
     scfg, u0, v0, w0, _, _ = _solver_setup(cfg)
     try:
         report = picard_solve(u0, w0, scfg)

@@ -63,9 +63,9 @@ from .trajectories import TimeGrid, Trajectory, _initial_hat, _require_compatibl
 
 
 # Entire-function weights for the exact per-interval integrals, z = lam * dt:
-#   phi1(z)    = (1 - e^-z)/z                      (the reference stepper's predictor weight)
 #   w_left(z)  = (phi1(z) - e^-z)/z                (linear weight, left value)
 #   w_right(z) = (1 - phi1(z))/z                   (linear weight, right value)
+# where phi1(z) = (1 - e^-z)/z = w_left(z) + w_right(z) is the reference stepper's predictor weight.
 # Small z uses the Taylor series to avoid catastrophic cancellation.
 _SERIES_CUT = 0.5
 _NTERMS = 14
@@ -73,13 +73,6 @@ _WL_COEFFS = np.array(
     [(-1.0) ** j * (j + 1) / math.factorial(j + 2) for j in range(_NTERMS)]
 )
 _WR_COEFFS = np.array([(-1.0) ** j / math.factorial(j + 2) for j in range(_NTERMS)])
-
-
-def _phi1(z: np.ndarray) -> np.ndarray:
-    out = np.ones_like(z)
-    nz = z > 0
-    out[nz] = -np.expm1(-z[nz]) / z[nz]
-    return out
 
 
 def _poly(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -106,10 +99,7 @@ def _w_right(z: np.ndarray) -> np.ndarray:
 
 
 def etd_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(-z), w_left(z) and w_right(z), elementwise: the one weight builder.
-
-    The time-stepping oracle also needs phi1(z) and evaluates ``_phi1`` itself.
-    """
+    """exp(-z), w_left(z) and w_right(z), elementwise: the one weight builder."""
     return np.exp(-z), _w_left(z), _w_right(z)
 
 

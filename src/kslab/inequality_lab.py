@@ -14,8 +14,10 @@ per rate, so each (profile, plan) pair is marched once as a scalar per
 distinct rate (``duhamel._profile_march``).  Each verifier bins its field
 stack once (``norms._rate_parts``): P_r is a field's binned power spectrum,
 summed over the modes of rate r.  A case's prefactor pre and weight w are
-radial, constant on each rate class (the damped rates 1+|xi|^2 have the
-classes of |xi|^2), so pre_r^2 w_r scales P_r per rate: the node norms
+radial, constant on each rate class of |xi|^2, so pre_r^2 w_r scales P_r
+per rate.  Rounding can merge two of these classes in the damped rates
+1+|xi|^2 (n = 128, l = 32 does), so a damped march is read through the class
+map, once per class of |xi|^2.  The node norms
 sum_r |m_j(r)|^2 pre_r^2 w_r P_r of all fields are one product
 (``norms._rank_one_norms``), and a field's norm is sqrt(sum_r w_r P_r).  The
 multiplier verifier's symbols m(t, |xi|^2) are such per-rate profiles too.
@@ -49,11 +51,11 @@ from .data import (
 from .duhamel import _div_u_grad_v, _etd_march, _profile_march
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .norms import (
+    _batch_grad_linf,
     _batch_hs,
     _batch_lp,
-    _grad_sup,
     _hs_weight,
-    _l2t_grad,
+    _l2t,
     _l2t_head,
     _node_series,
     _rank_one_norms,
@@ -184,13 +186,12 @@ def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     syms = {"identity": np.ones((times.size, rates.size)), "heat": np.exp(-t * k2),
             "damped": np.exp(-t) * np.exp(-t * k2)}
     # no field enters a symbol's side: its L^r_t sup_xi norms (Form A), and for Form B
-    # m_d = |xi|^delta m with its sup_xi L^2_t norm, once per symbol
+    # m_d = |xi|^delta m with its sup_xi L^2_t norm (m_d enters squared: no |.| pass), once per symbol
     sym_lp = {(mname, r): _time_lp(times, np.max(np.abs(sym), axis=1), r)
               for mname, sym in syms.items() for r in (np.inf, 2.0)}
     msyms = {(mname, delta): sym * np.sqrt(k2) ** delta if delta else sym
              for mname, sym in syms.items() for delta in (0.0, 1.0)}
-    msym_sup = {key: float(np.max(np.sqrt(np.maximum(trapezoid(times, np.abs(msym) ** 2), 0.0))))
-                for key, msym in msyms.items()}
+    msym_sup = {key: float(np.max(_time_lp(times, msym, 2.0))) for key, msym in msyms.items()}
 
     # one transform and one binning of the field stack; the H^s weight scales each rate's power
     fields = _lab_fields(grid, seed)
@@ -369,7 +370,7 @@ def verify_l4_interpolation(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
         l4 = _batch_lp(u_vals, 4.0, grid.cell_area)
         lhs = float(np.sqrt(trapezoid(times, l4**4) + times[0] * lp_norm(f, 4.0) ** 4))
         sup_l2 = max(float(np.max(_batch_lp(u_vals, 2.0, grid.cell_area))), lp_norm(f, 2.0))
-        grad_l2t = _l2t_grad(grid, times, np.abs(u_hat) ** 2, f_hat, damped=False)
+        grad_l2t = _l2t(times, _sobolev_nodes(grid, u_hat)[1], _l2t_head(grid, f_hat, times[0], False))
         _add_sample(samples, "l4_interpolation", (("field", fname),), lhs, sup_l2 * grad_l2t)
     return InequalityReport("l4_interpolation", tuple(samples), _meta(setup, seed))
 
@@ -507,7 +508,7 @@ def estimate_constants(setup: LabSetup = LabSetup()) -> ConstantsReport:
     for uname, uf_hat, u_hat, _, unorm in free:
         # c3: chemical response of the density trajectory (zero initial datum)
         lu_hat = _etd_march(u_hat, uf_hat, l_plan)
-        grad_sup = _grad_sup(*_grad_values(grid, lu_hat))
+        grad_sup = _batch_grad_linf(grid, lu_hat)
         _add_sample(samples, "c3[thm1]", (("u", uname),), _thm1_y(times, grad_sup)["y_norm"].value, unorm["x1"])
         _add_sample(samples, "c3[thm2]", (("u", uname),),
                     _thm2_y(times, *_sobolev_nodes(grid, lu_hat), grad_sup, None)["y_norm"].value, unorm["x2"])

@@ -21,9 +21,11 @@ single-field norms are calls into them:
 * ``_grad_sup`` for the gradient supremum from gradient values, which
   ``_batch_grad_linf`` takes from half spectra;
 * ``_parseval_sum`` (which applies the half layout's column multiplicity)
-  with the weight rule ``_hs_weight`` for every Sobolev quantity
-  (``_batch_hs``, the H^1 and grad-H^s node sums, the closed-form head of
-  the time integrals);
+  with the weight rule ``_hs_weight`` for the Sobolev quantities of any
+  weight (``_batch_hs``, the closed-form head of the time integrals, the
+  Theorem-2 verdict's grad-L^2 node sums); the H^1 and grad-H^1 node sums
+  of ``_sobolev_nodes`` read their weights, multiplicity included, from
+  ``Grid2D.parseval_h1_half`` and ``parseval_grad_h1_half``;
 * ``semigroup._free_flow`` for the heat flow inside the Besov suprema;
 * ``_rate_parts`` for a stack's unweighted sums split by decay rate, and
   ``_rank_one_norms`` contracting them, scaled per rate by a radial weight,
@@ -34,8 +36,9 @@ single-field norms are calls into them:
   that callers needing one side use alone.  The halves are built from node
   series, not arrays: ``_node_series`` gives the L^1, L^inf and grad-sup
   series of u's values and w's gradient values and, in Theorem-2 mode, the
-  ``_sobolev_nodes`` of both spectra; ``_l2t_head`` closes an L^2_t integral
-  from the initial datum.  The series kernels take any leading shape, so
+  ``_sobolev_nodes`` of both spectra; ``_l2t`` closes every L^2_t integral
+  from its squared node norms and the ``_l2t_head`` of the initial datum.
+  The series kernels take any leading shape, so
   ``xy_norms_thm1``/``xy_norms_thm2`` call them on whole trajectories and
   the Picard sweep on one node at a time.
 
@@ -395,18 +398,6 @@ def _l2t(times: np.ndarray, nodes: np.ndarray, head: float | None) -> float:
     return float(np.sqrt(body + head))
 
 
-def _l2t_grad(grid: Grid2D, times: np.ndarray, power: np.ndarray, initial_hat: np.ndarray | None,
-              damped: bool, s: float = 1.0) -> float:
-    """Trapezoid ||grad .||_{L^2_t H^s} over the nodes plus the [0, t_min] head (``_l2t``).
-
-    ``power`` is the trajectory's half-layout power spectrum; the head is
-    closed from the initial datum's half spectrum ``initial_hat`` under the
-    free flow that ``damped`` selects, and dropped without one.
-    """
-    nodes = _parseval_sum(grid, power, grid.k2_half * _hs_weight(grid.k2_half, s))
-    return _l2t(times, nodes, _l2t_head(grid, initial_hat, times[0], damped, s))
-
-
 def _sobolev_entries(times: np.ndarray, h1: np.ndarray, grad2: np.ndarray, head: float | None,
                      name: str) -> tuple[NormEntry, NormEntry]:
     """sup_j ||f(t_j)||_H1 and ||grad f||_{L2_t H1} from ``_sobolev_nodes``: the H1 part of either Theorem-2 half."""
@@ -445,6 +436,6 @@ def xy_norms_thm2(u: Trajectory, w: Trajectory, *, damped: bool = True) -> NormR
     w_hat = rfft2(w.stacked)
     x = _thm2_x(times, *_sobolev_nodes(grid, rfft2(u.stacked)), _batch_lp(u.stacked, np.inf, grid.cell_area),
                 _l2t_head(grid, _initial_hat(u), times[0], False))
-    y = _thm2_y(times, *_sobolev_nodes(grid, w_hat), _grad_sup(*_grad_values(grid, w_hat)),
+    y = _thm2_y(times, *_sobolev_nodes(grid, w_hat), _batch_grad_linf(grid, w_hat),
                 _l2t_head(grid, _initial_hat(w), times[0], damped))
     return _report(x, y)

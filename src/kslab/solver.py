@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import norms as _norms
-from .duhamel import _div_u_grad_v, _etd_step, _phi1, etd_weights
+from .duhamel import _div_u_grad_v, _etd_step, etd_weights
 from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
 from .inequality_lab import AUTO_C, smallness_threshold
 from .norms import NormReport, default_besov_probe, lp_norm, hs_norm
@@ -408,6 +408,12 @@ def reference_solve(u0: ScalarField, v0: ScalarField, cfg: SolverConfig) -> tupl
     separate path.  The fixed micro-step is at most a quarter of the
     smallest node gap and lands exactly on every node.
 
+    It shares ``_div_u_grad_v``, ``etd_weights`` (phi1 = w_left + w_right)
+    and the grid's dealiasing and derivative arrays with ``picard_solve``, so
+    ``compare`` cannot see an error there: ``tests/test_duhamel.py::TestWeights``
+    checks the weights against their closed forms, and the full-layout tests
+    in ``tests/test_fields.py`` the dealiased product and the derivatives.
+
     Transform budget: two r2c for the data; per micro-step one nonlinear
     term (2 r2c, 3 c2r); per segment one extra predictor term (2 r2c, 3 c2r)
     and two c2r for the node values.  The step tables only ever multiply
@@ -433,14 +439,12 @@ def reference_solve(u0: ScalarField, v0: ScalarField, cfg: SolverConfig) -> tupl
         h = (b - a) / steps
         eu, w_left_u, w_right_u = etd_weights(h * lam_u)
         ev, w_left_v, w_right_v = etd_weights(h * lam_v)
-        phi1u, phi1v = _phi1(h * lam_u), _phi1(h * lam_v)
-        wau = h * w_left_u
-        # two-step form: h [ (phi1 + J) N_n - J N_{n-1} ], J = phi1 - w_left
-        j_u = h * phi1u - wau
-        eu, ev, wau, wru, wlv, wrv, p1u, p1v, ab_new, j_u = (
+        # predictor weight phi1 = w_left + w_right; two-step form h [ (phi1 + J) N_n - J N_{n-1} ]
+        # with J = phi1 - w_left = w_right
+        eu, ev, wau, wru, wlv, wrv, p1u, p1v, ab_new = (
             table.astype(np.complex128) for table in (
-                eu, ev, wau, h * w_right_u, h * w_left_v, h * w_right_v,
-                h * phi1u, h * phi1v, h * phi1u + j_u, j_u))
+                eu, ev, h * w_left_u, h * w_right_u, h * w_left_v, h * w_right_v,
+                h * (w_left_u + w_right_u), h * (w_left_v + w_right_v), h * (w_left_u + 2.0 * w_right_u)))
         # the nonlinear term is N = -div(u grad v): the steps subtract d = div(u grad v)
         d_prev = None
         d_prev_scale = 0.0
@@ -462,7 +466,7 @@ def reference_solve(u0: ScalarField, v0: ScalarField, cfg: SolverConfig) -> tupl
                 d1 = _div_u_grad_v(grid, ua, va)
                 u_new = eu * uh - wau * d0 - wru * d1
             else:
-                u_new = eu * uh - ab_new * d0 + j_u * d_prev
+                u_new = eu * uh - ab_new * d0 + wru * d_prev
             d_prev = d0
             d_prev_scale = scale0
             # chemical source reconstructed linearly between u_n and u_{n+1}
@@ -597,7 +601,8 @@ def check_theorem2_bound(report: SolutionReport) -> Theorem2Verdict:
                    for comp in report.w_grad for sign in (1.0, -1.0))
 
     # ||grad u||_{L2_t L2} (head from u0's free flow); ||grad w||_{L2_t H1} is the report's
-    term_grad_u = _norms._l2t_grad(grid, times, np.abs(u_hat) ** 2, u0_hat, damped=False, s=0.0)
+    term_grad_u = _norms._l2t(times, _norms._parseval_sum(grid, np.abs(u_hat) ** 2, grid.k2_half),
+                              _norms._l2t_head(grid, u0_hat, times[0], False, s=0.0))
     term_grad_w = report.norms_thm2.value("w_grad_l2t_h1")
 
     norm_sum = term_h1 + term_mix + term_grad_u + term_grad_w

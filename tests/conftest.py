@@ -1,7 +1,8 @@
 """Shared pytest set-up: a deterministic hypothesis profile for the property tests,
 counters of the real transforms the package makes, taken at the pocketfft
 binding that ``kslab.fields`` calls, a fresh-interpreter runner, three
-trajectory builders, and a config text writer and reader.
+trajectory builders, a reference gradient time integral, and a config text
+writer and reader.
 
 Derandomized examples keep the suite reproducible run to run.  Without an
 example database, and with hypothesis' constants cache sent to the system
@@ -105,6 +106,20 @@ def rescaled_chemical(rep, w0=None):
     from kslab.fields import irfft2
 
     return Trajectory(rep.u.grid, rep.u.tgrid, irfft2(rep.w_hat, rep.u.grid.n), initial=w0)
+
+
+def l2t_grad(grid, times, power, initial_hat, damped, s=1.0):
+    """Reference ||grad .||_{L2_t H^s}: the trapezoid of the node sums plus the closed-form [0, t_min] head.
+
+    ``power`` is the trajectory's half-layout power spectrum.  The node sums are
+    ``_parseval_sum`` with the weight |xi|^2 ``_hs_weight``, not the grid's
+    Parseval planes that Picard reads; the head is ``_l2t_head`` of the initial
+    datum's half spectrum under the flow ``damped`` selects, dropped without one.
+    """
+    from kslab.norms import _hs_weight, _l2t, _l2t_head, _parseval_sum
+
+    nodes = _parseval_sum(grid, power, grid.k2_half * _hs_weight(grid.k2_half, s))
+    return _l2t(times, nodes, _l2t_head(grid, initial_hat, times[0], damped, s))
 
 
 def run_fresh(code):

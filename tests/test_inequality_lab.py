@@ -40,6 +40,7 @@ from kslab.duhamel import EtdPlan
 from kslab.fields import Grid2D, _grad_values, _rate_layout, rfft2
 from kslab.inequality_lab import AUTO_C, standard_families
 from kslab.semigroup import _free_flow
+from conftest import l2t_grad
 
 # small but inside the saturated mode x horizon regime, so observed constants
 # are already stable under doubling
@@ -429,7 +430,7 @@ class TestMeasuredRatios:
     def test_l4_samples_match_the_public_heat_trajectory(self):
         from kslab import verify_l4_interpolation
         from kslab.inequality_lab import _lab_fields
-        from kslab.norms import _batch_lp, _l2t_grad, trapezoid
+        from kslab.norms import _batch_lp, trapezoid
         from kslab.trajectories import _initial_hat
 
         setup = LabSetup(n=32, num_times=12)
@@ -441,8 +442,8 @@ class TestMeasuredRatios:
             l4 = _batch_lp(traj.stacked, 4.0, cell)
             lhs = np.sqrt(trapezoid(times, l4**4) + times[0] * lp_norm(f, 4.0) ** 4)
             sup_l2 = max(float(np.max(_batch_lp(traj.stacked, 2.0, cell))), lp_norm(f, 2.0))
-            grad_l2t = _l2t_grad(grid, times, np.abs(rfft2(traj.stacked)) ** 2, _initial_hat(traj),
-                                 damped=False)
+            grad_l2t = l2t_grad(grid, times, np.abs(rfft2(traj.stacked)) ** 2, _initial_hat(traj),
+                                damped=False)
             if grad_l2t != 0:
                 expected[(("field", fname),)] = (lhs, sup_l2 * grad_l2t)
         got = {s.params: (s.lhs, s.rhs) for s in verify_l4_interpolation(setup).samples}

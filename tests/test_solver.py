@@ -36,9 +36,9 @@ from kslab import (
 )
 from kslab.fields import _grad_values, irfft2, rfft2
 from kslab.inequality_lab import smallness_threshold
-from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, _l2t_grad, _l2t_head
+from kslab.norms import _batch_grad_linf, _batch_hs, _batch_lp, _l2t_head
 from kslab.semigroup import _free_flow
-from conftest import rescaled_chemical, trajectory_difference
+from conftest import l2t_grad, rescaled_chemical, trajectory_difference
 
 C_TEST = 2.5  # admissible constant for these smoke-scale runs
 
@@ -377,7 +377,7 @@ class TestVerdictsReadTheReports:
         # the head follows the chemical flow of the solved system
         w = rescaled_chemical(rep, w0)
         power = np.abs(rfft2(w.stacked)) ** 2
-        expected = _l2t_grad(grid, w.tgrid.times, power, rfft2(w0.values), damped=not remark_ii)
+        expected = l2t_grad(grid, w.tgrid.times, power, rfft2(w0.values), damped=not remark_ii)
         assert entry == pytest.approx(expected, rel=1e-13, abs=0)
         assert rep.a0 == rep.iterate_norms[0]
 
@@ -400,7 +400,7 @@ class TestVerdictsReadTheReports:
             "sup_h1_u_pm_w": float(max(np.max(_batch_hs(grid, uc + sign * wc, 1.0)) for sign in (1.0, -1.0))),
             "sup_linf_u_pm_sigma_grad_w": max(float(np.max(np.abs(rep.u.stacked + sign * sig * comp)))
                                               for comp in _grad_values(grid, wc) for sign in (1.0, -1.0)),
-            "l2t_l2_grad_u": _l2t_grad(grid, times, np.abs(uc) ** 2, rfft2(rep.u0.values), damped=False, s=0.0),
+            "l2t_l2_grad_u": l2t_grad(grid, times, np.abs(uc) ** 2, rfft2(rep.u0.values), damped=False, s=0.0),
             "l2t_h1_grad_w": rep.norms_thm2.value("w_grad_l2t_h1"),
         }
         verdict = check_theorem2_bound(rep)
