@@ -25,11 +25,16 @@ from .inequality_lab import (
     CounterexampleSweep,
     InequalityReport,
     LabSetup,
+    ResolutionError,
     besov_equivalence_samples,
     counterexample_profile,
     counterexample_sweep,
     default_constants,
     estimate_constants,
+    grad_heat_kernel_norms,
+    grad_kernel_l1_exact,
+    heat_kernel_norms,
+    kernel_norm_exact,
     refinement_drift,
     stripe_lower_constant,
     stripe_profile_exact,
@@ -52,18 +57,7 @@ from .norms import (
     xy_norms_thm1,
     xy_norms_thm2,
 )
-from .semigroup import (
-    KernelNormEntry,
-    KernelNormTable,
-    ResolutionError,
-    damped_heat_trajectory,
-    grad_heat_kernel_norms,
-    grad_kernel_l1_exact,
-    heat,
-    heat_kernel_norms,
-    heat_trajectory,
-    kernel_norm_exact,
-)
+from .semigroup import damped_heat_trajectory, heat, heat_trajectory
 from .solver import (
     PicardBlowupError,
     ReferenceStepError,

@@ -4,7 +4,7 @@ Config files are flat ``key = value`` text (``#`` comments allowed); every
 key must be known and every value must parse at its declared type.  Only
 this module writes JSON and CSV: ``_write_json`` (sorted keys, indent 2,
 trailing newline) and ``_write_csv`` (RFC-4180 rows, repr'd floats) take the
-reports' data (``to_json_dict()``, ``samples``, ``entries``).  No output has a
+reports' data (``to_json_dict()``, ``samples``).  No output has a
 timestamp, so identical configs give bit-identical files.
 
 The ``grid.*``/``time.*`` keys are one ``Window`` (``make_window``): the
@@ -41,23 +41,21 @@ from .data import cosine_mode_field, gaussian_field, smoothed_stripe_field
 from .fields import Grid2D, ScalarField, load_field
 from .inequality_lab import (
     AUTO_C,
+    LAB_MIN_N,
     LabSetup,
     besov_equivalence_samples,
     counterexample_sweep,
     default_constants,
     estimate_constants,
+    grad_heat_kernel_norms,
+    grad_kernel_l1_exact,
+    heat_kernel_norms,
+    kernel_norm_exact,
     refinement_drift,
     verify_bilinear_lemma23,
     verify_l4_interpolation,
     verify_maximal_regularity,
     verify_multiplier_lemma,
-)
-from .semigroup import (
-    ResolutionError,
-    grad_heat_kernel_norms,
-    grad_kernel_l1_exact,
-    heat_kernel_norms,
-    kernel_norm_exact,
 )
 from .solver import (
     PicardBlowupError,
@@ -113,9 +111,9 @@ class ExperimentConfig:
     time_t_max: float = Window.t_max
     time_k: int = Window.num_times
     picard_c: object = "auto"
-    picard_max_iter: int = 50
-    picard_tol: float = 1e-11
-    picard_mode: str = "thm1_L1Linf"
+    picard_max_iter: int = SolverConfig.max_iter
+    picard_tol: float = SolverConfig.tol
+    picard_mode: str = SolverConfig.mode
     data_kind: str = "gaussian"
     data_mass: float = 1e-3
     data_width: float = 0.5
@@ -129,7 +127,7 @@ class ExperimentConfig:
     data_v_path: str = ""
     output_dir: str = "out"
     output_dump_fields: bool = False
-    variant_remark_ii: bool = False
+    variant_remark_ii: bool = SolverConfig.remark_ii
 
 
 # Keys are "<section>.<name>" for each field "<section>_<name>", parsed by the
@@ -380,34 +378,27 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
+    if cfg.grid_n < LAB_MIN_N:
+        raise ConfigError(f"grid.n: verify runs the lab, which needs grid.n >= {LAB_MIN_N}, got {cfg.grid_n}")
     failures: list[str] = []
     setup = LabSetup(**asdict(make_window(cfg)))
 
-    # Heat-kernel norm tables on a dedicated fine grid.
-    kernel_grid = Grid2D(128, 16.0)
-    kernel_ts = (0.1, 0.5, 1.0)
-    try:
-        table = heat_kernel_norms((1.0, 2.0, np.inf), kernel_ts, kernel_grid)
-        gtable = grad_heat_kernel_norms((1.0,), kernel_ts, kernel_grid)
-    except ResolutionError as exc:
-        failures.append(f"kernel norms unresolved: {exc}")
-        table = gtable = None
-    if table is not None:
-        if not table.all_within_bounds():
-            failures.append("heat-kernel norm exceeded its bound")
-        for e in table.entries:
-            exact = kernel_norm_exact(e.p, e.t)
-            if abs(e.value - exact) > 0.01 * exact:
-                failures.append(f"kernel norm p={e.p} t={e.t} off by more than 1%")
-        if not gtable.all_within_bounds():
-            failures.append("gradient-kernel norm exceeded its bound")
-        for e in gtable.entries:
-            exact = grad_kernel_l1_exact(e.t)
-            if abs(e.value - exact) > 0.01 * exact:
-                failures.append(f"gradient kernel norm t={e.t} off by more than 1%")
-        for name, tab in (("kernel_norms", table), ("grad_kernel_norms", gtable)):
-            _write_csv(out_dir / f"{name}.csv", ["p", "t", "value", "bound", "ratio"],
-                       [[e.p, e.t, e.value, e.bound, e.ratio] for e in tab.entries])
+    # Heat-kernel norm tables on a dedicated fine grid, whose times the resolution rule admits.
+    kernel_grid, kernel_ts = Grid2D(128, 16.0), (0.1, 0.5, 1.0)
+    for name, table, exact in (
+        ("kernel_norms", heat_kernel_norms((1.0, 2.0, np.inf), kernel_ts, kernel_grid), kernel_norm_exact),
+        ("grad_kernel_norms", grad_heat_kernel_norms((1.0,), kernel_ts, kernel_grid),
+         lambda p, t: grad_kernel_l1_exact(t)),
+    ):
+        rows = []
+        for s in table.samples:
+            p, t = (value for _, value in s.params)
+            if s.ratio > 1.0 + 1e-9:
+                failures.append(f"{name} p={p} t={t}: exceeds its bound")
+            if abs(s.lhs - exact(p, t)) > 0.01 * exact(p, t):
+                failures.append(f"{name} p={p} t={t}: off its closed form by more than 1%")
+            rows.append([p, t, s.lhs, s.rhs, s.ratio])
+        _write_csv(out_dir / f"{name}.csv", ["p", "t", "value", "bound", "ratio"], rows)
 
     reports = {}
     drifts = {}
@@ -580,7 +571,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.override)
         out_dir = Path(args.out) if args.out is not None else Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         runner = {
             "solve": run_solve,
             "verify": run_verify,

@@ -1,7 +1,10 @@
 """Numerical verification of the standalone operator estimates.
 
 Each ``verify_*`` function evaluates both sides of an estimate on declared
-sample families and reports the observed ratios; ``estimate_constants``
+sample families and reports the observed ratios as an ``InequalityReport``.
+So do the heat-kernel tables (``heat_kernel_norms``, ``grad_heat_kernel_norms``):
+the discrete L^p norms of the sampled kernel and of its gradient against the
+bounds t^{-1+1/p} and t^{-3/2+1/p}.  ``estimate_constants``
 turns the linear/bilinear ratios into the empirical constant that feeds the
 solver's smallness threshold.  ``counterexample_sweep`` evaluates the
 stripe-data lower bound that rules out smallness for arbitrary bounded data:
@@ -155,14 +158,71 @@ def _add_sample(samples: list, family: str, params: tuple, lhs: float, rhs: floa
 
 _SWEEP_MODES = (1, 2, 3, 4, 6, 8, 12, 16)
 
+# the random sample field's modes |m_i| <= 8 fit strictly inside the spectrum of n >= 32 (n a power of two)
+_RANDOM_MAX_MODE, LAB_MIN_N = 8, 32
+
 
 def _lab_fields(grid: Grid2D, seed: int) -> list[tuple[str, ScalarField]]:
     return [
         ("const", ScalarField(grid, np.ones((grid.n, grid.n)))),
         ("gaussian", gaussian_field(grid, mass=1.0, width=1.0)),
         ("mode31", cosine_mode_field(grid, (3, 1))),
-        ("random", random_band_limited_field(grid, seed=seed, max_mode=8)),
+        ("random", random_band_limited_field(grid, seed=seed, max_mode=_RANDOM_MAX_MODE)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Heat-kernel norm tables
+# ---------------------------------------------------------------------------
+
+
+class ResolutionError(ValueError):
+    """The grid cannot resolve (or contain) the requested kernel."""
+
+
+def kernel_norm_exact(p: float, t: float) -> float:
+    """Closed-form L^p norm of the kernel: p^{-1/p} (4 pi t)^{-1+1/p}."""
+    if np.isinf(p):
+        return 1.0 / (4.0 * np.pi * t)
+    return p ** (-1.0 / p) * (4.0 * np.pi * t) ** (-1.0 + 1.0 / p)
+
+
+def grad_kernel_l1_exact(t: float) -> float:
+    """Closed-form L^1 norm of the kernel gradient: sqrt(pi)/(2 sqrt(t))."""
+    return np.sqrt(np.pi) / (2.0 * np.sqrt(t))
+
+
+def _kernel_table(name: str, p_list, t_list, grid: Grid2D, grad: bool) -> InequalityReport:
+    """One sample per (t, p): the discrete L^p norm of the sampled kernel (or |grad kernel|) over its bound."""
+    samples: list[RatioSample] = []
+    for t in t_list:
+        width = np.sqrt(4.0 * t)
+        if width < 4.0 * grid.h:
+            raise ResolutionError(f"kernel width sqrt(4t)={width:.3g} under-resolved (< 4h = {4 * grid.h:.3g})")
+        if width > grid.l / 8.0:
+            raise ResolutionError(f"kernel width sqrt(4t)={width:.3g} too wide for the box (> l/8 = {grid.l / 8:.3g})")
+        kern = gaussian_field(grid, 1.0, t).values  # the heat kernel
+        if grad:
+            x1, x2 = grid.coords()
+            kern = kern * np.sqrt(x1**2 + x2**2) / (2.0 * t)
+        for p in p_list:
+            bound = t ** ((-1.5 if grad else -1.0) + (0.0 if np.isinf(p) else 1.0 / p))
+            _add_sample(samples, name, (("p", float(p)), ("t", float(t))), _batch_lp(kern, p, grid.cell_area), bound)
+    return InequalityReport(name, tuple(samples), {"n": grid.n, "l": grid.l})
+
+
+def heat_kernel_norms(p_list, t_list, grid: Grid2D) -> InequalityReport:
+    """Discrete L^p norms of the sampled kernel against the bound t^{-1+1/p}.
+
+    Each requested time must satisfy 4h <= sqrt(4t) <= l/8 so the kernel is
+    both resolved and essentially untruncated on the torus.
+    """
+    return _kernel_table("heat_kernel", p_list, t_list, grid, grad=False)
+
+
+def grad_heat_kernel_norms(p_list, t_list, grid: Grid2D) -> InequalityReport:
+    """Discrete L^p norms of |grad kernel| against the bound t^{-3/2+1/p}."""
+    return _kernel_table("grad_heat_kernel", p_list, t_list, grid, grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +230,7 @@ def _lab_fields(grid: Grid2D, seed: int) -> list[tuple[str, ScalarField]]:
 # ---------------------------------------------------------------------------
 
 
-def verify_multiplier_lemma(setup: LabSetup = LabSetup(), seed: int = 0) -> InequalityReport:
+def verify_multiplier_lemma(setup: LabSetup, seed: int = 0) -> InequalityReport:
     """Both forms of the multiplier estimate on heat-type symbol families.
 
     Form A:  ||m(t,D) v||_{L^r_t H^s} <= ||m||_{L^r_t L^inf_xi} ||v||_{H^s}
@@ -241,7 +301,7 @@ def _fmt(x: float) -> str:
     return "inf" if np.isinf(x) else f"{x:g}"
 
 
-def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> InequalityReport:
+def verify_bilinear_lemma23(setup: LabSetup, seed: int = 0) -> InequalityReport:
     """Convolution-in-time estimates against heat and damped-heat kernels.
 
     Damped form: || int_0^t e^{-(t-tau)(1+|xi|^2)} |xi|^theta F dtau ||_{L^p1_t Hdot^s}
@@ -264,7 +324,7 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
                for pname, prof in _PROFILES.items() for rate, plan in plans.items()}
     # one stack, transform and binning: the swept modes 1..cap (column m-1), then the random field
     modes = [(m, 0) for m in range(1, cap + 1)]
-    random = random_band_limited_field(grid, seed=seed, max_mode=8).values[None]
+    random = random_band_limited_field(grid, seed=seed, max_mode=_RANDOM_MAX_MODE).values[None]
     power = _rate_parts(grid, inverse, rfft2(np.concatenate((_cosine_modes(grid, modes), random))), k2.size)
     columns = [(f"mode{m}", (("mode", m),), m - 1) for m in _SWEEP_MODES if m <= cap]
     columns.append(("random", (("seed", seed),), cap))
@@ -310,7 +370,7 @@ def verify_bilinear_lemma23(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
 # ---------------------------------------------------------------------------
 
 
-def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> InequalityReport:
+def verify_maximal_regularity(setup: LabSetup, seed: int = 0) -> InequalityReport:
     """||T g||_{L2_t L2} / ||g||_{L2_t L2} over modes and time profiles, g = prof(t) f.
 
     The input norm integrates the piecewise-linear reconstruction of g
@@ -354,7 +414,7 @@ def verify_maximal_regularity(setup: LabSetup = LabSetup(), seed: int = 0) -> In
     return InequalityReport("maximal_regularity", tuple(samples), _meta(setup, seed, subsets=by_subset))
 
 
-def verify_l4_interpolation(setup: LabSetup = LabSetup(), seed: int = 0) -> InequalityReport:
+def verify_l4_interpolation(setup: LabSetup, seed: int = 0) -> InequalityReport:
     """Space-time interpolation ||f||_{L4_t L4}^2 <= c ||f||_{Linf_t L2} ||grad f||_{L2_t H1}.
 
     Checked on free heat evolutions of the sample fields; the observed ratio
@@ -375,7 +435,7 @@ def verify_l4_interpolation(setup: LabSetup = LabSetup(), seed: int = 0) -> Ineq
     return InequalityReport("l4_interpolation", tuple(samples), _meta(setup, seed))
 
 
-def besov_equivalence_samples(setup: LabSetup = LabSetup(), seed: int = 0) -> InequalityReport:
+def besov_equivalence_samples(setup: LabSetup, seed: int = 0) -> InequalityReport:
     """Measured ratio of the order-0 sup norm to the gradient's order -1 norm.
 
     sup_t ||e^{t Lap} v||_Linf versus sup_t t^{1/2} ||grad e^{t Lap} v||_Linf;
@@ -396,7 +456,7 @@ def besov_equivalence_samples(setup: LabSetup = LabSetup(), seed: int = 0) -> In
     return InequalityReport("besov_equivalence", tuple(samples), meta)
 
 
-def refinement_drift(verifier, setup: LabSetup = LabSetup()) -> dict:
+def refinement_drift(verifier, setup: LabSetup) -> dict:
     """Per-family observed-constant drift under simultaneous (n, K, T) doubling, at the verifiers' seed 0.
 
     ``per_group`` holds each family's relative change of its largest ratio,
@@ -464,7 +524,7 @@ def standard_families(grid: Grid2D) -> list[tuple[str, ScalarField]]:
     ]
 
 
-def estimate_constants(setup: LabSetup = LabSetup()) -> ConstantsReport:
+def estimate_constants(setup: LabSetup) -> ConstantsReport:
     """Observed-ratio maxima for the linear/bilinear estimates, both norm modes, on ``standard_families``.
 
     c1: free-evolution bounds; c2: bilinear bound; c3: chemical-response

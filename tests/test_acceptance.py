@@ -72,20 +72,22 @@ def test_criterion_1_heat_kernel_bounds():
     ps = (1.0, 2.0, np.inf)
     ts = (0.1, 0.5, 1.0)
     table = heat_kernel_norms(ps, ts, grid)
-    ok = table.all_within_bounds()
+    ok = table.max_ratio <= 1 + 1e-9
     worst = 0.0
-    for e in table.entries:
-        exact = kernel_norm_exact(e.p, e.t)
-        gap = abs(e.value - exact) / exact
+    for s in table.samples:
+        params = dict(s.params)
+        exact = kernel_norm_exact(params["p"], params["t"])
+        gap = abs(s.lhs - exact) / exact
         worst = max(worst, gap)
         ok = ok and gap < 0.01
     gtable = grad_heat_kernel_norms((1.0,), ts, grid)
-    ok = ok and gtable.all_within_bounds()
-    for e in gtable.entries:
-        exact = grad_kernel_l1_exact(e.t)
-        gap = abs(e.value - exact) / exact
+    ok = ok and gtable.max_ratio <= 1 + 1e-9
+    for s in gtable.samples:
+        t = dict(s.params)["t"]
+        exact = grad_kernel_l1_exact(t)
+        gap = abs(s.lhs - exact) / exact
         worst = max(worst, gap)
-        ok = ok and gap < 0.01 and e.value <= e.t ** (-0.5)
+        ok = ok and gap < 0.01 and s.lhs <= t ** (-0.5)
     report_line(1, ok, f"kernel norms match closed forms (worst gap {worst:.2e}) and sit under the bounds")
     assert ok
 

@@ -527,6 +527,28 @@ class TestVerifyCommand:
         summary = json.loads((out / "verify_summary.json").read_text())
         assert any("inconsistent" in f for f in summary["failures"])
 
+    def test_kernel_table_off_its_closed_form_fails(self, tmp_path, monkeypatch):
+        """Each kernel-table sample is checked against its closed form; a failure names the table, p and t."""
+        monkeypatch.setattr(kslab.cli, "kernel_norm_exact", lambda p, t: 2.0 if (p, t) == (2.0, 0.5) else
+                            kslab.kernel_norm_exact(p, t))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_config(tmp_path, self.VERIFY_CFG), "--out", str(out)]) == 1
+        failures = json.loads((out / "verify_summary.json").read_text())["failures"]
+        assert failures == ["kernel_norms p=2.0 t=0.5: off its closed form by more than 1%"]
+
+    def test_grid_below_the_lab_is_a_config_error(self, tmp_path, capsys):
+        """grid.n = 16 is a grid, but the lab's random field needs n >= 32: verify writes nothing and exits 2."""
+        out = tmp_path / "out"
+        assert main(["verify", "--override", "grid.n=16", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "grid.n" in err and ">= 32" in err
+        assert not out.exists()
+
+    def test_constants_runs_on_the_grid_below_the_lab(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["constants", "--override", "grid.n=16", "--out", str(out)]) == 0
+        assert json.loads((out / "constants_report.json").read_text())["metadata"]["n"] == 16
+
     def test_lab_c_off_the_pin_fails(self, tmp_path, monkeypatch, capsys):
         # take VERIFY_CFG's lab set-up as the pin's and put the pin one ulp off its c
         cfg = write_config(tmp_path, self.VERIFY_CFG)
@@ -631,7 +653,7 @@ def test_public_surface_is_pinned():
     exported = sorted(alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names)
     assert exported == sorted(TRACER_BOUND_EXPORTS + [
         "BesovEstimate", "ConstantsReport", "CounterexampleResult", "CounterexampleSweep", "EtdPlan", "Grid2D",
-        "InequalityReport", "KernelNormEntry", "KernelNormTable", "LabSetup", "NormEntry", "NormReport",
+        "InequalityReport", "LabSetup", "NormEntry", "NormReport",
         "PicardBlowupError", "ReferenceStepError", "ResolutionError", "ScalarField", "SolutionReport",
         "SolverConfig", "Theorem1Verdict", "Theorem2Verdict", "TimeGrid", "Trajectory",
         "besov_equivalence_samples", "check_theorem1_bound", "check_theorem2_bound", "cosine_mode_field",
@@ -665,6 +687,16 @@ def test_only_fields_imports_the_fft_backend():
                           if n.startswith("scipy.fft") or "pocketfft" in n]
     assert offenders == []
     assert naming == ["fields.py"]
+
+
+def test_semigroup_imports_only_fields_and_trajectories():
+    """The flows sit below the norms and the lab: ``semigroup`` imports no kslab module but ``fields`` and
+    ``trajectories``, at module level or inside a function, and nothing outside numpy."""
+    tree = ast.parse((Path(kslab.__file__).parent / "semigroup.py").read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = {name.split(".")[0] for _, name in _imports_by_scope(tree)}
+    assert relative == {"fields", "trajectories"}
+    assert absolute == {"__future__", "numpy"}
 
 
 def test_only_the_ksf1_reader_opens_files_for_reading():

@@ -1,5 +1,6 @@
-"""Lab tests: estimate ratios, constants, refinement drift, counterexample."""
+"""Lab tests: kernel norm tables, estimate ratios, constants, refinement drift, counterexample."""
 
+import inspect
 import json
 import warnings
 from dataclasses import replace
@@ -12,7 +13,9 @@ from scipy.integrate import quad
 from kslab import (
     ConstantsReport,
     LabSetup,
+    ResolutionError,
     SolverConfig,
+    besov_equivalence_samples,
     bilinear_B,
     cosine_mode_field,
     counterexample_profile,
@@ -20,8 +23,12 @@ from kslab import (
     damped_heat_trajectory,
     default_constants,
     estimate_constants,
+    grad_heat_kernel_norms,
+    grad_kernel_l1_exact,
+    heat_kernel_norms,
     heat_trajectory,
     hs_norm,
+    kernel_norm_exact,
     linear_L,
     lp_norm,
     refinement_drift,
@@ -29,13 +36,14 @@ from kslab import (
     stripe_lower_constant,
     stripe_profile_exact,
     verify_bilinear_lemma23,
+    verify_l4_interpolation,
     verify_maximal_regularity,
     verify_multiplier_lemma,
     xy_norms_thm1,
     xy_norms_thm2,
 )
 from kslab import inequality_lab
-from kslab.cli import _write_json, _write_samples
+from kslab.cli import _write_csv, _write_json, _write_samples
 from kslab.duhamel import EtdPlan
 from kslab.fields import Grid2D, _grad_values, _rate_layout, rfft2
 from kslab.inequality_lab import AUTO_C, standard_families
@@ -522,3 +530,68 @@ class TestCounterexample:
         assert sweep.max_rel_gap < 0.01
         # the rescaled stripe keeps the weighted gradient above one
         assert sweep.normalized_lower_bound >= 1.0
+
+
+class TestKernelNormReport:
+    def test_values_match_analytic_and_bounds(self):
+        grid = Grid2D(128, 16.0)
+        ps = (1.0, 2.0, np.inf)
+        ts = (0.1, 0.5, 1.0)
+        table = heat_kernel_norms(ps, ts, grid)
+        assert table.max_ratio <= 1 + 1e-9
+        for s in table.samples:
+            params = dict(s.params)
+            p, t = params["p"], params["t"]
+            exact = kernel_norm_exact(p, t)
+            assert abs(s.lhs - exact) / exact < 0.01
+            # the ratio value/bound is p^{-1/p} (4 pi)^{-1+1/p}, t-independent
+            expect_ratio = exact / t ** (-1.0 + (0.0 if np.isinf(p) else 1.0 / p))
+            assert abs(s.ratio - expect_ratio) < 1e-6
+
+    def test_p1_value_is_unit_mass(self):
+        grid = Grid2D(128, 16.0)
+        table = heat_kernel_norms((1.0,), (0.5,), grid)
+        assert abs(table.samples[0].lhs - 1.0) < 1e-6
+        assert table.samples[0].lhs <= 1.0 + 1e-12
+
+    def test_pinfty_is_peak_value(self):
+        grid = Grid2D(128, 16.0)
+        table = heat_kernel_norms((np.inf,), (1.0,), grid)
+        assert np.isclose(table.samples[0].lhs, 1.0 / (4 * np.pi))
+
+    def test_gradient_table(self):
+        grid = Grid2D(128, 16.0)
+        table = grad_heat_kernel_norms((1.0,), (0.1, 0.5, 1.0), grid)
+        assert table.max_ratio <= 1 + 1e-9
+        for s in table.samples:
+            t = dict(s.params)["t"]
+            exact = grad_kernel_l1_exact(t)
+            assert abs(s.lhs - exact) / exact < 0.01
+            assert s.lhs <= t ** (-0.5)
+
+    def test_resolution_guard(self):
+        grid = Grid2D(16, 16.0)  # h = 1
+        with pytest.raises(ResolutionError, match="under-resolved"):
+            heat_kernel_norms((1.0,), (0.05,), grid)
+        with pytest.raises(ResolutionError, match="too wide"):
+            heat_kernel_norms((1.0,), (4.0,), grid)
+
+    def test_csv_serialisation(self, tmp_path):
+        grid = Grid2D(128, 16.0)
+        table = heat_kernel_norms((1.0, np.inf), (0.5,), grid)
+        path = tmp_path / "kernels.csv"
+        _write_csv(path, ["p", "t", "value", "bound", "ratio"],
+                   [[dict(s.params)["p"], dict(s.params)["t"], s.lhs, s.rhs, s.ratio] for s in table.samples])
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "p,t,value,bound,ratio"
+        assert len(lines) == 3
+        assert lines[2].startswith("inf,")
+
+
+@pytest.mark.parametrize("entry", [verify_multiplier_lemma, verify_bilinear_lemma23, verify_maximal_regularity,
+                                   verify_l4_interpolation, besov_equivalence_samples, refinement_drift,
+                                   estimate_constants])
+def test_no_default_set_up(entry):
+    """A lab entry point takes its set-up from the caller: a default window would be built at import and keep its
+    grid and plans for the life of the process."""
+    assert inspect.signature(entry).parameters["setup"].default is inspect.Parameter.empty

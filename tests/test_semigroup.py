@@ -1,4 +1,4 @@
-"""Heat-flow tests: Gaussian identities, kernel norm tables, semigroup laws."""
+"""Heat-flow tests: Gaussian identities and semigroup laws."""
 
 import numpy as np
 import pytest
@@ -6,20 +6,15 @@ from scipy.integrate import quad
 
 from kslab import (
     Grid2D,
-    ResolutionError,
     ScalarField,
     damped_heat_trajectory,
     gaussian_field,
     gradient,
-    grad_heat_kernel_norms,
     grad_kernel_l1_exact,
     heat,
-    heat_kernel_norms,
     heat_trajectory,
-    kernel_norm_exact,
     lp_norm,
 )
-from kslab.cli import _write_csv
 from kslab.trajectories import TimeGrid
 
 
@@ -135,56 +130,3 @@ class TestGradHeat:
         assert abs(by_quad - exact) < 1e-12
         assert abs(lp_norm(mag, 1.0) - exact) / exact < 0.01
         assert lp_norm(mag, 1.0) <= t ** (-0.5)
-
-
-class TestKernelNormTable:
-    def test_values_match_analytic_and_bounds(self):
-        grid = Grid2D(128, 16.0)
-        ps = (1.0, 2.0, np.inf)
-        ts = (0.1, 0.5, 1.0)
-        table = heat_kernel_norms(ps, ts, grid)
-        assert table.all_within_bounds()
-        for e in table.entries:
-            exact = kernel_norm_exact(e.p, e.t)
-            assert abs(e.value - exact) / exact < 0.01
-            # the ratio value/bound is p^{-1/p} (4 pi)^{-1+1/p}, t-independent
-            expect_ratio = exact / e.t ** (-1.0 + (0.0 if np.isinf(e.p) else 1.0 / e.p))
-            assert abs(e.ratio - expect_ratio) < 1e-6
-
-    def test_p1_value_is_unit_mass(self):
-        grid = Grid2D(128, 16.0)
-        table = heat_kernel_norms((1.0,), (0.5,), grid)
-        assert abs(table.entries[0].value - 1.0) < 1e-6
-        assert table.entries[0].value <= 1.0 + 1e-12
-
-    def test_pinfty_is_peak_value(self):
-        grid = Grid2D(128, 16.0)
-        table = heat_kernel_norms((np.inf,), (1.0,), grid)
-        assert np.isclose(table.entries[0].value, 1.0 / (4 * np.pi))
-
-    def test_gradient_table(self):
-        grid = Grid2D(128, 16.0)
-        table = grad_heat_kernel_norms((1.0,), (0.1, 0.5, 1.0), grid)
-        assert table.all_within_bounds()
-        for e in table.entries:
-            exact = grad_kernel_l1_exact(e.t)
-            assert abs(e.value - exact) / exact < 0.01
-            assert e.value <= e.t ** (-0.5)
-
-    def test_resolution_guard(self):
-        grid = Grid2D(16, 16.0)  # h = 1
-        with pytest.raises(ResolutionError, match="under-resolved"):
-            heat_kernel_norms((1.0,), (0.05,), grid)
-        with pytest.raises(ResolutionError, match="too wide"):
-            heat_kernel_norms((1.0,), (4.0,), grid)
-
-    def test_csv_serialisation(self, tmp_path):
-        grid = Grid2D(128, 16.0)
-        table = heat_kernel_norms((1.0, np.inf), (0.5,), grid)
-        path = tmp_path / "kernels.csv"
-        _write_csv(path, ["p", "t", "value", "bound", "ratio"],
-                   [[e.p, e.t, e.value, e.bound, e.ratio] for e in table.entries])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "p,t,value,bound,ratio"
-        assert len(lines) == 3
-        assert lines[2].startswith("inf,")
