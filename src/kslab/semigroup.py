@@ -3,10 +3,11 @@
 The flows act diagonally in Fourier space (exact semigroups of the grid
 Laplacian), so the semigroup law and mass conservation hold to rounding.
 ``_free_flow`` is the one batched form ``e^{-t lam} c`` over node times; the
-single-time flow ``heat``, the trajectories, the solver's closed-form
-chemical response, the norms' heat-flow suprema and the stripe
-counterexample all call it.  The gradient of a flow is ``gradient(heat(t, f))``
-for one field, or ``fields._grad_values`` of the flowed half spectra.
+single-time flow ``heat``, the trajectories, the solver's per-solve rate
+tables (u0's heat flow, w0's flow and the closed-form chemical response),
+the norms' heat-flow suprema and the stripe counterexample all call it.
+The gradient of a flow is ``gradient(heat(t, f))`` for one field, or
+``fields._grad_values`` of the flowed half spectra.
 """
 
 from __future__ import annotations
@@ -26,15 +27,17 @@ def heat(t: float, f: ScalarField) -> ScalarField:
 
 
 def _free_flow(coeffs: np.ndarray, times: np.ndarray, lam: np.ndarray, scale=None) -> np.ndarray:
-    """Spectra e^{-t lam} c at each of the given times, shaped (K,) + c.shape.
+    """Spectra e^{-t lam} c at each of the given times, shaped (K,) + lam.shape.
 
-    ``lam`` and ``c`` share one layout (the half spectrum wherever the
-    package computes).  ``scale`` optionally multiplies each time's symbol by
-    a scalar s(t) before it meets the coefficients.
+    ``lam`` and ``c`` share one layout: the half spectrum, or a plan's
+    distinct rates with c = 1 for a per-rate table.  ``scale`` optionally
+    multiplies each time's symbol by a scalar s(t) before it meets the
+    coefficients.
     """
-    decay = np.exp(-np.asarray(times)[:, None, None] * lam)
+    times = np.asarray(times).reshape((-1,) + (1,) * np.ndim(lam))
+    decay = np.exp(-times * lam)
     if scale is not None:
-        decay = decay * np.asarray(scale)[:, None, None]
+        decay = decay * np.asarray(scale).reshape(times.shape)
     return decay * coeffs
 
 

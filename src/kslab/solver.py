@@ -20,7 +20,8 @@ from u_m.  The fixed point is the same; at the benchmark's small data the
 iteration count drops from 4 to 3.  An iteration is one sweep over the time
 nodes that runs every step on single, cache-resident planes and overwrites
 the held iterate node by node (``picard_solve``): six c2r and two r2c
-one-plane transforms per node, and a memory of a few (K, n, n) arrays.
+one-plane transforms per node.  Its (K, n, n)-sized memory is the iterate:
+u's and w's half spectra, u's node values and w's gradient values.
 
 ``reference_solve`` integrates the differential system directly with an
 exact integrating factor for the linear parts and an explicit dealiased
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import norms as _norms
 from .duhamel import _div_u_grad_v, _etd_step, etd_weights
-from .fields import Grid2D, ScalarField, _grad_values, irfft2, rfft2
+from .fields import ScalarField, _grad_values, irfft2, rfft2
 from .inequality_lab import AUTO_C, smallness_threshold
 from .norms import NormReport, default_besov_probe, lp_norm, hs_norm
 from .semigroup import _free_flow
@@ -126,15 +127,15 @@ def _xy_report(thm2: bool, tgrid: TimeGrid, iteration: int, series, heads=(None,
         return _norms._report(x, y)
 
 
-def _free_chemical_response(grid: Grid2D, u0_hat: np.ndarray, times: np.ndarray, damped: bool) -> np.ndarray:
-    """Closed form of the chemical response to the free density evolution, as half spectra.
+def _free_chemical_response(coeffs, times: np.ndarray, lam: np.ndarray, damped: bool) -> np.ndarray:
+    """Closed form of the chemical response to the free density evolution e^{-t lam} c, as ``_free_flow``.
 
     Per mode, int_0^t e^{-(t-tau)(lam+1)} e^{-tau lam} dtau = e^{-t lam}(1-e^{-t})
     (and t e^{-t lam} without damping), so this part of the fixed-point map
     needs no quadrature at all.
     """
     scale = -np.expm1(-times) if damped else times
-    return _free_flow(u0_hat, times, grid.k2_half, scale)
+    return _free_flow(coeffs, times, lam, scale)
 
 
 @dataclass
@@ -152,9 +153,10 @@ class SolutionReport:
     iteration 0, u0's heat flow, which the Theorem-1 verdict reads; it is not
     in the JSON.  The chemical trajectory is the paper's v = 4c w, whose
     initial datum is ``v0``; the iterated w is held only as ``w_hat``.
-    ``u_hat``, ``w_hat`` (half spectra) and ``w_grad`` (w's gradient values)
-    are the final iterate's arrays as the iteration held them, frozen; the
-    Theorem-2 verdict reads them.  Like ``NormEntry.nodes`` they are working
+    ``u_hat`` and ``w_hat`` are the final iterate's half spectra as the
+    iteration held them, frozen; the Theorem-2 verdict reads them.  With
+    ``u.stacked`` and ``v.stacked`` they are the only (K, n, n)-sized
+    arrays the report holds.  Like ``NormEntry.nodes`` they are working
     data, not results, so JSON, equality and repr leave them out.
     """
 
@@ -180,7 +182,6 @@ class SolutionReport:
     free_u_x_nodes: np.ndarray
     u_hat: np.ndarray = field(compare=False, repr=False)
     w_hat: np.ndarray = field(compare=False, repr=False)
-    w_grad: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -238,8 +239,9 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     again.  Every transform is one plane: per node six c2r and two r2c, as
     B's dealiased product (three and two), u_m's node values (one) and w_m's
     gradient (two).  Every temporary is a plane too, so the memory is the
-    held iterate, the map's two free parts (u0's heat flow and w's affine
-    part) and the plans.
+    held iterate and the plans.  The map's two free parts (u0's heat flow and
+    w's affine part) are e^{-t lam} times one coefficient per mode, so each
+    node forms them from (K, R) tables on the plans' R distinct rates.
 
     The first non-finite u_m(t_j) raises at once.  A non-finite w_m(t_j) is
     remembered and raised after the sweep, since u_m at later nodes does not
@@ -258,19 +260,21 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     l_plan = cfg.plan(1.0 if damped else 0.0)
 
     u0_hat, w0_hat = rfft2(u0.values), rfft2(w0.values)
-    free_u_hat = _free_flow(u0_hat, times, grid.k2_half)
-    w_hat = _free_flow(w0_hat, times, grid.k2_half + (1.0 if damped else 0.0))
-    # L is linear: the response to the free part is exact, quadrature only
-    # touches the (small) deviation of the iterate from the free evolution.
-    w_affine = w_hat + (1.0 / (4.0 * c)) * _free_chemical_response(grid, u0_hat, times, damped)
+    # the free parts of the map are (K, R) tables on the plans' rates, spread per node.  L is
+    # linear: the response to the free part is exact, quadrature only touches the (small)
+    # deviation of the iterate from the free evolution.
+    inv_b, inv_l = b_plan.inverse, l_plan.inverse
+    e_u, e_w = _free_flow(1.0, times, b_plan.values), _free_flow(1.0, times, l_plan.values)
+    # iteration 0 is the free evolution; the sweeps overwrite the held iterate in place
+    u_hat = np.take(e_u, inv_b, axis=1) * u0_hat
+    w_hat = np.take(e_w, inv_l, axis=1) * w0_hat
+    e_chem = _free_chemical_response(1.0, times, b_plan.values, damped)
     # B's integrand at t = 0 is div(u0 grad w0) in every iteration; the
     # deviation that L convolves starts from zero
     b_head = _div_u_grad_v(grid, u0_hat, w0_hat)
     l_head = np.zeros_like(u0_hat)
     heads = (_norms._l2t_head(grid, u0_hat, times[0], False), _norms._l2t_head(grid, w0_hat, times[0], damped))
 
-    # iteration 0 is the free evolution; the sweeps overwrite the held iterate in place
-    u_hat = free_u_hat.copy()
     u_vals = np.empty((k, n, n))
     w_grad = (np.empty((k, n, n)), np.empty((k, n, n)))
     rows = 7 if thm2 else 3  # norms._node_series: L1, Linf, grad-sup, then the Sobolev series of u and w
@@ -293,16 +297,19 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
                 right_b = _div_u_grad_v(grid, u_hat[j], w_hat[j])
                 _etd_step(acc_b, left_b, right_b, b_plan, j)
                 left_b = right_b
-                un_hat = free_u_hat[j] - (4.0 * c) * acc_b
+                free_u = np.take(e_u[j], inv_b) * u0_hat
+                un_hat = free_u - (4.0 * c) * acc_b
                 un_vals = irfft2(un_hat, n)
                 if not np.all(np.isfinite(un_vals)):
                     raise PicardBlowupError(m, j, "u", float(times[j]))
                 if w_bad is not None:
                     continue
-                right_l = un_hat - free_u_hat[j]
+                right_l = un_hat - free_u
                 _etd_step(acc_l, left_l, right_l, l_plan, j)
                 left_l = right_l
-                wn_hat = w_affine[j] + (1.0 / (4.0 * c)) * acc_l
+                free_w = np.take(e_w[j], inv_l) * w0_hat
+                w_affine = free_w + (1.0 / (4.0 * c)) * (np.take(e_chem[j], inv_b) * u0_hat)
+                wn_hat = w_affine + (1.0 / (4.0 * c)) * acc_l
                 if not np.all(np.isfinite(wn_hat)):
                     w_bad = j
                     continue
@@ -338,7 +345,7 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
             converged = True
             break
     iterations = m
-    del free_u_hat, w_affine  # only the sweeps read them: the final reports and v do not hold them
+    del w_grad  # only the sweeps' residuals read it: the Theorem-2 verdict transforms w_hat again
     a0 = iterate_norms[0]
     threshold = smallness_threshold(c)
     contraction_bound = 8.0 * c * c * a0 + 0.25
@@ -358,7 +365,7 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
     v_vals *= 4.0 * c
     v = Trajectory.from_values(grid, tgrid, v_vals, initial=v0)
 
-    for held in (u_hat, w_hat, *w_grad):
+    for held in (u_hat, w_hat):
         held.setflags(write=False)
     diag = {}
     for key, entry in (("t_u_linf", report_thm1["u_sup_t_linf"]), ("sqrt_t_grad_w", report_thm1["y_norm"])):
@@ -388,7 +395,6 @@ def picard_solve(u0: ScalarField, w0: ScalarField, cfg: SolverConfig) -> Solutio
         free_u_x_nodes=free_u_x_nodes,
         u_hat=u_hat,
         w_hat=w_hat,
-        w_grad=w_grad,
         diagnostics=diag,
     )
 
@@ -581,8 +587,9 @@ def check_theorem2_bound(report: SolutionReport) -> Theorem2Verdict:
     + ||grad w||_{L2_t H1}, with w = v/(4c); the last term is the final
     Theorem-2 report's entry.  The data norm ||u0||_Linf + ||u0||_H1
     + (1/4c) ||v0||_H1 is the theorem's small-data size epsilon_0.
-    Transform budget: two single-plane r2c, of u0 and v0; the solution's
-    spectra and w's gradient values are the ones ``picard_solve`` held.
+    Transform budget: two single-plane r2c, of u0 and v0, and two
+    single-plane c2r per node for w's gradient; the solution's spectra are
+    the ones ``picard_solve`` held.
     """
     c = report.c
     grid, times = report.u.grid, report.u.tgrid.times
@@ -595,10 +602,10 @@ def check_theorem2_bound(report: SolutionReport) -> Theorem2Verdict:
     # sup_t ||u +- w||_H1 over both signs
     term_h1 = float(max(np.max(_norms._batch_hs(grid, u_hat + sign * w_hat, 1.0)) for sign in (1.0, -1.0)))
 
-    # sup_t ||u +- sigma(t) d_i w||_Linf over signs and components
-    sig = _norms.sigma(times)[:, None, None]
-    term_mix = max(float(np.max(np.abs(report.u.stacked + sign * sig * comp)))
-                   for comp in report.w_grad for sign in (1.0, -1.0))
+    # sup_t ||u +- sigma(t) d_i w||_Linf over nodes, signs and components; w's gradient one node at a time
+    term_mix = max(float(np.max(np.abs(u_j + sign * sig * comp)))
+                   for u_j, sig, wj_hat in zip(report.u.stacked, _norms.sigma(times), w_hat)
+                   for comp in _grad_values(grid, wj_hat) for sign in (1.0, -1.0))
 
     # ||grad u||_{L2_t L2} (head from u0's free flow); ||grad w||_{L2_t H1} is the report's
     term_grad_u = _norms._l2t(times, _norms._parseval_sum(grid, np.abs(u_hat) ** 2, grid.k2_half),
